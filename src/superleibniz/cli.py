@@ -200,11 +200,13 @@ def cmd_validate(args) -> int:
 
 
 def cmd_cohomology(args) -> int:
+    if args.max_n < 0:
+        raise ParseError(f"--max-n must be nonnegative, got {args.max_n}")
     alg = load_algebra(args.algebra)
     _check_dim_cap(alg, args)
     mod, modname = _load_module_choice(args.module, alg)
     table = cohomology_table(alg, mod, args.max_n, with_bases=args.bases,
-                             max_arity=args.max_arity, threads=args.threads)
+                             max_arity=args.max_arity)
     rows = []
     for n in range(args.max_n + 1):
         for parity in (0, 1):
@@ -367,14 +369,10 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("text", "json"), default="text",
                         help="report rendering (default: text)")
-    common.add_argument("--seed", type=int, default=0,
-                        help="seed for randomized checks (reserved)")
     common.add_argument("--max-arity", type=int, default=DEFAULT_MAX_ARITY,
                         help="cap on cochain arity (default: %(default)s)")
     common.add_argument("--max-dim", type=int, default=DEFAULT_MAX_DIM,
                         help="cap on algebra dimension (default: %(default)s)")
-    common.add_argument("--threads", type=int, default=1,
-                        help="worker threads for matrix assembly")
 
     parser = argparse.ArgumentParser(
         prog="superleibniz",

@@ -171,56 +171,64 @@ def _vector_parity_or_raise(space: SuperSpace, v: list[Fraction], what: str) -> 
     return 0 if p is None else p
 
 
+_SIGN = (F1, -F1)   # (-1)**e, indexed by e & 1
+
+
+def coboundary_terms(alg: LeibnizSuperalgebra, mod: SuperBimodule, degree: int,
+                     T: tuple[int, ...]):
+    """The terms of (delta f)(T) for a degree-`degree` cochain f of arity len(T)-1.
+
+    Yields (S, scalar, action).  With action None the term is scalar * f(S),
+    a bracket substitution.  Otherwise action[m] is the module vector that
+    the basis vector m_m is sent to (the left-action row of x_i, or the
+    right-action column of x_{n+1}), and the term is
+    scalar * sum_m f(S)[m] * action[m].
+    """
+    n = len(T) - 1
+    table = alg.table
+    tpar = [alg.space.parities[t] for t in T]
+    # bracket-substitution terms: delete slot i, bracket lands in slot j
+    for i in range(n + 1):
+        pi = tpar[i]
+        run = 0
+        for j in range(i + 1, n + 1):
+            e = (i + 1) + pi * run
+            run += tpar[j]
+            head = T[:i] + T[i + 1:j]
+            tail = T[j + 1:]
+            for k, c in enumerate(table[T[i]][T[j]]):
+                if c:
+                    yield head + (k,) + tail, (-c if e & 1 else c), None
+    # left-action terms: [x_i, f(..., ^x_i, ...)], i = 1..n
+    run = degree
+    for i in range(n):
+        pi = tpar[i]
+        e = i + pi * run
+        run += pi
+        yield T[:i] + T[i + 1:], _SIGN[e & 1], mod.left[T[i]]
+    # right-action term: (-1)**(n+1) [f(x_1..x_n), x_{n+1}]
+    last = T[n]
+    yield T[:n], _SIGN[(n + 1) & 1], [row[last] for row in mod.right]
+
+
 def delta(f: Cochain) -> Cochain:
     """Coboundary: arity n+1, same degree."""
     alg, mod = f.algebra, f.module
-    dim, dm = alg.dim, mod.dim
-    n = f.arity
-    par = alg.space.parities
-    degf = f.degree
-    table = alg.table
-    left = mod.left
-    right = mod.right
-    coeffs = f.coeffs
-    out = Cochain.zero(alg, mod, n + 1, degf)
-    sign_c = -1 if (n + 1) & 1 else 1
-    for T in all_tuples(dim, n + 1):
-        acc = zeros(dm)
-        tpar = [par[t] for t in T]
-        # bracket-substitution terms: delete slot i, bracket lands in slot j
-        for i in range(n + 1):
-            pi = tpar[i]
-            run = 0
-            for j in range(i + 1, n + 1):
-                bv = table[T[i]][T[j]]
-                e = (i + 1) + pi * run
-                run += tpar[j]
-                s = -1 if e & 1 else 1
-                head = T[:i] + T[i + 1:j]
-                tail = T[j + 1:]
-                for k, c in enumerate(bv):
-                    if c:
-                        w = coeffs[tuple_index(head + (k,) + tail, dim)]
-                        add_scaled(acc, c if s > 0 else -c, w)
-        # left-action terms: [x_i, f(..., ^x_i, ...)], i = 1..n
-        run = degf
-        for i in range(n):
-            pi = tpar[i]
-            e = i + pi * run
-            run += pi
-            s = -1 if e & 1 else 1
-            w = coeffs[tuple_index(T[:i] + T[i + 1:], dim)]
-            lrow = left[T[i]]
-            for m1, wv in enumerate(w):
-                if wv:
-                    add_scaled(acc, wv if s > 0 else -wv, lrow[m1])
-        # right-action term: (-1)**(n+1) [f(x_1..x_n), x_{n+1}]
-        w = coeffs[tuple_index(T[:n], dim)]
-        rlast = T[n]
-        for m1, wv in enumerate(w):
-            if wv:
-                add_scaled(acc, wv if sign_c > 0 else -wv, right[m1][rlast])
-        out.coeffs[tuple_index(T, dim)] = acc
+    dim = alg.dim
+    # the nonzero entries of f, by tuple index, scanned once
+    support = {}
+    for idx, w in enumerate(f.coeffs):
+        nz = [(m, wm) for m, wm in enumerate(w) if wm]
+        if nz:
+            support[idx] = nz
+    out = Cochain.zero(alg, mod, f.arity + 1, f.degree)
+    for acc, T in zip(out.coeffs, all_tuples(dim, f.arity + 1)):
+        for S, c, action in coboundary_terms(alg, mod, f.degree, T):
+            for m, wm in support.get(tuple_index(S, dim), ()):
+                if action is None:
+                    acc[m] += c * wm
+                else:
+                    add_scaled(acc, c * wm, action[m])
     return out
 
 
@@ -277,38 +285,14 @@ def act_left(a: list[Fraction], f: Cochain) -> Cochain:
 
 
 def act_right(f: Cochain, a: list[Fraction]) -> Cochain:
-    """Right action: [f, a] = -(-1)**(af) d_a f, expanded as
+    """Right action: [f, a] = -(-1)**(af) d_a f.
 
-        [f,a](y_1,..,y_n) = sum_i (-1)**(a(y_1+..+y_{i-1})) f(..,[a,y_i],..)
-                            - (-1)**(af) [a, f(y_1,..,y_n)].
-
-    The Koszul factor on the final term is exactly what makes the cochain
-    space a bimodule over the algebra; dropping it breaks the mixed module
-    axioms whenever both a and f are odd.
+    The Koszul factor is exactly what makes the cochain space a bimodule
+    over the algebra; dropping it breaks the mixed module axioms whenever
+    both a and f are odd.
     """
-    alg, mod = f.algebra, f.module
-    dim = alg.dim
-    pa = _vector_parity_or_raise(alg.space, a, "operator argument")
-    n = f.arity
-    par = alg.space.parities
-    out = Cochain.zero(alg, mod, n, (f.degree + pa) & 1)
-    bcols = [alg.bracket_vec(a, basis_vec(dim, t)) for t in range(dim)]
-    sgn_bracket = koszul(pa, f.degree)
-    for T in all_tuples(dim, n):
-        acc = zeros(mod.dim)
-        run = 0
-        for i in range(n):
-            e = pa * run
-            run += par[T[i]]
-            s = -1 if e & 1 else 1
-            bv = bcols[T[i]]
-            for k, c in enumerate(bv):
-                if c:
-                    w = f.value(T[:i] + (k,) + T[i + 1:])
-                    add_scaled(acc, c if s > 0 else -c, w)
-        add_scaled(acc, -sgn_bracket, mod.act_left_vec(a, f.value(T)))
-        out.coeffs[tuple_index(T, dim)] = acc
-    return out
+    pa = _vector_parity_or_raise(f.algebra.space, a, "operator argument")
+    return d_op(a, f).scale(-koszul(pa, f.degree))
 
 
 # ---------------------------------------------------------------------------

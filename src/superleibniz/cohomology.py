@@ -9,12 +9,11 @@ golden matrices and bases depend on it.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .algebra import LeibnizSuperalgebra, SuperBimodule
-from .cochain import Cochain, all_tuples, delta, tuple_index
+from .cochain import Cochain, all_tuples, coboundary_terms, tuple_index
 from .linalg import (RatMatrix, extend_to_basis, kernel_basis,
                      row_space_basis, solve, zeros)
 
@@ -70,30 +69,38 @@ def _check_cap(alg: LeibnizSuperalgebra, mod: SuperBimodule, arity: int,
 
 
 def delta_matrix(alg: LeibnizSuperalgebra, mod: SuperBimodule, n: int, parity: int,
-                 max_arity: int = DEFAULT_MAX_ARITY, threads: int = 1) -> RatMatrix:
+                 max_arity: int = DEFAULT_MAX_ARITY) -> RatMatrix:
     """Matrix of the coboundary on the parity component, arity n -> n+1.
 
     Columns follow the domain enumeration, rows the codomain enumeration;
     applying the matrix to a cochain's coordinates gives the coordinates
-    of its coboundary.
+    of its coboundary.  Built in one pass over the codomain tuples.
     """
     if n < 0:
         raise ValueError("arity must be >= 0")
     _check_cap(alg, mod, n + 1, max_arity)
+    mpar = mod.space.parities
     dom = enumerate_basis(alg, mod, n, parity)
-    cod = enumerate_basis(alg, mod, n + 1, parity)
-
-    def column(pair):
-        t, k = pair
-        return cochain_coords(delta(Cochain.basis_cochain(alg, mod, t, k)), cod)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            cols = list(ex.map(column, dom))
-    else:
-        cols = [column(p) for p in dom]
-    entries = [[cols[c][r] for c in range(len(dom))] for r in range(len(cod))]
-    return RatMatrix(len(cod), len(dom), entries)
+    col = {pair: c for c, pair in enumerate(dom)}
+    rows = []
+    for T in all_tuples(alg.dim, n + 1):
+        want = (parity + alg.space.tuple_parity(T)) & 1
+        block = {k: zeros(len(dom)) for k in range(mod.dim) if mpar[k] == want}
+        for S, c, action in coboundary_terms(alg, mod, parity, T):
+            if action is None:
+                for k, row in block.items():
+                    j = col.get((S, k))
+                    if j is not None:
+                        row[j] += c
+                continue
+            for m, image in enumerate(action):
+                j = col.get((S, m))
+                if j is not None:
+                    for k, row in block.items():
+                        if image[k]:
+                            row[j] += c * image[k]
+        rows.extend(block.values())
+    return RatMatrix(len(rows), len(dom), rows)
 
 
 @dataclass
@@ -125,8 +132,7 @@ class CohomologyTable:
 
 def cohomology_table(alg: LeibnizSuperalgebra, mod: SuperBimodule, max_n: int,
                      with_bases: bool = False,
-                     max_arity: int = DEFAULT_MAX_ARITY,
-                     threads: int = 1) -> CohomologyTable:
+                     max_arity: int = DEFAULT_MAX_ARITY) -> CohomologyTable:
     """Z/B/H dimensions (and optionally echelon bases) for n = 0..max_n.
 
     Computing H^n needs the coboundary into arity n+1, so max_n+1 must be
@@ -136,20 +142,17 @@ def cohomology_table(alg: LeibnizSuperalgebra, mod: SuperBimodule, max_n: int,
     table = CohomologyTable(alg, mod, max_n)
     for parity in (0, 1):
         prev_matrix: RatMatrix | None = None
+        dim_b = 0
         for n in range(max_n + 1):
             enum = enumerate_basis(alg, mod, n, parity)
             dim_c = len(enum)
-            mat = delta_matrix(alg, mod, n, parity, max_arity=max_arity,
-                               threads=threads)
+            mat = delta_matrix(alg, mod, n, parity, max_arity=max_arity)
             ker = kernel_basis(mat)
             dim_z = len(ker)
-            if prev_matrix is None:
-                img_rows: list[list[Fraction]] = []
-            else:
-                img_rows = row_space_basis(prev_matrix.transpose())
-            dim_b = len(img_rows)
             e = CohomologyEntry(n, parity, dim_c, dim_z, dim_b, dim_z - dim_b)
             if with_bases:
+                img_rows = ([] if prev_matrix is None
+                            else row_space_basis(prev_matrix.transpose()))
                 zrows = (row_space_basis(RatMatrix.from_rows(ker))
                          if ker else [])
                 e.basis_z = [cochain_from_coords(alg, mod, n, parity, v, enum)
@@ -161,6 +164,8 @@ def cohomology_table(alg: LeibnizSuperalgebra, mod: SuperBimodule, max_n: int,
                              for v in reps]
             table.entries[(n, parity)] = e
             prev_matrix = mat
+            # rank-nullity: dim B^(n+1) = rank D_n = dim C^n - dim Z^n
+            dim_b = dim_c - dim_z
     return table
 
 

@@ -46,6 +46,14 @@ def parse_rational(value) -> Fraction:
     raise ParseError(f"not a rational coefficient: {value!r}")
 
 
+def _nonnegative_int(doc: dict, key: str) -> int:
+    value = doc.get(key)
+    # bool is a subclass of int; true must not be read as 1
+    if type(value) is not int or value < 0:
+        raise ParseError(f"{key!r} must be a nonnegative integer")
+    return value
+
+
 def format_rational(c: Fraction) -> str:
     return str(c)
 
@@ -257,9 +265,7 @@ def cochain_from_doc(doc, alg: LeibnizSuperalgebra,
                      mod: SuperBimodule) -> Cochain:
     if not isinstance(doc, dict):
         raise ParseError("cochain document must be a JSON object")
-    arity = doc.get("arity")
-    if not isinstance(arity, int) or arity < 0:
-        raise ParseError("'arity' must be a nonnegative integer")
+    arity = _nonnegative_int(doc, "arity")
     degree = doc.get("degree")
     if degree not in _PARITY_NAMES:
         raise ParseError("'degree' must be 'even' or 'odd'")
@@ -317,9 +323,7 @@ def deformation_from_doc(doc, alg: LeibnizSuperalgebra,
                          mod: SuperBimodule) -> TruncatedDeformation:
     if not isinstance(doc, dict):
         raise ParseError("deformation document must be a JSON object")
-    order = doc.get("order")
-    if not isinstance(order, int) or order < 0:
-        raise ParseError("'order' must be a nonnegative integer")
+    order = _nonnegative_int(doc, "order")
     terms_doc = doc.get("terms", {})
     if not isinstance(terms_doc, dict):
         raise ParseError("'terms' must map powers of t to cochain tables")

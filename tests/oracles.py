@@ -3,9 +3,13 @@
 - bruteforce_deformation_failures: expands the deformation identity with
   truncated polynomial arithmetic over all basis triples (the library
   checker instead sums per-order residuals term by term).
-- delta_bracket_in_slot_i: the rejected reading of the coboundary where
-  the substituted bracket lands in the deleted-earlier slot; kept here to
-  machine-check that this convention breaks the complex property.
+- dense_delta: the coboundary as a dense loop over codomain tuples, a
+  reference for the library's term walk (cochain.coboundary_terms).  With
+  bracket_in_slot_i it is the rejected reading where the substituted
+  bracket lands in the deleted-earlier slot; kept to machine-check that
+  this convention breaks the complex property.
+- expanded_act_right: the right action on cochains written out term by
+  term; the library derives it from d_a.
 - sympy_rank: dense rank over the rationals through sympy.
 """
 
@@ -63,10 +67,12 @@ def bruteforce_deformation_failures(d, cap: int) -> list[tuple[int, tuple[int, .
     return failures
 
 
-def delta_bracket_in_slot_i(f: Cochain) -> Cochain:
-    """Coboundary variant: bracket substituted into slot i, slot j deleted.
+def dense_delta(f: Cochain, bracket_in_slot_i: bool = False) -> Cochain:
+    """The coboundary written out as one dense loop per codomain tuple.
 
-    Same signs as the real coboundary; only the placement differs.
+    An independent reference for the library's term walk.  With
+    bracket_in_slot_i the substituted bracket lands in the deleted-earlier
+    slot i instead of slot j; the signs are unchanged.
     """
     alg, mod = f.algebra, f.module
     dim, dm = alg.dim, mod.dim
@@ -87,7 +93,10 @@ def delta_bracket_in_slot_i(f: Cochain) -> Cochain:
                 s = -1 if e & 1 else 1
                 for k, c in enumerate(bv):
                     if c:
-                        tup = T[:i] + (k,) + T[i + 1:j] + T[j + 1:]
+                        if bracket_in_slot_i:
+                            tup = T[:i] + (k,) + T[i + 1:j] + T[j + 1:]
+                        else:
+                            tup = T[:i] + T[i + 1:j] + (k,) + T[j + 1:]
                         add_scaled(acc, c if s > 0 else -c,
                                    f.coeffs[tuple_index(tup, dim)])
         run = f.degree
@@ -104,6 +113,36 @@ def delta_bracket_in_slot_i(f: Cochain) -> Cochain:
         for m1, wv in enumerate(w):
             if wv:
                 add_scaled(acc, wv if sign_c > 0 else -wv, mod.right[m1][T[n]])
+        out.coeffs[tuple_index(T, dim)] = acc
+    return out
+
+
+def expanded_act_right(f: Cochain, a: list[Fraction]) -> Cochain:
+    """[f,a](y_1,..,y_n) = sum_i (-1)**(a(y_1+..+y_{i-1})) f(..,[a,y_i],..)
+                           - (-1)**(af) [a, f(y_1,..,y_n)],
+
+    written out directly rather than through d_a; a must be homogeneous.
+    """
+    alg, mod = f.algebra, f.module
+    dim = alg.dim
+    pa = alg.space.vector_parity(a) or 0
+    n = f.arity
+    par = alg.space.parities
+    out = Cochain.zero(alg, mod, n, (f.degree + pa) & 1)
+    bcols = [alg.bracket_vec(a, basis_vec(dim, t)) for t in range(dim)]
+    sgn_bracket = koszul(pa, f.degree)
+    for T in all_tuples(dim, n):
+        acc = zeros(mod.dim)
+        run = 0
+        for i in range(n):
+            e = pa * run
+            run += par[T[i]]
+            s = -1 if e & 1 else 1
+            for k, c in enumerate(bcols[T[i]]):
+                if c:
+                    w = f.value(T[:i] + (k,) + T[i + 1:])
+                    add_scaled(acc, c if s > 0 else -c, w)
+        add_scaled(acc, -sgn_bracket, mod.act_left_vec(a, f.value(T)))
         out.coeffs[tuple_index(T, dim)] = acc
     return out
 

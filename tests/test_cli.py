@@ -243,10 +243,11 @@ def test_deform_equiv_needs_two_files():
     assert code == 2
 
 
-def test_threads_flag_gives_identical_output():
-    _, out1, _ = run(["cohomology", ALG, "--format", "json"])
-    _, out2, _ = run(["cohomology", ALG, "--format", "json", "--threads", "4"])
-    assert out1 == out2
+def test_negative_max_n_is_a_usage_error():
+    code, out, err = run(["cohomology", ALG, "--max-n", "-1"])
+    assert code == 2
+    assert out == ""
+    assert "--max-n" in err
 
 
 def test_version_flag():

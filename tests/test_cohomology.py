@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from helpers import modules_for, random_cochain, standard_fixtures
-from oracles import sympy_rank
+from oracles import dense_delta, sympy_rank
 from superleibniz.algebra import abelian, adjoint_module, nonlie_example, zero_module
 from superleibniz.cochain import Cochain, delta
 from superleibniz.cohomology import (ArityCapError, annihilator, cochain_coords,
@@ -75,6 +75,8 @@ def test_delta_matrix_composes_to_zero():
 
 
 def test_matrix_path_equals_operator_path():
+    # the matrix, the library operator and the dense oracle all agree; each
+    # column is the oracle's coboundary of one basis cochain
     rng = random.Random(0)
     count = 0
     for L in standard_fixtures():
@@ -84,21 +86,19 @@ def test_matrix_path_equals_operator_path():
                     enum_n = enumerate_basis(L, M, n, parity)
                     enum_n1 = enumerate_basis(L, M, n + 1, parity)
                     mat = delta_matrix(L, M, n, parity)
+                    assert (mat.rows, mat.cols) == (len(enum_n1), len(enum_n))
+                    assert mat.transpose().entries == [
+                        cochain_coords(dense_delta(Cochain.basis_cochain(L, M, t, k)),
+                                       enum_n1)
+                        for t, k in enum_n]
                     for _ in range(3):
                         f = random_cochain(L, M, n, parity, rng)
                         lhs = mat.mat_vec(cochain_coords(f, enum_n))
-                        rhs = cochain_coords(delta(f), enum_n1)
-                        assert lhs == rhs
+                        df = delta(f)
+                        assert df.coeffs == dense_delta(f).coeffs
+                        assert lhs == cochain_coords(df, enum_n1)
                         count += 1
     assert count >= 200
-
-
-def test_threads_do_not_change_the_matrix():
-    L = nonlie_example()
-    M = adjoint_module(L)
-    a = delta_matrix(L, M, 2, 0, threads=1)
-    b = delta_matrix(L, M, 2, 0, threads=4)
-    assert a == b
 
 
 def test_arity_cap():

@@ -136,6 +136,13 @@ def test_cochain_homogeneity_validated_on_load():
         cochain_from_doc(doc, L, M)
 
 
+def test_cochain_boolean_arity_rejected():
+    L = nonlie_example()
+    M = adjoint_module(L)
+    with pytest.raises(ParseError, match="arity"):
+        cochain_from_doc({"arity": True, "degree": "even", "entries": []}, L, M)
+
+
 def test_cochain_wrong_arg_count_rejected():
     L = nonlie_example()
     M = adjoint_module(L)
@@ -166,6 +173,13 @@ def test_deformation_bad_keys_rejected():
         deformation_from_doc({"order": 1, "terms": {"5": {"entries": []}}}, L, M)
     with pytest.raises(ParseError, match="order"):
         deformation_from_doc({"order": -1, "terms": {}}, L, M)
+
+
+def test_deformation_boolean_order_rejected():
+    L = nonlie_example()
+    M = adjoint_module(L)
+    with pytest.raises(ParseError, match="order"):
+        deformation_from_doc({"order": True, "terms": {}}, L, M)
 
 
 def test_save_algebra_writes_canonical_bytes(tmp_path):
