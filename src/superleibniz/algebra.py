@@ -17,7 +17,8 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .linalg import F0, F1, add_scaled, basis_vec, vec_is_zero, zeros
+from .linalg import (F0, F1, add_scaled, basis_vec, bilinear, lin_comb,
+                     vec_is_zero, zeros)
 
 EVEN = 0
 ODD = 1
@@ -111,6 +112,46 @@ class CheckReport:
         return self.ok
 
 
+def grading_violations(table, left_space: SuperSpace, right_space: SuperSpace,
+                       out_space: SuperSpace) -> list[dict]:
+    """Nonzero table[i][j][k] with parity(k) != parity(i) + parity(j).
+
+    i indexes left_space, j right_space and k out_space; the table may be
+    a bracket, a multiplication or one action of a module.
+    """
+    lp, rp, op = left_space.parities, right_space.parities, out_space.parities
+    bad = []
+    for i, row in enumerate(table):
+        for j, v in enumerate(row):
+            want = (lp[i] + rp[j]) & 1
+            for k, c in enumerate(v):
+                if c and op[k] != want:
+                    bad.append({"pair": (left_space.labels[i], right_space.labels[j]),
+                                "component": out_space.labels[k], "coeff": c})
+    return bad
+
+
+def leibniz_defect(outer, inner, parities, a: int, b: int, c: int,
+                   acc: list[Fraction]) -> None:
+    """acc += outer(inner(a,b),c) - outer(a,inner(b,c)) + (-1)**(ab) outer(b,inner(a,c)).
+
+    outer and inner are structure-constant tables (table[i][j] is the
+    value on basis elements i, j) and a, b, c are basis indices.  With
+    both tables the bracket this is the Leibniz defect; summed over the
+    pairs (mu_i, mu_(r-i)) of a deformation it is the order-r residual.
+    """
+    s = koszul(parities[a], parities[b])
+    for k, w in enumerate(inner[a][b]):
+        if w:
+            add_scaled(acc, w, outer[k][c])
+    for k, w in enumerate(inner[b][c]):
+        if w:
+            add_scaled(acc, -w, outer[a][k])
+    for k, w in enumerate(inner[a][c]):
+        if w:
+            add_scaled(acc, s * w, outer[b][k])
+
+
 class LeibnizSuperalgebra:
     """A super vector space with a bracket given by structure constants.
 
@@ -140,46 +181,21 @@ class LeibnizSuperalgebra:
         dim = self.dim
         if len(u) != dim or len(v) != dim:
             raise ValueError("vector length does not match algebra dimension")
-        out = zeros(dim)
-        for i, a in enumerate(u):
-            if not a:
-                continue
-            row = self.table[i]
-            for j, b in enumerate(v):
-                if b:
-                    add_scaled(out, a * b, row[j])
-        return out
+        return bilinear(self.table, u, v, dim)
 
     def check_grading(self) -> CheckReport:
         """All nonzero c_ijk must satisfy parity(k) = parity(i) + parity(j)."""
         sp = self.space
-        bad = []
-        for i in range(self.dim):
-            for j in range(self.dim):
-                want = (sp.parities[i] + sp.parities[j]) & 1
-                for k, c in enumerate(self.table[i][j]):
-                    if c and sp.parities[k] != want:
-                        bad.append({
-                            "pair": (sp.labels[i], sp.labels[j]),
-                            "component": sp.labels[k],
-                            "coeff": c,
-                        })
+        bad = grading_violations(self.table, sp, sp, sp)
         return CheckReport(not bad, bad)
 
-    def leibniz_defect(self, i: int, j: int, k: int) -> list[Fraction]:
-        """[[a,b],c] - [a,[b,c]] + (-1)**(ab) [b,[a,c]] on basis elements."""
-        sp = self.space
-        d = self.bracket_vec(self.bracket(i, j), basis_vec(self.dim, k))
-        d = [x - y for x, y in zip(d, self.bracket_vec(basis_vec(self.dim, i), self.bracket(j, k)))]
-        add_scaled(d, koszul(sp.parities[i], sp.parities[j]),
-                   self.bracket_vec(basis_vec(self.dim, j), self.bracket(i, k)))
-        return d
-
     def check_leibniz(self) -> CheckReport:
+        """[[a,b],c] - [a,[b,c]] + (-1)**(ab) [b,[a,c]] = 0 on basis triples."""
         sp = self.space
         bad = []
         for i, j, k in itertools.product(range(self.dim), repeat=3):
-            d = self.leibniz_defect(i, j, k)
+            d = zeros(self.dim)
+            leibniz_defect(self.table, self.table, sp.parities, i, j, k, d)
             if not vec_is_zero(d):
                 bad.append({
                     "triple": (sp.labels[i], sp.labels[j], sp.labels[k]),
@@ -234,43 +250,18 @@ class SuperBimodule:
         return self.space.dim
 
     def act_left_vec(self, a: list[Fraction], m: list[Fraction]) -> list[Fraction]:
-        out = zeros(self.dim)
-        for i, c in enumerate(a):
-            if not c:
-                continue
-            row = self.left[i]
-            for k, d in enumerate(m):
-                if d:
-                    add_scaled(out, c * d, row[k])
-        return out
+        return bilinear(self.left, a, m, self.dim)
 
     def act_right_vec(self, m: list[Fraction], a: list[Fraction]) -> list[Fraction]:
-        out = zeros(self.dim)
-        for k, d in enumerate(m):
-            if not d:
-                continue
-            row = self.right[k]
-            for i, c in enumerate(a):
-                if c:
-                    add_scaled(out, d * c, row[i])
-        return out
+        return bilinear(self.right, m, a, self.dim)
 
     def check_grading(self) -> CheckReport:
+        """Left violations first, then right ones; each tagged by its action."""
         asp, msp = self.algebra.space, self.space
-        bad = []
-        for i in range(self.algebra.dim):
-            for k in range(self.dim):
-                want = (asp.parities[i] + msp.parities[k]) & 1
-                for t, c in enumerate(self.left[i][k]):
-                    if c and msp.parities[t] != want:
-                        bad.append({"action": "left",
-                                    "pair": (asp.labels[i], msp.labels[k]),
-                                    "component": msp.labels[t], "coeff": c})
-                for t, c in enumerate(self.right[k][i]):
-                    if c and msp.parities[t] != want:
-                        bad.append({"action": "right",
-                                    "pair": (msp.labels[k], asp.labels[i]),
-                                    "component": msp.labels[t], "coeff": c})
+        bad = ([{"action": "left", **v}
+                for v in grading_violations(self.left, asp, msp, msp)]
+               + [{"action": "right", **v}
+                  for v in grading_violations(self.right, msp, asp, msp)])
         return CheckReport(not bad, bad)
 
     def check_axioms(self) -> CheckReport:
@@ -284,6 +275,12 @@ class SuperBimodule:
         asp, msp = alg.space, self.space
         da, dm = alg.dim, self.dim
         bad = []
+
+        def compare(axiom, triple, lhs, rhs):
+            if lhs != rhs:
+                bad.append({"axiom": axiom, "triple": triple,
+                            "defect": msp.describe([x - y for x, y in zip(lhs, rhs)])})
+
         for i, j in itertools.product(range(da), repeat=2):
             br = alg.bracket(i, j)
             ei = basis_vec(da, i)
@@ -297,27 +294,18 @@ class SuperBimodule:
                 rhs = self.act_left_vec(ei, self.act_left_vec(ej, mk))
                 add_scaled(rhs, -koszul(pi, pj),
                            self.act_left_vec(ej, self.act_left_vec(ei, mk)))
-                if lhs != rhs:
-                    bad.append({"axiom": 1,
-                                "triple": (asp.labels[i], asp.labels[j], msp.labels[k]),
-                                "defect": msp.describe([x - y for x, y in zip(lhs, rhs)])})
+                compare(1, (asp.labels[i], asp.labels[j], msp.labels[k]), lhs, rhs)
                 # axiom 2: a = e_i, m = m_k, b = e_j
                 lhs = self.act_right_vec(self.act_left_vec(ei, mk), ej)
                 rhs = self.act_left_vec(ei, self.act_right_vec(mk, ej))
                 add_scaled(rhs, -koszul(pi, pk), self.act_right_vec(mk, br))
-                if lhs != rhs:
-                    bad.append({"axiom": 2,
-                                "triple": (asp.labels[i], msp.labels[k], asp.labels[j]),
-                                "defect": msp.describe([x - y for x, y in zip(lhs, rhs)])})
+                compare(2, (asp.labels[i], msp.labels[k], asp.labels[j]), lhs, rhs)
                 # axiom 3: m = m_k, a = e_i, b = e_j
                 lhs = self.act_right_vec(self.act_right_vec(mk, ei), ej)
                 rhs = self.act_right_vec(mk, br)
                 add_scaled(rhs, -koszul(pk, pi),
                            self.act_left_vec(ei, self.act_right_vec(mk, ej)))
-                if lhs != rhs:
-                    bad.append({"axiom": 3,
-                                "triple": (msp.labels[k], asp.labels[i], asp.labels[j]),
-                                "defect": msp.describe([x - y for x, y in zip(lhs, rhs)])})
+                compare(3, (msp.labels[k], asp.labels[i], asp.labels[j]), lhs, rhs)
         return CheckReport(not bad, bad)
 
     def __eq__(self, other) -> bool:
@@ -344,26 +332,11 @@ class AssociativeSuperalgebra:
         return self.space.dim
 
     def mul_vec(self, u: list[Fraction], v: list[Fraction]) -> list[Fraction]:
-        out = zeros(self.dim)
-        for i, a in enumerate(u):
-            if not a:
-                continue
-            row = self.table[i]
-            for j, b in enumerate(v):
-                if b:
-                    add_scaled(out, a * b, row[j])
-        return out
+        return bilinear(self.table, u, v, self.dim)
 
     def check_grading(self) -> CheckReport:
         sp = self.space
-        bad = []
-        for i in range(self.dim):
-            for j in range(self.dim):
-                want = (sp.parities[i] + sp.parities[j]) & 1
-                for k, c in enumerate(self.table[i][j]):
-                    if c and sp.parities[k] != want:
-                        bad.append({"pair": (sp.labels[i], sp.labels[j]),
-                                    "component": sp.labels[k], "coeff": c})
+        bad = grading_violations(self.table, sp, sp, sp)
         return CheckReport(not bad, bad)
 
     def check_associative(self) -> CheckReport:
@@ -448,20 +421,13 @@ def from_associative(assoc: AssociativeSuperalgebra,
                 raise ValueError(
                     f"T is not homogeneous of degree 0 at {sp.labels[j]!r}")
 
-    def t_vec(v: list[Fraction]) -> list[Fraction]:
-        out = zeros(dim)
-        for j, c in enumerate(v):
-            if c:
-                add_scaled(out, c, t_map[j])
-        return out
-
     for i in range(dim):
         for j in range(dim):
             a, b = basis_vec(dim, i), basis_vec(dim, j)
-            ta, tb = t_vec(a), t_vec(b)
+            ta, tb = t_map[i], t_map[j]
             mid = assoc.mul_vec(ta, tb)
-            lhs = t_vec(assoc.mul_vec(a, tb))
-            rhs = t_vec(assoc.mul_vec(ta, b))
+            lhs = lin_comb(t_map, assoc.mul_vec(a, tb), dim)
+            rhs = lin_comb(t_map, assoc.mul_vec(ta, b), dim)
             if lhs != mid or rhs != mid:
                 raise ValueError(
                     "T(a(Tb)) = (Ta)(Tb) = T((Ta)b) fails on pair "
@@ -470,7 +436,7 @@ def from_associative(assoc: AssociativeSuperalgebra,
     table = []
     for i in range(dim):
         row = []
-        ta = t_vec(basis_vec(dim, i))
+        ta = t_map[i]
         for j in range(dim):
             b = basis_vec(dim, j)
             val = assoc.mul_vec(ta, b)

@@ -16,8 +16,8 @@ from . import __version__
 from .algebra import (LeibnizSuperalgebra, SuperBimodule, adjoint_module,
                       zero_module)
 from .cochain import delta
-from .cohomology import (ArityCapError, DEFAULT_MAX_ARITY, cohomology_table,
-                         derivations, inner_derivations)
+from .cohomology import (DEFAULT_MAX_ARITY, cohomology_table, derivations,
+                         inner_derivations, space_dimension)
 from .deformation import (check_deformation, equivalent_deformations,
                           extend_deformation, infinitesimal_relation)
 from .extension import build_extension, check_extension
@@ -33,14 +33,23 @@ DEFAULT_MAX_DIM = 12
 
 
 def _check_dim_cap(alg: LeibnizSuperalgebra, args) -> None:
-    if alg.dim > args.max_dim:
-        entries = alg.dim ** args.max_arity * alg.dim
-        mb = entries * 72 / 1e6   # rough: one boxed rational per table entry
-        raise ParseError(
-            f"algebra dimension {alg.dim} exceeds the cap {args.max_dim}; an "
-            f"arity-{args.max_arity} cochain table would hold "
-            f"{alg.dim}^{args.max_arity} * {alg.dim} = {entries} rational "
-            f"entries (~{mb:.0f} MB); pass --max-dim {alg.dim} to proceed")
+    if alg.dim <= args.max_dim:
+        return
+    n = args.max_arity
+    if n >= 1:
+        # the largest coboundary the arity cap allows: C^(n-1) -> C^n,
+        # both parities, coefficients in L itself
+        mod = adjoint_module(alg)
+        rows = space_dimension(alg, mod, n)
+        cols = space_dimension(alg, mod, n - 1)
+        size = (f"with --max-arity {n} the coboundary C^{n - 1} -> C^{n} "
+                f"with coefficients in L is a {rows} x {cols} matrix "
+                f"({rows * cols} entries)")
+    else:
+        size = f"--max-arity {n} allows no coboundary matrix"
+    raise ParseError(f"algebra dimension {alg.dim} exceeds the cap "
+                     f"{args.max_dim}; {size}; pass --max-dim {alg.dim} "
+                     "to proceed")
 
 
 # ---------------------------------------------------------------------------
@@ -336,6 +345,8 @@ def cmd_deform_extend(args) -> int:
 def cmd_deform_equiv(args) -> int:
     if len(args.deformation) != 2:
         raise ParseError("deform equiv needs exactly two --deformation files")
+    if args.order is not None and args.order < 0:
+        raise ParseError(f"--order must be nonnegative, got {args.order}")
     alg = load_algebra(args.algebra)
     _check_dim_cap(alg, args)
     mod = adjoint_module(alg)
@@ -449,13 +460,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, ArityCapError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:   # ParseError, ArityCapError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -27,7 +27,7 @@ from fractions import Fraction
 
 from .algebra import (EVEN, LeibnizSuperalgebra, MixedParityError, SuperBimodule,
                       SuperSpace, koszul)
-from .linalg import F1, add_scaled, basis_vec, vec_is_zero, zeros
+from .linalg import F1, add_scaled, basis_vec, lin_comb, vec_is_zero, zeros
 
 
 def tuple_index(t: tuple[int, ...], dim: int) -> int:
@@ -269,14 +269,9 @@ def restrict(f: Cochain, x: list[Fraction]) -> Cochain:
     dim = alg.dim
     px = _vector_parity_or_raise(alg.space, x, "restriction argument")
     n = f.arity - 1
-    out = Cochain.zero(alg, f.module, n, (f.degree + px) & 1)
-    for T in all_tuples(dim, n):
-        acc = zeros(f.module.dim)
-        for m, c in enumerate(x):
-            if c:
-                add_scaled(acc, c, f.value((m,) + T))
-        out.coeffs[tuple_index(T, dim)] = acc
-    return out
+    return Cochain(alg, f.module, n, (f.degree + px) & 1,
+                   [lin_comb([f.value((m,) + T) for m in range(dim)], x, f.module.dim)
+                    for T in all_tuples(dim, n)])
 
 
 def act_left(a: list[Fraction], f: Cochain) -> Cochain:

@@ -103,6 +103,19 @@ def delta_matrix(alg: LeibnizSuperalgebra, mod: SuperBimodule, n: int, parity: i
     return RatMatrix(len(rows), len(dom), rows)
 
 
+def zbh_coords(ker: list[list[Fraction]], prev_matrix: RatMatrix | None,
+               dim_c: int) -> tuple[list, list, list]:
+    """Coordinates of the Z, B and H bases in one parity and arity.
+
+    ker is a kernel basis of D_n and prev_matrix is D_(n-1) (None for
+    n = 0).  Z and B come back in echelon form; the H representatives
+    are the Z rows that extend the B rows to a basis of Z, in order.
+    """
+    zrows = row_space_basis(RatMatrix.from_rows(ker)) if ker else []
+    brows = [] if prev_matrix is None else row_space_basis(prev_matrix.transpose())
+    return zrows, brows, extend_to_basis(brows, zrows, dim_c)
+
+
 @dataclass
 class CohomologyEntry:
     n: int
@@ -151,17 +164,10 @@ def cohomology_table(alg: LeibnizSuperalgebra, mod: SuperBimodule, max_n: int,
             dim_z = len(ker)
             e = CohomologyEntry(n, parity, dim_c, dim_z, dim_b, dim_z - dim_b)
             if with_bases:
-                img_rows = ([] if prev_matrix is None
-                            else row_space_basis(prev_matrix.transpose()))
-                zrows = (row_space_basis(RatMatrix.from_rows(ker))
-                         if ker else [])
-                e.basis_z = [cochain_from_coords(alg, mod, n, parity, v, enum)
-                             for v in zrows]
-                e.basis_b = [cochain_from_coords(alg, mod, n, parity, v, enum)
-                             for v in img_rows]
-                reps = extend_to_basis(img_rows, zrows, dim_c)
-                e.basis_h = [cochain_from_coords(alg, mod, n, parity, v, enum)
-                             for v in reps]
+                e.basis_z, e.basis_b, e.basis_h = (
+                    [cochain_from_coords(alg, mod, n, parity, v, enum)
+                     for v in rows]
+                    for rows in zbh_coords(ker, prev_matrix, dim_c))
             table.entries[(n, parity)] = e
             prev_matrix = mat
             # rank-nullity: dim B^(n+1) = rank D_n = dim C^n - dim Z^n

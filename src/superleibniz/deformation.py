@@ -27,11 +27,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .algebra import (CheckReport, LeibnizSuperalgebra, SuperBimodule,
-                      adjoint_module, koszul)
+                      adjoint_module, leibniz_defect)
 from .cochain import Cochain, all_tuples, delta
 from .cohomology import (DEFAULT_MAX_ARITY, cochain_coords, cochain_from_coords,
                          delta_matrix, enumerate_basis)
-from .linalg import F1, add_scaled, basis_vec, solve, vec_is_zero, zeros
+from .linalg import (F1, add_scaled, basis_vec, bilinear, lin_comb, solve,
+                     vec_is_zero, zeros)
 
 
 def _check_term(alg: LeibnizSuperalgebra, mod: SuperBimodule, f: Cochain,
@@ -77,13 +78,13 @@ class TruncatedDeformation:
             return self.terms[i - 1]
         return None
 
-    def mu_vec(self, i: int, a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-        """mu_i evaluated on vectors; mu_0 is the bracket, beyond order is 0."""
-        if i == 0:
-            return self.algebra.bracket_vec(a, b)
-        if i <= self.order:
-            return self.terms[i - 1].eval([a, b])
-        return zeros(self.algebra.dim)
+    def mu_tables(self) -> list:
+        """Structure-constant tables of mu_0..mu_N: the bracket, then each
+        term's coefficients cut into rows that share the term's vectors."""
+        dim = self.algebra.dim
+        return [self.algebra.table] + [
+            [f.coeffs[a * dim:(a + 1) * dim] for a in range(dim)]
+            for f in self.terms]
 
     def appended(self, mu: Cochain) -> "TruncatedDeformation":
         return TruncatedDeformation(self.algebra, self.terms + [mu], self.module)
@@ -140,24 +141,16 @@ class FormalIsomorphism:
             cols = [zeros(dim) for _ in range(dim)]
             for s in range(1, r + 1):
                 psi_s = self.matrix(s)
-                phi = phis[r - s]
-                for j in range(dim):
-                    # psi_s applied to column j of phi_{r-s}
-                    for k, c in enumerate(phi[j]):
-                        if c:
-                            add_scaled(cols[j], -c, psi_s[k])
+                for col, phi_col in zip(cols, phis[r - s]):
+                    add_scaled(col, -F1, lin_comb(psi_s, phi_col, dim))
             phis.append(cols)
         return phis
 
     def inverse(self, order: int | None = None) -> "FormalIsomorphism":
         n = self.order if order is None else order
         phis = self.inverse_matrices(n)
-        terms = []
-        for r in range(1, n + 1):
-            f = Cochain.zero(self.algebra, self.module, 1, 0)
-            for j in range(self.algebra.dim):
-                f.coeffs[j] = list(phis[r][j])
-            terms.append(f)
+        terms = [Cochain(self.algebra, self.module, 1, 0, [list(c) for c in phis[r]])
+                 for r in range(1, n + 1)]
         return FormalIsomorphism(self.algebra, terms, self.module)
 
 
@@ -166,19 +159,15 @@ def deformation_residual(d: TruncatedDeformation, r: int) -> Cochain:
     if r < 1 or r > 2 * max(d.order, 1):
         raise ValueError(f"order {r} out of range 1..{2 * max(d.order, 1)}")
     alg = d.algebra
-    dim = alg.dim
     par = alg.space.parities
+    mus = d.mu_tables()
+    # the pairs (mu_i, mu_j), i + j = r, with both factors within the order
+    pairs = [(mus[i], mus[r - i]) for i in range(r + 1)
+             if i <= d.order and r - i <= d.order]
     out = Cochain.zero(alg, d.module, 3, 0)
-    basis = [basis_vec(dim, i) for i in range(dim)]
-    for idx, (a, b, c) in enumerate(all_tuples(dim, 3)):
-        acc = zeros(dim)
-        sab = koszul(par[a], par[b])
-        for i in range(r + 1):
-            j = r - i
-            add_scaled(acc, F1, d.mu_vec(i, d.mu_vec(j, basis[a], basis[b]), basis[c]))
-            add_scaled(acc, -F1, d.mu_vec(i, basis[a], d.mu_vec(j, basis[b], basis[c])))
-            add_scaled(acc, sab, d.mu_vec(i, basis[b], d.mu_vec(j, basis[a], basis[c])))
-        out.coeffs[idx] = acc
+    for acc, (a, b, c) in zip(out.coeffs, all_tuples(alg.dim, 3)):
+        for outer, inner in pairs:
+            leibniz_defect(outer, inner, par, a, b, c, acc)
     return out
 
 
@@ -261,23 +250,19 @@ def transform(d: TruncatedDeformation, iso: FormalIsomorphism) -> TruncatedDefor
     dim = alg.dim
     phis = iso.inverse_matrices(n)
     psis = [iso.matrix(i) for i in range(n + 1)]
+    mus = d.mu_tables()
     terms = []
     for r in range(1, n + 1):
         f = Cochain.zero(alg, d.module, 2, 0)
-        for idx, (a, b) in enumerate(all_tuples(dim, 2)):
-            acc = zeros(dim)
+        for acc, (a, b) in zip(f.coeffs, all_tuples(dim, 2)):
             for i in range(r + 1):
+                # sum of mu_j(phi_k a, phi_l b) over j + k + l = r - i, then psi_i
+                w = zeros(dim)
                 for j in range(r - i + 1):
                     for k in range(r - i - j + 1):
-                        l = r - i - j - k
-                        w = d.mu_vec(j, phis[k][a], phis[l][b])
-                        if vec_is_zero(w):
-                            continue
-                        psi = psis[i]
-                        for t, c in enumerate(w):
-                            if c:
-                                add_scaled(acc, c, psi[t])
-            f.coeffs[idx] = acc
+                        add_scaled(w, F1, bilinear(mus[j], phis[k][a],
+                                                   phis[r - i - j - k][b], dim))
+                add_scaled(acc, F1, lin_comb(psis[i], w, dim))
         terms.append(f)
     return TruncatedDeformation(alg, terms, d.module)
 
@@ -295,6 +280,8 @@ def equivalent_deformations(d1: TruncatedDeformation, d2: TruncatedDeformation,
         raise ValueError("deformations live on different algebras")
     if d2.order != d1.order:
         raise ValueError("deformations must share the truncation order")
+    if order is not None and order < 0:
+        raise ValueError(f"order must be nonnegative, got {order}")
     n = d1.order if order is None else min(order, d1.order)
     da, db = d1.truncated(n), d2.truncated(n)
     alg, mod = da.algebra, da.module

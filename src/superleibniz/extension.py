@@ -20,8 +20,8 @@ from .algebra import (CheckReport, LeibnizSuperalgebra, SuperBimodule,
 from .cochain import Cochain
 from .cohomology import (DEFAULT_MAX_ARITY, cochain_from_coords,
                          delta_matrix, enumerate_basis, is_coboundary,
-                         kernel_basis)
-from .linalg import RatMatrix, basis_vec, extend_to_basis, row_space_basis, vec_is_zero, zeros
+                         kernel_basis, zbh_coords)
+from .linalg import basis_vec, lin_comb, vec_is_zero, zeros
 
 
 @dataclass
@@ -60,22 +60,10 @@ def build_extension(alg: LeibnizSuperalgebra, mod: SuperBimodule,
     table = [[zeros(dim) for _ in range(dim)] for _ in range(dim)]
     for i in range(dl):
         for j in range(dl):
-            vec = zeros(dim)
-            for k, c in enumerate(alg.bracket(i, j)):
-                vec[k] = c
-            for k, c in enumerate(h.value((i, j))):
-                vec[dl + k] = c
-            table[i][j] = vec
-    for i in range(dl):
+            table[i][j] = alg.bracket(i, j) + h.value((i, j))
         for k in range(dm):
-            vec = zeros(dim)
-            for t, c in enumerate(mod.left[i][k]):
-                vec[dl + t] = c
-            table[i][dl + k] = vec
-            vec = zeros(dim)
-            for t, c in enumerate(mod.right[k][i]):
-                vec[dl + t] = c
-            table[dl + k][i] = vec
+            table[i][dl + k] = zeros(dl) + mod.left[i][k]
+            table[dl + k][i] = zeros(dl) + mod.right[k][i]
     total = LeibnizSuperalgebra(space, table)
     return Extension(alg, mod, h, total)
 
@@ -163,19 +151,9 @@ def extensions_equivalent(e1: Extension, e2: Extension,
     dl = alg.dim
     dim = dl + mod.dim
     cols = _psi_matrix(dim, dl, f)
-
-    def apply(v: list[Fraction]) -> list[Fraction]:
-        out = zeros(dim)
-        for j, c in enumerate(v):
-            if c:
-                for t, w in enumerate(cols[j]):
-                    if w:
-                        out[t] += c * w
-        return out
-
     for i in range(dim):
         for j in range(dim):
-            lhs = apply(e1.total.bracket(i, j))
+            lhs = lin_comb(cols, e1.total.bracket(i, j), dim)
             rhs = e2.total.bracket_vec(cols[i], cols[j])
             if lhs != rhs:
                 raise AssertionError(
@@ -192,12 +170,9 @@ def classify_extensions(alg: LeibnizSuperalgebra, mod: SuperBimodule,
     basis; the representatives are pairwise inequivalent by construction.
     """
     enum = enumerate_basis(alg, mod, 2, 0)
-    mat = delta_matrix(alg, mod, 2, 0, max_arity=max_arity)
-    ker = kernel_basis(mat)
-    zrows = row_space_basis(RatMatrix.from_rows(ker)) if ker else []
+    ker = kernel_basis(delta_matrix(alg, mod, 2, 0, max_arity=max_arity))
     prev = delta_matrix(alg, mod, 1, 0, max_arity=max_arity)
-    img_rows = row_space_basis(prev.transpose())
-    reps = extend_to_basis(img_rows, zrows, len(enum))
+    _, _, reps = zbh_coords(ker, prev, len(enum))
     out = []
     for v in reps:
         h = cochain_from_coords(alg, mod, 2, 0, v, enum)

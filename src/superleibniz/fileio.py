@@ -54,6 +54,27 @@ def _nonnegative_int(doc: dict, key: str) -> int:
     return value
 
 
+def _check_keys(doc: dict, allowed: tuple[str, ...], what: str) -> None:
+    unknown = sorted(k for k in doc if k not in allowed)
+    if unknown:
+        raise ParseError(f"unknown key(s) {', '.join(map(repr, unknown))} in "
+                         f"{what} document; allowed: {', '.join(allowed)}")
+
+
+def _entry_list(doc: dict, key: str, fields: tuple[str, ...], what: str) -> list[dict]:
+    """doc[key] (default empty) as a list of objects that carry every field."""
+    entries = doc.get(key, [])
+    if not isinstance(entries, list):
+        raise ParseError(f"{key!r} must be a list")
+    for ent in entries:
+        if not isinstance(ent, dict):
+            raise ParseError(f"{what} entries must be objects")
+        for field in fields:
+            if field not in ent:
+                raise ParseError(f"{what} entry missing {field!r}")
+    return entries
+
+
 def format_rational(c: Fraction) -> str:
     return str(c)
 
@@ -97,7 +118,7 @@ def _space_from_doc(doc, what: str) -> SuperSpace:
         par = ent["parity"]
         if not isinstance(lab, str) or not lab:
             raise ParseError(f"bad basis label {lab!r}")
-        if par not in _PARITY_NAMES:
+        if not isinstance(par, str) or par not in _PARITY_NAMES:
             raise ParseError(f"parity must be 'even' or 'odd', got {par!r}")
         labels.append(lab)
         parities.append(_PARITY_NAMES[par])
@@ -143,18 +164,11 @@ def _value_to_doc(vec: list[Fraction], space: SuperSpace) -> list[dict]:
 
 def algebra_from_doc(doc) -> LeibnizSuperalgebra:
     space = _space_from_doc(doc, "algebra")
+    _check_keys(doc, ("name", "basis", "brackets"), "algebra")
     dim = space.dim
     table = [[zeros(dim) for _ in range(dim)] for _ in range(dim)]
     seen = set()
-    brackets = doc.get("brackets", [])
-    if not isinstance(brackets, list):
-        raise ParseError("'brackets' must be a list")
-    for ent in brackets:
-        if not isinstance(ent, dict):
-            raise ParseError("bracket entries must be objects")
-        for key in ("left", "right", "value"):
-            if key not in ent:
-                raise ParseError(f"bracket entry missing {key!r}")
+    for ent in _entry_list(doc, "brackets", ("left", "right", "value"), "bracket"):
         try:
             i = space.index(ent["left"])
             j = space.index(ent["right"])
@@ -201,11 +215,13 @@ def save_algebra(alg: LeibnizSuperalgebra, path: str) -> None:
 
 def module_from_doc(doc, alg: LeibnizSuperalgebra) -> SuperBimodule:
     space = _space_from_doc(doc, "module")
+    _check_keys(doc, ("name", "basis", "left", "right"), "module")
     dm = space.dim
     left = [[zeros(dm) for _ in range(dm)] for _ in range(alg.dim)]
     right = [[zeros(dm) for _ in range(alg.dim)] for _ in range(dm)]
     seen = set()
-    for ent in doc.get("left", []):
+    fields = ("left", "right", "value")
+    for ent in _entry_list(doc, "left", fields, "left action"):
         try:
             i = alg.space.index(ent["left"])
             k = space.index(ent["right"])
@@ -217,7 +233,7 @@ def module_from_doc(doc, alg: LeibnizSuperalgebra) -> SuperBimodule:
         seen.add(("left", i, k))
         left[i][k] = _value_from_doc(ent["value"], space,
                                      f"left action ({ent['left']},{ent['right']})")
-    for ent in doc.get("right", []):
+    for ent in _entry_list(doc, "right", fields, "right action"):
         try:
             k = space.index(ent["left"])
             i = alg.space.index(ent["right"])
@@ -265,15 +281,16 @@ def cochain_from_doc(doc, alg: LeibnizSuperalgebra,
                      mod: SuperBimodule) -> Cochain:
     if not isinstance(doc, dict):
         raise ParseError("cochain document must be a JSON object")
+    _check_keys(doc, ("arity", "degree", "entries"), "cochain")
     arity = _nonnegative_int(doc, "arity")
     degree = doc.get("degree")
-    if degree not in _PARITY_NAMES:
+    if not isinstance(degree, str) or degree not in _PARITY_NAMES:
         raise ParseError("'degree' must be 'even' or 'odd'")
     degree = _PARITY_NAMES[degree]
     f = Cochain.zero(alg, mod, arity, degree)
     seen = set()
-    for ent in doc.get("entries", []):
-        args = ent.get("args")
+    for ent in _entry_list(doc, "entries", ("args",), "cochain"):
+        args = ent["args"]
         if not isinstance(args, list) or len(args) != arity:
             raise ParseError(f"cochain entry needs {arity} args, got {args!r}")
         try:
@@ -323,6 +340,7 @@ def deformation_from_doc(doc, alg: LeibnizSuperalgebra,
                          mod: SuperBimodule) -> TruncatedDeformation:
     if not isinstance(doc, dict):
         raise ParseError("deformation document must be a JSON object")
+    _check_keys(doc, ("order", "terms"), "deformation")
     order = _nonnegative_int(doc, "order")
     terms_doc = doc.get("terms", {})
     if not isinstance(terms_doc, dict):
@@ -331,6 +349,8 @@ def deformation_from_doc(doc, alg: LeibnizSuperalgebra,
     for i in range(1, order + 1):
         key = str(i)
         if key in terms_doc:
+            if not isinstance(terms_doc[key], dict):
+                raise ParseError(f"term {key}: must be an object with 'entries'")
             sub = dict(terms_doc[key])
             sub.setdefault("arity", 2)
             sub.setdefault("degree", "even")

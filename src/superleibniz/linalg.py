@@ -25,18 +25,6 @@ def basis_vec(n: int, i: int) -> list[Fraction]:
     return v
 
 
-def vec_add(u: list[Fraction], v: list[Fraction]) -> list[Fraction]:
-    return [a + b for a, b in zip(u, v)]
-
-
-def vec_sub(u: list[Fraction], v: list[Fraction]) -> list[Fraction]:
-    return [a - b for a, b in zip(u, v)]
-
-
-def vec_scale(c: Fraction, v: list[Fraction]) -> list[Fraction]:
-    return [c * a for a in v]
-
-
 def vec_is_zero(v: list[Fraction]) -> bool:
     return all(not a for a in v)
 
@@ -48,6 +36,27 @@ def add_scaled(acc: list[Fraction], c: Fraction, v: list[Fraction]) -> None:
     for k, a in enumerate(v):
         if a:
             acc[k] += c * a
+
+
+def lin_comb(cols: list[list[Fraction]], v: list[Fraction], n: int) -> list[Fraction]:
+    """sum_j v[j] cols[j], length n: the map with image columns cols, at v."""
+    out = [F0] * n
+    for j, c in enumerate(v):
+        if c:
+            add_scaled(out, c, cols[j])
+    return out
+
+
+def bilinear(table, u: list[Fraction], v: list[Fraction], n: int) -> list[Fraction]:
+    """sum_ij u[i] v[j] table[i][j], length n: structure constants at (u, v)."""
+    out = [F0] * n
+    vsupp = [(j, b) for j, b in enumerate(v) if b]
+    for i, a in enumerate(u):
+        if a:
+            row = table[i]
+            for j, b in vsupp:
+                add_scaled(out, a * b, row[j])
+    return out
 
 
 class RatMatrix:
@@ -75,9 +84,6 @@ class RatMatrix:
     @classmethod
     def identity(cls, n: int) -> "RatMatrix":
         return cls(n, n, [basis_vec(n, i) for i in range(n)])
-
-    def copy(self) -> "RatMatrix":
-        return RatMatrix(self.rows, self.cols, [list(r) for r in self.entries])
 
     def transpose(self) -> "RatMatrix":
         return RatMatrix(self.cols, self.rows,
@@ -192,17 +198,6 @@ def row_space_basis(m: RatMatrix) -> list[list[Fraction]]:
     """Canonical (rref) basis of the row space."""
     red, pivots = rref(m)
     return [list(red.entries[r]) for r in range(len(pivots))]
-
-
-def column_space_basis(m: RatMatrix) -> list[list[Fraction]]:
-    return row_space_basis(m.transpose())
-
-
-def same_span(rows_a: list[list[Fraction]], rows_b: list[list[Fraction]], cols: int) -> bool:
-    """Do two row lists span the same subspace?"""
-    ra = row_space_basis(RatMatrix.from_rows(rows_a) if rows_a else RatMatrix.zeros(0, cols))
-    rb = row_space_basis(RatMatrix.from_rows(rows_b) if rows_b else RatMatrix.zeros(0, cols))
-    return ra == rb
 
 
 def extend_to_basis(base_rows: list[list[Fraction]], candidates: list[list[Fraction]],

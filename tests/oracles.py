@@ -1,8 +1,9 @@
 """Independent oracles, deliberately written apart from the library paths.
 
 - bruteforce_deformation_failures: expands the deformation identity with
-  truncated polynomial arithmetic over all basis triples (the library
-  checker instead sums per-order residuals term by term).
+  truncated polynomial arithmetic over all basis triples, evaluating each
+  mu_i from its coefficient table on its own (the library checker instead
+  sums per-order Leibniz defects through algebra.leibniz_defect).
 - dense_delta: the coboundary as a dense loop over codomain tuples, a
   reference for the library's term walk (cochain.coboundary_terms).  With
   bracket_in_slot_i it is the rejected reading where the substituted
@@ -25,6 +26,21 @@ from superleibniz.cochain import Cochain, all_tuples, tuple_index
 from superleibniz.linalg import RatMatrix, add_scaled, basis_vec, zeros
 
 
+def _mu(d, i: int, u: list[Fraction], v: list[Fraction]) -> list[Fraction]:
+    """mu_i(u, v) read straight off the bracket table (i = 0) or the
+    coefficient table of term i; zero past the order."""
+    dim = d.algebra.dim
+    out = zeros(dim)
+    if i > d.order:
+        return out
+    for a, b in itertools.product(range(dim), repeat=2):
+        if u[a] and v[b]:
+            value = (d.algebra.table[a][b] if i == 0
+                     else d.terms[i - 1].coeffs[a * dim + b])
+            add_scaled(out, u[a] * v[b], value)
+    return out
+
+
 def _poly_apply_mu(d, pa: list[list[Fraction]], pb: list[list[Fraction]],
                    cap: int) -> list[list[Fraction]]:
     """mu_t(pa, pb) for vector polynomials pa, pb, truncated past t**cap."""
@@ -38,8 +54,7 @@ def _poly_apply_mu(d, pa: list[list[Fraction]], pb: list[list[Fraction]],
                 deg = i + k + l
                 if deg > cap:
                     break
-                w = d.mu_vec(i, u, v)
-                add_scaled(out[deg], Fraction(1), w)
+                add_scaled(out[deg], Fraction(1), _mu(d, i, u, v))
     return out
 
 

@@ -108,6 +108,23 @@ def test_adjoint_module_for_all_fixtures():
         assert adjoint_module(L).check_axioms().ok
 
 
+def test_grading_violation_contents():
+    # one bad entry per table: x.x and y.z land in the wrong parity
+    L = nonlie_example()
+    M = zero_module(L)
+    M.left[0][0] = [F0, F0, F(2)]                   # [x, x] = 2z, z odd
+    M.right[1][2] = [F(-1, 2), F0, F0]              # [y, z] = -x/2, x even
+    assert M.check_grading().violations == [
+        {"action": "left", "pair": ("x", "x"), "component": "z", "coeff": F(2)},
+        {"action": "right", "pair": ("y", "z"), "component": "x",
+         "coeff": F(-1, 2)},
+    ]
+    A = matrix_1_1_associative()
+    A.table[0][0] = [F1, F0, F(3), F0]              # e11 e11 = e11 + 3 e12
+    assert A.check_grading().violations == [
+        {"pair": ("e11", "e11"), "component": "e12", "coeff": F(3)}]
+
+
 def test_zero_module_trivially_valid():
     for L in (nonlie_example(), abelian(2, 1)):
         Z = zero_module(L)

@@ -112,9 +112,20 @@ def test_dimension_cap_message(tmp_path):
     p = tmp_path / "big.json"
     save_algebra(abelian(13, 0), str(p))
     code, _, err = run(["validate", str(p)])
-    assert code == 2 and "exceeds the cap 12" in err and "MB" in err
+    # D_3: C^3 -> C^4 with coefficients in L, 13 * 13^4 rows, 13 * 13^3 columns
+    assert code == 2 and "exceeds the cap 12" in err
+    assert "371293 x 28561 matrix (10604499373 entries)" in err
     code, _, _ = run(["validate", str(p), "--max-dim", "13"])
     assert code == 0
+
+
+def test_dimension_cap_message_states_the_largest_matrix():
+    code, out, err = run(["validate", ALG, "--max-dim", "-1"])
+    assert code == 2 and out == ""
+    assert "C^3 -> C^4" in err and "243 x 81 matrix (19683 entries)" in err
+    assert "MB" not in err
+    code, _, err = run(["validate", ALG, "--max-dim", "-1", "--max-arity", "2"])
+    assert code == 2 and "C^1 -> C^2" in err and "27 x 9 matrix (243 entries)" in err
 
 
 def test_cohomology_bases_flag():
@@ -241,6 +252,49 @@ def test_deform_equiv_round_trip():
 def test_deform_equiv_needs_two_files():
     code, _, err = run(["deform", "equiv", ALG, "--deformation", DEFORM_ZERO])
     assert code == 2
+
+
+def test_deform_equiv_negative_order_is_a_usage_error():
+    code, out, err = run(["deform", "equiv", ALG, "--deformation", DEFORM_ZERO,
+                          "--deformation", DEFORM_TRIVIAL, "--order", "-1"])
+    assert code == 2 and out == ""
+    assert "--order" in err and "-1" in err
+
+
+_BASIS = [{"label": "x", "parity": "even"}, {"label": "y", "parity": "even"},
+          {"label": "z", "parity": "odd"}]
+
+MALFORMED = [
+    ("module_left_entry_not_object", "--module", {"basis": _BASIS, "left": ["x"]}),
+    ("module_left_not_list", "--module", {"basis": _BASIS, "left": 5}),
+    ("cochain_entry_not_object", "--cocycle",
+     {"arity": 2, "degree": "even", "entries": ["x"]}),
+    ("deformation_term_not_object", "--deformation",
+     {"order": 1, "terms": {"1": 5}}),
+    ("deformation_entries_not_list", "--deformation",
+     {"order": 1, "terms": {"1": {"entries": "zz"}}}),
+    ("module_parity_list", "--module",
+     {"basis": [{"label": "m", "parity": ["even"]}]}),
+    ("cochain_degree_list", "--cocycle",
+     {"arity": 2, "degree": ["even"], "entries": []}),
+]
+
+
+@pytest.mark.parametrize("name,flag,doc", MALFORMED, ids=[c[0] for c in MALFORMED])
+def test_malformed_documents_are_usage_errors(tmp_path, name, flag, doc):
+    p = tmp_path / "doc.json"
+    p.write_text(json.dumps(doc))
+    verb = {"--module": ["cohomology"], "--cocycle": ["extend"],
+            "--deformation": ["deform", "check"]}[flag]
+    code, out, err = run(verb + [ALG, flag, str(p)])
+    assert code == 2 and out == ""
+    assert err.startswith("error: ")
+
+
+def test_algebra_file_rejected_as_module():
+    code, out, err = run(["cohomology", ALG, "--module", ALG])
+    assert code == 2 and out == ""
+    assert "unknown key" in err and "'brackets'" in err
 
 
 def test_negative_max_n_is_a_usage_error():

@@ -389,6 +389,13 @@ def test_equivalent_deformations_obstructed_case():
     assert equivalent_deformations(d1, d2) is None
 
 
+def test_equivalent_deformations_rejects_negative_order():
+    L, M = nonlie_setup()
+    d = TruncatedDeformation.zero(L, 2, M)
+    with pytest.raises(ValueError, match="order must be nonnegative, got -1"):
+        equivalent_deformations(d, d, order=-1)
+
+
 def test_infinitesimal_relation_identity_iso():
     L, M = nonlie_setup()
     rng = random.Random(14)

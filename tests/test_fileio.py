@@ -182,6 +182,25 @@ def test_deformation_boolean_order_rejected():
         deformation_from_doc({"order": True, "terms": {}}, L, M)
 
 
+@pytest.mark.parametrize("kind", ["algebra", "module", "cochain", "deformation"])
+def test_unknown_top_level_key_rejected(kind):
+    L = nonlie_example()
+    M = adjoint_module(L)
+    docs = {
+        "algebra": (algebra_to_doc(L), algebra_from_doc),
+        "module": (module_to_doc(M), lambda doc: module_from_doc(doc, L)),
+        "cochain": (cochain_to_doc(Cochain.zero(L, M, 2, 0)),
+                    lambda doc: cochain_from_doc(doc, L, M)),
+        "deformation": (deformation_to_doc(TruncatedDeformation.zero(L, 1, M)),
+                        lambda doc: deformation_from_doc(doc, L, M)),
+    }
+    doc, parse = docs[kind]
+    parse(doc)   # the canonical document loads
+    doc["extra"] = 1
+    with pytest.raises(ParseError, match=f"unknown key.*'extra'.*{kind}"):
+        parse(doc)
+
+
 def test_save_algebra_writes_canonical_bytes(tmp_path):
     L = nonlie_example()
     p = tmp_path / "alg.json"
