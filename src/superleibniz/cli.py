@@ -4,7 +4,8 @@ Verbs: validate, cohomology, derivations, extend, deform {check,extend,equiv}.
 Every verb emits one report, as aligned text or as canonical JSON; both
 renderings are produced from the same dictionary, so they carry identical
 data.  Exit codes: 0 success, 1 mathematical failure (a counterexample is
-in the report), 2 usage or parse error.
+in the report), 2 usage or parse error, 3 internal error (a broken
+invariant of the library, never a property of the input).
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .fileio import (ParseError, canonical_json, cochain_to_doc,
 EXIT_OK = 0
 EXIT_MATH_FAIL = 1
 EXIT_USAGE = 2
+EXIT_INTERNAL = 3
 
 DEFAULT_MAX_DIM = 12
 
@@ -463,6 +465,11 @@ def main(argv: list[str] | None = None) -> int:
     except (OSError, ValueError) as exc:   # ParseError, ArityCapError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:   # a library bug, e.g. "sign conventions broken"
+        import traceback
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        traceback.print_exc()
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

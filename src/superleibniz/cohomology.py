@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .algebra import LeibnizSuperalgebra, SuperBimodule
 from .cochain import Cochain, all_tuples, coboundary_terms, tuple_index
-from .linalg import (RatMatrix, extend_to_basis, kernel_basis,
+from .linalg import (F0, RatMatrix, extend_to_basis, kernel_basis, rank,
                      row_space_basis, solve, zeros)
 
 DEFAULT_MAX_ARITY = 4
@@ -74,7 +74,8 @@ def delta_matrix(alg: LeibnizSuperalgebra, mod: SuperBimodule, n: int, parity: i
 
     Columns follow the domain enumeration, rows the codomain enumeration;
     applying the matrix to a cochain's coordinates gives the coordinates
-    of its coboundary.  Built in one pass over the codomain tuples.
+    of its coboundary.  Built in one pass over the codomain tuples, as
+    sparse rows.
     """
     if n < 0:
         raise ValueError("arity must be >= 0")
@@ -85,22 +86,22 @@ def delta_matrix(alg: LeibnizSuperalgebra, mod: SuperBimodule, n: int, parity: i
     rows = []
     for T in all_tuples(alg.dim, n + 1):
         want = (parity + alg.space.tuple_parity(T)) & 1
-        block = {k: zeros(len(dom)) for k in range(mod.dim) if mpar[k] == want}
+        block = {k: {} for k in range(mod.dim) if mpar[k] == want}
         for S, c, action in coboundary_terms(alg, mod, parity, T):
             if action is None:
                 for k, row in block.items():
                     j = col.get((S, k))
                     if j is not None:
-                        row[j] += c
+                        row[j] = row.get(j, F0) + c
                 continue
             for m, image in enumerate(action):
                 j = col.get((S, m))
                 if j is not None:
                     for k, row in block.items():
                         if image[k]:
-                            row[j] += c * image[k]
+                            row[j] = row.get(j, F0) + c * image[k]
         rows.extend(block.values())
-    return RatMatrix(len(rows), len(dom), rows)
+    return RatMatrix.from_sparse(len(dom), rows)
 
 
 def zbh_coords(ker: list[list[Fraction]], prev_matrix: RatMatrix | None,
@@ -160,8 +161,8 @@ def cohomology_table(alg: LeibnizSuperalgebra, mod: SuperBimodule, max_n: int,
             enum = enumerate_basis(alg, mod, n, parity)
             dim_c = len(enum)
             mat = delta_matrix(alg, mod, n, parity, max_arity=max_arity)
-            ker = kernel_basis(mat)
-            dim_z = len(ker)
+            ker = kernel_basis(mat) if with_bases else None
+            dim_z = len(ker) if with_bases else dim_c - rank(mat)
             e = CohomologyEntry(n, parity, dim_c, dim_z, dim_b, dim_z - dim_b)
             if with_bases:
                 e.basis_z, e.basis_b, e.basis_h = (

@@ -246,25 +246,30 @@ def transform(d: TruncatedDeformation, iso: FormalIsomorphism) -> TruncatedDefor
     if iso.order != d.order:
         raise ValueError("isomorphism and deformation must share the order")
     n = d.order
-    alg = d.algebra
-    dim = alg.dim
+    mus = d.mu_tables()
     phis = iso.inverse_matrices(n)
     psis = [iso.matrix(i) for i in range(n + 1)]
-    mus = d.mu_tables()
-    terms = []
-    for r in range(1, n + 1):
-        f = Cochain.zero(alg, d.module, 2, 0)
-        for acc, (a, b) in zip(f.coeffs, all_tuples(dim, 2)):
-            for i in range(r + 1):
-                # sum of mu_j(phi_k a, phi_l b) over j + k + l = r - i, then psi_i
-                w = zeros(dim)
-                for j in range(r - i + 1):
-                    for k in range(r - i - j + 1):
-                        add_scaled(w, F1, bilinear(mus[j], phis[k][a],
-                                                   phis[r - i - j - k][b], dim))
-                add_scaled(acc, F1, lin_comb(psis[i], w, dim))
-        terms.append(f)
-    return TruncatedDeformation(alg, terms, d.module)
+    terms = [_transformed_term(d, mus, phis, psis, r) for r in range(1, n + 1)]
+    return TruncatedDeformation(d.algebra, terms, d.module)
+
+
+def _transformed_term(d: TruncatedDeformation, mus: list, phis: list, psis: list,
+                      r: int) -> Cochain:
+    """Term r of transform(d, iso), from mus = d.mu_tables() and the columns
+    of phi_0..phi_r (the inverse series) and psi_0..psi_r of iso."""
+    alg = d.algebra
+    dim = alg.dim
+    f = Cochain.zero(alg, d.module, 2, 0)
+    for acc, (a, b) in zip(f.coeffs, all_tuples(dim, 2)):
+        for i in range(r + 1):
+            # sum of mu_j(phi_k a, phi_l b) over j + k + l = r - i, then psi_i
+            w = zeros(dim)
+            for j in range(r - i + 1):
+                for k in range(r - i - j + 1):
+                    add_scaled(w, F1, bilinear(mus[j], phis[k][a],
+                                               phis[r - i - j - k][b], dim))
+            add_scaled(acc, F1, lin_comb(psis[i], w, dim))
+    return f
 
 
 def equivalent_deformations(d1: TruncatedDeformation, d2: TruncatedDeformation,
@@ -288,9 +293,11 @@ def equivalent_deformations(d1: TruncatedDeformation, d2: TruncatedDeformation,
     mat = delta_matrix(alg, mod, 1, 0, max_arity=max_arity)
     enum2 = enumerate_basis(alg, mod, 2, 0)
     iso = FormalIsomorphism.identity(alg, n, mod)
+    mus = da.mu_tables()
     for r in range(1, n + 1):
         # transformed term r with psi_r still zero
-        k_r = transform(da, iso).terms[r - 1]
+        k_r = _transformed_term(da, mus, iso.inverse_matrices(r),
+                                [iso.matrix(i) for i in range(r + 1)], r)
         target = k_r - db.terms[r - 1]
         x = solve(mat, cochain_coords(target, enum2))
         if x is None:

@@ -12,6 +12,10 @@
 - expanded_act_right: the right action on cochains written out term by
   term; the library derives it from d_a.
 - sympy_rank: dense rank over the rationals through sympy.
+- dense_rref and the dense_* consumers built on it: column-by-column
+  Gauss-Jordan elimination over every cell of a dense table, the
+  reference for the library's sparse row-by-row elimination
+  (linalg.rref and the rank, kernel, solve and basis routines on it).
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ import sympy
 
 from superleibniz.algebra import koszul
 from superleibniz.cochain import Cochain, all_tuples, tuple_index
-from superleibniz.linalg import RatMatrix, add_scaled, basis_vec, zeros
+from superleibniz.linalg import F1, RatMatrix, add_scaled, basis_vec, zeros
 
 
 def _mu(d, i: int, u: list[Fraction], v: list[Fraction]) -> list[Fraction]:
@@ -197,3 +201,78 @@ def intertwining_defects(d_from, d_to, iso, cap: int) -> list[tuple[int, tuple[i
                 if lhs[r] != rhs:
                     out.append((r, (a, b)))
     return out
+
+
+def dense_rref(m: RatMatrix) -> tuple[RatMatrix, list[int]]:
+    """Reduced row echelon form and pivot columns, by dense Gauss-Jordan."""
+    a = [list(r) for r in m.entries]
+    nrows, ncols = m.rows, m.cols
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        pr = -1
+        for i in range(r, nrows):
+            if a[i][c]:
+                pr = i
+                break
+        if pr < 0:
+            continue
+        if pr != r:
+            a[r], a[pr] = a[pr], a[r]
+        inv = F1 / a[r][c]
+        if inv != F1:
+            a[r] = [x * inv for x in a[r]]
+        for i in range(nrows):
+            if i != r and a[i][c]:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return RatMatrix(nrows, ncols, a), pivots
+
+
+def dense_kernel_basis(m: RatMatrix) -> list[list[Fraction]]:
+    red, pivots = dense_rref(m)
+    basis = []
+    for fc in (c for c in range(m.cols) if c not in pivots):
+        v = zeros(m.cols)
+        v[fc] = F1
+        for r, pc in enumerate(pivots):
+            v[pc] = -red.entries[r][fc]
+        basis.append(v)
+    return basis
+
+
+def dense_solve(m: RatMatrix, b: list[Fraction]) -> list[Fraction] | None:
+    aug = RatMatrix(m.rows, m.cols + 1,
+                    [list(row) + [bb] for row, bb in zip(m.entries, b)])
+    red, pivots = dense_rref(aug)
+    if pivots and pivots[-1] == m.cols:
+        return None
+    x = zeros(m.cols)
+    for r, pc in enumerate(pivots):
+        x[pc] = red.entries[r][m.cols]
+    return x
+
+
+def dense_row_space_basis(m: RatMatrix) -> list[list[Fraction]]:
+    red, pivots = dense_rref(m)
+    return [list(red.entries[r]) for r in range(len(pivots))]
+
+
+def dense_extend_to_basis(base_rows: list[list[Fraction]],
+                          candidates: list[list[Fraction]],
+                          cols: int) -> list[list[Fraction]]:
+    """Greedy span extension, one full dense rref per candidate."""
+    rows = [list(r) for r in base_rows]
+    cur = len(dense_rref(RatMatrix(len(rows), cols, rows))[1])
+    chosen = []
+    for cand in candidates:
+        trial = rows + [list(cand)]
+        r = len(dense_rref(RatMatrix(len(trial), cols, trial))[1])
+        if r > cur:
+            rows, cur = trial, r
+            chosen.append(list(cand))
+    return chosen

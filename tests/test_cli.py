@@ -308,3 +308,19 @@ def test_version_flag():
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
+
+
+def test_internal_error_has_its_own_exit_code(monkeypatch):
+    import superleibniz.cli as cli
+
+    def broken(*args, **kwargs):
+        raise AssertionError("order-by-order solution failed to match; "
+                             "sign conventions broken")
+
+    monkeypatch.setattr(cli, "equivalent_deformations", broken)
+    code, out, err = run(["deform", "equiv", ALG, "--deformation", DEFORM_ZERO,
+                          "--deformation", DEFORM_TRIVIAL])
+    assert code == cli.EXIT_INTERNAL == 3
+    assert out == ""
+    assert err.startswith("internal error: ")
+    assert "sign conventions broken" in err and "Traceback" in err

@@ -8,7 +8,8 @@ import pytest
 
 from helpers import modules_for, random_cochain, standard_fixtures
 from oracles import dense_delta, sympy_rank
-from superleibniz.algebra import abelian, adjoint_module, nonlie_example, zero_module
+from superleibniz.algebra import (SuperSpace, abelian, adjoint_module, free_truncated,
+                                  nonlie_example, zero_module)
 from superleibniz.cochain import Cochain, delta
 from superleibniz.cohomology import (ArityCapError, annihilator, cochain_coords,
                                      cohomology_table, delta_matrix, derivations,
@@ -121,6 +122,18 @@ def test_cohomology_table_nonlie_matches_golden():
         e = tab.entry(row["n"], 0 if row["parity"] == "even" else 1)
         assert (e.dim_c, e.dim_z, e.dim_b, e.dim_h) == \
             (row["dim_c"], row["dim_z"], row["dim_b"], row["dim_h"])
+
+
+def test_free_truncated_f6_adjoint_cohomology_to_arity_3():
+    # one even and one odd generator at depth 2: a 6-dimensional algebra;
+    # D_3 is 3888 x 648 in each parity
+    L = free_truncated(SuperSpace("V", ("x", "y"), (0, 1)), 2)
+    assert L.dim == 6
+    tab = cohomology_table(L, adjoint_module(L), 3)
+    assert [(tab.dim_h(n, 0), tab.dim_h(n, 1)) for n in range(4)] == \
+        [(2, 2), (5, 5), (16, 16), (52, 52)]
+    for e in tab.entries.values():
+        assert e.dim_h == e.dim_z - e.dim_b
 
 
 def test_cohomology_ranks_match_sympy():
