@@ -11,10 +11,11 @@ from .cochain import (Cochain, act_left, act_right, cochain_space_module, curry,
 from .cohomology import (ArityCapError, CohomologyTable, annihilator,
                          cohomology_table, delta_matrix, derivations,
                          enumerate_basis, inner_derivations, is_coboundary)
-from .deformation import (FormalIsomorphism, TruncatedDeformation,
-                          check_deformation, deformation_residual,
-                          equivalent_deformations, extend_deformation,
-                          infinitesimal, infinitesimal_relation, transform)
+from .deformation import (ExtensionUndefined, FormalIsomorphism,
+                          TruncatedDeformation, check_deformation,
+                          deformation_residual, equivalent_deformations,
+                          extend_deformation, infinitesimal,
+                          infinitesimal_relation, transform)
 from .extension import (Extension, build_extension, check_extension,
                         classify_extensions, extensions_equivalent)
 from .linalg import RatMatrix, kernel_basis, rank, rref, solve

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .linalg import (F0, F1, add_scaled, basis_vec, bilinear, lin_comb,
-                     vec_is_zero, zeros)
+                     scale_to_ints, zeros)
 
 EVEN = 0
 ODD = 1
@@ -131,25 +131,43 @@ def grading_violations(table, left_space: SuperSpace, right_space: SuperSpace,
     return bad
 
 
-def leibniz_defect(outer, inner, parities, a: int, b: int, c: int,
-                   acc: list[Fraction]) -> None:
-    """acc += outer(inner(a,b),c) - outer(a,inner(b,c)) + (-1)**(ab) outer(b,inner(a,c)).
+def leibniz_defect(pairs, parities) -> list[list[int]]:
+    """sum over (outer, inner) in pairs of
+    outer(inner(a,b),c) - outer(a,inner(b,c)) + (-1)**(ab) outer(b,inner(a,c)),
+    one integer vector per basis triple (a, b, c) in lexicographic order.
 
-    outer and inner are structure-constant tables (table[i][j] is the
-    value on basis elements i, j) and a, b, c are basis indices.  With
+    Each table is flat and fraction-free, as scale_to_ints gives it:
+    table[i*dim + j] lists the nonzeros (k, D*coefficient) of the value on
+    basis elements i, j, with one D shared by every table.  Each summand
+    is one inner times one outer coefficient, so the true defect is the
+    returned vector over D**2, and it vanishes iff the vector does.  With
     both tables the bracket this is the Leibniz defect; summed over the
     pairs (mu_i, mu_(r-i)) of a deformation it is the order-r residual.
     """
-    s = koszul(parities[a], parities[b])
-    for k, w in enumerate(inner[a][b]):
-        if w:
-            add_scaled(acc, w, outer[k][c])
-    for k, w in enumerate(inner[b][c]):
-        if w:
-            add_scaled(acc, -w, outer[a][k])
-    for k, w in enumerate(inner[a][c]):
-        if w:
-            add_scaled(acc, s * w, outer[b][k])
+    dim = len(parities)
+    out = [[0] * dim for _ in range(dim ** 3)]
+    for outer, inner in pairs:
+        for a in range(dim):
+            pa = parities[a]
+            row_a = a * dim
+            for b in range(dim):
+                ab = inner[row_a + b]
+                row_b = b * dim
+                s = -1 if pa & parities[b] else 1
+                base = (row_a + b) * dim
+                for c in range(dim):
+                    acc = out[base + c]
+                    for k, w in ab:
+                        for j, y in outer[k * dim + c]:
+                            acc[j] += w * y
+                    for k, w in inner[row_b + c]:
+                        for j, y in outer[row_a + k]:
+                            acc[j] -= w * y
+                    for k, w in inner[row_a + c]:
+                        w *= s
+                        for j, y in outer[row_b + k]:
+                            acc[j] += w * y
+    return out
 
 
 class LeibnizSuperalgebra:
@@ -192,14 +210,15 @@ class LeibnizSuperalgebra:
     def check_leibniz(self) -> CheckReport:
         """[[a,b],c] - [a,[b,c]] + (-1)**(ab) [b,[a,c]] = 0 on basis triples."""
         sp = self.space
+        d, (table,) = scale_to_ints([[v for row in self.table for v in row]])
+        dd = d * d
         bad = []
-        for i, j, k in itertools.product(range(self.dim), repeat=3):
-            d = zeros(self.dim)
-            leibniz_defect(self.table, self.table, sp.parities, i, j, k, d)
-            if not vec_is_zero(d):
+        for (i, j, k), defect in zip(itertools.product(range(self.dim), repeat=3),
+                                     leibniz_defect([(table, table)], sp.parities)):
+            if any(defect):
                 bad.append({
                     "triple": (sp.labels[i], sp.labels[j], sp.labels[k]),
-                    "defect": sp.describe(d),
+                    "defect": sp.describe([Fraction(y, dd) for y in defect]),
                 })
         return CheckReport(not bad, bad)
 

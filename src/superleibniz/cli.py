@@ -19,8 +19,9 @@ from .algebra import (LeibnizSuperalgebra, SuperBimodule, adjoint_module,
 from .cochain import delta
 from .cohomology import (DEFAULT_MAX_ARITY, cohomology_table, derivations,
                          inner_derivations, space_dimension)
-from .deformation import (check_deformation, equivalent_deformations,
-                          extend_deformation, infinitesimal_relation)
+from .deformation import (ExtensionUndefined, check_deformation,
+                          equivalent_deformations, extend_deformation,
+                          infinitesimal_relation)
 from .extension import build_extension, check_extension
 from .fileio import (ParseError, canonical_json, cochain_to_doc,
                      load_algebra, load_cochain, load_deformation, load_module,
@@ -325,17 +326,28 @@ def cmd_deform_extend(args) -> int:
     mod = adjoint_module(alg)
     d = load_deformation(_single_deformation(args), alg, mod)
     target = args.order if args.order is not None else d.order + 1
-    mu = extend_deformation(d, target, max_arity=args.max_arity)
     report = {
         "command": "deform extend",
         "algebra": alg.space.name,
         "order": d.order,
         "target_order": target,
+    }
+    try:
+        mu = extend_deformation(d, target, max_arity=args.max_arity)
+    except ExtensionUndefined as exc:
+        # a lower order fails: a mathematical failure, reported with its
+        # violations; solvability is undefined, hence null
+        report.update({"status": "fail", "solvable": None, "term": None,
+                       "output": None,
+                       "violations": _violations_doc(exc.report.violations)})
+        emit(report, args.format)
+        return EXIT_MATH_FAIL
+    report.update({
         "status": "pass" if mu is not None else "fail",
         "solvable": mu is not None,
         "term": cochain_to_doc(mu)["entries"] if mu is not None else None,
         "output": None,
-    }
+    })
     if mu is not None and args.out:
         extended = d.truncated(target - 1).appended(mu)
         save_deformation(extended, args.out)

@@ -174,14 +174,27 @@ def _vector_parity_or_raise(space: SuperSpace, v: list[Fraction], what: str) -> 
 _SIGN = (F1, -F1)   # (-1)**e, indexed by e & 1
 
 
-def coboundary_terms(alg: LeibnizSuperalgebra, mod: SuperBimodule, degree: int,
-                     T: tuple[int, ...]):
+def action_nonzeros(mod: SuperBimodule) -> tuple[list, list]:
+    """The two actions of mod as nonzeros, scanned once for coboundary_terms:
+    left[x][m] and right[x][m] list the (k, coefficient) pairs of
+    [x, m_m] and [m_m, x], for x an algebra and m a module basis index."""
+    def nz(v):
+        return [(k, c) for k, c in enumerate(v) if c]
+    left = [[nz(v) for v in row] for row in mod.left]
+    right = [[nz(mod.right[m][x]) for m in range(mod.dim)]
+             for x in range(mod.algebra.dim)]
+    return left, right
+
+
+def coboundary_terms(alg: LeibnizSuperalgebra, actions: tuple[list, list],
+                     degree: int, T: tuple[int, ...]):
     """The terms of (delta f)(T) for a degree-`degree` cochain f of arity len(T)-1.
 
-    Yields (S, scalar, action).  With action None the term is scalar * f(S),
-    a bracket substitution.  Otherwise action[m] is the module vector that
-    the basis vector m_m is sent to (the left-action row of x_i, or the
-    right-action column of x_{n+1}), and the term is
+    actions is action_nonzeros of f's module.  Yields (S, scalar, action).
+    With action None the term is scalar * f(S), a bracket substitution.
+    Otherwise action[m] lists the nonzeros (k, coefficient) of the module
+    vector that the basis vector m_m is sent to (by the left action of
+    x_i, or the right action of x_{n+1}), and the term is
     scalar * sum_m f(S)[m] * action[m].
     """
     n = len(T) - 1
@@ -200,21 +213,22 @@ def coboundary_terms(alg: LeibnizSuperalgebra, mod: SuperBimodule, degree: int,
                 if c:
                     yield head + (k,) + tail, (-c if e & 1 else c), None
     # left-action terms: [x_i, f(..., ^x_i, ...)], i = 1..n
+    left, right = actions
     run = degree
     for i in range(n):
         pi = tpar[i]
         e = i + pi * run
         run += pi
-        yield T[:i] + T[i + 1:], _SIGN[e & 1], mod.left[T[i]]
+        yield T[:i] + T[i + 1:], _SIGN[e & 1], left[T[i]]
     # right-action term: (-1)**(n+1) [f(x_1..x_n), x_{n+1}]
-    last = T[n]
-    yield T[:n], _SIGN[(n + 1) & 1], [row[last] for row in mod.right]
+    yield T[:n], _SIGN[(n + 1) & 1], right[T[n]]
 
 
 def delta(f: Cochain) -> Cochain:
     """Coboundary: arity n+1, same degree."""
     alg, mod = f.algebra, f.module
     dim = alg.dim
+    actions = action_nonzeros(mod)
     # the nonzero entries of f, by tuple index, scanned once
     support = {}
     for idx, w in enumerate(f.coeffs):
@@ -223,12 +237,14 @@ def delta(f: Cochain) -> Cochain:
             support[idx] = nz
     out = Cochain.zero(alg, mod, f.arity + 1, f.degree)
     for acc, T in zip(out.coeffs, all_tuples(dim, f.arity + 1)):
-        for S, c, action in coboundary_terms(alg, mod, f.degree, T):
+        for S, c, action in coboundary_terms(alg, actions, f.degree, T):
             for m, wm in support.get(tuple_index(S, dim), ()):
                 if action is None:
                     acc[m] += c * wm
                 else:
-                    add_scaled(acc, c * wm, action[m])
+                    cw = c * wm
+                    for k, x in action[m]:
+                        acc[k] += cw * x
     return out
 
 

@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .algebra import LeibnizSuperalgebra, SuperBimodule
-from .cochain import Cochain, all_tuples, coboundary_terms, tuple_index
+from .cochain import (Cochain, action_nonzeros, all_tuples, coboundary_terms,
+                      tuple_index)
 from .linalg import (F0, RatMatrix, extend_to_basis, kernel_basis, rank,
                      row_space_basis, solve, zeros)
 
@@ -83,11 +84,12 @@ def delta_matrix(alg: LeibnizSuperalgebra, mod: SuperBimodule, n: int, parity: i
     mpar = mod.space.parities
     dom = enumerate_basis(alg, mod, n, parity)
     col = {pair: c for c, pair in enumerate(dom)}
+    actions = action_nonzeros(mod)
     rows = []
     for T in all_tuples(alg.dim, n + 1):
         want = (parity + alg.space.tuple_parity(T)) & 1
         block = {k: {} for k in range(mod.dim) if mpar[k] == want}
-        for S, c, action in coboundary_terms(alg, mod, parity, T):
+        for S, c, action in coboundary_terms(alg, actions, parity, T):
             if action is None:
                 for k, row in block.items():
                     j = col.get((S, k))
@@ -97,9 +99,10 @@ def delta_matrix(alg: LeibnizSuperalgebra, mod: SuperBimodule, n: int, parity: i
             for m, image in enumerate(action):
                 j = col.get((S, m))
                 if j is not None:
-                    for k, row in block.items():
-                        if image[k]:
-                            row[j] = row.get(j, F0) + c * image[k]
+                    for k, x in image:
+                        row = block.get(k)
+                        if row is not None:
+                            row[j] = row.get(j, F0) + c * x
         rows.extend(block.values())
     return RatMatrix.from_sparse(len(dom), rows)
 

@@ -19,6 +19,13 @@ truncations reach t**(2N)); the jet reading stops at r = N.  Truncating a
 genuine deformation, or transforming one by a truncated isomorphism, only
 guarantees the orders up to N: the discarded t**(>N) tail is exactly what
 cancelled the higher residuals.
+
+The residual and the transform are the hot loops, and both are exact
+without Fractions in them: every family of coefficients (mu_0..mu_N, the
+inverse series phi, the isomorphism psi) is scaled once to ints over its
+common denominator (linalg.scale_to_ints), the products are summed in
+ints, and each nonzero entry is divided once, by D**2 for the residual
+and by D_psi * D_mu * D_phi**2 for a transformed term.
 """
 
 from __future__ import annotations
@@ -31,7 +38,7 @@ from .algebra import (CheckReport, LeibnizSuperalgebra, SuperBimodule,
 from .cochain import Cochain, all_tuples, delta
 from .cohomology import (DEFAULT_MAX_ARITY, cochain_coords, cochain_from_coords,
                          delta_matrix, enumerate_basis)
-from .linalg import (F1, add_scaled, basis_vec, bilinear, lin_comb, solve,
+from .linalg import (F1, add_scaled, basis_vec, lin_comb, scale_to_ints, solve,
                      vec_is_zero, zeros)
 
 
@@ -78,13 +85,12 @@ class TruncatedDeformation:
             return self.terms[i - 1]
         return None
 
-    def mu_tables(self) -> list:
-        """Structure-constant tables of mu_0..mu_N: the bracket, then each
-        term's coefficients cut into rows that share the term's vectors."""
-        dim = self.algebra.dim
-        return [self.algebra.table] + [
-            [f.coeffs[a * dim:(a + 1) * dim] for a in range(dim)]
-            for f in self.terms]
+    def mu_ints(self) -> tuple[int, list]:
+        """mu_0..mu_N fraction-free over one common denominator D, as
+        scale_to_ints gives them: one flat table per mu_i whose entry
+        a*dim + b lists the nonzeros (k, D*coefficient) of mu_i(e_a, e_b)."""
+        return scale_to_ints([[v for row in self.algebra.table for v in row]]
+                             + [f.coeffs for f in self.terms])
 
     def appended(self, mu: Cochain) -> "TruncatedDeformation":
         return TruncatedDeformation(self.algebra, self.terms + [mu], self.module)
@@ -155,19 +161,22 @@ class FormalIsomorphism:
 
 
 def deformation_residual(d: TruncatedDeformation, r: int) -> Cochain:
-    """The order-r residual as a degree-0 3-cochain; zero iff order r holds."""
+    """The order-r residual as a degree-0 3-cochain; zero iff order r holds.
+
+    Summed in ints over the common denominator D of mu_0..mu_N; each
+    nonzero entry is divided by D**2 once, when it is written back.
+    """
     if r < 1 or r > 2 * max(d.order, 1):
         raise ValueError(f"order {r} out of range 1..{2 * max(d.order, 1)}")
-    alg = d.algebra
-    par = alg.space.parities
-    mus = d.mu_tables()
+    d_mu, mus = d.mu_ints()
     # the pairs (mu_i, mu_j), i + j = r, with both factors within the order
     pairs = [(mus[i], mus[r - i]) for i in range(r + 1)
              if i <= d.order and r - i <= d.order]
-    out = Cochain.zero(alg, d.module, 3, 0)
-    for acc, (a, b, c) in zip(out.coeffs, all_tuples(alg.dim, 3)):
-        for outer, inner in pairs:
-            leibniz_defect(outer, inner, par, a, b, c, acc)
+    den = d_mu * d_mu
+    out = Cochain.zero(d.algebra, d.module, 3, 0)
+    for idx, v in enumerate(leibniz_defect(pairs, d.algebra.space.parities)):
+        if any(v):
+            out.coeffs[idx] = [Fraction(y, den) for y in v]
     return out
 
 
@@ -203,14 +212,27 @@ def infinitesimal(d: TruncatedDeformation) -> tuple[int, Cochain] | None:
     return None
 
 
+class ExtensionUndefined(ValueError):
+    """A lower order of the deformation fails, so extending it is undefined.
+
+    report is check_deformation of the orders below the target in the jet
+    reading; its violations are those of the first failing order.
+    """
+
+    def __init__(self, report: CheckReport):
+        super().__init__(f"order {report.violations[0]['order']} equation fails; "
+                         "extension undefined")
+        self.report = report
+
+
 def extend_deformation(d: TruncatedDeformation, r: int,
                        max_arity: int = DEFAULT_MAX_ARITY) -> Cochain | None:
     """Solve for mu_r making the order-r equation hold; None if obstructed.
 
     Requires the orders below r to hold for the given terms (mu_r and
-    beyond are ignored).  Returns the canonical solution of
-    delta(mu_r) = -R'_r (free variables zero); any solution differs by a
-    2-cocycle.
+    beyond are ignored); raises ExtensionUndefined, a ValueError, if not.
+    Returns the canonical solution of delta(mu_r) = -R'_r (free variables
+    zero); any solution differs by a 2-cocycle.
     """
     if r < 1:
         raise ValueError("target order must be >= 1")
@@ -218,9 +240,9 @@ def extend_deformation(d: TruncatedDeformation, r: int,
     if base.order < r - 1:
         raise ValueError(f"deformation provides orders up to {base.order}, "
                          f"cannot target order {r}")
-    for s in range(1, r):
-        if not deformation_residual(base, s).is_zero():
-            raise ValueError(f"order {s} equation fails; extension undefined")
+    lower = check_deformation(base, mod_order=True)
+    if not lower.ok:
+        raise ExtensionUndefined(lower)
     alg, mod = d.algebra, d.module
     rhs = deformation_residual(base, r)  # equals -R'_r since mu_r is absent
     mat = delta_matrix(alg, mod, 2, 0, max_arity=max_arity)
@@ -246,29 +268,49 @@ def transform(d: TruncatedDeformation, iso: FormalIsomorphism) -> TruncatedDefor
     if iso.order != d.order:
         raise ValueError("isomorphism and deformation must share the order")
     n = d.order
-    mus = d.mu_tables()
-    phis = iso.inverse_matrices(n)
-    psis = [iso.matrix(i) for i in range(n + 1)]
+    mus = d.mu_ints()
+    phis = scale_to_ints(iso.inverse_matrices(n))
+    psis = scale_to_ints([iso.matrix(i) for i in range(n + 1)])
     terms = [_transformed_term(d, mus, phis, psis, r) for r in range(1, n + 1)]
     return TruncatedDeformation(d.algebra, terms, d.module)
 
 
-def _transformed_term(d: TruncatedDeformation, mus: list, phis: list, psis: list,
-                      r: int) -> Cochain:
-    """Term r of transform(d, iso), from mus = d.mu_tables() and the columns
-    of phi_0..phi_r (the inverse series) and psi_0..psi_r of iso."""
-    alg = d.algebra
-    dim = alg.dim
-    f = Cochain.zero(alg, d.module, 2, 0)
-    for acc, (a, b) in zip(f.coeffs, all_tuples(dim, 2)):
+def _transformed_term(d: TruncatedDeformation, mus: tuple, phis: tuple,
+                      psis: tuple, r: int) -> Cochain:
+    """Term r of transform(d, iso), from mus = d.mu_ints() and the columns
+    of phi_0..phi_r (the inverse series) and psi_0..psi_r of iso, each
+    family fraction-free as a (D, tables) pair from scale_to_ints.
+
+    Each summand psi_i mu_j(phi_k a, phi_l b) is one entry from each of
+    psi_i, mu_j, phi_k and phi_l, so the term is summed in ints over
+    D_psi * D_mu * D_phi**2 and divided once per nonzero entry.
+    """
+    dim = d.algebra.dim
+    (d_mu, mu), (d_phi, phi), (d_psi, psi) = mus, phis, psis
+    den = d_psi * d_mu * d_phi * d_phi
+    f = Cochain.zero(d.algebra, d.module, 2, 0)
+    for idx, (a, b) in enumerate(all_tuples(dim, 2)):
+        acc = [0] * dim
         for i in range(r + 1):
             # sum of mu_j(phi_k a, phi_l b) over j + k + l = r - i, then psi_i
-            w = zeros(dim)
-            for j in range(r - i + 1):
-                for k in range(r - i - j + 1):
-                    add_scaled(w, F1, bilinear(mus[j], phis[k][a],
-                                               phis[r - i - j - k][b], dim))
-            add_scaled(acc, F1, lin_comb(psis[i], w, dim))
+            m = r - i
+            w = [0] * dim
+            for j in range(m + 1):
+                table = mu[j]
+                for k in range(m - j + 1):
+                    vb = phi[m - j - k][b]
+                    for x, u in phi[k][a]:
+                        row = x * dim
+                        for y, z in vb:
+                            uz = u * z
+                            for t, c in table[row + y]:
+                                w[t] += uz * c
+            for t, wt in enumerate(w):
+                if wt:
+                    for s, p in psi[i][t]:
+                        acc[s] += wt * p
+        if any(acc):
+            f.coeffs[idx] = [Fraction(y, den) for y in acc]
     return f
 
 
@@ -293,11 +335,12 @@ def equivalent_deformations(d1: TruncatedDeformation, d2: TruncatedDeformation,
     mat = delta_matrix(alg, mod, 1, 0, max_arity=max_arity)
     enum2 = enumerate_basis(alg, mod, 2, 0)
     iso = FormalIsomorphism.identity(alg, n, mod)
-    mus = da.mu_tables()
+    mus = da.mu_ints()
     for r in range(1, n + 1):
         # transformed term r with psi_r still zero
-        k_r = _transformed_term(da, mus, iso.inverse_matrices(r),
-                                [iso.matrix(i) for i in range(r + 1)], r)
+        phis = scale_to_ints(iso.inverse_matrices(r))
+        psis = scale_to_ints([iso.matrix(i) for i in range(r + 1)])
+        k_r = _transformed_term(da, mus, phis, psis, r)
         target = k_r - db.terms[r - 1]
         x = solve(mat, cochain_coords(target, enum2))
         if x is None:

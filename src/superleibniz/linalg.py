@@ -1,17 +1,21 @@
 """Exact linear algebra over the rationals.
 
-Vectors are dense lists of `fractions.Fraction`.  Matrices store sparse
-rows, one {column: coefficient} dict per row holding the nonzeros only;
-a dense view is built on request.  One elimination routine serves rank,
-kernel, solve and bases.  Its result is the canonical reduced row
-echelon form, which depends only on the row space, never on the order
-in which rows are reduced, so golden tests reproduce bit for bit.
+Vectors are dense lists of `fractions.Fraction`; scale_to_ints turns
+families of them into sparse integer rows over one common denominator
+for the multiply-and-add loops of the deformation kernels.  Matrices
+store sparse rows, one {column: coefficient} dict per row holding the
+nonzeros only; a dense view is built on request.  One elimination
+routine serves rank, kernel, solve and bases.  Its result is the
+canonical reduced row echelon form, which depends only on the row
+space, never on the order in which rows are reduced, so golden tests
+reproduce bit for bit.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from math import lcm
 
 Scalar = Fraction
 
@@ -61,6 +65,22 @@ def bilinear(table, u: list[Fraction], v: list[Fraction], n: int) -> list[Fracti
             for j, b in vsupp:
                 add_scaled(out, a * b, row[j])
     return out
+
+
+def scale_to_ints(tables) -> tuple[int, list[list[list[tuple[int, int]]]]]:
+    """Clear denominators once: (D, scaled) with D the lcm of the
+    denominators of every entry of every vector in tables (a list of
+    lists of vectors), and scaled the same tables with each vector
+    replaced by its nonzeros as (index, D*entry) pairs of ints.
+
+    A sum of products of one entry from each of several scaled families
+    is then an exact integer over the product of their D's, so loops that
+    only multiply and add run in ints and divide once at the end.
+    """
+    nonzeros = [[[(k, x) for k, x in enumerate(v) if x] for v in t] for t in tables]
+    d = lcm(*(x.denominator for t in nonzeros for v in t for _, x in v))
+    return d, [[[(k, x.numerator * (d // x.denominator)) for k, x in v] for v in t]
+               for t in nonzeros]
 
 
 SparseRow = dict[int, Fraction]

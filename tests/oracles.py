@@ -3,7 +3,13 @@
 - bruteforce_deformation_failures: expands the deformation identity with
   truncated polynomial arithmetic over all basis triples, evaluating each
   mu_i from its coefficient table on its own (the library checker instead
-  sums per-order Leibniz defects through algebra.leibniz_defect).
+  sums per-order Leibniz defects in ints over one common denominator,
+  through algebra.leibniz_defect).
+- fraction_leibniz_defect, fraction_residual and fraction_transform: the
+  Leibniz defect, the order-r residual and the transform by a formal
+  isomorphism summed term by term in Fractions, the references for the
+  library's fraction-free kernels (algebra.leibniz_defect,
+  deformation.deformation_residual and deformation.transform).
 - dense_delta: the coboundary as a dense loop over codomain tuples, a
   reference for the library's term walk (cochain.coboundary_terms).  With
   bracket_in_slot_i it is the rejected reading where the substituted
@@ -27,7 +33,8 @@ import sympy
 
 from superleibniz.algebra import koszul
 from superleibniz.cochain import Cochain, all_tuples, tuple_index
-from superleibniz.linalg import F1, RatMatrix, add_scaled, basis_vec, zeros
+from superleibniz.linalg import (F1, RatMatrix, add_scaled, basis_vec, bilinear,
+                                 lin_comb, zeros)
 
 
 def _mu(d, i: int, u: list[Fraction], v: list[Fraction]) -> list[Fraction]:
@@ -276,3 +283,65 @@ def dense_extend_to_basis(base_rows: list[list[Fraction]],
             rows, cur = trial, r
             chosen.append(list(cand))
     return chosen
+
+
+def fraction_leibniz_defect(outer, inner, parities, a: int, b: int, c: int,
+                            acc: list[Fraction]) -> None:
+    """acc += outer(inner(a,b),c) - outer(a,inner(b,c)) + (-1)**(ab) outer(b,inner(a,c)),
+
+    in Fractions, for structure-constant tables (table[i][j] is the value
+    on basis elements i, j) and basis indices a, b, c.
+    """
+    s = koszul(parities[a], parities[b])
+    for k, w in enumerate(inner[a][b]):
+        if w:
+            add_scaled(acc, w, outer[k][c])
+    for k, w in enumerate(inner[b][c]):
+        if w:
+            add_scaled(acc, -w, outer[a][k])
+    for k, w in enumerate(inner[a][c]):
+        if w:
+            add_scaled(acc, s * w, outer[b][k])
+
+
+def _mu_tables(d) -> list:
+    """Nested structure-constant tables of mu_0..mu_N."""
+    dim = d.algebra.dim
+    return [d.algebra.table] + [
+        [f.coeffs[a * dim:(a + 1) * dim] for a in range(dim)] for f in d.terms]
+
+
+def fraction_residual(d, r: int) -> Cochain:
+    """The order-r residual, summed per triple and pair (mu_i, mu_(r-i))."""
+    alg = d.algebra
+    mus = _mu_tables(d)
+    out = Cochain.zero(alg, d.module, 3, 0)
+    for acc, (a, b, c) in zip(out.coeffs, all_tuples(alg.dim, 3)):
+        for i in range(r + 1):
+            if i <= d.order and r - i <= d.order:
+                fraction_leibniz_defect(mus[i], mus[r - i], alg.space.parities,
+                                        a, b, c, acc)
+    return out
+
+
+def fraction_transform(d, iso) -> list[Cochain]:
+    """Terms 1..N of Psi_t o mu_t o (Psi_t^{-1} x Psi_t^{-1}) mod t**(N+1):
+    term r at (a, b) is sum psi_i(mu_j(phi_k a, phi_l b)), i+j+k+l = r."""
+    alg = d.algebra
+    dim, n = alg.dim, d.order
+    mus = _mu_tables(d)
+    phis = iso.inverse_matrices(n)
+    psis = [iso.matrix(i) for i in range(n + 1)]
+    terms = []
+    for r in range(1, n + 1):
+        f = Cochain.zero(alg, d.module, 2, 0)
+        for acc, (a, b) in zip(f.coeffs, all_tuples(dim, 2)):
+            for i in range(r + 1):
+                w = zeros(dim)
+                for j in range(r - i + 1):
+                    for k in range(r - i - j + 1):
+                        add_scaled(w, F1, bilinear(mus[j], phis[k][a],
+                                                   phis[r - i - j - k][b], dim))
+                add_scaled(acc, F1, lin_comb(psis[i], w, dim))
+        terms.append(f)
+    return terms

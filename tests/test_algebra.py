@@ -1,10 +1,12 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
 from helpers import (corner_projection_algebra, matrix_1_1_associative,
                      standard_fixtures, upper_triangular_associative)
+from oracles import fraction_leibniz_defect
 from superleibniz.algebra import (LeibnizSuperalgebra, SuperSpace, abelian,
                                   adjoint_module, free_truncated,
                                   from_associative, nonlie_example, zero_module)
@@ -81,6 +83,30 @@ def test_leibniz_violation_reported():
     assert not rep.ok
     assert [(v["triple"], v["defect"]) for v in rep.violations] == \
         [(("x", "y", "y"), "2*x")]
+
+
+def test_leibniz_defects_with_fractional_constants_match_fraction_reference():
+    # a graded but non-Leibniz table with coprime denominators and one
+    # numerator above 2**64: every reported defect is the Fraction sum
+    rng = random.Random(21)
+    space = SuperSpace("frac", ("x", "y", "p", "q"), (0, 0, 1, 1))
+    dim, par = space.dim, space.parities
+    denoms = (2, 3, 7, 10007)
+    table = [[[F(rng.randint(-4, 4), rng.choice(denoms))
+               if par[k] == (par[i] + par[j]) & 1 else F0 for k in range(dim)]
+              for j in range(dim)] for i in range(dim)]
+    table[0][1][0] = F(2 ** 64 + 1, 7)
+    L = LeibnizSuperalgebra(space, table)
+    assert L.check_grading().ok
+    expected = []
+    for t in itertools.product(range(dim), repeat=3):
+        acc = zeros(dim)
+        fraction_leibniz_defect(table, table, par, *t, acc)
+        if any(acc):
+            expected.append((tuple(space.labels[i] for i in t), space.describe(acc)))
+    rep = L.check_leibniz()
+    assert expected and not rep.ok
+    assert [(v["triple"], v["defect"]) for v in rep.violations] == expected
 
 
 def test_is_lie_negative_and_positive():

@@ -237,6 +237,33 @@ def test_deform_extend_solves_and_writes(tmp_path):
     assert out_path.exists()
 
 
+def test_deform_extend_past_a_failing_order_is_a_math_failure(tmp_path):
+    # order 1 of deform_zz_to_x fails, so order 2 is undefined: exit 1 and
+    # the order-1 violations, as deform check --mod-order reports them
+    out_path = tmp_path / "ext.json"
+    args = ["deform", "extend", ALG, "--deformation", DEFORM_BAD,
+            "--order", "2", "--out", str(out_path)]
+    code, out, err = run(args + ["--format", "json"])
+    assert code == 1 and err == ""
+    doc = json.loads(out)
+    assert doc["status"] == "fail" and doc["target_order"] == 2
+    assert doc["solvable"] is None and doc["term"] is None
+    assert doc["output"] is None and not out_path.exists()
+    _, check, _ = run(["deform", "check", ALG, "--deformation", DEFORM_BAD,
+                       "--mod-order", "--format", "json"])
+    assert doc["violations"] == json.loads(check)["violations"]
+    assert {v["order"] for v in doc["violations"]} == {1}
+    code, text, _ = run(args + ["--format", "text"])
+    assert code == 1 and text == render_text(doc)
+
+
+def test_deform_extend_target_beyond_the_next_order_is_a_usage_error():
+    code, out, err = run(["deform", "extend", ALG, "--deformation", DEFORM_BAD,
+                          "--order", "3"])
+    assert code == 2 and out == ""
+    assert "provides orders up to 1, cannot target order 3" in err
+
+
 def test_deform_equiv_round_trip():
     code, out, _ = run(["deform", "equiv", ALG,
                         "--deformation", DEFORM_ZERO,

@@ -5,16 +5,17 @@ from fractions import Fraction
 import pytest
 
 from helpers import random_cochain, standard_fixtures
-from oracles import bruteforce_deformation_failures
+from oracles import (bruteforce_deformation_failures, fraction_residual,
+                     fraction_transform)
 from superleibniz.algebra import abelian, adjoint_module, nonlie_example
 from superleibniz.cochain import Cochain, all_tuples, delta, tuple_index
 from superleibniz.cohomology import (cochain_coords, cochain_from_coords,
                                      delta_matrix, enumerate_basis)
-from superleibniz.deformation import (FormalIsomorphism, TruncatedDeformation,
-                                      check_deformation, deformation_residual,
-                                      equivalent_deformations, extend_deformation,
-                                      infinitesimal, infinitesimal_relation,
-                                      transform)
+from superleibniz.deformation import (ExtensionUndefined, FormalIsomorphism,
+                                      TruncatedDeformation, check_deformation,
+                                      deformation_residual, equivalent_deformations,
+                                      extend_deformation, infinitesimal,
+                                      infinitesimal_relation, transform)
 from superleibniz.linalg import F0, F1, basis_vec
 
 F = Fraction
@@ -99,6 +100,65 @@ def test_terms_must_be_even_2_cochains():
         TruncatedDeformation(L, [Cochain.zero(L, M, 2, 1)], M)
 
 
+# -- fraction-free kernels vs the Fraction references -----------------------
+
+# pairwise coprime, so the common denominator of a family is their product
+DENOMS = (2, 3, 7, 10007)
+HUGE = 2 ** 64 + 1
+
+
+def fractional_coords(n: int, rng) -> list:
+    """n coordinates cycling through DENOMS, one numerator above 2**64."""
+    coords = [F(rng.randint(-5, 5), DENOMS[s % len(DENOMS)]) for s in range(n)]
+    coords[rng.randrange(n)] = F(rng.choice((HUGE, -HUGE)), rng.choice(DENOMS))
+    return coords
+
+
+def fractional_cochain(L, M, arity, rng):
+    enum = enumerate_basis(L, M, arity, 0)
+    return cochain_from_coords(L, M, arity, 0, fractional_coords(len(enum), rng),
+                               enum)
+
+
+def fractional_deformation(L, M, order, rng):
+    return TruncatedDeformation(
+        L, [fractional_cochain(L, M, 2, rng) for _ in range(order)], M)
+
+
+def fractional_iso(L, M, order, rng):
+    return FormalIsomorphism(
+        L, [fractional_cochain(L, M, 1, rng) for _ in range(order)], M)
+
+
+def test_fractional_coefficients_cover_the_denominators():
+    rng = random.Random(11)
+    L, M = nonlie_setup()
+    d = fractional_deformation(L, M, 3, rng)
+    entries = [x for f in d.terms for v in f.coeffs for x in v if x]
+    assert {x.denominator for x in entries} >= set(DENOMS)
+    assert max(abs(x.numerator) for x in entries) > 2 ** 64
+
+
+@pytest.mark.parametrize("L", standard_fixtures(), ids=lambda L: L.space.name)
+def test_residual_matches_fraction_reference_on_fractional_jets(L):
+    rng = random.Random(12)
+    M = adjoint_module(L)
+    d = fractional_deformation(L, M, 3, rng)
+    for r in range(1, 2 * d.order + 1):
+        assert deformation_residual(d, r) == fraction_residual(d, r)
+
+
+@pytest.mark.parametrize("L", standard_fixtures(), ids=lambda L: L.space.name)
+def test_transform_matches_fraction_reference_on_fractional_isomorphisms(L):
+    rng = random.Random(13)
+    M = adjoint_module(L)
+    d = fractional_deformation(L, M, 3, rng)
+    iso = fractional_iso(L, M, 3, rng)
+    assert transform(d, iso).terms == fraction_transform(d, iso)
+    zero = TruncatedDeformation.zero(L, 3, M)
+    assert transform(zero, iso).terms == fraction_transform(zero, iso)
+
+
 # -- checker vs brute-force oracle ------------------------------------------
 
 def test_checker_agrees_with_oracle_on_zero_deformation():
@@ -136,6 +196,26 @@ def test_checker_agrees_with_oracle_on_random_jets():
             assert lib.violations[0]["order"] == min(oracle)[0]
         agree += 1
     assert agree == 20
+
+
+def test_strict_checker_agrees_with_oracle_on_fractional_jets():
+    # a random fractional jet fails at order 1; the transform of the zero
+    # deformation by a fractional isomorphism holds as a jet and fails
+    # strictly past the order: both must fail exactly where the expansion does
+    rng = random.Random(14)
+    L, M = nonlie_setup()
+    zero = TruncatedDeformation.zero(L, 3, M)
+    for d in (fractional_deformation(L, M, 3, rng),
+              transform(zero, fractional_iso(L, M, 3, rng))):
+        strict = check_deformation(d)
+        oracle = bruteforce_deformation_failures(d, 2 * d.order)
+        assert not strict.ok and oracle
+        first = min(oracle)[0]
+        assert {v["order"] for v in strict.violations} == {first}
+        labels = L.space.labels
+        assert ({tuple(v["triple"]) for v in strict.violations}
+                == {tuple(labels[i] for i in t) for r, t in oracle if r == first})
+    assert check_deformation(d, mod_order=True).ok and first > d.order
 
 
 def test_strict_vs_jet_reading_of_truncated_transforms():
@@ -234,8 +314,11 @@ def test_extend_matches_trivial_completion():
 def test_extend_precondition_failure_reported():
     L, M = nonlie_setup()
     d = TruncatedDeformation(L, [mu_zz_x(L, M)], M)
-    with pytest.raises(ValueError, match="order 1"):
+    with pytest.raises(ValueError, match="order 1") as exc:
         extend_deformation(d, 2)
+    # the failing order's violations ride along for the CLI report
+    assert isinstance(exc.value, ExtensionUndefined)
+    assert exc.value.report == check_deformation(d, mod_order=True)
 
 
 def test_extend_obstructed_case():
