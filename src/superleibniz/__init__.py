@@ -3,14 +3,13 @@
 __version__ = "0.1.0"
 
 from .algebra import (AssociativeSuperalgebra, CheckReport, LeibnizSuperalgebra,
-                      MixedParityError, SuperBimodule, SuperSpace, abelian,
-                      adjoint_module, free_truncated, from_associative, koszul,
-                      nonlie_example, zero_module)
-from .cochain import (Cochain, act_left, act_right, cochain_space_module, curry,
-                      d_op, delta, restrict, uncurry_value)
-from .cohomology import (ArityCapError, CohomologyTable, annihilator,
-                         cohomology_table, delta_matrix, derivations,
-                         enumerate_basis, inner_derivations, is_coboundary)
+                      SuperBimodule, SuperSpace, abelian, adjoint_module,
+                      free_truncated, from_associative, koszul, nonlie_example,
+                      zero_module)
+from .cochain import Cochain, delta
+from .cohomology import (ArityCapError, CohomologyTable, cohomology_table,
+                         delta_matrix, derivations, enumerate_basis,
+                         inner_derivations, is_coboundary)
 from .deformation import (ExtensionUndefined, FormalIsomorphism,
                           TruncatedDeformation, check_deformation,
                           deformation_residual, equivalent_deformations,

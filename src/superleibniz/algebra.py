@@ -24,10 +24,6 @@ EVEN = 0
 ODD = 1
 
 
-class MixedParityError(ValueError):
-    """Raised when an operation needs a homogeneous vector but got a mix."""
-
-
 def koszul(p: int, q: int) -> Fraction:
     """(-1)**(p*q) for parities p, q."""
     return -F1 if (p * q) & 1 else F1
@@ -67,9 +63,6 @@ class SuperSpace:
     def odd_dim(self) -> int:
         return sum(1 for p in self.parities if p == ODD)
 
-    def parity(self, i: int) -> int:
-        return self.parities[i]
-
     def index(self, label: str) -> int:
         try:
             return self.labels.index(label)
@@ -78,19 +71,6 @@ class SuperSpace:
 
     def tuple_parity(self, indices: tuple[int, ...]) -> int:
         return sum(self.parities[i] for i in indices) & 1
-
-    def vector_parity(self, v: list[Fraction]) -> int | None:
-        """Parity of a homogeneous vector, None for the zero vector."""
-        par = None
-        for i, c in enumerate(v):
-            if c:
-                p = self.parities[i]
-                if par is None:
-                    par = p
-                elif par != p:
-                    raise MixedParityError(
-                        f"vector mixes parities in space {self.name!r}")
-        return par
 
     def describe(self, v: list[Fraction]) -> str:
         """Human-readable linear combination, canonical term order."""
@@ -268,12 +248,6 @@ class SuperBimodule:
     def dim(self) -> int:
         return self.space.dim
 
-    def act_left_vec(self, a: list[Fraction], m: list[Fraction]) -> list[Fraction]:
-        return bilinear(self.left, a, m, self.dim)
-
-    def act_right_vec(self, m: list[Fraction], a: list[Fraction]) -> list[Fraction]:
-        return bilinear(self.right, m, a, self.dim)
-
     def check_grading(self) -> CheckReport:
         """Left violations first, then right ones; each tagged by its action."""
         asp, msp = self.algebra.space, self.space
@@ -289,42 +263,32 @@ class SuperBimodule:
         1. [[a,b],m] = [a,[b,m]] - (-1)**(ab) [b,[a,m]]
         2. [[a,m],b] = [a,[m,b]] - (-1)**(am) [m,[a,b]]
         3. [[m,a],b] = [m,[a,b]] - (-1)**(ma) [a,[m,b]]
+
+        They are the Leibniz identity of the semidirect product L x M
+        ([x,y] in L, [x,m] and [m,x] in M, [m,n] = 0) on the triples
+        (a,b,m), (a,m,b) and (m,a,b), so leibniz_defect evaluates them on
+        its flat table; each defect is the M part of the triple's.
         """
-        alg = self.algebra
-        asp, msp = alg.space, self.space
-        da, dm = alg.dim, self.dim
+        asp, msp = self.algebra.space, self.space
+        da, dm = self.algebra.dim, self.dim
+        dim = da + dm
+        rows = ([[v + zeros(dm) for v in self.algebra.table[i]]
+                 + [zeros(da) + v for v in self.left[i]] for i in range(da)]
+                + [[zeros(da) + v for v in self.right[k]] + [zeros(dim)] * dm
+                   for k in range(dm)])
+        d, (table,) = scale_to_ints([[v for row in rows for v in row]])
+        defects = leibniz_defect([(table, table)], asp.parities + msp.parities)
+        labels = asp.labels + msp.labels
+        dd = d * d
         bad = []
-
-        def compare(axiom, triple, lhs, rhs):
-            if lhs != rhs:
-                bad.append({"axiom": axiom, "triple": triple,
-                            "defect": msp.describe([x - y for x, y in zip(lhs, rhs)])})
-
         for i, j in itertools.product(range(da), repeat=2):
-            br = alg.bracket(i, j)
-            ei = basis_vec(da, i)
-            ej = basis_vec(da, j)
-            pi, pj = asp.parities[i], asp.parities[j]
-            for k in range(dm):
-                mk = basis_vec(dm, k)
-                pk = msp.parities[k]
-                # axiom 1
-                lhs = self.act_left_vec(br, mk)
-                rhs = self.act_left_vec(ei, self.act_left_vec(ej, mk))
-                add_scaled(rhs, -koszul(pi, pj),
-                           self.act_left_vec(ej, self.act_left_vec(ei, mk)))
-                compare(1, (asp.labels[i], asp.labels[j], msp.labels[k]), lhs, rhs)
-                # axiom 2: a = e_i, m = m_k, b = e_j
-                lhs = self.act_right_vec(self.act_left_vec(ei, mk), ej)
-                rhs = self.act_left_vec(ei, self.act_right_vec(mk, ej))
-                add_scaled(rhs, -koszul(pi, pk), self.act_right_vec(mk, br))
-                compare(2, (asp.labels[i], msp.labels[k], asp.labels[j]), lhs, rhs)
-                # axiom 3: m = m_k, a = e_i, b = e_j
-                lhs = self.act_right_vec(self.act_right_vec(mk, ei), ej)
-                rhs = self.act_right_vec(mk, br)
-                add_scaled(rhs, -koszul(pk, pi),
-                           self.act_left_vec(ei, self.act_right_vec(mk, ej)))
-                compare(3, (msp.labels[k], asp.labels[i], asp.labels[j]), lhs, rhs)
+            for k in range(da, dim):
+                for axiom, (a, b, c) in ((1, (i, j, k)), (2, (i, k, j)), (3, (k, i, j))):
+                    v = defects[(a * dim + b) * dim + c][da:]
+                    if any(v):
+                        bad.append({"axiom": axiom,
+                                    "triple": (labels[a], labels[b], labels[c]),
+                                    "defect": msp.describe([Fraction(y, dd) for y in v])})
         return CheckReport(not bad, bad)
 
     def __eq__(self, other) -> bool:

@@ -17,8 +17,8 @@ from . import __version__
 from .algebra import (LeibnizSuperalgebra, SuperBimodule, adjoint_module,
                       zero_module)
 from .cochain import delta
-from .cohomology import (DEFAULT_MAX_ARITY, cohomology_table, derivations,
-                         inner_derivations, space_dimension)
+from .cohomology import (DEFAULT_MAX_ARITY, ArityCapError, cohomology_table,
+                         derivations, inner_derivations, space_dimension)
 from .deformation import (ExtensionUndefined, check_deformation,
                           equivalent_deformations, extend_deformation,
                           infinitesimal_relation)
@@ -326,6 +326,10 @@ def cmd_deform_extend(args) -> int:
     mod = adjoint_module(alg)
     d = load_deformation(_single_deformation(args), alg, mod)
     target = args.order if args.order is not None else d.order + 1
+    if not 1 <= target <= d.order + 1:
+        raise ParseError(f"--order {target} is outside 1..{d.order + 1}: the "
+                         f"deformation provides orders up to {d.order}, "
+                         f"cannot target order {target}")
     report = {
         "command": "deform extend",
         "algebra": alg.space.name,
@@ -366,6 +370,9 @@ def cmd_deform_equiv(args) -> int:
     mod = adjoint_module(alg)
     d1 = load_deformation(args.deformation[0], alg, mod)
     d2 = load_deformation(args.deformation[1], alg, mod)
+    if d1.order != d2.order:
+        raise ParseError(f"the deformations have orders {d1.order} and "
+                         f"{d2.order}; deform equiv needs equal orders")
     iso = equivalent_deformations(d1, d2, order=args.order,
                                   max_arity=args.max_arity)
     report = {
@@ -474,7 +481,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, ValueError) as exc:   # ParseError, ArityCapError included
+    except (OSError, ParseError, ArityCapError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:   # a library bug, e.g. "sign conventions broken"

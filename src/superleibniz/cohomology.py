@@ -16,7 +16,7 @@ from .algebra import LeibnizSuperalgebra, SuperBimodule
 from .cochain import (Cochain, action_nonzeros, all_tuples, coboundary_terms,
                       tuple_index)
 from .linalg import (F0, RatMatrix, extend_to_basis, kernel_basis, rank,
-                     row_space_basis, solve, zeros)
+                     row_space_basis, solve)
 
 DEFAULT_MAX_ARITY = 4
 
@@ -177,32 +177,6 @@ def cohomology_table(alg: LeibnizSuperalgebra, mod: SuperBimodule, max_n: int,
             # rank-nullity: dim B^(n+1) = rank D_n = dim C^n - dim Z^n
             dim_b = dim_c - dim_z
     return table
-
-
-def annihilator(alg: LeibnizSuperalgebra, mod: SuperBimodule) -> list[list[Fraction]]:
-    """Basis of {m in M_0 : [m, x] = 0 for all x}, as full module vectors.
-
-    Computed by a direct scan of the right-action table, independently of
-    the coboundary matrix (whose parity-0 kernel it must equal).
-    """
-    msp = mod.space
-    even = [k for k in range(mod.dim) if msp.parities[k] == 0]
-    if not even:
-        return []
-    rows = []
-    for i in range(alg.dim):
-        for t in range(mod.dim):
-            rows.append([mod.right[k][i][t] for k in even])
-    mat = (RatMatrix.from_rows(rows) if rows
-           else RatMatrix.zeros(0, len(even)))
-    ker = kernel_basis(mat)
-    out = []
-    for v in ker:
-        full = zeros(mod.dim)
-        for c, k in zip(v, even):
-            full[k] = c
-        out.append(full)
-    return out
 
 
 def derivations(alg: LeibnizSuperalgebra, mod: SuperBimodule,

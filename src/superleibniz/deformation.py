@@ -11,8 +11,9 @@ vanishing of the residual
 (indices beyond the truncation order contribute zero).  Splitting off the
 i=0 and j=0 terms gives R_r = -delta(mu_r) - R'_r with R'_r collecting the
 products of two higher terms, so extending a deformation to order r means
-solving delta(mu_r) = -R'_r; the solver verifies the appended term kills
-the order-r residual.
+solving delta(mu_r) = -R'_r, which is cohomology.is_coboundary of the
+residual without mu_r; the solver verifies the appended term kills the
+order-r residual.
 
 The strict checker demands R_r = 0 for r = 1..2N (products of two order-N
 truncations reach t**(2N)); the jet reading stops at r = N.  Truncating a
@@ -25,7 +26,10 @@ without Fractions in them: every family of coefficients (mu_0..mu_N, the
 inverse series phi, the isomorphism psi) is scaled once to ints over its
 common denominator (linalg.scale_to_ints), the products are summed in
 ints, and each nonzero entry is divided once, by D**2 for the residual
-and by D_psi * D_mu * D_phi**2 for a transformed term.
+and by D_psi * D_mu * D_phi**2 for a transformed term.  The checks zero-
+test the int residuals themselves: a strict check scales mu_0..mu_N once
+for all of its orders and builds Fractions only for the defects it
+reports.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ from .algebra import (CheckReport, LeibnizSuperalgebra, SuperBimodule,
                       adjoint_module, leibniz_defect)
 from .cochain import Cochain, all_tuples, delta
 from .cohomology import (DEFAULT_MAX_ARITY, cochain_coords, cochain_from_coords,
-                         delta_matrix, enumerate_basis)
+                         delta_matrix, enumerate_basis, is_coboundary)
 from .linalg import (F1, add_scaled, basis_vec, lin_comb, scale_to_ints, solve,
                      vec_is_zero, zeros)
 
@@ -76,14 +80,6 @@ class TruncatedDeformation:
     @property
     def order(self) -> int:
         return len(self.terms)
-
-    def term(self, i: int) -> Cochain | None:
-        """mu_i as a cochain; None for i = 0 (the bracket) and i > order."""
-        if i == 0:
-            return None
-        if i <= self.order:
-            return self.terms[i - 1]
-        return None
 
     def mu_ints(self) -> tuple[int, list]:
         """mu_0..mu_N fraction-free over one common denominator D, as
@@ -160,6 +156,17 @@ class FormalIsomorphism:
         return FormalIsomorphism(self.algebra, terms, self.module)
 
 
+def _residual_ints(d: TruncatedDeformation, mus: tuple, r: int) -> list[list[int]]:
+    """The order-r residual as leibniz_defect gives it, from mus =
+    d.mu_ints(): one int vector per basis triple, the residual times D**2
+    for the common denominator D of mu_0..mu_N."""
+    tables = mus[1]
+    # the pairs (mu_i, mu_j), i + j = r, with both factors within the order
+    pairs = [(tables[i], tables[r - i]) for i in range(r + 1)
+             if i <= d.order and r - i <= d.order]
+    return leibniz_defect(pairs, d.algebra.space.parities)
+
+
 def deformation_residual(d: TruncatedDeformation, r: int) -> Cochain:
     """The order-r residual as a degree-0 3-cochain; zero iff order r holds.
 
@@ -168,13 +175,10 @@ def deformation_residual(d: TruncatedDeformation, r: int) -> Cochain:
     """
     if r < 1 or r > 2 * max(d.order, 1):
         raise ValueError(f"order {r} out of range 1..{2 * max(d.order, 1)}")
-    d_mu, mus = d.mu_ints()
-    # the pairs (mu_i, mu_j), i + j = r, with both factors within the order
-    pairs = [(mus[i], mus[r - i]) for i in range(r + 1)
-             if i <= d.order and r - i <= d.order]
-    den = d_mu * d_mu
+    mus = d.mu_ints()
+    den = mus[0] * mus[0]
     out = Cochain.zero(d.algebra, d.module, 3, 0)
-    for idx, v in enumerate(leibniz_defect(pairs, d.algebra.space.parities)):
+    for idx, v in enumerate(_residual_ints(d, mus, r)):
         if any(v):
             out.coeffs[idx] = [Fraction(y, den) for y in v]
     return out
@@ -185,23 +189,21 @@ def check_deformation(d: TruncatedDeformation, mod_order: bool = False) -> Check
 
     Strict mode requires residuals 1..2N to vanish (the unqualified
     reading of the defining equation); mod_order stops at N, treating the
-    deformation as a jet mod t**(N+1).
+    deformation as a jet mod t**(N+1).  mu_0..mu_N are scaled to ints
+    once per check; Fractions are built only for the reported defects.
     """
     top = d.order if mod_order else 2 * d.order
     sp = d.algebra.space
-    bad = []
+    mus = d.mu_ints()
+    den = mus[0] * mus[0]
     for r in range(1, top + 1):
-        res = deformation_residual(d, r)
-        if res.is_zero():
-            continue
-        for t in all_tuples(d.algebra.dim, 3):
-            v = res.value(t)
-            if not vec_is_zero(v):
-                bad.append({"order": r,
-                            "triple": tuple(sp.labels[i] for i in t),
-                            "defect": sp.describe(v)})
-        break  # report the first failing order only
-    return CheckReport(not bad, bad)
+        bad = [{"order": r, "triple": tuple(sp.labels[i] for i in t),
+                "defect": sp.describe([Fraction(y, den) for y in v])}
+               for t, v in zip(all_tuples(d.algebra.dim, 3), _residual_ints(d, mus, r))
+               if any(v)]
+        if bad:
+            return CheckReport(False, bad)  # the first failing order only
+    return CheckReport(True, [])
 
 
 def infinitesimal(d: TruncatedDeformation) -> tuple[int, Cochain] | None:
@@ -243,15 +245,12 @@ def extend_deformation(d: TruncatedDeformation, r: int,
     lower = check_deformation(base, mod_order=True)
     if not lower.ok:
         raise ExtensionUndefined(lower)
-    alg, mod = d.algebra, d.module
-    rhs = deformation_residual(base, r)  # equals -R'_r since mu_r is absent
-    mat = delta_matrix(alg, mod, 2, 0, max_arity=max_arity)
-    b = cochain_coords(rhs, enumerate_basis(alg, mod, 3, 0))
-    x = solve(mat, b)
-    if x is None:
+    # the residual without mu_r equals -R'_r
+    mu_r = is_coboundary(deformation_residual(base, r), max_arity=max_arity)
+    if mu_r is None:
         return None
-    mu_r = cochain_from_coords(alg, mod, 2, 0, x)
-    if not deformation_residual(base.appended(mu_r), r).is_zero():
+    extended = base.appended(mu_r)
+    if any(any(v) for v in _residual_ints(extended, extended.mu_ints(), r)):
         raise AssertionError("solver produced mu_r that fails order r; "
                              "sign conventions broken")
     return mu_r

@@ -38,11 +38,13 @@ def parse_rational(value) -> Fraction:
         if not _RATIONAL_RE.match(value):
             raise ParseError(f"cannot parse {value!r} as an exact rational")
         num, _, den = value.partition("/")
-        if den:
-            if int(den) == 0:
-                raise ParseError(f"zero denominator in {value!r}")
-            return Fraction(int(num), int(den))
-        return Fraction(int(num))
+        try:
+            num, den = int(num), int(den or 1)
+        except ValueError as exc:   # past the interpreter's integer digit limit
+            raise ParseError(f"coefficient {value[:20]!r}...: {exc}") from exc
+        if den == 0:
+            raise ParseError(f"zero denominator in {value!r}")
+        return Fraction(num, den)
     raise ParseError(f"not a rational coefficient: {value!r}")
 
 
@@ -75,10 +77,6 @@ def _entry_list(doc: dict, key: str, fields: tuple[str, ...], what: str) -> list
     return entries
 
 
-def format_rational(c: Fraction) -> str:
-    return str(c)
-
-
 _PARITY_NAMES = {"even": EVEN, "odd": ODD}
 _PARITY_WORDS = {EVEN: "even", ODD: "odd"}
 
@@ -91,12 +89,31 @@ def canonical_json(doc) -> str:
     return json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
 
 
-def _load_json(text: str):
+def _unique_keys(pairs: list[tuple]) -> dict:
+    """A JSON object as a dict; a key given twice is an error, not a last win."""
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ParseError(f"duplicate key {key!r} in a JSON object")
+        doc[key] = value
+    return doc
+
+
+def _load_json(path: str):
+    """The JSON document in the file at path; malformed text is a ParseError."""
     try:
-        return json.loads(text)
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.loads(fh.read(), object_pairs_hook=_unique_keys)
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason} at byte "
+                         f"{exc.start})") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: "
                          f"{exc.msg}") from exc
+    except ParseError:
+        raise
+    except (ValueError, RecursionError) as exc:   # a huge integer, deep nesting
+        raise ParseError(f"invalid JSON: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +171,7 @@ def _value_from_doc(value, space: SuperSpace, where: str) -> list[Fraction]:
 
 
 def _value_to_doc(vec: list[Fraction], space: SuperSpace) -> list[dict]:
-    return [{"label": space.labels[k], "coeff": format_rational(c)}
+    return [{"label": space.labels[k], "coeff": str(c)}
             for k, c in enumerate(vec) if c]
 
 
@@ -200,8 +217,7 @@ def algebra_to_doc(alg: LeibnizSuperalgebra) -> dict:
 
 
 def load_algebra(path: str) -> LeibnizSuperalgebra:
-    with open(path, "r", encoding="utf-8") as fh:
-        return algebra_from_doc(_load_json(fh.read()))
+    return algebra_from_doc(_load_json(path))
 
 
 def save_algebra(alg: LeibnizSuperalgebra, path: str) -> None:
@@ -269,8 +285,7 @@ def module_to_doc(mod: SuperBimodule) -> dict:
 
 
 def load_module(path: str, alg: LeibnizSuperalgebra) -> SuperBimodule:
-    with open(path, "r", encoding="utf-8") as fh:
-        return module_from_doc(_load_json(fh.read()), alg)
+    return module_from_doc(_load_json(path), alg)
 
 
 # ---------------------------------------------------------------------------
@@ -323,8 +338,7 @@ def cochain_to_doc(f: Cochain) -> dict:
 
 def load_cochain(path: str, alg: LeibnizSuperalgebra,
                  mod: SuperBimodule) -> Cochain:
-    with open(path, "r", encoding="utf-8") as fh:
-        return cochain_from_doc(_load_json(fh.read()), alg, mod)
+    return cochain_from_doc(_load_json(path), alg, mod)
 
 
 def save_cochain(f: Cochain, path: str) -> None:
@@ -345,9 +359,13 @@ def deformation_from_doc(doc, alg: LeibnizSuperalgebra,
     terms_doc = doc.get("terms", {})
     if not isinstance(terms_doc, dict):
         raise ParseError("'terms' must map powers of t to cochain tables")
+    keys = [str(i) for i in range(1, order + 1)]
+    unknown = sorted(set(terms_doc).difference(keys))
+    if unknown:
+        raise ParseError(f"term key {unknown[0]!r} outside 1..{order}; term keys "
+                         "are decimals without leading zeros")
     terms = []
-    for i in range(1, order + 1):
-        key = str(i)
+    for key in keys:
         if key in terms_doc:
             if not isinstance(terms_doc[key], dict):
                 raise ParseError(f"term {key}: must be an object with 'entries'")
@@ -360,9 +378,6 @@ def deformation_from_doc(doc, alg: LeibnizSuperalgebra,
             terms.append(cochain_from_doc(sub, alg, mod))
         else:
             terms.append(Cochain.zero(alg, mod, 2, 0))
-    for key in terms_doc:
-        if not key.isdigit() or not 1 <= int(key) <= order:
-            raise ParseError(f"term key {key!r} outside 1..{order}")
     return TruncatedDeformation(alg, terms, mod)
 
 
@@ -377,8 +392,7 @@ def deformation_to_doc(d: TruncatedDeformation) -> dict:
 
 def load_deformation(path: str, alg: LeibnizSuperalgebra,
                      mod: SuperBimodule) -> TruncatedDeformation:
-    with open(path, "r", encoding="utf-8") as fh:
-        return deformation_from_doc(_load_json(fh.read()), alg, mod)
+    return deformation_from_doc(_load_json(path), alg, mod)
 
 
 def save_deformation(d: TruncatedDeformation, path: str) -> None:

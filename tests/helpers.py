@@ -10,7 +10,8 @@ from superleibniz.algebra import (AssociativeSuperalgebra, LeibnizSuperalgebra,
                                   adjoint_module, free_truncated,
                                   from_associative, nonlie_example, zero_module)
 from superleibniz.cochain import Cochain, all_tuples
-from superleibniz.linalg import F0, F1, basis_vec, zeros
+from superleibniz.linalg import (F0, F1, RatMatrix, basis_vec, bilinear, lin_comb,
+                                 solve, zeros)
 
 
 def matrix_1_1_associative() -> AssociativeSuperalgebra:
@@ -101,3 +102,17 @@ def random_homogeneous_vector(space: SuperSpace, parity: int,
     if idxs and all(not v[i] for i in idxs):
         v[rng.choice(idxs)] = F1
     return v
+
+
+def transport(table, cols: list[list[Fraction]]):
+    """Structure constants table[i][j] of a bilinear map, rewritten in the
+    basis f_i = sum_k cols[i][k] e_k; cols must be an invertible matrix.
+
+    Returns the new table and the old basis in new coordinates (row c
+    holds e_c in the f basis), which carries linear maps across too.
+    """
+    dim = len(cols)
+    change = RatMatrix.from_rows([list(r) for r in zip(*cols)])
+    coords = [solve(change, basis_vec(dim, c)) for c in range(dim)]
+    return [[lin_comb(coords, bilinear(table, u, v, dim), dim) for v in cols]
+            for u in cols], coords

@@ -15,8 +15,16 @@
   bracket_in_slot_i it is the rejected reading where the substituted
   bracket lands in the deleted-earlier slot; kept to machine-check that
   this convention breaks the complex property.
+- the operator calculus (d_op, restrict, act_left, act_right,
+  cochain_space_module, curry, uncurry_value, cochain_eval) and
+  annihilator: the paper's proof machinery, which no library computation
+  needs; the lemma tests check it against the library's coboundary.
+  basis_cochain and identity_map build the cochains these tests start from.
 - expanded_act_right: the right action on cochains written out term by
-  term; the library derives it from d_a.
+  term; act_right derives it from d_a.
+- dense_check_axioms: the module axioms evaluated side by side with the
+  dense bilinear helper, the reference for SuperBimodule.check_axioms
+  (the Leibniz defect of the semidirect product).
 - sympy_rank: dense rank over the rationals through sympy.
 - dense_rref and the dense_* consumers built on it: column-by-column
   Gauss-Jordan elimination over every cell of a dense table, the
@@ -31,10 +39,11 @@ from fractions import Fraction
 
 import sympy
 
-from superleibniz.algebra import koszul
+from superleibniz.algebra import (EVEN, CheckReport, LeibnizSuperalgebra,
+                                  SuperBimodule, SuperSpace, koszul)
 from superleibniz.cochain import Cochain, all_tuples, tuple_index
 from superleibniz.linalg import (F1, RatMatrix, add_scaled, basis_vec, bilinear,
-                                 lin_comb, zeros)
+                                 kernel_basis, lin_comb, zeros)
 
 
 def _mu(d, i: int, u: list[Fraction], v: list[Fraction]) -> list[Fraction]:
@@ -151,7 +160,7 @@ def expanded_act_right(f: Cochain, a: list[Fraction]) -> Cochain:
     """
     alg, mod = f.algebra, f.module
     dim = alg.dim
-    pa = alg.space.vector_parity(a) or 0
+    pa = vector_parity(alg.space, a) or 0
     n = f.arity
     par = alg.space.parities
     out = Cochain.zero(alg, mod, n, (f.degree + pa) & 1)
@@ -168,7 +177,7 @@ def expanded_act_right(f: Cochain, a: list[Fraction]) -> Cochain:
                 if c:
                     w = f.value(T[:i] + (k,) + T[i + 1:])
                     add_scaled(acc, c if s > 0 else -c, w)
-        add_scaled(acc, -sgn_bracket, mod.act_left_vec(a, f.value(T)))
+        add_scaled(acc, -sgn_bracket, bilinear(mod.left, a, f.value(T), mod.dim))
         out.coeffs[tuple_index(T, dim)] = acc
     return out
 
@@ -345,3 +354,297 @@ def fraction_transform(d, iso) -> list[Cochain]:
                 add_scaled(acc, F1, lin_comb(psis[i], w, dim))
         terms.append(f)
     return terms
+
+
+# ---------------------------------------------------------------------------
+# the paper's operator calculus on cochains: d_x, the restriction f_x, the
+# bimodule structure on cochain spaces, and currying.  They are proof
+# machinery for delta(delta(f)) = 0 and the module structure, kept here as
+# the oracles of the lemma tests.
+# ---------------------------------------------------------------------------
+
+def basis_cochain(algebra: LeibnizSuperalgebra, module: SuperBimodule,
+                  t: tuple[int, ...], k: int) -> Cochain:
+    """The cochain supported at tuple t with value m_k; degree inferred."""
+    degree = (module.space.parities[k] + algebra.space.tuple_parity(t)) & 1
+    f = Cochain.zero(algebra, module, len(t), degree)
+    f.coeffs[tuple_index(t, algebra.dim)] = basis_vec(module.dim, k)
+    return f
+
+
+def identity_map(algebra: LeibnizSuperalgebra, module: SuperBimodule) -> Cochain:
+    """Identity 1-cochain; only meaningful when M has the algebra's space."""
+    if module.space != algebra.space:
+        raise ValueError("identity cochain needs module space = algebra space")
+    f = Cochain.zero(algebra, module, 1, EVEN)
+    for i in range(algebra.dim):
+        f.coeffs[i] = basis_vec(module.dim, i)
+    return f
+
+
+class MixedParityError(ValueError):
+    """Raised when an operation needs a homogeneous vector but got a mix."""
+
+
+def vector_parity(space: SuperSpace, v: list[Fraction]) -> int | None:
+    """Parity of a homogeneous vector, None for the zero vector."""
+    par = None
+    for i, c in enumerate(v):
+        if c:
+            p = space.parities[i]
+            if par is None:
+                par = p
+            elif par != p:
+                raise MixedParityError(
+                    f"vector mixes parities in space {space.name!r}")
+    return par
+
+
+def cochain_eval(f: Cochain, args: list[list[Fraction]]) -> list[Fraction]:
+    """Multilinear extension of f; arguments are arbitrary vectors."""
+    if len(args) != f.arity:
+        raise ValueError(f"expected {f.arity} arguments, got {len(args)}")
+    dim = f.algebra.dim
+    for a in args:
+        if len(a) != dim:
+            raise ValueError("argument length does not match algebra dimension")
+    out = zeros(f.module.dim)
+    supports = [[(i, c) for i, c in enumerate(a) if c] for a in args]
+    for combo in itertools.product(*supports):
+        coeff = F1
+        for _, c in combo:
+            coeff *= c
+        t = tuple(i for i, _ in combo)
+        add_scaled(out, coeff, f.value(t))
+    return out
+
+
+def _vector_parity_or_raise(space: SuperSpace, v: list[Fraction], what: str) -> int:
+    try:
+        p = vector_parity(space, v)
+    except MixedParityError:
+        raise MixedParityError(f"{what} must be homogeneous")
+    return 0 if p is None else p
+
+
+def d_op(x: list[Fraction], f: Cochain) -> Cochain:
+    """d_x f = [x, f(...)] - sum_i (-1)**(x(f+y_1+..+y_{i-1})) f(..,[x,y_i],..).
+
+    Degree of the result is degree(f) + parity(x); x must be homogeneous.
+    """
+    alg, mod = f.algebra, f.module
+    dim = alg.dim
+    px = _vector_parity_or_raise(alg.space, x, "operator argument")
+    n = f.arity
+    par = alg.space.parities
+    out = Cochain.zero(alg, mod, n, (f.degree + px) & 1)
+    # bracket of x with each basis element, precomputed per column
+    bcols = [alg.bracket_vec(x, basis_vec(dim, t)) for t in range(dim)]
+    for T in all_tuples(dim, n):
+        acc = bilinear(mod.left, x, f.value(T), mod.dim)
+        run = f.degree
+        for i in range(n):
+            e = px * run
+            run += par[T[i]]
+            s = -1 if e & 1 else 1
+            bv = bcols[T[i]]
+            for k, c in enumerate(bv):
+                if c:
+                    w = f.value(T[:i] + (k,) + T[i + 1:])
+                    add_scaled(acc, -c if s > 0 else c, w)
+        out.coeffs[tuple_index(T, dim)] = acc
+    return out
+
+
+def restrict(f: Cochain, x: list[Fraction]) -> Cochain:
+    """f_x(y_1,..,y_n) = f(x, y_1,..,y_n); degree(f_x) = degree(f) + parity(x)."""
+    if f.arity < 1:
+        raise ValueError("cannot restrict an arity-0 cochain")
+    alg = f.algebra
+    dim = alg.dim
+    px = _vector_parity_or_raise(alg.space, x, "restriction argument")
+    n = f.arity - 1
+    return Cochain(alg, f.module, n, (f.degree + px) & 1,
+                   [lin_comb([f.value((m,) + T) for m in range(dim)], x, f.module.dim)
+                    for T in all_tuples(dim, n)])
+
+
+def act_left(a: list[Fraction], f: Cochain) -> Cochain:
+    """Left action of the algebra on cochains: [a, f] = d_a f."""
+    return d_op(a, f)
+
+
+def act_right(f: Cochain, a: list[Fraction]) -> Cochain:
+    """Right action: [f, a] = -(-1)**(af) d_a f.
+
+    The Koszul factor is exactly what makes the cochain space a bimodule
+    over the algebra; dropping it breaks the mixed module axioms whenever
+    both a and f are odd.
+    """
+    pa = _vector_parity_or_raise(f.algebra.space, a, "operator argument")
+    return d_op(a, f).scale(-koszul(pa, f.degree))
+
+
+def cochain_space_module(alg: LeibnizSuperalgebra, mod: SuperBimodule,
+                         arity: int) -> SuperBimodule:
+    """The space of arity-n cochains as a bimodule over the algebra.
+
+    Basis: all (tuple, module index) pairs in lexicographic order; the
+    parity of a basis cochain is its degree.  The actions are the operator
+    actions, tabulated on this basis.
+    """
+    dim = alg.dim
+    pairs = [(t, k) for t in all_tuples(dim, arity) for k in range(mod.dim)]
+    pos = {p: i for i, p in enumerate(pairs)}
+    labels = []
+    parities = []
+    asp, msp = alg.space, mod.space
+    for t, k in pairs:
+        args = ",".join(asp.labels[i] for i in t)
+        labels.append(f"({args})->{msp.labels[k]}")
+        parities.append((msp.parities[k] + asp.tuple_parity(t)) & 1)
+    space = SuperSpace(f"C{arity}({asp.name};{msp.name})",
+                       tuple(labels), tuple(parities))
+
+    def coords(g: Cochain) -> list[Fraction]:
+        return [g.value(t)[k] for t, k in pairs]
+
+    left = []
+    for i in range(dim):
+        ei = basis_vec(dim, i)
+        row = []
+        for t, k in pairs:
+            g = basis_cochain(alg, mod, t, k)
+            row.append(coords(d_op(ei, g)))
+        left.append(row)
+    right = []
+    for t, k in pairs:
+        g = basis_cochain(alg, mod, t, k)
+        row = []
+        for i in range(dim):
+            ei = basis_vec(dim, i)
+            row.append(coords(act_right(g, ei)))
+        right.append(row)
+    bim = SuperBimodule(alg, space, left, right)
+    # stash the enumeration so curry() and tests can reindex without redoing it
+    bim.cochain_pairs = pairs
+    bim.cochain_pos = pos
+    bim.value_module = mod
+    return bim
+
+
+def curry(f: Cochain, j: int) -> Cochain:
+    """Reindex f of arity n as a j-cochain valued in the (n-j)-cochain module.
+
+    f_j(a_1,..,a_j)(a_{j+1},..,a_n) = f(a_1,..,a_n); j = 0 and j = n give
+    back f itself up to reindexing.
+    """
+    n = f.arity
+    if not 0 <= j <= n:
+        raise ValueError(f"curry level {j} out of range 0..{n}")
+    alg, mod = f.algebra, f.module
+    dim = alg.dim
+    target = cochain_space_module(alg, mod, n - j)
+    pairs = target.cochain_pairs
+    out = Cochain.zero(alg, target, j, f.degree)
+    for T in all_tuples(dim, j):
+        out.coeffs[tuple_index(T, dim)] = [f.value(T + t)[k] for t, k in pairs]
+    return out
+
+
+def uncurry_value(target: SuperBimodule, v: list[Fraction]) -> Cochain:
+    """Reconstruct an ordinary cochain from a vector in a cochain module."""
+    pairs = target.cochain_pairs
+    mod = target.value_module
+    alg = target.algebra
+    arity = len(pairs[0][0]) if pairs else 0
+    degree = None
+    for c, (t, k) in zip(v, pairs):
+        if c:
+            p = (mod.space.parities[k] + alg.space.tuple_parity(t)) & 1
+            if degree is None:
+                degree = p
+            elif degree != p:
+                raise MixedParityError("vector mixes cochain degrees")
+    g = Cochain.zero(alg, mod, arity, EVEN if degree is None else degree)
+    for c, (t, k) in zip(v, pairs):
+        if c:
+            g.coeffs[tuple_index(t, alg.dim)][k] += c
+    return g
+
+
+def annihilator(alg: LeibnizSuperalgebra, mod: SuperBimodule) -> list[list[Fraction]]:
+    """Basis of {m in M_0 : [m, x] = 0 for all x}, as full module vectors.
+
+    Computed by a direct scan of the right-action table, independently of
+    the coboundary matrix (whose parity-0 kernel it must equal).
+    """
+    msp = mod.space
+    even = [k for k in range(mod.dim) if msp.parities[k] == 0]
+    if not even:
+        return []
+    rows = []
+    for i in range(alg.dim):
+        for t in range(mod.dim):
+            rows.append([mod.right[k][i][t] for k in even])
+    mat = (RatMatrix.from_rows(rows) if rows
+           else RatMatrix.zeros(0, len(even)))
+    ker = kernel_basis(mat)
+    out = []
+    for v in ker:
+        full = zeros(mod.dim)
+        for c, k in zip(v, even):
+            full[k] = c
+        out.append(full)
+    return out
+
+
+def dense_check_axioms(mod: SuperBimodule) -> CheckReport:
+    """The three module axioms, each side evaluated with the dense bilinear
+    helper on basis triples; the reference for SuperBimodule.check_axioms,
+    which reads them off the Leibniz defect of the semidirect product.
+
+    1. [[a,b],m] = [a,[b,m]] - (-1)**(ab) [b,[a,m]]
+    2. [[a,m],b] = [a,[m,b]] - (-1)**(am) [m,[a,b]]
+    3. [[m,a],b] = [m,[a,b]] - (-1)**(ma) [a,[m,b]]
+    """
+    alg = mod.algebra
+    asp, msp = alg.space, mod.space
+    da, dm = alg.dim, mod.dim
+    bad = []
+
+    def act_left_vec(a, m):
+        return bilinear(mod.left, a, m, dm)
+
+    def act_right_vec(m, a):
+        return bilinear(mod.right, m, a, dm)
+
+    def compare(axiom, triple, lhs, rhs):
+        if lhs != rhs:
+            bad.append({"axiom": axiom, "triple": triple,
+                        "defect": msp.describe([x - y for x, y in zip(lhs, rhs)])})
+
+    for i, j in itertools.product(range(da), repeat=2):
+        br = alg.bracket(i, j)
+        ei = basis_vec(da, i)
+        ej = basis_vec(da, j)
+        pi, pj = asp.parities[i], asp.parities[j]
+        for k in range(dm):
+            mk = basis_vec(dm, k)
+            pk = msp.parities[k]
+            # axiom 1
+            lhs = act_left_vec(br, mk)
+            rhs = act_left_vec(ei, act_left_vec(ej, mk))
+            add_scaled(rhs, -koszul(pi, pj), act_left_vec(ej, act_left_vec(ei, mk)))
+            compare(1, (asp.labels[i], asp.labels[j], msp.labels[k]), lhs, rhs)
+            # axiom 2: a = e_i, m = m_k, b = e_j
+            lhs = act_right_vec(act_left_vec(ei, mk), ej)
+            rhs = act_left_vec(ei, act_right_vec(mk, ej))
+            add_scaled(rhs, -koszul(pi, pk), act_right_vec(mk, br))
+            compare(2, (asp.labels[i], msp.labels[k], asp.labels[j]), lhs, rhs)
+            # axiom 3: m = m_k, a = e_i, b = e_j
+            lhs = act_right_vec(act_right_vec(mk, ei), ej)
+            rhs = act_right_vec(mk, br)
+            add_scaled(rhs, -koszul(pk, pi), act_left_vec(ei, act_right_vec(mk, ej)))
+            compare(3, (msp.labels[k], asp.labels[i], asp.labels[j]), lhs, rhs)
+    return CheckReport(not bad, bad)

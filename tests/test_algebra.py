@@ -5,12 +5,14 @@ from fractions import Fraction
 import pytest
 
 from helpers import (corner_projection_algebra, matrix_1_1_associative,
-                     standard_fixtures, upper_triangular_associative)
-from oracles import fraction_leibniz_defect
-from superleibniz.algebra import (LeibnizSuperalgebra, SuperSpace, abelian,
-                                  adjoint_module, free_truncated,
+                     modules_for, standard_fixtures,
+                     upper_triangular_associative)
+from oracles import (cochain_space_module, dense_check_axioms,
+                     fraction_leibniz_defect, vector_parity)
+from superleibniz.algebra import (LeibnizSuperalgebra, SuperBimodule, SuperSpace,
+                                  abelian, adjoint_module, free_truncated,
                                   from_associative, nonlie_example, zero_module)
-from superleibniz.linalg import F0, F1, basis_vec, zeros
+from superleibniz.linalg import F0, F1, basis_vec, bilinear, zeros
 
 F = Fraction
 
@@ -125,7 +127,7 @@ def test_adjoint_module_matches_bracket():
     M = adjoint_module(L)
     assert M.check_grading().ok
     assert M.check_axioms().ok
-    assert M.act_left_vec(basis_vec(3, 1), basis_vec(3, 0)) == basis_vec(3, 0)
+    assert bilinear(M.left, basis_vec(3, 1), basis_vec(3, 0), M.dim) == basis_vec(3, 0)
 
 
 def test_adjoint_module_for_all_fixtures():
@@ -181,6 +183,40 @@ def test_negated_left_action_fails_axioms():
     M2.left = [[[-c for c in v] for v in row] for row in M2.left]
     rep2 = M2.check_axioms()
     assert any(v["axiom"] == 1 for v in rep2.violations)
+
+
+def _axiom_test_modules():
+    """Every standard fixture with each of its modules, the same modules
+    with a negated left action and with one perturbed right entry, and
+    cochain-space modules."""
+    out = []
+    for L in standard_fixtures():
+        for M in modules_for(L):
+            out.append(M)
+            neg = SuperBimodule(L, M.space, [[[-c for c in v] for v in row]
+                                             for row in M.left], M.right)
+            right = [[list(v) for v in row] for row in M.right]
+            right[-1][0][-1] += F(-3, 7)
+            out += [neg, SuperBimodule(L, M.space, M.left, right)]
+    nonlie = nonlie_example()
+    odd = free_truncated(SuperSpace("V", ("v",), (1,)), 3)
+    out += [cochain_space_module(nonlie, adjoint_module(nonlie), 1),
+            cochain_space_module(nonlie, adjoint_module(nonlie), 2),
+            cochain_space_module(odd, zero_module(odd), 1)]
+    return out
+
+
+def test_check_axioms_matches_dense_oracle():
+    # the semidirect-product Leibniz defect reports what the side-by-side
+    # evaluation reports: same flag, same violations, same order
+    modules = _axiom_test_modules()
+    failing = 0
+    for M in modules:
+        got, want = M.check_axioms(), dense_check_axioms(M)
+        assert got.ok == want.ok
+        assert got.violations == want.violations
+        failing += not want.ok
+    assert len(modules) == 39 and failing == 15
 
 
 def test_from_associative_identity_gives_lie():
@@ -274,10 +310,10 @@ def test_free_truncated_two_generators_passes():
 def test_vector_parity():
     L = nonlie_example()
     sp = L.space
-    assert sp.vector_parity(zeros(3)) is None
-    assert sp.vector_parity(basis_vec(3, 2)) == 1
+    assert vector_parity(sp, zeros(3)) is None
+    assert vector_parity(sp, basis_vec(3, 2)) == 1
     with pytest.raises(ValueError):
-        sp.vector_parity([F1, F0, F1])
+        vector_parity(sp, [F1, F0, F1])
 
 
 def graded_jacobi_defect(L, i, j, k):

@@ -351,3 +351,76 @@ def test_internal_error_has_its_own_exit_code(monkeypatch):
     assert out == ""
     assert err.startswith("internal error: ")
     assert "sign conventions broken" in err and "Traceback" in err
+
+
+def test_library_value_error_is_an_internal_error(monkeypatch):
+    # only ParseError, ArityCapError and OSError are usage errors; any other
+    # ValueError from the library is a bug, not a property of the input
+    import superleibniz.cli as cli
+
+    def broken(*args, **kwargs):
+        raise ValueError("a broken library invariant")
+
+    monkeypatch.setattr(cli, "check_deformation", broken)
+    code, out, err = run(["deform", "check", ALG, "--deformation", DEFORM_BAD])
+    assert code == cli.EXIT_INTERNAL == 3 and out == ""
+    assert err.startswith("internal error: ValueError: a broken library invariant")
+
+
+def test_non_utf8_file_is_a_usage_error(tmp_path):
+    p = tmp_path / "latin1.json"
+    p.write_bytes('{"name": "café", "basis": []}'.encode("latin-1"))
+    code, out, err = run(["validate", str(p)])
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "latin1.json" in err
+
+
+@pytest.mark.parametrize("order", ["0", "-1"])
+def test_deform_extend_order_below_one_is_a_usage_error(order):
+    code, out, err = run(["deform", "extend", ALG, "--deformation", DEFORM_BAD,
+                          "--order", order])
+    assert code == 2 and out == ""
+    assert f"--order {order} is outside 1..2" in err
+
+
+def test_deform_equiv_of_unequal_orders_is_a_usage_error():
+    code, out, err = run(["deform", "equiv", ALG, "--deformation", DEFORM_BAD,
+                          "--deformation", DEFORM_ZERO])
+    assert code == 2 and out == ""
+    assert "orders 1 and 2" in err
+
+
+def test_deform_check_rejects_a_zero_padded_term_key(tmp_path):
+    # keyed "01" the failing term used to be read as zero: exit 0, "pass"
+    doc = json.loads(pathlib.Path(DEFORM_BAD).read_text())
+    doc["terms"] = {"01": doc["terms"]["1"]}
+    p = tmp_path / "padded.json"
+    p.write_text(json.dumps(doc))
+    code, out, err = run(["deform", "check", ALG, "--deformation", str(p)])
+    assert code == 2 and out == ""
+    assert "term key '01'" in err
+
+
+def test_deform_check_rejects_a_duplicate_term_key(tmp_path):
+    # with the last duplicate winning, the zero term hid the failing one
+    term = json.dumps(json.loads(pathlib.Path(DEFORM_BAD).read_text())["terms"]["1"])
+    p = tmp_path / "dup.json"
+    p.write_text('{"order": 1, "terms": {"1": ' + term + ', "1": {"entries": []}}}')
+    code, out, err = run(["deform", "check", ALG, "--deformation", str(p)])
+    assert code == 2 and out == ""
+    assert "duplicate key '1'" in err
+
+
+def test_module_axiom_message_is_the_first_violation(tmp_path):
+    from oracles import dense_check_axioms
+    from superleibniz.algebra import adjoint_module
+    from superleibniz.fileio import module_to_doc
+    alg = load_algebra(ALG)
+    mod = adjoint_module(alg)
+    mod.left = [[[-c for c in v] for v in row] for row in mod.left]
+    p = tmp_path / "badmod.json"
+    p.write_text(canonical_json(module_to_doc(mod)))
+    code, _, err = run(["cohomology", ALG, "--module", str(p)])
+    first = dense_check_axioms(mod).violations[0]
+    assert code == 2
+    assert err == f"error: module file {str(p)!r} violates the module axioms: {first}\n"

@@ -7,16 +7,17 @@ from fractions import Fraction
 import pytest
 
 from helpers import modules_for, random_cochain, standard_fixtures
-from oracles import dense_delta, sympy_rank
+from oracles import (annihilator, basis_cochain, cochain_eval, dense_delta,
+                     identity_map, sympy_rank)
 from superleibniz.algebra import (SuperSpace, abelian, adjoint_module, free_truncated,
                                   nonlie_example, zero_module)
 from superleibniz.cochain import Cochain, delta
-from superleibniz.cohomology import (ArityCapError, annihilator, cochain_coords,
+from superleibniz.cohomology import (ArityCapError, cochain_coords,
                                      cohomology_table, delta_matrix, derivations,
                                      enumerate_basis, inner_derivations,
                                      is_coboundary)
-from superleibniz.linalg import (RatMatrix, basis_vec, kernel_basis, rank,
-                                 row_space_basis)
+from superleibniz.linalg import (RatMatrix, basis_vec, bilinear, kernel_basis,
+                                 rank, row_space_basis)
 
 F = Fraction
 
@@ -89,7 +90,7 @@ def test_matrix_path_equals_operator_path():
                     mat = delta_matrix(L, M, n, parity)
                     assert (mat.rows, mat.cols) == (len(enum_n1), len(enum_n))
                     assert mat.transpose().entries == [
-                        cochain_coords(dense_delta(Cochain.basis_cochain(L, M, t, k)),
+                        cochain_coords(dense_delta(basis_cochain(L, M, t, k)),
                                        enum_n1)
                         for t, k in enum_n]
                     for _ in range(3):
@@ -231,11 +232,11 @@ def test_derivations_satisfy_the_cocycle_equation():
             for f in derivations(L, M, parity):
                 for i, j in itertools.product(range(L.dim), repeat=2):
                     ei, ej = basis_vec(L.dim, i), basis_vec(L.dim, j)
-                    val = [-c for c in f.eval([L.bracket(i, j)])]
+                    val = [-c for c in cochain_eval(f, [L.bracket(i, j)])]
                     pa = L.space.parities[i]
-                    step = M.act_left_vec(ei, f.eval([ej]))
+                    step = bilinear(M.left, ei, cochain_eval(f, [ej]), M.dim)
                     val = [v + koszul(pa, parity) * s for v, s in zip(val, step)]
-                    step = M.act_right_vec(f.eval([ei]), ej)
+                    step = bilinear(M.right, cochain_eval(f, [ei]), ej, M.dim)
                     val = [v + s for v, s in zip(val, step)]
                     assert not any(val)
 
@@ -243,11 +244,11 @@ def test_derivations_satisfy_the_cocycle_equation():
 def test_identity_cochain_derivation_iff_abelian():
     L = nonlie_example()
     M = adjoint_module(L)
-    ident = Cochain.identity_map(L, M)
+    ident = identity_map(L, M)
     assert not delta(ident).is_zero()
     A = abelian(1, 1)
     MA = adjoint_module(A)
-    assert delta(Cochain.identity_map(A, MA)).is_zero()
+    assert delta(identity_map(A, MA)).is_zero()
 
 
 def test_abelian_derivations_are_everything():

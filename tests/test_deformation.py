@@ -5,18 +5,19 @@ from fractions import Fraction
 import pytest
 
 from helpers import random_cochain, standard_fixtures
-from oracles import (bruteforce_deformation_failures, fraction_residual,
-                     fraction_transform)
+from oracles import (bruteforce_deformation_failures, cochain_eval,
+                     fraction_residual, fraction_transform)
 from superleibniz.algebra import abelian, adjoint_module, nonlie_example
 from superleibniz.cochain import Cochain, all_tuples, delta, tuple_index
 from superleibniz.cohomology import (cochain_coords, cochain_from_coords,
-                                     delta_matrix, enumerate_basis)
+                                     cohomology_table, delta_matrix,
+                                     enumerate_basis)
 from superleibniz.deformation import (ExtensionUndefined, FormalIsomorphism,
                                       TruncatedDeformation, check_deformation,
                                       deformation_residual, equivalent_deformations,
                                       extend_deformation, infinitesimal,
                                       infinitesimal_relation, transform)
-from superleibniz.linalg import F0, F1, basis_vec
+from superleibniz.linalg import F0, F1, basis_vec, bilinear
 
 F = Fraction
 
@@ -218,6 +219,62 @@ def test_strict_checker_agrees_with_oracle_on_fractional_jets():
     assert check_deformation(d, mod_order=True).ok and first > d.order
 
 
+def test_strict_check_scales_the_terms_once_per_check(monkeypatch):
+    # one mu_ints per check, whether it runs all 2N orders or stops at the
+    # first failing one
+    calls = []
+    original = TruncatedDeformation.mu_ints
+
+    def counted(self):
+        calls.append(self.order)
+        return original(self)
+
+    monkeypatch.setattr(TruncatedDeformation, "mu_ints", counted)
+    L, M = nonlie_setup()
+    failing = TruncatedDeformation(L, [Cochain.zero(L, M, 2, 0), mu_zz_x(L, M)], M)
+    for d, ok in ((TruncatedDeformation.zero(L, 3, M), True), (failing, False)):
+        calls.clear()
+        rep = check_deformation(d)
+        assert rep.ok is ok and calls == [d.order]
+    assert {v["order"] for v in rep.violations} == {2}
+
+
+@pytest.mark.parametrize("L", standard_fixtures(), ids=lambda L: L.space.name)
+def test_reported_defects_match_fraction_reference_on_fractional_jets(L):
+    # the strict check builds Fractions only for the defects it reports;
+    # they are the exact residual entries, in triple order
+    rng = random.Random(15)
+    M = adjoint_module(L)
+    sp = L.space
+    zero = TruncatedDeformation.zero(L, 3, M)
+    jet = fractional_deformation(L, M, 3, rng)
+    for d in (jet, transform(zero, fractional_iso(L, M, 3, rng))):
+        rep = check_deformation(d)
+        if d is jet:
+            assert not rep.ok
+        if rep.ok:
+            continue
+        res = fraction_residual(d, rep.violations[0]["order"])
+        assert [(v["triple"], v["defect"]) for v in rep.violations] == [
+            (tuple(sp.labels[i] for i in t), sp.describe(res.value(t)))
+            for t in all_tuples(L.dim, 3) if any(res.value(t))]
+
+
+def test_extend_rejects_a_term_that_leaves_the_residual(monkeypatch):
+    # the post-solve check on the int residual turns a wrong solution into
+    # an AssertionError (exit 3 in the CLI), never into a result
+    import superleibniz.deformation as deformation
+    L, M = nonlie_setup()
+    mu1 = cohomology_table(L, M, 2, with_bases=True).entry(2, 0).basis_z[0]
+    d = TruncatedDeformation(L, [mu1], M)
+    assert not deformation_residual(d, 2).is_zero()
+    assert extend_deformation(d, 2) is not None
+    monkeypatch.setattr(deformation, "is_coboundary",
+                        lambda f, max_arity: Cochain.zero(L, M, 2, 0))
+    with pytest.raises(AssertionError, match="sign conventions broken"):
+        extend_deformation(d, 2)
+
+
 def test_strict_vs_jet_reading_of_truncated_transforms():
     # a transform of the zero deformation is exact only as a jet: the
     # strict reading sees the discarded tail through orders N+1..2N
@@ -377,9 +434,11 @@ def test_transform_order1_formula():
         assert t.terms[0].coeffs == expect.coeffs
         for i, j in itertools.product(range(3), repeat=2):
             ei, ej = basis_vec(3, i), basis_vec(3, j)
-            manual = psi1.eval([L.bracket(i, j)])
-            manual = [m - c for m, c in zip(manual, M.act_right_vec(psi1.eval([ei]), ej))]
-            manual = [m - c for m, c in zip(manual, M.act_left_vec(ei, psi1.eval([ej])))]
+            manual = cochain_eval(psi1, [L.bracket(i, j)])
+            step = bilinear(M.right, cochain_eval(psi1, [ei]), ej, M.dim)
+            manual = [m - c for m, c in zip(manual, step)]
+            step = bilinear(M.left, ei, cochain_eval(psi1, [ej]), M.dim)
+            manual = [m - c for m, c in zip(manual, step)]
             assert t.terms[0].value((i, j)) == manual
 
 

@@ -1,5 +1,6 @@
 import json
 import pathlib
+import re
 from fractions import Fraction
 
 import pytest
@@ -11,7 +12,8 @@ from superleibniz.deformation import TruncatedDeformation
 from superleibniz.fileio import (ParseError, algebra_from_doc, algebra_to_doc,
                                  canonical_json, cochain_from_doc, cochain_to_doc,
                                  deformation_from_doc, deformation_to_doc,
-                                 load_algebra, module_from_doc, module_to_doc,
+                                 load_algebra, load_cochain, load_deformation,
+                                 load_module, module_from_doc, module_to_doc,
                                  parse_rational, save_algebra)
 from superleibniz.linalg import basis_vec
 
@@ -175,6 +177,19 @@ def test_deformation_bad_keys_rejected():
         deformation_from_doc({"order": -1, "terms": {}}, L, M)
 
 
+@pytest.mark.parametrize("key", ["01", "+1", " 1", "1 ", "1.0", "\u0661", "0", ""])
+def test_deformation_term_keys_must_be_canonical_decimals(key):
+    # int() accepts most of these, but the loader reads term i under str(i)
+    # only, so such a term would silently be read as zero
+    L = nonlie_example()
+    M = adjoint_module(L)
+    term = json.loads((GOLDEN / "deform_zz_to_x.json").read_text())["terms"]["1"]
+    assert (deformation_from_doc({"order": 1, "terms": {"1": term}}, L, M)
+            != TruncatedDeformation.zero(L, 1, M))
+    with pytest.raises(ParseError, match=re.escape(f"term key {key!r}")):
+        deformation_from_doc({"order": 1, "terms": {key: term}}, L, M)
+
+
 def test_deformation_boolean_order_rejected():
     L = nonlie_example()
     M = adjoint_module(L)
@@ -199,6 +214,58 @@ def test_unknown_top_level_key_rejected(kind):
     doc["extra"] = 1
     with pytest.raises(ParseError, match=f"unknown key.*'extra'.*{kind}"):
         parse(doc)
+
+
+@pytest.mark.parametrize("kind", ["algebra", "module", "cochain", "deformation"])
+def test_duplicate_object_keys_rejected(tmp_path, kind):
+    # json.loads alone lets the last duplicate win silently
+    L = nonlie_example()
+    M = adjoint_module(L)
+    zz = json.loads((GOLDEN / "deform_zz_to_x.json").read_text())["terms"]["1"]
+    dump = json.dumps
+    texts = {
+        "algebra": (dump(algebra_to_doc(L))[:-1] + ', "brackets": []}',
+                    "brackets", load_algebra),
+        "module": (dump(module_to_doc(M))[:-1] + ', "left": []}',
+                   "left", lambda path: load_module(path, L)),
+        "cochain": ('{"arity": 2, "degree": "even", "entries": [{"args": ["z", "z"], '
+                    '"value": [{"label": "x", "coeff": "1", "coeff": "2"}]}]}',
+                    "coeff", lambda path: load_cochain(path, L, M)),
+        "deformation": ('{"order": 1, "terms": {"1": ' + dump(zz)
+                        + ', "1": {"entries": []}}}',
+                        "1", lambda path: load_deformation(path, L, M)),
+    }
+    text, key, load = texts[kind]
+    p = tmp_path / "doc.json"
+    p.write_text(text)
+    with pytest.raises(ParseError, match=f"duplicate key {key!r}"):
+        load(str(p))
+
+
+def test_non_utf8_file_is_a_parse_error_naming_the_file(tmp_path):
+    p = tmp_path / "latin1.json"
+    p.write_bytes('{"name": "caf\u00e9", "basis": []}'.encode("latin-1"))
+    with pytest.raises(ParseError, match="latin1.json: not UTF-8"):
+        load_algebra(str(p))
+
+
+def test_integers_past_the_digit_limit_are_parse_errors(tmp_path):
+    big = "1" * 5000
+    with pytest.raises(ParseError, match="coefficient"):
+        parse_rational(big)
+    with pytest.raises(ParseError, match="coefficient"):
+        parse_rational("1/" + big)
+    p = tmp_path / "big.json"
+    p.write_text('{"arity": ' + big + '}')
+    with pytest.raises(ParseError, match="invalid JSON"):
+        load_cochain(str(p), nonlie_example(), adjoint_module(nonlie_example()))
+
+
+def test_deeply_nested_json_is_a_parse_error(tmp_path):
+    p = tmp_path / "deep.json"
+    p.write_text("[" * 100000 + "]" * 100000)
+    with pytest.raises(ParseError, match="invalid JSON"):
+        load_algebra(str(p))
 
 
 def test_save_algebra_writes_canonical_bytes(tmp_path):

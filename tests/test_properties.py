@@ -1,0 +1,194 @@
+"""Property tests: basis independence of cohomology, delta(delta(f)) = 0 on
+random algebras, and the CLI's exit codes on random and mutated documents.
+
+Hypothesis runs derandomized with a bounded number of examples and no
+example database, so every run checks the same cases.
+"""
+
+import copy
+import json
+import random
+from fractions import Fraction
+
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from helpers import (matrix_1_1_associative, random_cochain, standard_fixtures,
+                     transport, upper_triangular_associative)
+from test_cli import ALG, GOLDEN, run
+from superleibniz.algebra import (AssociativeSuperalgebra, LeibnizSuperalgebra,
+                                  SuperSpace, adjoint_module, free_truncated,
+                                  from_associative, nonlie_example, zero_module)
+from superleibniz.cochain import delta
+from superleibniz.cohomology import cohomology_table
+from superleibniz.fileio import module_to_doc
+from superleibniz.linalg import F0, RatMatrix, basis_vec, lin_comb, rank, zeros
+
+PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=100)
+
+FIXTURES = standard_fixtures()
+
+
+@st.composite
+def basis_changes(draw, parities):
+    """An invertible matrix of image columns that maps each basis vector
+    into the span of the basis vectors of its own parity."""
+    dim = len(parities)
+    cols = [[Fraction(draw(st.integers(-2, 2))) if parities[k] == parities[i] else F0
+             for k in range(dim)] for i in range(dim)]
+    assume(rank(RatMatrix.from_rows(cols)) == dim)
+    return cols
+
+
+def _dims(alg, mod):
+    table = cohomology_table(alg, mod, 2)
+    return [(e.dim_z, e.dim_b, e.dim_h) for _, e in sorted(table.entries.items())]
+
+
+@PROPERTY
+@given(st.data())
+def test_cohomology_dimensions_do_not_depend_on_the_basis(data):
+    alg = data.draw(st.sampled_from(FIXTURES))
+    cols = data.draw(basis_changes(alg.space.parities))
+    table, _ = transport(alg.table, cols)
+    moved = LeibnizSuperalgebra(alg.space, table)
+    assert moved.check_grading().ok and moved.check_leibniz().ok
+    for module in (adjoint_module, zero_module):
+        assert _dims(moved, module(moved)) == _dims(alg, module(alg))
+
+
+def _delta_squared_vanishes(data, alg):
+    mod = data.draw(st.sampled_from((adjoint_module(alg), zero_module(alg))))
+    n = data.draw(st.integers(0, 2))
+    f = random_cochain(alg, mod, n, data.draw(st.integers(0, 1)),
+                       random.Random(data.draw(st.integers(0, 2 ** 16))))
+    assert delta(delta(f)).is_zero()
+
+
+@PROPERTY
+@given(st.data())
+def test_delta_squared_vanishes_on_random_free_truncated_algebras(data):
+    parities = data.draw(st.lists(st.integers(0, 1), min_size=1, max_size=2))
+    depth = data.draw(st.integers(1, 3 if len(parities) == 1 else 2))
+    labels = tuple(f"g{i}" for i in range(len(parities)))
+    alg = free_truncated(SuperSpace("V", labels, tuple(parities)), depth)
+    _delta_squared_vanishes(data, alg)
+
+
+# associative superalgebras with maps T satisfying T(a(Tb)) = (Ta)(Tb) = T((Ta)b);
+# c*T satisfies them too, and so does T carried to another basis
+def _projection(dim, kept):
+    return [basis_vec(dim, j) if j in kept else zeros(dim) for j in range(dim)]
+
+
+AVERAGING = ([(matrix_1_1_associative(), kept)
+              for kept in ((0, 1, 2, 3), (0,), (1,), (0, 1))]
+             + [(upper_triangular_associative(), kept)
+                for kept in ((0, 1, 2), (0,), (1,))])
+
+
+@PROPERTY
+@given(st.data())
+def test_delta_squared_vanishes_on_random_from_associative_algebras(data):
+    assoc, kept = data.draw(st.sampled_from(AVERAGING))
+    dim = assoc.dim
+    c = Fraction(data.draw(st.sampled_from((1, -1, 2, 3))),
+                 data.draw(st.sampled_from((1, 2))))
+    cols = data.draw(basis_changes(assoc.space.parities))
+    table, coords = transport(assoc.table, cols)
+    t_map = _projection(dim, kept)
+    # c*T carried to the new basis: f_j -> c*T(f_j) in f coordinates
+    t_map = [lin_comb(coords, [c * x for x in lin_comb(t_map, col, dim)], dim)
+             for col in cols]
+    alg = from_associative(AssociativeSuperalgebra(assoc.space, table), t_map)
+    _delta_squared_vanishes(data, alg)
+
+
+# -- the CLI on random and mutated documents -----------------------------------
+
+def _golden(name):
+    return json.loads((GOLDEN / name).read_text())
+
+
+DOCUMENTS = {
+    "algebra": [_golden("nonlie3.json"), _golden("abelian11.json")],
+    "module": [module_to_doc(adjoint_module(nonlie_example())),
+               module_to_doc(zero_module(nonlie_example()))],
+    "cochain": [_golden("cocycle_h.json"), _golden("noncocycle.json")],
+    "deformation": [_golden("deform_zz_to_x.json"), _golden("deform_trivial2.json")],
+}
+
+VERBS = {
+    "algebra": [["validate", "{}"], ["cohomology", "{}", "--max-n", "1"]],
+    "module": [["cohomology", ALG, "--module", "{}", "--max-n", "1"]],
+    "cochain": [["extend", ALG, "--cocycle", "{}"]],
+    "deformation": [["deform", "check", ALG, "--deformation", "{}"],
+                    ["deform", "extend", ALG, "--deformation", "{}"]],
+}
+
+KEYS = ["name", "basis", "label", "parity", "brackets", "left", "right", "value",
+        "coeff", "arity", "degree", "entries", "args", "order", "terms", "1", "2",
+        "01", "extra"]
+
+# Integers stay small: arity and order size the tables the loader allocates.
+LEAVES = st.one_of(st.none(), st.booleans(), st.integers(-3, 5),
+                   st.sampled_from([0.5, 2.0]),
+                   st.sampled_from(["x", "y", "z", "even", "odd", "1", "-1/2", "1/0",
+                                    "2.5", "", "01", "a0", "b0"]))
+VALUES = st.recursive(LEAVES, lambda kids: st.one_of(
+    st.lists(kids, max_size=3), st.dictionaries(st.sampled_from(KEYS), kids, max_size=3)),
+    max_leaves=8)
+
+
+def _mutate(draw, node):
+    """node with one random change at a random depth: a value replaced, or
+    a member of an object or list deleted or added."""
+    if isinstance(node, (dict, list)) and node and draw(st.booleans()):
+        key = draw(st.sampled_from(list(node) if isinstance(node, dict)
+                                   else range(len(node))))
+        node[key] = _mutate(draw, node[key])
+        return node
+    action = draw(st.sampled_from(("replace", "delete", "add")))
+    if action == "replace" or not isinstance(node, (dict, list)):
+        return draw(VALUES)
+    if action == "delete" and node:
+        key = draw(st.sampled_from(list(node) if isinstance(node, dict)
+                                   else range(len(node))))
+        del node[key]
+    elif isinstance(node, dict):
+        node[draw(st.sampled_from(KEYS))] = draw(VALUES)
+    else:
+        node.append(draw(VALUES))
+    return node
+
+
+@st.composite
+def documents(draw, kind):
+    """Bytes of a random document, or of a canonical one with a few random
+    changes, sometimes with a few bytes spliced in as well."""
+    if draw(st.integers(0, 4)) == 0:
+        doc = draw(VALUES)
+    else:
+        doc = copy.deepcopy(draw(st.sampled_from(DOCUMENTS[kind])))
+        for _ in range(draw(st.integers(1, 3))):
+            doc = _mutate(draw, doc)
+    text = json.dumps(doc).encode()
+    if draw(st.integers(0, 4)) == 0:
+        at = draw(st.integers(0, len(text)))
+        cut = at + draw(st.integers(0, 3))
+        text = text[:at] + draw(st.binary(max_size=3)) + text[cut:]
+    return text
+
+
+@settings(PROPERTY, max_examples=300)
+@given(data=st.data())
+def test_random_and_mutated_documents_never_crash_the_cli(tmp_path_factory, data):
+    kind = data.draw(st.sampled_from(sorted(DOCUMENTS)))
+    path = tmp_path_factory.getbasetemp() / f"fuzz-{kind}.json"
+    path.write_bytes(data.draw(documents(kind)))
+    for verb in VERBS[kind]:
+        code, out, err = run([str(path) if a == "{}" else a for a in verb])
+        assert code in (0, 1, 2), err
+        assert "Traceback" not in err
+        if code == 2:
+            assert out == "" and err.startswith("error: ")
