@@ -18,14 +18,15 @@ from .algebra import (LeibnizSuperalgebra, SuperBimodule, adjoint_module,
                       zero_module)
 from .cochain import delta
 from .cohomology import (DEFAULT_MAX_ARITY, ArityCapError, cohomology_table,
-                         derivations, inner_derivations, space_dimension)
+                         derivations, inner_derivations)
 from .deformation import (ExtensionUndefined, check_deformation,
                           equivalent_deformations, extend_deformation,
                           infinitesimal_relation)
 from .extension import build_extension, check_extension
-from .fileio import (ParseError, canonical_json, cochain_to_doc,
-                     load_algebra, load_cochain, load_deformation, load_module,
-                     parity_name, save_algebra, save_deformation)
+from .fileio import (DimensionCapError, ParseError, canonical_json,
+                     cochain_to_doc, load_algebra, load_cochain,
+                     load_deformation, load_module, parity_name, save_algebra,
+                     save_deformation)
 
 EXIT_OK = 0
 EXIT_MATH_FAIL = 1
@@ -35,24 +36,22 @@ EXIT_INTERNAL = 3
 DEFAULT_MAX_DIM = 12
 
 
-def _check_dim_cap(alg: LeibnizSuperalgebra, args) -> None:
-    if alg.dim <= args.max_dim:
-        return
-    n = args.max_arity
-    if n >= 1:
-        # the largest coboundary the arity cap allows: C^(n-1) -> C^n,
-        # both parities, coefficients in L itself
-        mod = adjoint_module(alg)
-        rows = space_dimension(alg, mod, n)
-        cols = space_dimension(alg, mod, n - 1)
-        size = (f"with --max-arity {n} the coboundary C^{n - 1} -> C^{n} "
-                f"with coefficients in L is a {rows} x {cols} matrix "
-                f"({rows * cols} entries)")
-    else:
-        size = f"--max-arity {n} allows no coboundary matrix"
-    raise ParseError(f"algebra dimension {alg.dim} exceeds the cap "
-                     f"{args.max_dim}; {size}; pass --max-dim {alg.dim} "
-                     "to proceed")
+def _load_algebra(args) -> LeibnizSuperalgebra:
+    """The algebra file; past --max-dim it is refused before its table is built."""
+    try:
+        return load_algebra(args.algebra, max_dim=args.max_dim)
+    except DimensionCapError as exc:
+        dim, n = exc.dim, args.max_arity
+        if n >= 1:
+            # the largest coboundary the arity cap allows: C^(n-1) -> C^n,
+            # both parities, coefficients in L itself
+            rows, cols = dim ** (n + 1), dim ** n
+            size = (f"with --max-arity {n} the coboundary C^{n - 1} -> C^{n} "
+                    f"with coefficients in L is a {rows} x {cols} matrix "
+                    f"({rows * cols} entries)")
+        else:
+            size = f"--max-arity {n} allows no coboundary matrix"
+        raise ParseError(f"{exc}; {size}; pass --max-dim {dim} to proceed") from None
 
 
 # ---------------------------------------------------------------------------
@@ -189,8 +188,7 @@ def _single_deformation(args) -> str:
 # ---------------------------------------------------------------------------
 
 def cmd_validate(args) -> int:
-    alg = load_algebra(args.algebra)
-    _check_dim_cap(alg, args)
+    alg = _load_algebra(args)
     grading = alg.check_grading()
     leibniz = alg.check_leibniz()
     ok = grading.ok and leibniz.ok
@@ -214,8 +212,7 @@ def cmd_validate(args) -> int:
 def cmd_cohomology(args) -> int:
     if args.max_n < 0:
         raise ParseError(f"--max-n must be nonnegative, got {args.max_n}")
-    alg = load_algebra(args.algebra)
-    _check_dim_cap(alg, args)
+    alg = _load_algebra(args)
     mod, modname = _load_module_choice(args.module, alg)
     table = cohomology_table(alg, mod, args.max_n, with_bases=args.bases,
                              max_arity=args.max_arity)
@@ -252,8 +249,7 @@ def cmd_cohomology(args) -> int:
 
 
 def cmd_derivations(args) -> int:
-    alg = load_algebra(args.algebra)
-    _check_dim_cap(alg, args)
+    alg = _load_algebra(args)
     mod, modname = _load_module_choice(args.module, alg)
     der0 = derivations(alg, mod, 0, max_arity=args.max_arity)
     der1 = derivations(alg, mod, 1, max_arity=args.max_arity)
@@ -274,12 +270,10 @@ def cmd_derivations(args) -> int:
 
 
 def cmd_extend(args) -> int:
-    alg = load_algebra(args.algebra)
-    _check_dim_cap(alg, args)
+    alg = _load_algebra(args)
     mod, modname = _load_module_choice(args.module, alg)
-    h = load_cochain(args.cocycle, alg, mod)
-    if h.arity != 2 or h.degree != 0:
-        raise ParseError("the twisting cochain must be an even 2-cochain")
+    h = load_cochain(args.cocycle, alg, mod,
+                     even2="the twisting cochain must be an even 2-cochain")
     ext = build_extension(alg, mod, h)
     rep = check_extension(ext)
     cocycle_ok = delta(h).is_zero()
@@ -302,8 +296,7 @@ def cmd_extend(args) -> int:
 
 
 def cmd_deform_check(args) -> int:
-    alg = load_algebra(args.algebra)
-    _check_dim_cap(alg, args)
+    alg = _load_algebra(args)
     mod = adjoint_module(alg)
     d = load_deformation(_single_deformation(args), alg, mod)
     rep = check_deformation(d, mod_order=args.mod_order)
@@ -321,8 +314,7 @@ def cmd_deform_check(args) -> int:
 
 
 def cmd_deform_extend(args) -> int:
-    alg = load_algebra(args.algebra)
-    _check_dim_cap(alg, args)
+    alg = _load_algebra(args)
     mod = adjoint_module(alg)
     d = load_deformation(_single_deformation(args), alg, mod)
     target = args.order if args.order is not None else d.order + 1
@@ -365,8 +357,7 @@ def cmd_deform_equiv(args) -> int:
         raise ParseError("deform equiv needs exactly two --deformation files")
     if args.order is not None and args.order < 0:
         raise ParseError(f"--order must be nonnegative, got {args.order}")
-    alg = load_algebra(args.algebra)
-    _check_dim_cap(alg, args)
+    alg = _load_algebra(args)
     mod = adjoint_module(alg)
     d1 = load_deformation(args.deformation[0], alg, mod)
     d2 = load_deformation(args.deformation[1], alg, mod)
@@ -387,7 +378,8 @@ def cmd_deform_equiv(args) -> int:
             str(i): cochain_to_doc(f)["entries"]
             for i, f in enumerate(iso.terms, start=1) if not f.is_zero()
         }
-        rel = infinitesimal_relation(d1, d2, iso) if d1.order >= 1 else None
+        # an order-0 search says nothing about the order-1 terms
+        rel = infinitesimal_relation(d1, d2, iso) if iso.order >= 1 else None
         report["infinitesimal_relation"] = rel.ok if rel is not None else None
     emit(report, args.format)
     return EXIT_OK if iso is not None else EXIT_MATH_FAIL

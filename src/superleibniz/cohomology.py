@@ -2,9 +2,9 @@
 
 The basis of each parity component of a cochain space is enumerated
 deterministically: tuples of algebra basis indices in lexicographic
-order, and for each tuple the admissible module basis indices in
-ascending order.  This enumeration is part of the external contract;
-golden matrices and bases depend on it.
+order, then the admissible module basis indices in ascending order.
+This enumeration is part of the external contract (golden matrices and
+bases depend on it), and no other module reads cochain coordinates.
 """
 
 from __future__ import annotations
@@ -23,10 +23,6 @@ DEFAULT_MAX_ARITY = 4
 
 class ArityCapError(ValueError):
     """Requested cochain space exceeds the configured arity cap."""
-
-
-def space_dimension(alg: LeibnizSuperalgebra, mod: SuperBimodule, n: int) -> int:
-    return mod.dim * alg.dim ** n
 
 
 def enumerate_basis(alg: LeibnizSuperalgebra, mod: SuperBimodule,
@@ -66,7 +62,7 @@ def _check_cap(alg: LeibnizSuperalgebra, mod: SuperBimodule, arity: int,
         raise ArityCapError(
             f"arity {arity} exceeds the cap {max_arity}; the cochain space "
             f"has dimension dim M * (dim L)^n = {mod.dim} * {alg.dim}^{arity} "
-            f"= {space_dimension(alg, mod, arity)} (raise the cap to proceed)")
+            f"= {mod.dim * alg.dim ** arity} (raise the cap to proceed)")
 
 
 def delta_matrix(alg: LeibnizSuperalgebra, mod: SuperBimodule, n: int, parity: int,
@@ -107,17 +103,20 @@ def delta_matrix(alg: LeibnizSuperalgebra, mod: SuperBimodule, n: int, parity: i
     return RatMatrix.from_sparse(len(dom), rows)
 
 
-def zbh_coords(ker: list[list[Fraction]], prev_matrix: RatMatrix | None,
-               dim_c: int) -> tuple[list, list, list]:
-    """Coordinates of the Z, B and H bases in one parity and arity.
+def _cochains(rows: list[list[Fraction]], alg: LeibnizSuperalgebra,
+              mod: SuperBimodule, n: int, parity: int,
+              enum: list[tuple[tuple[int, ...], int]]) -> list[Cochain]:
+    return [cochain_from_coords(alg, mod, n, parity, v, enum) for v in rows]
 
-    ker is a kernel basis of D_n and prev_matrix is D_(n-1) (None for
-    n = 0).  Z and B come back in echelon form; the H representatives
-    are the Z rows that extend the B rows to a basis of Z, in order.
-    """
-    zrows = row_space_basis(RatMatrix.from_rows(ker)) if ker else []
-    brows = [] if prev_matrix is None else row_space_basis(prev_matrix.transpose())
-    return zrows, brows, extend_to_basis(brows, zrows, dim_c)
+
+def _z_rows(mat: RatMatrix) -> list[list[Fraction]]:
+    """Canonical (rref) basis of the kernel of D_n, as coordinate rows."""
+    return row_space_basis(RatMatrix.from_rows(kernel_basis(mat)))
+
+
+def _b_rows(prev_matrix: RatMatrix | None) -> list[list[Fraction]]:
+    """Canonical basis of the image of D_(n-1) (none for n = 0)."""
+    return [] if prev_matrix is None else row_space_basis(prev_matrix.transpose())
 
 
 @dataclass
@@ -164,14 +163,14 @@ def cohomology_table(alg: LeibnizSuperalgebra, mod: SuperBimodule, max_n: int,
             enum = enumerate_basis(alg, mod, n, parity)
             dim_c = len(enum)
             mat = delta_matrix(alg, mod, n, parity, max_arity=max_arity)
-            ker = kernel_basis(mat) if with_bases else None
-            dim_z = len(ker) if with_bases else dim_c - rank(mat)
+            zrows = _z_rows(mat) if with_bases else None
+            dim_z = len(zrows) if with_bases else dim_c - rank(mat)
             e = CohomologyEntry(n, parity, dim_c, dim_z, dim_b, dim_z - dim_b)
             if with_bases:
+                brows = _b_rows(prev_matrix)
                 e.basis_z, e.basis_b, e.basis_h = (
-                    [cochain_from_coords(alg, mod, n, parity, v, enum)
-                     for v in rows]
-                    for rows in zbh_coords(ker, prev_matrix, dim_c))
+                    _cochains(rows, alg, mod, n, parity, enum)
+                    for rows in (zrows, brows, extend_to_basis(brows, zrows, dim_c)))
             table.entries[(n, parity)] = e
             prev_matrix = mat
             # rank-nullity: dim B^(n+1) = rank D_n = dim C^n - dim Z^n
@@ -181,43 +180,38 @@ def cohomology_table(alg: LeibnizSuperalgebra, mod: SuperBimodule, max_n: int,
 
 def derivations(alg: LeibnizSuperalgebra, mod: SuperBimodule,
                 parity: int, max_arity: int = DEFAULT_MAX_ARITY) -> list[Cochain]:
-    """Canonical basis of the 1-cocycles of the given parity."""
+    """Canonical basis of the 1-cocycles of the given parity: Z^1."""
     mat = delta_matrix(alg, mod, 1, parity, max_arity=max_arity)
-    ker = kernel_basis(mat)
-    if not ker:
-        return []
-    enum = enumerate_basis(alg, mod, 1, parity)
-    rows = row_space_basis(RatMatrix.from_rows(ker))
-    return [cochain_from_coords(alg, mod, 1, parity, v, enum) for v in rows]
+    return _cochains(_z_rows(mat), alg, mod, 1, parity,
+                     enumerate_basis(alg, mod, 1, parity))
 
 
 def inner_derivations(alg: LeibnizSuperalgebra, mod: SuperBimodule) -> list[Cochain]:
-    """Canonical basis of {x -> [m, x] : m in M_0} as degree-0 1-cochains."""
-    msp = mod.space
+    """Canonical basis of {x -> [m, x] : m in M_0} as degree-0 1-cochains.
+
+    This is B^1 of degree 0, delta(m)(x) = -[m, x], read off the right
+    action instead of building D_0.
+    """
     enum = enumerate_basis(alg, mod, 1, 0)
-    rows = []
-    for k in range(mod.dim):
-        if msp.parities[k] != 0:
-            continue
-        g = Cochain.zero(alg, mod, 1, 0)
-        for i in range(alg.dim):
-            g.coeffs[i] = list(mod.right[k][i])
-        rows.append(cochain_coords(g, enum))
-    if not rows:
-        return []
-    reduced = row_space_basis(RatMatrix.from_rows(rows))
-    return [cochain_from_coords(alg, mod, 1, 0, v, enum) for v in reduced]
+    rows = [[mod.right[m][t[0]][k] for t, k in enum]
+            for m, p in enumerate(mod.space.parities) if p == 0]
+    return _cochains(row_space_basis(RatMatrix.from_rows(rows)), alg, mod, 1, 0, enum)
+
+
+def coboundary_preimage(mat: RatMatrix, f: Cochain) -> Cochain | None:
+    """The canonical g with delta(g) = f (free coordinates zero), or None.
+
+    mat is delta_matrix of f's degree from arity f.arity - 1; callers that
+    test many cochains build it once.
+    """
+    alg, mod, n, parity = f.algebra, f.module, f.arity, f.degree
+    x = solve(mat, cochain_coords(f, enumerate_basis(alg, mod, n, parity)))
+    return None if x is None else cochain_from_coords(alg, mod, n - 1, parity, x)
 
 
 def is_coboundary(f: Cochain, max_arity: int = DEFAULT_MAX_ARITY) -> Cochain | None:
     """Some g with delta(g) = f, or None when f is not a coboundary."""
     if f.arity < 1:
         raise ValueError("arity must be >= 1")
-    alg, mod = f.algebra, f.module
-    n, parity = f.arity, f.degree
-    mat = delta_matrix(alg, mod, n - 1, parity, max_arity=max_arity)
-    b = cochain_coords(f, enumerate_basis(alg, mod, n, parity))
-    x = solve(mat, b)
-    if x is None:
-        return None
-    return cochain_from_coords(alg, mod, n - 1, parity, x)
+    return coboundary_preimage(
+        delta_matrix(f.algebra, f.module, f.arity - 1, f.degree, max_arity=max_arity), f)

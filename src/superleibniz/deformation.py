@@ -40,9 +40,9 @@ from fractions import Fraction
 from .algebra import (CheckReport, LeibnizSuperalgebra, SuperBimodule,
                       adjoint_module, leibniz_defect)
 from .cochain import Cochain, all_tuples, delta
-from .cohomology import (DEFAULT_MAX_ARITY, cochain_coords, cochain_from_coords,
-                         delta_matrix, enumerate_basis, is_coboundary)
-from .linalg import (F1, add_scaled, basis_vec, lin_comb, scale_to_ints, solve,
+from .cohomology import (DEFAULT_MAX_ARITY, coboundary_preimage, delta_matrix,
+                         is_coboundary)
+from .linalg import (F1, add_scaled, basis_vec, lin_comb, scale_to_ints,
                      vec_is_zero, zeros)
 
 
@@ -81,12 +81,15 @@ class TruncatedDeformation:
     def order(self) -> int:
         return len(self.terms)
 
-    def mu_ints(self) -> tuple[int, list]:
+    def mu_ints(self) -> tuple[int, list, set[int]]:
         """mu_0..mu_N fraction-free over one common denominator D, as
         scale_to_ints gives them: one flat table per mu_i whose entry
-        a*dim + b lists the nonzeros (k, D*coefficient) of mu_i(e_a, e_b)."""
-        return scale_to_ints([[v for row in self.algebra.table for v in row]]
-                             + [f.coeffs for f in self.terms])
+        a*dim + b lists the nonzeros (k, D*coefficient) of mu_i(e_a, e_b);
+        last, the set of i with mu_i nonzero, so that the residuals skip
+        the products of zero terms."""
+        d, tables = scale_to_ints([[v for row in self.algebra.table for v in row]]
+                                  + [f.coeffs for f in self.terms])
+        return d, tables, {i for i, t in enumerate(tables) if any(t)}
 
     def appended(self, mu: Cochain) -> "TruncatedDeformation":
         return TruncatedDeformation(self.algebra, self.terms + [mu], self.module)
@@ -160,10 +163,9 @@ def _residual_ints(d: TruncatedDeformation, mus: tuple, r: int) -> list[list[int
     """The order-r residual as leibniz_defect gives it, from mus =
     d.mu_ints(): one int vector per basis triple, the residual times D**2
     for the common denominator D of mu_0..mu_N."""
-    tables = mus[1]
-    # the pairs (mu_i, mu_j), i + j = r, with both factors within the order
-    pairs = [(tables[i], tables[r - i]) for i in range(r + 1)
-             if i <= d.order and r - i <= d.order]
+    _, tables, live = mus
+    # the pairs (mu_i, mu_j), i + j = r, of nonzero terms within the order
+    pairs = [(tables[i], tables[r - i]) for i in live if r - i in live]
     return leibniz_defect(pairs, d.algebra.space.parities)
 
 
@@ -285,7 +287,7 @@ def _transformed_term(d: TruncatedDeformation, mus: tuple, phis: tuple,
     D_psi * D_mu * D_phi**2 and divided once per nonzero entry.
     """
     dim = d.algebra.dim
-    (d_mu, mu), (d_phi, phi), (d_psi, psi) = mus, phis, psis
+    (d_mu, mu, _), (d_phi, phi), (d_psi, psi) = mus, phis, psis
     den = d_psi * d_mu * d_phi * d_phi
     f = Cochain.zero(d.algebra, d.module, 2, 0)
     for idx, (a, b) in enumerate(all_tuples(dim, 2)):
@@ -332,7 +334,6 @@ def equivalent_deformations(d1: TruncatedDeformation, d2: TruncatedDeformation,
     da, db = d1.truncated(n), d2.truncated(n)
     alg, mod = da.algebra, da.module
     mat = delta_matrix(alg, mod, 1, 0, max_arity=max_arity)
-    enum2 = enumerate_basis(alg, mod, 2, 0)
     iso = FormalIsomorphism.identity(alg, n, mod)
     mus = da.mu_ints()
     for r in range(1, n + 1):
@@ -340,11 +341,10 @@ def equivalent_deformations(d1: TruncatedDeformation, d2: TruncatedDeformation,
         phis = scale_to_ints(iso.inverse_matrices(r))
         psis = scale_to_ints([iso.matrix(i) for i in range(r + 1)])
         k_r = _transformed_term(da, mus, phis, psis, r)
-        target = k_r - db.terms[r - 1]
-        x = solve(mat, cochain_coords(target, enum2))
-        if x is None:
+        psi_r = coboundary_preimage(mat, k_r - db.terms[r - 1])
+        if psi_r is None:
             return None
-        iso.terms[r - 1] = cochain_from_coords(alg, mod, 1, 0, x)
+        iso.terms[r - 1] = psi_r
     if transform(da, iso) != db:
         raise AssertionError("order-by-order solution failed to match; "
                              "sign conventions broken")

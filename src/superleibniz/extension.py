@@ -18,9 +18,7 @@ from fractions import Fraction
 from .algebra import (CheckReport, LeibnizSuperalgebra, SuperBimodule,
                       SuperSpace)
 from .cochain import Cochain
-from .cohomology import (DEFAULT_MAX_ARITY, cochain_from_coords,
-                         delta_matrix, enumerate_basis, is_coboundary,
-                         kernel_basis, zbh_coords)
+from .cohomology import DEFAULT_MAX_ARITY, cohomology_table, is_coboundary
 from .linalg import basis_vec, lin_comb, vec_is_zero, zeros
 
 
@@ -166,15 +164,9 @@ def classify_extensions(alg: LeibnizSuperalgebra, mod: SuperBimodule,
                         max_arity: int = DEFAULT_MAX_ARITY) -> list[Extension]:
     """One extension per basis class of the degree-0 2-cohomology.
 
-    Representative cocycles extend the canonical image basis to a kernel
-    basis; the representatives are pairwise inequivalent by construction.
+    The cocycles are the canonical H^2_0 representatives of
+    cohomology_table, which extend the canonical coboundary basis to a
+    cocycle basis; they are pairwise inequivalent by construction.
     """
-    enum = enumerate_basis(alg, mod, 2, 0)
-    ker = kernel_basis(delta_matrix(alg, mod, 2, 0, max_arity=max_arity))
-    prev = delta_matrix(alg, mod, 1, 0, max_arity=max_arity)
-    _, _, reps = zbh_coords(ker, prev, len(enum))
-    out = []
-    for v in reps:
-        h = cochain_from_coords(alg, mod, 2, 0, v, enum)
-        out.append(build_extension(alg, mod, h))
-    return out
+    table = cohomology_table(alg, mod, 2, with_bases=True, max_arity=max_arity)
+    return [build_extension(alg, mod, h) for h in table.entry(2, 0).basis_h]

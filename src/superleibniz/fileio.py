@@ -22,6 +22,14 @@ class ParseError(ValueError):
     """Malformed or semantically invalid input document."""
 
 
+class DimensionCapError(ParseError):
+    """An algebra document whose basis is longer than the caller's cap."""
+
+    def __init__(self, dim: int, cap: int):
+        super().__init__(f"algebra dimension {dim} exceeds the cap {cap}")
+        self.dim = dim
+
+
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 
 
@@ -175,49 +183,60 @@ def _value_to_doc(vec: list[Fraction], space: SuperSpace) -> list[dict]:
             for k, c in enumerate(vec) if c]
 
 
+def _table_from_doc(doc: dict, key: str, left_space: SuperSpace,
+                    right_space: SuperSpace, out_space: SuperSpace,
+                    what: str) -> list[list[list[Fraction]]]:
+    """A structure table from doc[key]: entries {left, right, value} give
+    table[i][j], a vector over out_space, for i in left_space and j in
+    right_space; pairs left out are zero.  what names the table in errors."""
+    table = [[zeros(out_space.dim) for _ in right_space.labels]
+             for _ in left_space.labels]
+    seen = set()
+    for ent in _entry_list(doc, key, ("left", "right", "value"), what):
+        pair = f"({ent['left']!r}, {ent['right']!r})"
+        try:
+            i = left_space.index(ent["left"])
+            j = right_space.index(ent["right"])
+        except KeyError as exc:
+            raise ParseError(f"{what} entry {pair}: {exc.args[0]}")
+        if (i, j) in seen:
+            raise ParseError(f"duplicate {what} entry {pair}")
+        seen.add((i, j))
+        table[i][j] = _value_from_doc(ent["value"], out_space,
+                                      f"{what} ({ent['left']},{ent['right']})")
+    return table
+
+
+def _table_to_doc(table, left_space: SuperSpace, right_space: SuperSpace,
+                  out_space: SuperSpace) -> list[dict]:
+    """The nonzero entries of a structure table, in basis order."""
+    return [{"left": left_space.labels[i], "right": right_space.labels[j],
+             "value": _value_to_doc(vec, out_space)}
+            for i, row in enumerate(table) for j, vec in enumerate(row) if any(vec)]
+
+
 # ---------------------------------------------------------------------------
 # algebras
 # ---------------------------------------------------------------------------
 
-def algebra_from_doc(doc) -> LeibnizSuperalgebra:
+def algebra_from_doc(doc, max_dim: int | None = None) -> LeibnizSuperalgebra:
+    """The algebra in doc; a basis longer than max_dim raises DimensionCapError
+    before the bracket table is built."""
     space = _space_from_doc(doc, "algebra")
     _check_keys(doc, ("name", "basis", "brackets"), "algebra")
-    dim = space.dim
-    table = [[zeros(dim) for _ in range(dim)] for _ in range(dim)]
-    seen = set()
-    for ent in _entry_list(doc, "brackets", ("left", "right", "value"), "bracket"):
-        try:
-            i = space.index(ent["left"])
-            j = space.index(ent["right"])
-        except KeyError as exc:
-            raise ParseError(f"bracket entry: {exc.args[0]}")
-        if (i, j) in seen:
-            raise ParseError(f"duplicate bracket entry for "
-                             f"({ent['left']!r}, {ent['right']!r})")
-        seen.add((i, j))
-        table[i][j] = _value_from_doc(ent["value"], space,
-                                      f"bracket ({ent['left']},{ent['right']})")
-    return LeibnizSuperalgebra(space, table)
+    if max_dim is not None and space.dim > max_dim:
+        raise DimensionCapError(space.dim, max_dim)
+    return LeibnizSuperalgebra(space, _table_from_doc(doc, "brackets", space, space,
+                                                      space, "bracket"))
 
 
 def algebra_to_doc(alg: LeibnizSuperalgebra) -> dict:
-    doc = _space_to_doc(alg.space)
-    brackets = []
-    for i in range(alg.dim):
-        for j in range(alg.dim):
-            vec = alg.bracket(i, j)
-            if any(vec):
-                brackets.append({
-                    "left": alg.space.labels[i],
-                    "right": alg.space.labels[j],
-                    "value": _value_to_doc(vec, alg.space),
-                })
-    doc["brackets"] = brackets
-    return doc
+    sp = alg.space
+    return {**_space_to_doc(sp), "brackets": _table_to_doc(alg.table, sp, sp, sp)}
 
 
-def load_algebra(path: str) -> LeibnizSuperalgebra:
-    return algebra_from_doc(_load_json(path))
+def load_algebra(path: str, max_dim: int | None = None) -> LeibnizSuperalgebra:
+    return algebra_from_doc(_load_json(path), max_dim)
 
 
 def save_algebra(alg: LeibnizSuperalgebra, path: str) -> None:
@@ -232,56 +251,16 @@ def save_algebra(alg: LeibnizSuperalgebra, path: str) -> None:
 def module_from_doc(doc, alg: LeibnizSuperalgebra) -> SuperBimodule:
     space = _space_from_doc(doc, "module")
     _check_keys(doc, ("name", "basis", "left", "right"), "module")
-    dm = space.dim
-    left = [[zeros(dm) for _ in range(dm)] for _ in range(alg.dim)]
-    right = [[zeros(dm) for _ in range(alg.dim)] for _ in range(dm)]
-    seen = set()
-    fields = ("left", "right", "value")
-    for ent in _entry_list(doc, "left", fields, "left action"):
-        try:
-            i = alg.space.index(ent["left"])
-            k = space.index(ent["right"])
-        except KeyError as exc:
-            raise ParseError(f"left action: {exc.args[0]}")
-        if ("left", i, k) in seen:
-            raise ParseError(f"duplicate left action entry "
-                             f"({ent['left']!r}, {ent['right']!r})")
-        seen.add(("left", i, k))
-        left[i][k] = _value_from_doc(ent["value"], space,
-                                     f"left action ({ent['left']},{ent['right']})")
-    for ent in _entry_list(doc, "right", fields, "right action"):
-        try:
-            k = space.index(ent["left"])
-            i = alg.space.index(ent["right"])
-        except KeyError as exc:
-            raise ParseError(f"right action: {exc.args[0]}")
-        if ("right", k, i) in seen:
-            raise ParseError(f"duplicate right action entry "
-                             f"({ent['left']!r}, {ent['right']!r})")
-        seen.add(("right", k, i))
-        right[k][i] = _value_from_doc(ent["value"], space,
-                                      f"right action ({ent['left']},{ent['right']})")
-    return SuperBimodule(alg, space, left, right)
+    asp = alg.space
+    return SuperBimodule(alg, space,
+                         _table_from_doc(doc, "left", asp, space, space, "left action"),
+                         _table_from_doc(doc, "right", space, asp, space, "right action"))
 
 
 def module_to_doc(mod: SuperBimodule) -> dict:
-    doc = _space_to_doc(mod.space)
     asp, msp = mod.algebra.space, mod.space
-    left = []
-    for i in range(mod.algebra.dim):
-        for k in range(mod.dim):
-            if any(mod.left[i][k]):
-                left.append({"left": asp.labels[i], "right": msp.labels[k],
-                             "value": _value_to_doc(mod.left[i][k], msp)})
-    right = []
-    for k in range(mod.dim):
-        for i in range(mod.algebra.dim):
-            if any(mod.right[k][i]):
-                right.append({"left": msp.labels[k], "right": asp.labels[i],
-                              "value": _value_to_doc(mod.right[k][i], msp)})
-    doc["left"] = left
-    doc["right"] = right
-    return doc
+    return {**_space_to_doc(msp), "left": _table_to_doc(mod.left, asp, msp, msp),
+            "right": _table_to_doc(mod.right, msp, asp, msp)}
 
 
 def load_module(path: str, alg: LeibnizSuperalgebra) -> SuperBimodule:
@@ -292,10 +271,15 @@ def load_module(path: str, alg: LeibnizSuperalgebra) -> SuperBimodule:
 # cochains
 # ---------------------------------------------------------------------------
 
-def cochain_from_doc(doc, alg: LeibnizSuperalgebra,
-                     mod: SuperBimodule) -> Cochain:
+def cochain_from_doc(doc, alg: LeibnizSuperalgebra, mod: SuperBimodule,
+                     even2: str | None = None) -> Cochain:
+    """The cochain in doc.  Its arity sizes the table, so a caller that
+    accepts only even 2-cochains passes the refusal message as even2 and
+    any other header is refused before the table is built."""
     if not isinstance(doc, dict):
         raise ParseError("cochain document must be a JSON object")
+    if even2 is not None and (doc.get("arity"), doc.get("degree")) != (2, "even"):
+        raise ParseError(even2)
     _check_keys(doc, ("arity", "degree", "entries"), "cochain")
     arity = _nonnegative_int(doc, "arity")
     degree = doc.get("degree")
@@ -336,9 +320,9 @@ def cochain_to_doc(f: Cochain) -> dict:
             "entries": entries}
 
 
-def load_cochain(path: str, alg: LeibnizSuperalgebra,
-                 mod: SuperBimodule) -> Cochain:
-    return cochain_from_doc(_load_json(path), alg, mod)
+def load_cochain(path: str, alg: LeibnizSuperalgebra, mod: SuperBimodule,
+                 even2: str | None = None) -> Cochain:
+    return cochain_from_doc(_load_json(path), alg, mod, even2)
 
 
 def save_cochain(f: Cochain, path: str) -> None:
@@ -369,13 +353,9 @@ def deformation_from_doc(doc, alg: LeibnizSuperalgebra,
         if key in terms_doc:
             if not isinstance(terms_doc[key], dict):
                 raise ParseError(f"term {key}: must be an object with 'entries'")
-            sub = dict(terms_doc[key])
-            sub.setdefault("arity", 2)
-            sub.setdefault("degree", "even")
-            if sub["arity"] != 2 or sub["degree"] != "even":
-                raise ParseError(f"term {key}: deformation terms must be "
-                                 "even 2-cochains")
-            terms.append(cochain_from_doc(sub, alg, mod))
+            sub = {"arity": 2, "degree": "even", **terms_doc[key]}
+            terms.append(cochain_from_doc(sub, alg, mod, f"term {key}: deformation "
+                                          "terms must be even 2-cochains"))
         else:
             terms.append(Cochain.zero(alg, mod, 2, 0))
     return TruncatedDeformation(alg, terms, mod)

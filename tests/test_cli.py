@@ -276,6 +276,17 @@ def test_deform_equiv_round_trip():
     assert "1" in doc["isomorphism"]
 
 
+def test_deform_equiv_at_order_0_reports_no_infinitesimal_relation():
+    # the order-0 search never looks at the order-1 terms, so it cannot
+    # say whether mu_1 - nu_1 = delta(psi_1)
+    code, out, _ = run(["deform", "equiv", ALG, "--deformation", DEFORM_ZERO,
+                        "--deformation", DEFORM_TRIVIAL, "--order", "0",
+                        "--format", "json"])
+    doc = json.loads(out)
+    assert code == 0 and doc["equivalent"] is True
+    assert doc["infinitesimal_relation"] is None
+
+
 def test_deform_equiv_needs_two_files():
     code, _, err = run(["deform", "equiv", ALG, "--deformation", DEFORM_ZERO])
     assert code == 2
@@ -424,3 +435,43 @@ def test_module_axiom_message_is_the_first_violation(tmp_path):
     first = dense_check_axioms(mod).violations[0]
     assert code == 2
     assert err == f"error: module file {str(p)!r} violates the module axioms: {first}\n"
+
+
+def test_extend_refuses_a_wide_cocycle_before_building_its_table(tmp_path, monkeypatch):
+    # the arity sizes the table: 3**40 vectors for this 50-byte file
+    from superleibniz.cochain import Cochain
+    built = []
+    zero = Cochain.zero.__func__
+
+    def spy(cls, alg, mod, arity, degree):
+        built.append(arity)
+        if arity != 2:
+            raise AssertionError(f"allocated an arity-{arity} table")
+        return zero(cls, alg, mod, arity, degree)
+
+    monkeypatch.setattr(Cochain, "zero", classmethod(spy))
+    p = tmp_path / "wide.json"
+    p.write_text('{"arity": 40, "degree": "even", "entries": []}')
+    code, out, err = run(["extend", ALG, "--cocycle", str(p)])
+    assert code == 2 and out == ""
+    assert err == "error: the twisting cochain must be an even 2-cochain\n"
+    assert all(n == 2 for n in built)
+
+
+def test_dimension_cap_refuses_before_the_bracket_table_is_built(tmp_path, monkeypatch):
+    import superleibniz.fileio as fileio
+    calls = []
+
+    def spy(n):
+        calls.append(n)
+        raise AssertionError("allocated a table vector")
+
+    monkeypatch.setattr(fileio, "zeros", spy)
+    p = tmp_path / "wide.json"
+    p.write_text(json.dumps({"basis": [{"label": f"e{i}", "parity": "even"}
+                                       for i in range(200)]}))
+    code, out, err = run(["validate", str(p)])
+    assert code == 2 and out == ""
+    assert "algebra dimension 200 exceeds the cap 12" in err
+    assert "pass --max-dim 200 to proceed" in err
+    assert calls == []

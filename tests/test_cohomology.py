@@ -16,6 +16,7 @@ from superleibniz.cohomology import (ArityCapError, cochain_coords,
                                      cohomology_table, delta_matrix, derivations,
                                      enumerate_basis, inner_derivations,
                                      is_coboundary)
+from superleibniz.extension import classify_extensions
 from superleibniz.linalg import (RatMatrix, basis_vec, bilinear, kernel_basis,
                                  rank, row_space_basis)
 
@@ -313,3 +314,22 @@ def test_is_coboundary_detects_nontrivial_class():
         assert is_coboundary(h) is None
     with pytest.raises(ValueError):
         is_coboundary(Cochain.zero(L, M, 0, 0))
+
+
+def _view_cases():
+    f6 = free_truncated(SuperSpace("V", ("u", "v"), (0, 1)), 2)
+    return [pytest.param(L, M, id=f"{L.space.name}-{kind}")
+            for L in standard_fixtures() + [f6]
+            for M, kind in zip(modules_for(L), ("self", "zero"))]
+
+
+@pytest.mark.parametrize("L,M", _view_cases())
+def test_derivations_inner_and_extension_classes_are_views_of_the_table(L, M):
+    # Z^1, B^1_0 and the H^2_0 representatives, each the canonical basis
+    # the table reports
+    table = cohomology_table(L, M, 2, with_bases=True)
+    for parity in (0, 1):
+        assert derivations(L, M, parity) == table.entry(1, parity).basis_z
+    assert inner_derivations(L, M) == table.entry(1, 0).basis_b
+    assert ([e.cocycle for e in classify_extensions(L, M)]
+            == table.entry(2, 0).basis_h)

@@ -239,6 +239,23 @@ def test_strict_check_scales_the_terms_once_per_check(monkeypatch):
     assert {v["order"] for v in rep.violations} == {2}
 
 
+def test_strict_check_skips_the_products_of_zero_terms(monkeypatch):
+    # a product with a zero factor adds nothing to a residual; summing them
+    # made a check of an order-N zero deformation quadratic in N
+    import superleibniz.deformation as deformation
+    pairs = []
+    original = deformation.leibniz_defect
+
+    def spy(prs, parities):
+        pairs.extend(prs)
+        return original(prs, parities)
+
+    monkeypatch.setattr(deformation, "leibniz_defect", spy)
+    L, M = nonlie_setup()
+    assert check_deformation(TruncatedDeformation.zero(L, 50, M)).ok
+    assert pairs == []
+
+
 @pytest.mark.parametrize("L", standard_fixtures(), ids=lambda L: L.space.name)
 def test_reported_defects_match_fraction_reference_on_fractional_jets(L):
     # the strict check builds Fractions only for the defects it reports;

@@ -101,11 +101,12 @@ def test_omitted_pairs_mean_zero():
 # -- module files -----------------------------------------------------------------
 
 def test_module_round_trip():
-    L = nonlie_example()
-    M = adjoint_module(L)
-    doc = module_to_doc(M)
-    M2 = module_from_doc(json.loads(canonical_json(doc)), L)
-    assert M2 == M
+    for L in standard_fixtures():
+        for M in (adjoint_module(L), zero_module(L)):
+            text = canonical_json(module_to_doc(M))
+            M2 = module_from_doc(json.loads(text), L)
+            assert M2 == M
+            assert canonical_json(module_to_doc(M2)) == text
 
 
 def test_zero_module_round_trip():
@@ -114,6 +115,45 @@ def test_zero_module_round_trip():
     doc = module_to_doc(Z)
     assert doc["left"] == [] and doc["right"] == []
     assert module_from_doc(doc, L) == Z
+
+
+# -- structure tables: the bracket and the two actions ------------------------
+
+TABLES = [("brackets", "bracket"), ("left", "left action"),
+          ("right", "right action")]
+
+
+def _table_doc(key):
+    """A nonlie3 document holding the table under key, and its loader."""
+    L = nonlie_example()
+    if key == "brackets":
+        return algebra_to_doc(L), algebra_from_doc
+    return module_to_doc(adjoint_module(L)), lambda doc: module_from_doc(doc, L)
+
+
+@pytest.mark.parametrize("key,what", TABLES)
+def test_duplicate_table_entry_names_the_table_and_pair(key, what):
+    doc, load = _table_doc(key)
+    ent = doc[key][0]
+    doc[key].append(dict(ent))
+    pair = f"({ent['left']!r}, {ent['right']!r})"
+    with pytest.raises(ParseError, match=re.escape(f"duplicate {what} entry {pair}")):
+        load(doc)
+
+
+@pytest.mark.parametrize("field", ["left", "right", "value"])
+@pytest.mark.parametrize("key,what", TABLES)
+def test_unknown_table_label_names_the_table_and_label(key, what, field):
+    doc, load = _table_doc(key)
+    ent = doc[key][0]
+    if field == "value":
+        ent["value"] = [{"label": "w", "coeff": "1"}]
+    else:
+        ent[field] = "w"
+    with pytest.raises(ParseError) as exc:
+        load(doc)
+    msg = str(exc.value)
+    assert msg.startswith(what) and "'w'" in msg
 
 
 # -- cochain files ----------------------------------------------------------------
