@@ -160,19 +160,23 @@ def _violations_doc(violations: list[dict], limit: int = 10) -> list[dict]:
 # shared loading
 # ---------------------------------------------------------------------------
 
-def _load_module_choice(choice: str, alg: LeibnizSuperalgebra) -> tuple[SuperBimodule, str]:
-    if choice == "self":
+def _load_module_choice(args, alg: LeibnizSuperalgebra) -> tuple[SuperBimodule, str]:
+    if args.module == "self":
         return adjoint_module(alg), "self"
-    if choice == "zero":
+    if args.module == "zero":
         return zero_module(alg), "zero"
-    mod = load_module(choice, alg)
+    try:
+        mod = load_module(args.module, alg, args.max_dim)
+    except DimensionCapError as exc:
+        raise ParseError(f"module file {args.module!r}: {exc}; "
+                         f"pass --max-dim {exc.dim} to proceed") from None
     rep = mod.check_grading()
     if not rep.ok:
-        raise ParseError(f"module file {choice!r} violates grading: "
+        raise ParseError(f"module file {args.module!r} violates grading: "
                          f"{rep.violations[0]}")
     rep = mod.check_axioms()
     if not rep.ok:
-        raise ParseError(f"module file {choice!r} violates the module "
+        raise ParseError(f"module file {args.module!r} violates the module "
                          f"axioms: {rep.violations[0]}")
     return mod, mod.space.name
 
@@ -213,7 +217,7 @@ def cmd_cohomology(args) -> int:
     if args.max_n < 0:
         raise ParseError(f"--max-n must be nonnegative, got {args.max_n}")
     alg = _load_algebra(args)
-    mod, modname = _load_module_choice(args.module, alg)
+    mod, modname = _load_module_choice(args, alg)
     table = cohomology_table(alg, mod, args.max_n, with_bases=args.bases,
                              max_arity=args.max_arity)
     rows = []
@@ -250,7 +254,7 @@ def cmd_cohomology(args) -> int:
 
 def cmd_derivations(args) -> int:
     alg = _load_algebra(args)
-    mod, modname = _load_module_choice(args.module, alg)
+    mod, modname = _load_module_choice(args, alg)
     der0 = derivations(alg, mod, 0, max_arity=args.max_arity)
     der1 = derivations(alg, mod, 1, max_arity=args.max_arity)
     inner = inner_derivations(alg, mod)
@@ -271,7 +275,7 @@ def cmd_derivations(args) -> int:
 
 def cmd_extend(args) -> int:
     alg = _load_algebra(args)
-    mod, modname = _load_module_choice(args.module, alg)
+    mod, modname = _load_module_choice(args, alg)
     h = load_cochain(args.cocycle, alg, mod,
                      even2="the twisting cochain must be an even 2-cochain")
     ext = build_extension(alg, mod, h)
@@ -396,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--max-arity", type=int, default=DEFAULT_MAX_ARITY,
                         help="cap on cochain arity (default: %(default)s)")
     common.add_argument("--max-dim", type=int, default=DEFAULT_MAX_DIM,
-                        help="cap on algebra dimension (default: %(default)s)")
+                        help="cap on algebra and module dimension (default: %(default)s)")
 
     parser = argparse.ArgumentParser(
         prog="superleibniz",

@@ -21,15 +21,19 @@ genuine deformation, or transforming one by a truncated isomorphism, only
 guarantees the orders up to N: the discarded t**(>N) tail is exactly what
 cancelled the higher residuals.
 
-The residual and the transform are the hot loops, and both are exact
-without Fractions in them: every family of coefficients (mu_0..mu_N, the
-inverse series phi, the isomorphism psi) is scaled once to ints over its
-common denominator (linalg.scale_to_ints), the products are summed in
-ints, and each nonzero entry is divided once, by D**2 for the residual
-and by D_psi * D_mu * D_phi**2 for a transformed term.  The checks zero-
-test the int residuals themselves: a strict check scales mu_0..mu_N once
-for all of its orders and builds Fractions only for the defects it
-reports.
+A formal isomorphism Psi_t = id + psi_1 t + ... from mu_t to nu_t solves
+nu_t(Psi_t a, Psi_t b) = Psi_t(mu_t(a, b)); the order-r part of that
+equation, the intertwining defect, is the one kernel of transform,
+equivalent_deformations and infinitesimal_relation.
+
+The residual and the intertwining defect are the hot loops, and both are
+exact without Fractions in them: every family of coefficients (mu, nu,
+psi) is scaled once to ints over its common denominator
+(linalg.scale_to_ints), the products are summed in ints, and each nonzero
+entry is divided once, by D**2 for the residual and by
+D_mu * D_nu * D_psi**2 for the defect.  The checks zero-test the int
+residuals themselves: a strict check scales mu_0..mu_N once for all of
+its orders and builds Fractions only for the defects it reports.
 """
 
 from __future__ import annotations
@@ -39,11 +43,10 @@ from fractions import Fraction
 
 from .algebra import (CheckReport, LeibnizSuperalgebra, SuperBimodule,
                       adjoint_module, leibniz_defect)
-from .cochain import Cochain, all_tuples, delta
+from .cochain import Cochain, all_tuples
 from .cohomology import (DEFAULT_MAX_ARITY, coboundary_preimage, delta_matrix,
                          is_coboundary)
-from .linalg import (F1, add_scaled, basis_vec, lin_comb, scale_to_ints,
-                     vec_is_zero, zeros)
+from .linalg import F1, add_scaled, basis_vec, lin_comb, scale_to_ints, zeros
 
 
 def _check_term(alg: LeibnizSuperalgebra, mod: SuperBimodule, f: Cochain,
@@ -138,25 +141,20 @@ class FormalIsomorphism:
             return [list(self.terms[i - 1].coeffs[j]) for j in range(dim)]
         return [zeros(dim) for _ in range(dim)]
 
-    def inverse_matrices(self, order: int) -> list[list[list[Fraction]]]:
-        """Columns of the inverse series mod t**(order+1): phi_0..phi_order."""
+    def inverse(self, order: int | None = None) -> "FormalIsomorphism":
+        """The inverse series mod t**(order+1): phi_r = -sum_s psi_s phi_(r-s)."""
+        n = self.order if order is None else order
         dim = self.algebra.dim
-        phis = [[basis_vec(dim, j) for j in range(dim)]]
-        for r in range(1, order + 1):
+        phis = [self.matrix(0)]
+        for r in range(1, n + 1):
             cols = [zeros(dim) for _ in range(dim)]
             for s in range(1, r + 1):
                 psi_s = self.matrix(s)
                 for col, phi_col in zip(cols, phis[r - s]):
                     add_scaled(col, -F1, lin_comb(psi_s, phi_col, dim))
             phis.append(cols)
-        return phis
-
-    def inverse(self, order: int | None = None) -> "FormalIsomorphism":
-        n = self.order if order is None else order
-        phis = self.inverse_matrices(n)
-        terms = [Cochain(self.algebra, self.module, 1, 0, [list(c) for c in phis[r]])
-                 for r in range(1, n + 1)]
-        return FormalIsomorphism(self.algebra, terms, self.module)
+        return FormalIsomorphism(self.algebra, [Cochain(self.algebra, self.module, 1, 0, c)
+                                                for c in phis[1:]], self.module)
 
 
 def _residual_ints(d: TruncatedDeformation, mus: tuple, r: int) -> list[list[int]]:
@@ -258,61 +256,57 @@ def extend_deformation(d: TruncatedDeformation, r: int,
     return mu_r
 
 
-def transform(d: TruncatedDeformation, iso: FormalIsomorphism) -> TruncatedDeformation:
-    """The deformation Psi_t o mu_t o (Psi_t^{-1} x Psi_t^{-1}), mod t**(N+1).
+def _intertwining_defect(d: TruncatedDeformation, mus: tuple, nus: tuple,
+                         psis: tuple, r: int) -> Cochain:
+    """Order r of Psi_t(mu_t(a,b)) - nu_t(Psi_t a, Psi_t b) as a degree-0
+    2-cochain, from mu_ints() of both deformations and scale_to_ints of the
+    columns of psi_0, psi_1, ...; terms past a family's end count as zero.
+    Each summand psi_i(mu_j(a,b)) or nu_j(psi_k a, psi_l b) is one entry of
+    each factor, so the defect is summed in ints over D_mu*D_nu*D_psi**2.
+    """
+    dim = d.algebra.dim
+    (d_mu, mu, mu_live), (d_nu, nu, nu_live), (d_psi, psi) = mus, nus, psis
+    top, up = len(psi) - 1, d_nu * d_psi
+    outer = [(mu[j], psi[r - j]) for j in mu_live if r - top <= j <= r]
+    inner = [(nu[j], psi[k], psi[r - j - k]) for j in nu_live if j <= r
+             for k in range(max(0, r - j - top), min(top, r - j) + 1)]
+    f = Cochain.zero(d.algebra, d.module, 2, 0)
+    for idx, (a, b) in enumerate(all_tuples(dim, 2)):
+        acc = [0] * dim
+        for table, psi_i in outer:
+            for t, c in table[idx]:
+                c *= up
+                for s, p in psi_i[t]:
+                    acc[s] += c * p
+        for table, psi_k, psi_l in inner:
+            vb = psi_l[b]
+            for x, u in psi_k[a]:
+                row, u = x * dim, u * d_mu
+                for y, z in vb:
+                    uz = u * z
+                    for t, c in table[row + y]:
+                        acc[t] -= uz * c
+        if any(acc):
+            f.coeffs[idx] = [Fraction(y, up * d_psi * d_mu) for y in acc]
+    return f
 
-    The result nu satisfies nu_t(Psi_t a, Psi_t b) = Psi_t(mu_t(a, b)) up
-    to order N, i.e. iso is a formal isomorphism from d to the result.
+
+def transform(d: TruncatedDeformation, iso: FormalIsomorphism) -> TruncatedDeformation:
+    """The deformation nu_t with nu_t(Psi_t a, Psi_t b) = Psi_t(mu_t(a, b))
+    mod t**(N+1), i.e. iso is a formal isomorphism from d to the result.
+
+    As psi_0 = id, nu_r enters the order-r equation only as nu_r(a, b), so
+    nu_r is the intertwining defect against nu_1..nu_(r-1).
     """
     if iso.algebra != d.algebra:
         raise ValueError("isomorphism is over a different algebra")
     if iso.order != d.order:
         raise ValueError("isomorphism and deformation must share the order")
-    n = d.order
-    mus = d.mu_ints()
-    phis = scale_to_ints(iso.inverse_matrices(n))
-    psis = scale_to_ints([iso.matrix(i) for i in range(n + 1)])
-    terms = [_transformed_term(d, mus, phis, psis, r) for r in range(1, n + 1)]
-    return TruncatedDeformation(d.algebra, terms, d.module)
-
-
-def _transformed_term(d: TruncatedDeformation, mus: tuple, phis: tuple,
-                      psis: tuple, r: int) -> Cochain:
-    """Term r of transform(d, iso), from mus = d.mu_ints() and the columns
-    of phi_0..phi_r (the inverse series) and psi_0..psi_r of iso, each
-    family fraction-free as a (D, tables) pair from scale_to_ints.
-
-    Each summand psi_i mu_j(phi_k a, phi_l b) is one entry from each of
-    psi_i, mu_j, phi_k and phi_l, so the term is summed in ints over
-    D_psi * D_mu * D_phi**2 and divided once per nonzero entry.
-    """
-    dim = d.algebra.dim
-    (d_mu, mu, _), (d_phi, phi), (d_psi, psi) = mus, phis, psis
-    den = d_psi * d_mu * d_phi * d_phi
-    f = Cochain.zero(d.algebra, d.module, 2, 0)
-    for idx, (a, b) in enumerate(all_tuples(dim, 2)):
-        acc = [0] * dim
-        for i in range(r + 1):
-            # sum of mu_j(phi_k a, phi_l b) over j + k + l = r - i, then psi_i
-            m = r - i
-            w = [0] * dim
-            for j in range(m + 1):
-                table = mu[j]
-                for k in range(m - j + 1):
-                    vb = phi[m - j - k][b]
-                    for x, u in phi[k][a]:
-                        row = x * dim
-                        for y, z in vb:
-                            uz = u * z
-                            for t, c in table[row + y]:
-                                w[t] += uz * c
-            for t, wt in enumerate(w):
-                if wt:
-                    for s, p in psi[i][t]:
-                        acc[s] += wt * p
-        if any(acc):
-            f.coeffs[idx] = [Fraction(y, den) for y in acc]
-    return f
+    mus, psis = d.mu_ints(), scale_to_ints([iso.matrix(i) for i in range(d.order + 1)])
+    nu = TruncatedDeformation(d.algebra, [], d.module)
+    for r in range(1, d.order + 1):
+        nu.terms.append(_intertwining_defect(d, mus, nu.mu_ints(), psis, r))
+    return nu
 
 
 def equivalent_deformations(d1: TruncatedDeformation, d2: TruncatedDeformation,
@@ -320,9 +314,10 @@ def equivalent_deformations(d1: TruncatedDeformation, d2: TruncatedDeformation,
                             max_arity: int = DEFAULT_MAX_ARITY) -> FormalIsomorphism | None:
     """Find Psi_t with transform(d1, Psi_t) = d2, order by order.
 
-    At each order the unknown psi_r enters the transformed term r as
-    -delta(psi_r) plus data from lower orders, so each step is a linear
-    solve against the degree-1 coboundary matrix; None when obstructed.
+    The unknown psi_r enters the order-r intertwining defect from d1 to d2
+    as -delta(psi_r), since delta(f)(a,b) = -f([a,b]) + [a,f(b)] + [f(a),b]
+    for an even 1-cochain; so psi_r solves delta(psi_r) = the defect with
+    psi_r = 0, against the degree-1 coboundary matrix.  None when obstructed.
     """
     if d1.algebra != d2.algebra:
         raise ValueError("deformations live on different algebras")
@@ -332,16 +327,12 @@ def equivalent_deformations(d1: TruncatedDeformation, d2: TruncatedDeformation,
         raise ValueError(f"order must be nonnegative, got {order}")
     n = d1.order if order is None else min(order, d1.order)
     da, db = d1.truncated(n), d2.truncated(n)
-    alg, mod = da.algebra, da.module
-    mat = delta_matrix(alg, mod, 1, 0, max_arity=max_arity)
-    iso = FormalIsomorphism.identity(alg, n, mod)
-    mus = da.mu_ints()
+    mat = delta_matrix(da.algebra, da.module, 1, 0, max_arity=max_arity)
+    iso = FormalIsomorphism.identity(da.algebra, n, da.module)
+    mus, nus = da.mu_ints(), db.mu_ints()
     for r in range(1, n + 1):
-        # transformed term r with psi_r still zero
-        phis = scale_to_ints(iso.inverse_matrices(r))
-        psis = scale_to_ints([iso.matrix(i) for i in range(r + 1)])
-        k_r = _transformed_term(da, mus, phis, psis, r)
-        psi_r = coboundary_preimage(mat, k_r - db.terms[r - 1])
+        psis = scale_to_ints([iso.matrix(i) for i in range(r)])
+        psi_r = coboundary_preimage(mat, _intertwining_defect(da, mus, nus, psis, r))
         if psi_r is None:
             return None
         iso.terms[r - 1] = psi_r
@@ -353,21 +344,14 @@ def equivalent_deformations(d1: TruncatedDeformation, d2: TruncatedDeformation,
 
 def infinitesimal_relation(d1: TruncatedDeformation, d2: TruncatedDeformation,
                            iso: FormalIsomorphism) -> CheckReport:
-    """Check mu_1 - nu_1 = delta(psi_1) for iso from d1 to d2."""
+    """Check mu_1 - nu_1 = delta(psi_1) for iso from d1 to d2, which is the
+    vanishing of the order-1 intertwining defect (mu_1 - nu_1) - delta(psi_1)."""
     if d1.order < 1 or d2.order < 1:
         raise ValueError("both deformations need at least order 1")
-    psi1 = (iso.terms[0] if iso.order >= 1
-            else Cochain.zero(d1.algebra, d1.module, 1, 0))
-    lhs = d1.terms[0] - d2.terms[0]
-    rhs = delta(psi1)
-    if lhs == rhs:
-        return CheckReport(True, [])
-    diff = lhs - rhs
+    psis = scale_to_ints([iso.matrix(0), iso.matrix(1)])
+    diff = _intertwining_defect(d1, d1.truncated(1).mu_ints(),
+                                d2.truncated(1).mu_ints(), psis, 1)
     sp = d1.algebra.space
-    bad = []
-    for t in all_tuples(d1.algebra.dim, 2):
-        v = diff.value(t)
-        if not vec_is_zero(v):
-            bad.append({"pair": tuple(sp.labels[i] for i in t),
-                        "defect": sp.describe(v)})
-    return CheckReport(False, bad)
+    bad = [{"pair": tuple(sp.labels[i] for i in t), "defect": sp.describe(v)}
+           for t, v in zip(all_tuples(d1.algebra.dim, 2), diff.coeffs) if any(v)]
+    return CheckReport(not bad, bad)

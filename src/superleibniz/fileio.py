@@ -23,10 +23,10 @@ class ParseError(ValueError):
 
 
 class DimensionCapError(ParseError):
-    """An algebra document whose basis is longer than the caller's cap."""
+    """An algebra or module document whose basis is longer than the caller's cap."""
 
-    def __init__(self, dim: int, cap: int):
-        super().__init__(f"algebra dimension {dim} exceeds the cap {cap}")
+    def __init__(self, dim: int, cap: int, what: str = "algebra"):
+        super().__init__(f"{what} dimension {dim} exceeds the cap {cap}")
         self.dim = dim
 
 
@@ -248,9 +248,13 @@ def save_algebra(alg: LeibnizSuperalgebra, path: str) -> None:
 # modules
 # ---------------------------------------------------------------------------
 
-def module_from_doc(doc, alg: LeibnizSuperalgebra) -> SuperBimodule:
+def module_from_doc(doc, alg: LeibnizSuperalgebra,
+                    max_dim: int | None = None) -> SuperBimodule:
+    """The module in doc; past max_dim, refused before its action tables."""
     space = _space_from_doc(doc, "module")
     _check_keys(doc, ("name", "basis", "left", "right"), "module")
+    if max_dim is not None and space.dim > max_dim:
+        raise DimensionCapError(space.dim, max_dim, "module")
     asp = alg.space
     return SuperBimodule(alg, space,
                          _table_from_doc(doc, "left", asp, space, space, "left action"),
@@ -263,8 +267,9 @@ def module_to_doc(mod: SuperBimodule) -> dict:
             "right": _table_to_doc(mod.right, msp, asp, msp)}
 
 
-def load_module(path: str, alg: LeibnizSuperalgebra) -> SuperBimodule:
-    return module_from_doc(_load_json(path), alg)
+def load_module(path: str, alg: LeibnizSuperalgebra,
+                max_dim: int | None = None) -> SuperBimodule:
+    return module_from_doc(_load_json(path), alg, max_dim)
 
 
 # ---------------------------------------------------------------------------

@@ -339,7 +339,7 @@ def fraction_transform(d, iso) -> list[Cochain]:
     alg = d.algebra
     dim, n = alg.dim, d.order
     mus = _mu_tables(d)
-    phis = iso.inverse_matrices(n)
+    phis = [iso.inverse(n).matrix(r) for r in range(n + 1)]
     psis = [iso.matrix(i) for i in range(n + 1)]
     terms = []
     for r in range(1, n + 1):

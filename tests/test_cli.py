@@ -475,3 +475,34 @@ def test_dimension_cap_refuses_before_the_bracket_table_is_built(tmp_path, monke
     assert "algebra dimension 200 exceeds the cap 12" in err
     assert "pass --max-dim 200 to proceed" in err
     assert calls == []
+
+
+def test_dimension_cap_refuses_a_module_before_its_action_tables(tmp_path, monkeypatch):
+    import superleibniz.fileio as fileio
+    zeros = fileio.zeros
+    calls = []
+
+    def spy(n):
+        calls.append(n)
+        if n != 3:
+            raise AssertionError("allocated a module table vector")
+        return zeros(n)
+
+    def module_file(dim):
+        p = tmp_path / f"wide{dim}.json"
+        p.write_text(json.dumps({"basis": [{"label": f"m{i}", "parity": "even"}
+                                           for i in range(dim)]}))
+        return str(p)
+
+    monkeypatch.setattr(fileio, "zeros", spy)
+    wide = module_file(200)
+    code, out, err = run(["cohomology", ALG, "--module", wide, "--max-n", "0"])
+    assert code == 2 and out == ""
+    assert err == (f"error: module file {wide!r}: module dimension 200 exceeds "
+                   "the cap 12; pass --max-dim 200 to proceed\n")
+    assert calls and all(n == 3 for n in calls)   # the algebra's table only
+    monkeypatch.setattr(fileio, "zeros", zeros)
+    narrow = module_file(13)
+    assert run(["cohomology", ALG, "--module", narrow, "--max-n", "0"])[0] == 2
+    assert run(["cohomology", ALG, "--module", narrow, "--max-n", "0",
+                "--max-dim", "13"])[0] == 0

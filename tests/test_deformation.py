@@ -9,9 +9,9 @@ from oracles import (bruteforce_deformation_failures, cochain_eval,
                      fraction_residual, fraction_transform)
 from superleibniz.algebra import abelian, adjoint_module, nonlie_example
 from superleibniz.cochain import Cochain, all_tuples, delta, tuple_index
-from superleibniz.cohomology import (cochain_coords, cochain_from_coords,
-                                     cohomology_table, delta_matrix,
-                                     enumerate_basis)
+from superleibniz.cohomology import (coboundary_preimage, cochain_coords,
+                                     cochain_from_coords, cohomology_table,
+                                     delta_matrix, enumerate_basis)
 from superleibniz.deformation import (ExtensionUndefined, FormalIsomorphism,
                                       TruncatedDeformation, check_deformation,
                                       deformation_residual, equivalent_deformations,
@@ -158,6 +158,12 @@ def test_transform_matches_fraction_reference_on_fractional_isomorphisms(L):
     assert transform(d, iso).terms == fraction_transform(d, iso)
     zero = TruncatedDeformation.zero(L, 3, M)
     assert transform(zero, iso).terms == fraction_transform(zero, iso)
+    # order 6 walks the index bounds; a zero gap (mu_2 = 0 between nonzero
+    # mu_1 and mu_3) exercises the skip of zero terms
+    d6, iso6 = fractional_deformation(L, M, 6, rng), fractional_iso(L, M, 6, rng)
+    assert transform(d6, iso6).terms == fraction_transform(d6, iso6)
+    gap = TruncatedDeformation(L, [d.terms[0], Cochain.zero(L, M, 2, 0), d.terms[2]], M)
+    assert transform(gap, iso).terms == fraction_transform(gap, iso)
 
 
 # -- checker vs brute-force oracle ------------------------------------------
@@ -475,9 +481,9 @@ def test_inverse_is_a_series_inverse():
     rng = random.Random(11)
     iso = random_iso(L, M, 3, rng)
     inv = iso.inverse()
-    phis = inv.inverse_matrices(3)
+    phis = [inv.inverse(3).matrix(r) for r in range(4)]
     for r in range(1, 4):
-        # composing inverse_matrices of inv with iso terms gives identity: the
+        # composing the inverse series of inv with iso terms gives identity: the
         # double inverse must reproduce the original term matrices
         assert phis[r] == iso.matrix(r)
 
@@ -534,6 +540,39 @@ def test_equivalent_deformations_recovers_transforms():
         iso = equivalent_deformations(d1, d2)
         assert iso is not None
         assert transform(d1, iso) == d2
+    # a zero gap: mu_2 = 0 between nonzero mu_1 and mu_3.  Such a jet is no
+    # deformation, and the order-by-order search then finds the isomorphism
+    # whose terms are canonical preimages (free coordinates zero), as it
+    # picks them itself
+    d1 = transform(TruncatedDeformation.zero(L, 3), random_iso(L, M, 3, rng))
+    d1 = TruncatedDeformation(L, [d1.terms[0], Cochain.zero(L, M, 2, 0), d1.terms[2]], M)
+    assert not d1.terms[0].is_zero() and not d1.terms[2].is_zero()
+    mat = delta_matrix(L, M, 1, 0)
+    iso0 = FormalIsomorphism(L, [coboundary_preimage(mat, delta(f))
+                                 for f in random_iso(L, M, 3, rng).terms], M)
+    d2 = transform(d1, iso0)
+    iso = equivalent_deformations(d1, d2)
+    assert iso is not None and iso.terms == iso0.terms
+    assert transform(d1, iso) == d2
+
+
+@pytest.mark.parametrize("L", standard_fixtures(), ids=lambda L: L.space.name)
+def test_transform_and_equivalence_build_no_inverse_series(L, monkeypatch):
+    # lin_comb serves only FormalIsomorphism.inverse in the module, so
+    # both verbs must reach their results without it
+    import superleibniz.deformation as deformation
+
+    def refuse(*args):
+        raise AssertionError("built the inverse series")
+
+    monkeypatch.setattr(deformation, "lin_comb", refuse)
+    rng = random.Random(0)
+    M = adjoint_module(L)
+    d1 = transform(TruncatedDeformation.zero(L, 3, M), random_iso(L, M, 3, rng))
+    d2 = transform(d1, random_iso(L, M, 3, rng))
+    iso = equivalent_deformations(d1, d2)
+    assert iso is not None
+    assert transform(d1, iso) == d2
 
 
 def test_equivalent_deformations_obstructed_case():
