@@ -5,12 +5,14 @@ Every verb emits one report, as aligned text or as canonical JSON; both
 renderings are produced from the same dictionary, so they carry identical
 data.  Exit codes: 0 success, 1 mathematical failure (a counterexample is
 in the report), 2 usage or parse error, 3 internal error (a broken
-invariant of the library, never a property of the input).
+invariant of the library, never a property of the input).  ``main`` may be
+called repeatedly in one process: its parser is built once, then reused.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import __version__
@@ -62,8 +64,8 @@ def _load_algebra(args) -> LeibnizSuperalgebra:
 # order, so text rendered from a parsed JSON report is byte-identical to
 # the text the command itself prints.
 _KEY_PRIORITY = {k: i for i, k in enumerate((
-    "command", "algebra", "module", "order", "target_order", "max_n",
-    "checked_orders", "status", "equivalent", "solvable", "cocycle",
+    "command", "algebra", "module", "order", "target_order", "searched_order",
+    "max_n", "checked_orders", "status", "equivalent", "solvable", "cocycle",
     "n", "parity", "dim", "dim_even", "dim_odd",
     "dim_c", "dim_z", "dim_b", "dim_h",
     "der_even", "der_odd", "inner", "h1_even",
@@ -359,8 +361,6 @@ def cmd_deform_extend(args) -> int:
 def cmd_deform_equiv(args) -> int:
     if len(args.deformation) != 2:
         raise ParseError("deform equiv needs exactly two --deformation files")
-    if args.order is not None and args.order < 0:
-        raise ParseError(f"--order must be nonnegative, got {args.order}")
     alg = _load_algebra(args)
     mod = adjoint_module(alg)
     d1 = load_deformation(args.deformation[0], alg, mod)
@@ -368,6 +368,9 @@ def cmd_deform_equiv(args) -> int:
     if d1.order != d2.order:
         raise ParseError(f"the deformations have orders {d1.order} and "
                          f"{d2.order}; deform equiv needs equal orders")
+    if args.order is not None and not 0 <= args.order <= d1.order:
+        raise ParseError(f"--order {args.order} is outside 0..{d1.order}: the "
+                         f"deformations provide orders up to {d1.order}")
     iso = equivalent_deformations(d1, d2, order=args.order,
                                   max_arity=args.max_arity)
     report = {
@@ -377,6 +380,8 @@ def cmd_deform_equiv(args) -> int:
         "status": "pass" if iso is not None else "fail",
         "equivalent": iso is not None,
     }
+    if args.order is not None:
+        report["searched_order"] = args.order
     if iso is not None:
         report["isomorphism"] = {
             str(i): cochain_to_doc(f)["entries"]
@@ -393,6 +398,7 @@ def cmd_deform_equiv(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("text", "json"), default="text",

@@ -1,0 +1,33 @@
+"""The benchmark's result line: bench/run.py must end with one JSON object
+whose metric names are the ones BENCHMARK.json declares, in its order.
+
+A run that exits 0 but whose last line is not that object counts as
+malformed output, so this pins the contract at both trace settings on the
+shortest workload (one repetition, --seconds 0).
+"""
+
+import json
+import pathlib
+import subprocess
+import sys
+
+import pytest
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+
+def reject_constant(name):
+    raise ValueError(f"non-finite number {name} in the result line")
+
+
+@pytest.mark.parametrize("trace,kind", [(0, "end_to_end"), (1, "per_layer")])
+def test_result_line_matches_the_declared_metrics(trace, kind):
+    proc = subprocess.run(
+        [sys.executable, "bench/run.py", "--workload", "cohomology-large",
+         "--seconds", "0", "--trace", str(trace)],
+        cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1], parse_constant=reject_constant)
+    assert result["correct"] is True and result["failed"] == 0
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())[kind]
+    assert list(result["metrics"]) == [m["name"] for m in declared]

@@ -506,3 +506,77 @@ def test_dimension_cap_refuses_a_module_before_its_action_tables(tmp_path, monke
     assert run(["cohomology", ALG, "--module", narrow, "--max-n", "0"])[0] == 2
     assert run(["cohomology", ALG, "--module", narrow, "--max-n", "0",
                 "--max-dim", "13"])[0] == 0
+
+
+def _order_2_copy(tmp_path, path):
+    doc = json.loads(pathlib.Path(path).read_text())
+    doc["order"] = 2
+    p = tmp_path / "order2.json"
+    p.write_text(json.dumps(doc))
+    return str(p)
+
+
+def test_deform_equiv_reports_the_order_it_searched(tmp_path):
+    # the order-1 terms differ, so the 2-jets are not equivalent; the 0-jets
+    # are, and the report must say that only order 0 was compared
+    bad2 = _order_2_copy(tmp_path, DEFORM_BAD)
+    args = ["deform", "equiv", ALG, "--deformation", DEFORM_ZERO,
+            "--deformation", bad2, "--format", "json"]
+    code, out, _ = run(args)
+    assert code == 1 and "searched_order" not in json.loads(out)
+    code, out, _ = run(args + ["--order", "0"])
+    doc = json.loads(out)
+    assert code == 0 and doc["equivalent"] is True
+    assert doc["order"] == 2 and doc["searched_order"] == 0
+
+
+def test_deform_equiv_order_beyond_the_files_is_a_usage_error(tmp_path):
+    bad2 = _order_2_copy(tmp_path, DEFORM_BAD)
+    code, out, err = run(["deform", "equiv", ALG, "--deformation", DEFORM_ZERO,
+                          "--deformation", bad2, "--order", "3"])
+    assert code == 2 and out == ""
+    assert "--order 3 is outside 0..2" in err
+
+
+def test_main_builds_one_parser_tree_per_process(monkeypatch):
+    import argparse
+    init = argparse.ArgumentParser.__init__
+    built = []
+
+    def spy(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+    assert run(["validate", ALG])[0] == 0
+    assert run(["derivations", ALG, "--format", "json"])[0] == 0
+    assert run(["deform", "check", ALG, "--deformation", DEFORM_ZERO])[0] == 0
+    # one tree is the top-level parser, the shared flags and eight verbs
+    assert len(built) <= 10
+
+
+def test_repeated_calls_carry_no_state_between_them():
+    import os
+    import subprocess
+    import sys
+    equiv = ["deform", "equiv", ALG, "--deformation", DEFORM_ZERO,
+             "--deformation", DEFORM_TRIVIAL]
+    assert run(equiv) == (0, (GOLDEN / "out_deform_equiv_trivial.txt").read_text(), "")
+    # the --deformation list starts empty again: one file, not three
+    assert run(["deform", "check", ALG, "--deformation", DEFORM_BAD]) == (
+        1, (GOLDEN / "out_deform_check_zz.txt").read_text(), "")
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    fresh = subprocess.run([sys.executable, "-m", "superleibniz", "cohomology"],
+                           capture_output=True, text=True,
+                           env={**os.environ, "PYTHONPATH": src})
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), pytest.raises(SystemExit) as exc:
+        main(["cohomology"])
+    assert exc.value.code == fresh.returncode == 2
+    assert err.getvalue() == fresh.stderr
+    cohomology = ["cohomology", ALG, "--max-n", "2"]
+    assert run(cohomology + ["--format", "json"]) == (
+        0, (GOLDEN / "out_cohomology_nonlie3.json").read_text(), "")
+    # --format falls back to its default, text
+    assert run(cohomology) == (
+        0, (GOLDEN / "out_cohomology_nonlie3.txt").read_text(), "")
