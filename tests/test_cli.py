@@ -555,7 +555,7 @@ def test_main_builds_one_parser_tree_per_process(monkeypatch):
     assert len(built) <= 10
 
 
-def test_repeated_calls_carry_no_state_between_them():
+def test_repeated_calls_carry_no_state_between_them(monkeypatch):
     import os
     import subprocess
     import sys
@@ -565,6 +565,8 @@ def test_repeated_calls_carry_no_state_between_them():
     # the --deformation list starts empty again: one file, not three
     assert run(["deform", "check", ALG, "--deformation", DEFORM_BAD]) == (
         1, (GOLDEN / "out_deform_check_zz.txt").read_text(), "")
+    # usage text wraps at the terminal width, so fix it on both sides
+    monkeypatch.setenv("COLUMNS", "80")
     src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
     fresh = subprocess.run([sys.executable, "-m", "superleibniz", "cohomology"],
                            capture_output=True, text=True,
