@@ -17,7 +17,9 @@ where ^x_i marks a deleted slot and the substituted bracket [x_i,x_j]
 occupies slot j.  That slot-j placement is load-bearing: putting the
 bracket in slot i instead breaks delta(delta(f)) = 0 (see the tests,
 which machine-check the rejected variant).  For n = 0 only the last term
-survives and delta(m)(x) = -[m, x].
+survives and delta(m)(x) = -[m, x].  The one term walk behind delta and
+cohomology.delta_matrix reads the bracket and both actions scaled once to
+ints over one denominator D; both sum ints and divide by D once per entry.
 
 The paper's operator calculus (d_x, the restriction f_x, the bimodule
 structure on cochain spaces and currying) is proof machinery for
@@ -32,7 +34,7 @@ import itertools
 from fractions import Fraction
 
 from .algebra import LeibnizSuperalgebra, SuperBimodule
-from .linalg import F1, vec_is_zero, zeros
+from .linalg import F1, scale_to_ints, vec_is_zero, zeros
 
 
 def tuple_index(t: tuple[int, ...], dim: int) -> int:
@@ -129,34 +131,35 @@ class Cochain:
                 f"alg={self.algebra.space.name!r})")
 
 
-_SIGN = (F1, -F1)   # (-1)**e, indexed by e & 1
+_SIGN = (1, -1)   # (-1)**e, indexed by e & 1
 
 
-def action_nonzeros(mod: SuperBimodule) -> tuple[list, list]:
-    """The two actions of mod as nonzeros, scanned once for coboundary_terms:
-    left[x][m] and right[x][m] list the (k, coefficient) pairs of
-    [x, m_m] and [m_m, x], for x an algebra and m a module basis index."""
-    def nz(v):
-        return [(k, c) for k, c in enumerate(v) if c]
-    left = [[nz(v) for v in row] for row in mod.left]
-    right = [[nz(mod.right[m][x]) for m in range(mod.dim)]
-             for x in range(mod.algebra.dim)]
-    return left, right
+def scaled_structure(mod: SuperBimodule) -> tuple[int, list, list, list]:
+    """(D, table, left, right): mod's algebra's bracket and mod's actions
+    scaled to ints by one denominator D (linalg.scale_to_ints).  table[a*dim
+    + b], left[x][m] and right[x][m] list the nonzeros (k, D*coefficient) of
+    [x_a, x_b], [x, m_m] and [m_m, x]; left[x] is [] if x acts as zero."""
+    da = mod.algebra.dim
+    right = [[mod.right[m][x] for m in range(mod.dim)] for x in range(da)]
+    d, (table, *actions) = scale_to_ints(
+        [[v for row in mod.algebra.table for v in row], *mod.left, *right])
+    actions = [act if any(act) else [] for act in actions]
+    return d, table, actions[:da], actions[da:]
 
 
-def coboundary_terms(alg: LeibnizSuperalgebra, actions: tuple[list, list],
+def coboundary_terms(alg: LeibnizSuperalgebra, structure: tuple[int, list, list, list],
                      degree: int, T: tuple[int, ...]):
-    """The terms of (delta f)(T) for a degree-`degree` cochain f of arity len(T)-1.
+    """The terms of D*(delta f)(T), f of degree `degree` and arity len(T)-1.
 
-    actions is action_nonzeros of f's module.  Yields (S, scalar, action).
-    With action None the term is scalar * f(S), a bracket substitution.
-    Otherwise action[m] lists the nonzeros (k, coefficient) of the module
-    vector that the basis vector m_m is sent to (by the left action of
-    x_i, or the right action of x_{n+1}), and the term is
-    scalar * sum_m f(S)[m] * action[m].
+    structure is scaled_structure of f's module, and D its denominator.
+    Yields (S, scalar, action) with an int scalar.  With action None the
+    term is scalar * f(S), a bracket substitution.  Otherwise action[m]
+    lists the nonzeros (k, D*coefficient) of the module vector that the
+    basis vector m_m is sent to (by the left action of x_i, or the right
+    action of x_{n+1}), and the term is scalar * sum_m f(S)[m] * action[m].
     """
     n = len(T) - 1
-    table = alg.table
+    _, table, left, right = structure
     tpar = [alg.space.parities[t] for t in T]
     # bracket-substitution terms: delete slot i, bracket lands in slot j
     for i in range(n + 1):
@@ -165,28 +168,30 @@ def coboundary_terms(alg: LeibnizSuperalgebra, actions: tuple[list, list],
         for j in range(i + 1, n + 1):
             e = (i + 1) + pi * run
             run += tpar[j]
-            head = T[:i] + T[i + 1:j]
-            tail = T[j + 1:]
-            for k, c in enumerate(table[T[i]][T[j]]):
-                if c:
+            image = table[T[i] * alg.dim + T[j]]
+            if image:
+                head = T[:i] + T[i + 1:j]
+                tail = T[j + 1:]
+                for k, c in image:
                     yield head + (k,) + tail, (-c if e & 1 else c), None
     # left-action terms: [x_i, f(..., ^x_i, ...)], i = 1..n
-    left, right = actions
     run = degree
     for i in range(n):
         pi = tpar[i]
         e = i + pi * run
         run += pi
-        yield T[:i] + T[i + 1:], _SIGN[e & 1], left[T[i]]
+        if left[T[i]]:
+            yield T[:i] + T[i + 1:], _SIGN[e & 1], left[T[i]]
     # right-action term: (-1)**(n+1) [f(x_1..x_n), x_{n+1}]
-    yield T[:n], _SIGN[(n + 1) & 1], right[T[n]]
+    if right[T[n]]:
+        yield T[:n], _SIGN[(n + 1) & 1], right[T[n]]
 
 
 def delta(f: Cochain) -> Cochain:
     """Coboundary: arity n+1, same degree."""
     alg, mod = f.algebra, f.module
     dim = alg.dim
-    actions = action_nonzeros(mod)
+    structure = scaled_structure(mod)
     # the nonzero entries of f, by tuple index, scanned once
     support = {}
     for idx, w in enumerate(f.coeffs):
@@ -195,7 +200,7 @@ def delta(f: Cochain) -> Cochain:
             support[idx] = nz
     out = Cochain.zero(alg, mod, f.arity + 1, f.degree)
     for acc, T in zip(out.coeffs, all_tuples(dim, f.arity + 1)):
-        for S, c, action in coboundary_terms(alg, actions, f.degree, T):
+        for S, c, action in coboundary_terms(alg, structure, f.degree, T):
             for m, wm in support.get(tuple_index(S, dim), ()):
                 if action is None:
                     acc[m] += c * wm
@@ -203,4 +208,6 @@ def delta(f: Cochain) -> Cochain:
                     cw = c * wm
                     for k, x in action[m]:
                         acc[k] += cw * x
+    if structure[0] != 1:
+        out.coeffs = [[x / structure[0] for x in v] for v in out.coeffs]
     return out

@@ -1,4 +1,6 @@
-"""Coboundary matrices and cohomology dimensions/bases.
+"""Coboundary matrices, built as sparse int rows over one denominator, and
+cohomology dimensions/bases from linalg's one engine, which reduces ints
+and returns canonical Fractions.
 
 The basis of each parity component of a cochain space is enumerated
 deterministically: tuples of algebra basis indices in lexicographic
@@ -13,10 +15,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .algebra import LeibnizSuperalgebra, SuperBimodule
-from .cochain import (Cochain, action_nonzeros, all_tuples, coboundary_terms,
+from .cochain import (Cochain, all_tuples, coboundary_terms, scaled_structure,
                       tuple_index)
-from .linalg import (F0, RatMatrix, extend_to_basis, kernel_basis, rank,
-                     row_space_basis, solve)
+from .linalg import (RatMatrix, extend_to_basis, kernel_basis, rank, row_space_basis,
+                     solve)
 
 DEFAULT_MAX_ARITY = 4
 
@@ -72,34 +74,41 @@ def delta_matrix(alg: LeibnizSuperalgebra, mod: SuperBimodule, n: int, parity: i
     Columns follow the domain enumeration, rows the codomain enumeration;
     applying the matrix to a cochain's coordinates gives the coordinates
     of its coboundary.  Built in one pass over the codomain tuples, as
-    sparse rows.
+    sparse int rows over the denominator D of scaled_structure: the
+    entries are ints when D is 1 and Fraction(x, D) otherwise.
     """
     if n < 0:
         raise ValueError("arity must be >= 0")
     _check_cap(alg, mod, n + 1, max_arity)
-    mpar = mod.space.parities
+    dim, mpar = alg.dim, mod.space.parities
     dom = enumerate_basis(alg, mod, n, parity)
-    col = {pair: c for c, pair in enumerate(dom)}
-    actions = action_nonzeros(mod)
+    cols = [[None] * mod.dim for _ in range(dim ** n)]   # [tuple_index(S)][k]: column of (S, k)
+    for c, (t, k) in enumerate(dom):
+        cols[tuple_index(t, dim)][k] = c
+    structure = scaled_structure(mod)
+    tpars = [parity]   # parity + the parity of each codomain tuple, in order
+    for _ in range(n + 1):
+        tpars = [q ^ p for q in tpars for p in alg.space.parities]
     rows = []
-    for T in all_tuples(alg.dim, n + 1):
-        want = (parity + alg.space.tuple_parity(T)) & 1
+    for T, want in zip(all_tuples(dim, n + 1), tpars):
         block = {k: {} for k in range(mod.dim) if mpar[k] == want}
-        for S, c, action in coboundary_terms(alg, actions, parity, T):
+        for S, c, action in coboundary_terms(alg, structure, parity, T):
+            scol = cols[tuple_index(S, dim)]
             if action is None:
                 for k, row in block.items():
-                    j = col.get((S, k))
+                    j = scol[k]
                     if j is not None:
-                        row[j] = row.get(j, F0) + c
+                        row[j] = row.get(j, 0) + c
                 continue
-            for m, image in enumerate(action):
-                j = col.get((S, m))
+            for j, image in zip(scol, action):
                 if j is not None:
                     for k, x in image:
                         row = block.get(k)
                         if row is not None:
-                            row[j] = row.get(j, F0) + c * x
+                            row[j] = row.get(j, 0) + c * x
         rows.extend(block.values())
+    if structure[0] != 1:
+        rows = [{j: Fraction(x, structure[0]) for j, x in row.items() if x} for row in rows]
     return RatMatrix.from_sparse(len(dom), rows)
 
 
@@ -170,7 +179,7 @@ def cohomology_table(alg: LeibnizSuperalgebra, mod: SuperBimodule, max_n: int,
                 brows = _b_rows(prev_matrix)
                 e.basis_z, e.basis_b, e.basis_h = (
                     _cochains(rows, alg, mod, n, parity, enum)
-                    for rows in (zrows, brows, extend_to_basis(brows, zrows, dim_c)))
+                    for rows in (zrows, brows, extend_to_basis(brows, zrows)))
             table.entries[(n, parity)] = e
             prev_matrix = mat
             # rank-nullity: dim B^(n+1) = rank D_n = dim C^n - dim Z^n

@@ -30,7 +30,7 @@ class DimensionCapError(ParseError):
         self.dim = dim
 
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
+_RATIONAL_RE = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")   # ASCII digits only
 
 
 def parse_rational(value) -> Fraction:
@@ -43,7 +43,7 @@ def parse_rational(value) -> Fraction:
         raise ParseError(f"floating-point coefficient {value!r} rejected; "
                          "write an exact rational like \"-1/2\"")
     if isinstance(value, str):
-        if not _RATIONAL_RE.match(value):
+        if not _RATIONAL_RE.fullmatch(value):
             raise ParseError(f"cannot parse {value!r} as an exact rational")
         num, _, den = value.partition("/")
         try:

@@ -2,22 +2,21 @@
 
 Vectors are dense lists of `fractions.Fraction`; scale_to_ints turns
 families of them into sparse integer rows over one common denominator
-for the multiply-and-add loops of the deformation kernels.  Matrices
-store sparse rows, one {column: coefficient} dict per row holding the
-nonzeros only; a dense view is built on request.  One elimination
-routine serves rank, kernel, solve and bases.  Its result is the
-canonical reduced row echelon form, which depends only on the row
-space, never on the order in which rows are reduced, so golden tests
-reproduce bit for bit.
+for the multiply-and-add loops of the coboundary walk and the
+deformation kernels.  Matrices store sparse rows, one {column:
+coefficient} dict per row holding the nonzeros only (ints or Fractions);
+a dense view is built on request.  One elimination routine serves rank,
+kernel, solve and bases.  It reduces primitive int rows fraction-free
+and writes Fractions only for the rows it returns: the canonical reduced
+row echelon form, which depends only on the row space, never on the
+order in which rows are reduced, so golden tests reproduce bit for bit.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from math import lcm
-
-Scalar = Fraction
+from math import gcd, lcm
 
 F0 = Fraction(0)
 F1 = Fraction(1)
@@ -120,20 +119,14 @@ class RatMatrix:
     @classmethod
     def from_sparse(cls, cols: int, sparse_rows: list[SparseRow]) -> "RatMatrix":
         """A matrix from {column: coefficient} rows; zero coefficients are dropped."""
-        if any(not 0 <= j < cols for row in sparse_rows for j in row):
+        used = [row for row in sparse_rows if row]
+        if used and (min(map(min, used)) < 0 or max(map(max, used)) >= cols):
             raise ValueError(f"column index outside 0..{cols - 1}")
         m = cls.__new__(cls)
         m.rows, m.cols, m._dense = len(sparse_rows), cols, None
-        m.sparse_rows = [{j: x for j, x in row.items() if x} for row in sparse_rows]
+        m.sparse_rows = [dict(row) if all(row.values()) else
+                         {j: x for j, x in row.items() if x} for row in sparse_rows]
         return m
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "RatMatrix":
-        return cls.from_sparse(cols, [{} for _ in range(rows)])
-
-    @classmethod
-    def identity(cls, n: int) -> "RatMatrix":
-        return cls.from_sparse(n, [{i: F1} for i in range(n)])
 
     @property
     def entries(self) -> list[list[Fraction]]:
@@ -149,24 +142,6 @@ class RatMatrix:
                 out[j][i] = x
         return RatMatrix.from_sparse(self.rows, out)
 
-    def mat_vec(self, v: list[Fraction]) -> list[Fraction]:
-        if len(v) != self.cols:
-            raise ValueError(f"vector length {len(v)} != cols {self.cols}")
-        return [sum((x * v[j] for j, x in row.items() if v[j]), F0)
-                for row in self.sparse_rows]
-
-    def matmul(self, other: "RatMatrix") -> "RatMatrix":
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch in matmul")
-        out = []
-        for row in self.sparse_rows:
-            acc: SparseRow = {}
-            for k, a in row.items():
-                for j, b in other.sparse_rows[k].items():
-                    acc[j] = acc.get(j, F0) + a * b
-            out.append(acc)
-        return RatMatrix.from_sparse(other.cols, out)
-
     def is_zero(self) -> bool:
         return not any(self.sparse_rows)
 
@@ -178,12 +153,23 @@ class RatMatrix:
         return f"RatMatrix({self.rows}x{self.cols})"
 
 
-def _reduce(row: SparseRow, pivots: dict[int, SparseRow]) -> None:
-    """Subtract pivot rows from row, in place, until no pivot column is left.
+def _int_row(row: SparseRow) -> dict[int, int]:
+    """row times the lcm of its denominators (an int row is copied as is)."""
+    if Fraction not in map(type, row.values()):
+        return dict(row)
+    d = lcm(*(x.denominator for x in row.values()))
+    return {j: x.numerator * (d // x.denominator) for j, x in row.items()}
 
-    pivots maps each pivot column c to a row whose leftmost entry is a 1
-    at c, so clearing column c only touches columns right of c: the
-    pivot columns are cleared in ascending order, each at most once.
+
+def _insert(row: dict[int, int], pivots: dict[int, dict[int, int]]) -> bool:
+    """Reduce the int row (in place) against pivots, fraction-free; a
+    nonzero remainder, divided by its content and with its leftmost entry
+    made positive, becomes the pivot row of that column.  True iff it did.
+
+    pivots maps each pivot column c to such a row, leftmost entry a at c.
+    Clearing c sets row := (a/g)*row - (f/g)*pivot, f the row's entry at c
+    and g = gcd(a, f), so only columns right of c change: the pivot
+    columns are cleared in ascending order, each at most once.
     """
     todo = [c for c in row if c in pivots]
     heapify(todo)
@@ -192,7 +178,13 @@ def _reduce(row: SparseRow, pivots: dict[int, SparseRow]) -> None:
         f = row.pop(c, None)
         if f is None:   # cancelled since it was queued
             continue
-        for j, y in pivots[c].items():
+        piv = pivots[c]
+        g = gcd(piv[c], f)
+        a, f = piv[c] // g, f // g
+        if a != 1:
+            for j in row:
+                row[j] *= a
+        for j, y in piv.items():
             if j == c:
                 continue
             x = row.get(j)
@@ -206,17 +198,11 @@ def _reduce(row: SparseRow, pivots: dict[int, SparseRow]) -> None:
                     row[j] = x
                 else:
                     del row[j]
-
-
-def _insert(row: SparseRow, pivots: dict[int, SparseRow]) -> bool:
-    """Reduce row (in place) against pivots; a nonzero remainder becomes a
-    new pivot row, scaled to a leading 1.  True iff the rank grew."""
-    _reduce(row, pivots)
     if not row:
         return False
     c = min(row)
-    inv = F1 / row[c]
-    pivots[c] = {j: x * inv for j, x in row.items()} if inv != F1 else row
+    g = gcd(*row.values()) if row[c] > 0 else -gcd(*row.values())
+    pivots[c] = {j: x // g for j, x in row.items()} if g != 1 else row
     return True
 
 
@@ -225,22 +211,20 @@ def rref(m: RatMatrix) -> tuple[RatMatrix, list[int]]:
 
     The result is the canonical basis of the row space, so two matrices
     have equal row spaces iff their rrefs agree up to trailing zero rows.
-    Rows are reduced one by one against the pivot rows so far, sparsest
-    first (less fill-in), each new pivot being the remainder's leftmost
-    column; then back-substitution makes the form reduced.
+    Int rows are reduced fraction-free against the pivot rows so far,
+    sparsest first (less fill-in); back-substitution then makes the form
+    reduced, and each pivot row is divided by its leading entry.
     """
-    pivots: dict[int, SparseRow] = {}
-    for row in sorted(m.sparse_rows, key=len):
-        _insert(dict(row), pivots)
+    pivots: dict[int, dict[int, int]] = {}
+    for row in sorted(filter(None, m.sparse_rows), key=len):
+        _insert(_int_row(row), pivots)
     # right to left: the pivot rows right of c are already reduced, so one
     # pass clears every other pivot column from row c
     for c in sorted(pivots, reverse=True):
-        row = pivots[c]
-        del row[c]
-        _reduce(row, pivots)
-        row[c] = F1
+        _insert(pivots.pop(c), pivots)
     order = sorted(pivots)
-    red = [pivots[c] for c in order] + [{} for _ in range(m.rows - len(order))]
+    red = [{j: F1 if j == c else Fraction(x, row[c]) for j, x in row.items()}
+           for c, row in sorted(pivots.items())] + [{} for _ in range(m.rows - len(order))]
     return RatMatrix.from_sparse(m.cols, red), order
 
 
@@ -289,14 +273,14 @@ def row_space_basis(m: RatMatrix) -> list[list[Fraction]]:
     return [_dense(row, m.cols) for row in red.sparse_rows[:len(pivots)]]
 
 
-def extend_to_basis(base_rows: list[list[Fraction]], candidates: list[list[Fraction]],
-                    cols: int) -> list[list[Fraction]]:
+def extend_to_basis(base_rows: list[list[Fraction]],
+                    candidates: list[list[Fraction]]) -> list[list[Fraction]]:
     """Candidates (in order) that enlarge the span of base_rows, greedily.
 
     One incremental elimination: each candidate is reduced against the
     pivot rows of the base and of the candidates chosen before it.
     """
-    pivots: dict[int, SparseRow] = {}
+    pivots: dict[int, dict[int, int]] = {}
     for r in base_rows:
-        _insert(_sparse(r), pivots)
-    return [list(cand) for cand in candidates if _insert(_sparse(cand), pivots)]
+        _insert(_int_row(_sparse(r)), pivots)
+    return [list(cand) for cand in candidates if _insert(_int_row(_sparse(cand)), pivots)]

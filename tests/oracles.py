@@ -30,19 +30,31 @@
   Gauss-Jordan elimination over every cell of a dense table, the
   reference for the library's sparse row-by-row elimination
   (linalg.rref and the rank, kernel, solve and basis routines on it).
+- fraction_rref and fraction_extend_to_basis: the same sparse row-by-row
+  elimination as the library's, with every multiply-add in Fractions and
+  each pivot row scaled to a leading 1 as it is found; the reference for
+  the library's fraction-free int engine.
+- fraction_delta_matrix: the coboundary matrix summed in Fractions over
+  the unscaled structure tables, with a (tuple, module index) column
+  lookup; the reference for the library's int walk over tables scaled
+  by one common denominator.
+- mat_vec, matmul, zero_matrix and identity_matrix: matrix arithmetic on
+  RatMatrix that only the tests need.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 
 import sympy
 
 from superleibniz.algebra import (EVEN, CheckReport, LeibnizSuperalgebra,
                                   SuperBimodule, SuperSpace, koszul)
-from superleibniz.cochain import Cochain, all_tuples, tuple_index
-from superleibniz.linalg import (F1, RatMatrix, add_scaled, basis_vec, bilinear,
+from superleibniz.cochain import Cochain, all_tuples, coboundary_terms, tuple_index
+from superleibniz.cohomology import enumerate_basis
+from superleibniz.linalg import (F0, F1, RatMatrix, add_scaled, basis_vec, bilinear,
                                  kernel_basis, lin_comb, zeros)
 
 
@@ -292,6 +304,126 @@ def dense_extend_to_basis(base_rows: list[list[Fraction]],
             rows, cur = trial, r
             chosen.append(list(cand))
     return chosen
+
+
+def mat_vec(m: RatMatrix, v: list[Fraction]) -> list[Fraction]:
+    if len(v) != m.cols:
+        raise ValueError(f"vector length {len(v)} != cols {m.cols}")
+    return [sum((x * v[j] for j, x in row.items() if v[j]), F0) for row in m.sparse_rows]
+
+
+def matmul(a: RatMatrix, b: RatMatrix) -> RatMatrix:
+    if a.cols != b.rows:
+        raise ValueError("shape mismatch in matmul")
+    out = []
+    for row in a.sparse_rows:
+        acc: dict[int, Fraction] = {}
+        for k, x in row.items():
+            for j, y in b.sparse_rows[k].items():
+                acc[j] = acc.get(j, F0) + x * y
+        out.append(acc)
+    return RatMatrix.from_sparse(b.cols, out)
+
+
+def zero_matrix(rows: int, cols: int) -> RatMatrix:
+    return RatMatrix.from_sparse(cols, [{} for _ in range(rows)])
+
+
+def identity_matrix(n: int) -> RatMatrix:
+    return RatMatrix.from_sparse(n, [{i: F1} for i in range(n)])
+
+
+def _fraction_reduce(row: dict, pivots: dict) -> None:
+    """Subtract pivot rows (each with a leading 1) from row, in place,
+    until no pivot column is left, in ascending column order."""
+    todo = [c for c in row if c in pivots]
+    heapify(todo)
+    while todo:
+        c = heappop(todo)
+        f = row.pop(c, None)
+        if f is None:   # cancelled since it was queued
+            continue
+        for j, y in pivots[c].items():
+            if j == c:
+                continue
+            x = row.get(j)
+            if x is None:
+                row[j] = -f * y
+                if j in pivots:
+                    heappush(todo, j)
+            else:
+                x -= f * y
+                if x:
+                    row[j] = x
+                else:
+                    del row[j]
+
+
+def _fraction_insert(row: dict, pivots: dict) -> bool:
+    _fraction_reduce(row, pivots)
+    if not row:
+        return False
+    c = min(row)
+    inv = F1 / row[c]
+    pivots[c] = {j: x * inv for j, x in row.items()}
+    return True
+
+
+def fraction_rref(m: RatMatrix) -> tuple[RatMatrix, list[int]]:
+    pivots: dict[int, dict] = {}
+    for row in sorted(m.sparse_rows, key=len):
+        _fraction_insert({j: Fraction(x) for j, x in row.items()}, pivots)
+    for c in sorted(pivots, reverse=True):
+        row = pivots[c]
+        del row[c]
+        _fraction_reduce(row, pivots)
+        row[c] = F1
+    order = sorted(pivots)
+    red = [pivots[c] for c in order] + [{} for _ in range(m.rows - len(order))]
+    return RatMatrix.from_sparse(m.cols, red), order
+
+
+def fraction_extend_to_basis(base_rows: list[list[Fraction]],
+                             candidates: list[list[Fraction]]) -> list[list[Fraction]]:
+    pivots: dict[int, dict] = {}
+    for r in base_rows:
+        _fraction_insert({j: x for j, x in enumerate(r) if x}, pivots)
+    return [list(cand) for cand in candidates
+            if _fraction_insert({j: x for j, x in enumerate(cand) if x}, pivots)]
+
+
+def fraction_delta_matrix(alg: LeibnizSuperalgebra, mod: SuperBimodule,
+                          n: int, parity: int) -> RatMatrix:
+    """The coboundary matrix from arity n, summed in Fractions."""
+    def nz(v):
+        return [(k, c) for k, c in enumerate(v) if c]
+    # the structure tables unscaled, as the walk's D = 1 case reads them
+    structure = (1, [nz(v) for row in alg.table for v in row],
+                 [[nz(v) for v in row] for row in mod.left],
+                 [[nz(mod.right[m][x]) for m in range(mod.dim)] for x in range(alg.dim)])
+    mpar = mod.space.parities
+    dom = enumerate_basis(alg, mod, n, parity)
+    col = {pair: c for c, pair in enumerate(dom)}
+    rows = []
+    for T in all_tuples(alg.dim, n + 1):
+        want = (parity + alg.space.tuple_parity(T)) & 1
+        block = {k: {} for k in range(mod.dim) if mpar[k] == want}
+        for S, c, action in coboundary_terms(alg, structure, parity, T):
+            if action is None:
+                for k, row in block.items():
+                    j = col.get((S, k))
+                    if j is not None:
+                        row[j] = row.get(j, F0) + c
+                continue
+            for m, image in enumerate(action):
+                j = col.get((S, m))
+                if j is not None:
+                    for k, x in image:
+                        row = block.get(k)
+                        if row is not None:
+                            row[j] = row.get(j, F0) + c * x
+        rows.extend(block.values())
+    return RatMatrix.from_sparse(len(dom), rows)
 
 
 def fraction_leibniz_defect(outer, inner, parities, a: int, b: int, c: int,
@@ -588,7 +720,7 @@ def annihilator(alg: LeibnizSuperalgebra, mod: SuperBimodule) -> list[list[Fract
         for t in range(mod.dim):
             rows.append([mod.right[k][i][t] for k in even])
     mat = (RatMatrix.from_rows(rows) if rows
-           else RatMatrix.zeros(0, len(even)))
+           else zero_matrix(0, len(even)))
     ker = kernel_basis(mat)
     out = []
     for v in ker:

@@ -89,6 +89,17 @@ def test_parse_error_exit_2(tmp_path):
     assert code == 2 and "error:" in err
 
 
+@pytest.mark.parametrize("coeff", ["\u0663", "1\n"])
+def test_non_ascii_or_newline_coefficient_exit_2(tmp_path, coeff):
+    # an Arabic-Indic digit three, or a trailing newline, is not a rational
+    doc = json.loads((GOLDEN / "nonlie3.json").read_text())
+    doc["brackets"][0]["value"][0]["coeff"] = coeff
+    p = tmp_path / "odd_digit.json"
+    p.write_text(json.dumps(doc))
+    code, out, err = run(["validate", str(p)])
+    assert code == 2 and out == "" and "exact rational" in err
+
+
 def test_missing_file_exit_2():
     code, _, err = run(["validate", "/nonexistent/algebra.json"])
     assert code == 2

@@ -6,11 +6,12 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import modules_for, random_cochain, standard_fixtures
+from helpers import modules_for, random_cochain, standard_fixtures, transport
 from oracles import (annihilator, basis_cochain, cochain_eval, dense_delta,
-                     identity_map, sympy_rank)
-from superleibniz.algebra import (SuperSpace, abelian, adjoint_module, free_truncated,
-                                  nonlie_example, zero_module)
+                     fraction_delta_matrix, identity_map, mat_vec, matmul, sympy_rank)
+from superleibniz.algebra import (LeibnizSuperalgebra, SuperSpace, abelian,
+                                  adjoint_module, free_truncated, nonlie_example,
+                                  zero_module)
 from superleibniz.cochain import Cochain, delta
 from superleibniz.cohomology import (ArityCapError, cochain_coords,
                                      cohomology_table, delta_matrix, derivations,
@@ -73,8 +74,8 @@ def test_delta_matrix_composes_to_zero():
                 m0 = delta_matrix(L, M, 0, parity)
                 m1 = delta_matrix(L, M, 1, parity)
                 m2 = delta_matrix(L, M, 2, parity)
-                assert m1.matmul(m0).is_zero()
-                assert m2.matmul(m1).is_zero()
+                assert matmul(m1, m0).is_zero()
+                assert matmul(m2, m1).is_zero()
 
 
 def test_matrix_path_equals_operator_path():
@@ -96,12 +97,44 @@ def test_matrix_path_equals_operator_path():
                         for t, k in enum_n]
                     for _ in range(3):
                         f = random_cochain(L, M, n, parity, rng)
-                        lhs = mat.mat_vec(cochain_coords(f, enum_n))
+                        lhs = mat_vec(mat, cochain_coords(f, enum_n))
                         df = delta(f)
                         assert df.coeffs == dense_delta(f).coeffs
                         assert lhs == cochain_coords(df, enum_n1)
                         count += 1
     assert count >= 200
+
+
+def _halved_basis(alg: LeibnizSuperalgebra, rng: random.Random) -> LeibnizSuperalgebra:
+    """alg in the basis f_i = s_i e_i + (a shear within e_i's parity), each
+    s_i one of +-1/2, +-1 and +-2, so its structure constants may have
+    denominators: [f_i, f_j] has s_i s_j / s_k on f_k."""
+    par = alg.space.parities
+    cols = [[(rng.choice((F(1, 2), F(-1, 2), F(1), F(-1), F(2), F(-2))) if k == i else
+              F(rng.randint(-1, 1)) if k < i and par[k] == par[i] else F(0))
+             for k in range(alg.dim)] for i in range(alg.dim)]
+    table, _ = transport(alg.table, cols)
+    return LeibnizSuperalgebra(alg.space, table)
+
+
+def test_delta_matrix_matches_the_fraction_walk():
+    # the int walk over scaled tables against the Fraction walk over the
+    # tables as given, with D = 1 (the standard fixtures) and D > 1
+    rng = random.Random(8)
+    algebras = standard_fixtures()
+    algebras += [_halved_basis(L, rng) for L in algebras]
+    denominators = set()
+    for L in algebras:
+        for M in modules_for(L):
+            for n in range(3):
+                for parity in (0, 1):
+                    mat = delta_matrix(L, M, n, parity)
+                    assert mat == fraction_delta_matrix(L, M, n, parity)
+                    denominators.update(
+                        x.denominator for row in mat.sparse_rows for x in row.values())
+                    # ints when no denominator is needed, else Fractions throughout
+                    assert len({type(x) for row in mat.sparse_rows for x in row.values()}) <= 1
+    assert denominators > {1}
 
 
 def test_arity_cap():

@@ -31,7 +31,9 @@ def test_parse_rational_accepted_forms():
 
 
 @pytest.mark.parametrize("bad", ["1.5", "1e3", ".5", "1/0", "a", "1/2/3", "",
-                                 1.5, True, None, [1]])
+                                 1.5, True, None, [1],
+                                 # non-ASCII digits and a trailing newline
+                                 "\u0663", "\uff13", "\u0663/\u0664", "1\n", "1/2\n"])
 def test_parse_rational_rejected_forms(bad):
     with pytest.raises(ParseError):
         parse_rational(bad)

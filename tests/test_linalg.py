@@ -1,11 +1,16 @@
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import modules_for, standard_fixtures
 from oracles import (dense_extend_to_basis, dense_kernel_basis, dense_row_space_basis,
-                     dense_rref, dense_solve)
+                     dense_rref, dense_solve, fraction_extend_to_basis, fraction_rref,
+                     identity_matrix, mat_vec, zero_matrix)
+from superleibniz import linalg
 from superleibniz.cohomology import delta_matrix
 from superleibniz.linalg import (RatMatrix, extend_to_basis, kernel_basis, rank,
                                  row_space_basis, rref, solve, zeros)
@@ -18,11 +23,11 @@ def mat(rows):
 
 
 def test_rank_identity():
-    assert rank(RatMatrix.identity(2)) == 2
+    assert rank(identity_matrix(2)) == 2
 
 
 def test_rank_zero_matrix():
-    assert rank(RatMatrix.zeros(3, 5)) == 0
+    assert rank(zero_matrix(3, 5)) == 0
 
 
 def test_rank_dependent_rows():
@@ -31,11 +36,11 @@ def test_rank_dependent_rows():
 
 
 def test_kernel_identity_empty():
-    assert kernel_basis(RatMatrix.identity(2)) == []
+    assert kernel_basis(identity_matrix(2)) == []
 
 
 def test_kernel_zero_matrix_full():
-    basis = kernel_basis(RatMatrix.zeros(2, 3))
+    basis = kernel_basis(zero_matrix(2, 3))
     assert len(basis) == 3
 
 
@@ -44,21 +49,21 @@ def test_kernel_single_relation():
     basis = kernel_basis(m)
     assert len(basis) == 3 - rank(m)
     for v in basis:
-        assert m.mat_vec(v) == zeros(1)
+        assert mat_vec(m, v) == zeros(1)
     # canonical: free columns ascending, with (a,-a,b) shape
     assert basis[0][1] == F(1) and basis[0][0] == F(-1)
     assert basis[1][2] == F(1)
 
 
 def test_solve_identity():
-    x = solve(RatMatrix.identity(2), [F(3), F(5)])
+    x = solve(identity_matrix(2), [F(3), F(5)])
     assert x == [F(3), F(5)]
 
 
 def test_solve_underdetermined_by_substitution():
     m = mat([[1, 1]])
     x = solve(m, [F(2)])
-    assert x is not None and m.mat_vec(x) == [F(2)]
+    assert x is not None and mat_vec(m, x) == [F(2)]
 
 
 def test_solve_inconsistent():
@@ -86,7 +91,7 @@ def test_rank_nullity_random():
              for _ in range(r)])
         assert rank(m) + len(kernel_basis(m)) == c
         for v in kernel_basis(m):
-            assert m.mat_vec(v) == zeros(r)
+            assert mat_vec(m, v) == zeros(r)
 
 
 def test_rank_invariant_under_row_permutation():
@@ -107,9 +112,9 @@ def test_solve_random_consistent_systems():
         m = RatMatrix.from_rows(
             [[F(rng.randint(-2, 2)) for _ in range(c)] for _ in range(r)])
         x0 = [F(rng.randint(-3, 3), rng.choice((1, 2))) for _ in range(c)]
-        b = m.mat_vec(x0)
+        b = mat_vec(m, x0)
         x = solve(m, b)
-        assert x is not None and m.mat_vec(x) == b
+        assert x is not None and mat_vec(m, x) == b
 
 
 def test_row_space_basis_is_canonical():
@@ -165,13 +170,13 @@ def _assert_engine_matches_dense_oracle(m: RatMatrix, rng: random.Random) -> Non
     assert row_space_basis(m) == dense_row_space_basis(m)
     # one consistent right-hand side (a combination of the columns), one arbitrary
     x0 = [F(rng.randint(-2, 2)) for _ in range(m.cols)]
-    for b in (m.mat_vec(x0), [F(rng.randint(-2, 2)) for _ in range(m.rows)]):
+    for b in (mat_vec(m, x0), [F(rng.randint(-2, 2)) for _ in range(m.rows)]):
         assert solve(m, b) == dense_solve(m, b)
     rows = m.entries
     cut = rng.randint(0, m.rows)
-    assert (extend_to_basis(rows[:cut], rows[cut:], m.cols)
+    assert (extend_to_basis(rows[:cut], rows[cut:])
             == dense_extend_to_basis(rows[:cut], rows[cut:], m.cols))
-    assert (extend_to_basis([], rows[::-1], m.cols)
+    assert (extend_to_basis([], rows[::-1])
             == dense_extend_to_basis([], rows[::-1], m.cols))
 
 
@@ -209,3 +214,88 @@ def test_engine_matches_dense_oracle_on_coboundary_matrices():
                     m = delta_matrix(L, M, n, parity)
                     _assert_engine_matches_dense_oracle(m, rng)
                     _assert_engine_matches_dense_oracle(m.transpose(), rng)
+
+
+# -- the int engine against the Fraction engine ------------------------------
+
+PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=150)
+
+SMALL = st.builds(Fraction, st.integers(-3, 3), st.sampled_from((1, 1, 2, 3)))
+HUGE = st.builds(Fraction, st.integers(-2 ** 80, 2 ** 80), st.integers(1, 2 ** 80))
+# raw ints too: coboundary matrices hold them when no denominator is needed
+ENTRY = st.one_of(st.just(0), st.integers(-3, 3), SMALL, HUGE)
+
+
+@st.composite
+def matrices(draw):
+    """Up to 6x6, with zero rows, negated rows and combinations of rows
+    mixed in, so that ranks drop and right-hand sides can be inconsistent."""
+    r, c = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    rows = [[draw(ENTRY) for _ in range(c)] for _ in range(r)]
+    for i in range(r):
+        kind = draw(st.sampled_from(("keep", "zero", "negate", "combine")))
+        if kind == "zero":
+            rows[i] = [0] * c
+        elif kind == "negate":
+            rows[i] = [-x for x in rows[i]]
+        elif kind == "combine":
+            a, b = draw(st.integers(0, r - 1)), draw(st.integers(0, r - 1))
+            x, y = draw(SMALL), draw(st.one_of(SMALL, HUGE))
+            rows[i] = [x * p + y * q for p, q in zip(rows[a], rows[b])]
+    return RatMatrix(r, c, rows)
+
+
+def _all_fractions(vectors) -> bool:
+    return all(type(x) is Fraction for v in vectors for x in v)
+
+
+def _consumers(m: RatMatrix, rhs: list[list[Fraction]]):
+    return rank(m), kernel_basis(m), [solve(m, b) for b in rhs], row_space_basis(m)
+
+
+def _assert_int_engine_matches_fraction_engine(m: RatMatrix, rhs, cut: int) -> None:
+    red, pivots = rref(m)
+    assert (red, pivots) == fraction_rref(m)
+    assert _all_fractions(row.values() for row in red.sparse_rows)
+    got = _consumers(m, rhs)
+    with mock.patch.object(linalg, "rref", fraction_rref):
+        assert got == _consumers(m, rhs)
+    _, kernel, solutions, basis = got
+    assert _all_fractions(kernel + [x for x in solutions if x is not None] + basis)
+    rows = [[Fraction(x) for x in row] for row in m.entries]
+    chosen = extend_to_basis(rows[:cut], rows[cut:])
+    assert chosen == fraction_extend_to_basis(rows[:cut], rows[cut:])
+    assert _all_fractions(chosen)
+
+
+@PROPERTY
+@given(matrices(), st.data())
+def test_int_engine_matches_the_fraction_engine(m, data):
+    x0 = [data.draw(ENTRY) for _ in range(m.cols)]
+    consistent = [Fraction(v) for v in mat_vec(m, x0)]
+    arbitrary = [Fraction(data.draw(ENTRY)) for _ in range(m.rows)]
+    _assert_int_engine_matches_fraction_engine(
+        m, [consistent, arbitrary], data.draw(st.integers(0, m.rows)))
+
+
+def test_int_engine_matches_the_fraction_engine_on_pinned_cases():
+    big = Fraction(2 ** 70 + 1, 3 ** 45)
+    cases = [
+        mat([]),                                          # empty
+        RatMatrix(0, 3, []),
+        RatMatrix(3, 0, [[], [], []]),
+        mat([[0, 0], [0, 0]]),                            # zero rows only
+        mat([[-2, 4, 6], [0, 0, 0], [1, -2, -3]]),        # negative leading entry
+        RatMatrix(2, 2, [[big, -big], [F(1, 2 ** 65), F(-1, 2 ** 65)]]),
+        RatMatrix(3, 3, [[F(-1, 3), F(2 ** 66, 7), F(0)], [F(5, 2), 0, F(-3, 4)],
+                         [F(7, 6), F(2 ** 67, 7), F(-3, 4)]]),
+    ]
+    for m in cases:
+        rhs = [[F(1)] * m.rows, [F(0)] * m.rows]
+        _assert_int_engine_matches_fraction_engine(m, rhs, m.rows // 2)
+    # inconsistent: the rows agree, the right-hand sides do not
+    m = RatMatrix(2, 2, [[big, F(-3, 2)], [big, F(-3, 2)]])
+    assert solve(m, [F(1), F(2)]) is None
+    assert _consumers(m, [[F(1), F(2)]])[2] == [None]
+    red, pivots = rref(m)
+    assert pivots == [0] and red.sparse_rows[0] == {0: F(1), 1: F(-3, 2) / big}
