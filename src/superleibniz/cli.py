@@ -19,8 +19,8 @@ from . import __version__
 from .algebra import (LeibnizSuperalgebra, SuperBimodule, adjoint_module,
                       zero_module)
 from .cochain import delta
-from .cohomology import (DEFAULT_MAX_ARITY, ArityCapError, cohomology_table,
-                         derivations, inner_derivations)
+from .cohomology import (DEFAULT_MAX_ARITY, ArityCapError, bounded_power,
+                         cohomology_table, derivations, inner_derivations)
 from .deformation import (ExtensionUndefined, check_deformation,
                           equivalent_deformations, extend_deformation,
                           infinitesimal_relation)
@@ -47,10 +47,11 @@ def _load_algebra(args) -> LeibnizSuperalgebra:
         if n >= 1:
             # the largest coboundary the arity cap allows: C^(n-1) -> C^n,
             # both parities, coefficients in L itself
-            rows, cols = dim ** (n + 1), dim ** n
+            entries = bounded_power(dim, 2 * n + 1)
+            shape = (f"{dim}^{n + 1} x {dim}^{n} matrix" if entries is None else
+                     f"{dim ** (n + 1)} x {dim ** n} matrix ({entries} entries)")
             size = (f"with --max-arity {n} the coboundary C^{n - 1} -> C^{n} "
-                    f"with coefficients in L is a {rows} x {cols} matrix "
-                    f"({rows * cols} entries)")
+                    f"with coefficients in L is a {shape}")
         else:
             size = f"--max-arity {n} allows no coboundary matrix"
         raise ParseError(f"{exc}; {size}; pass --max-dim {dim} to proceed") from None

@@ -17,9 +17,12 @@ where ^x_i marks a deleted slot and the substituted bracket [x_i,x_j]
 occupies slot j.  That slot-j placement is load-bearing: putting the
 bracket in slot i instead breaks delta(delta(f)) = 0 (see the tests,
 which machine-check the rejected variant).  For n = 0 only the last term
-survives and delta(m)(x) = -[m, x].  The one term walk behind delta and
-cohomology.delta_matrix reads the bracket and both actions scaled once to
-ints over one denominator D; both sum ints and divide by D once per entry.
+survives and delta(m)(x) = -[m, x].  Each term is one structure
+constant, so the one term walk behind delta and cohomology.delta_matrix
+visits only the nonzero brackets and actions, with the other slots free,
+and finds tuples by index arithmetic.  It reads the bracket and both
+actions scaled once to ints over one denominator D; delta sums ints and
+divides by D once per entry.
 
 The paper's operator calculus (d_x, the restriction f_x, the bimodule
 structure on cochain spaces and currying) is proof machinery for
@@ -147,67 +150,87 @@ def scaled_structure(mod: SuperBimodule) -> tuple[int, list, list, list]:
     return d, table, actions[:da], actions[da:]
 
 
-def coboundary_terms(alg: LeibnizSuperalgebra, structure: tuple[int, list, list, list],
-                     degree: int, T: tuple[int, ...]):
-    """The terms of D*(delta f)(T), f of degree `degree` and arity len(T)-1.
+def parity_tables(parities: tuple[int, ...], n: int) -> list[list[int]]:
+    """tables[L][i]: the parity of the length-L basis tuple of index i, L = 0..n."""
+    tables = [[0]]
+    for _ in range(n):
+        tables.append([q ^ p for q in tables[-1] for p in parities])
+    return tables
 
-    structure is scaled_structure of f's module, and D its denominator.
-    Yields (S, scalar, action) with an int scalar.  With action None the
-    term is scalar * f(S), a bracket substitution.  Otherwise action[m]
-    lists the nonzeros (k, D*coefficient) of the module vector that the
-    basis vector m_m is sent to (by the left action of x_i, or the right
-    action of x_{n+1}), and the term is scalar * sum_m f(S)[m] * action[m].
+
+def coboundary_terms(alg: LeibnizSuperalgebra, structure: tuple[int, list, list, list],
+                     degree: int, n: int):
+    """The terms of D*delta on arity-n cochains of degree `degree`.
+
+    structure is scaled_structure of the cochains' module, or any
+    rescaling of it, and D its denominator.  Only nonzero structure
+    constants are visited: each bracket [x_a, x_b] at slots i < j, each
+    left action of x_i at a slot i < n+1 and each right action at slot
+    n+1, with the other slots free.  Yields (T, S, scalar, action) with T
+    the tuple index of an arity-(n+1) tuple, S that of an arity-n tuple
+    and an int scalar.  With action None the term adds scalar * f(S) to
+    D*(delta f)(T), a bracket substitution.  Otherwise action[m] lists the
+    nonzeros (k, D*coefficient) of the module vector that the basis vector
+    m_m is sent to, and the term adds scalar * sum_m f(S)[m] * action[m].
     """
-    n = len(T) - 1
+    dim, apar = alg.dim, alg.space.parities
     _, table, left, right = structure
-    tpar = [alg.space.parities[t] for t in T]
-    # bracket-substitution terms: delete slot i, bracket lands in slot j
+    par = parity_tables(apar, n)
+    # T = P + (a,) + M + (b,) + R and S = P + M + (k,) + R, with the bracket
+    # [x_a, x_b] = sum_k c_k x_k deleted from slot i and landing in slot j
+    brackets = [(*divmod(ab, dim), image) for ab, image in enumerate(table) if image]
     for i in range(n + 1):
-        pi = tpar[i]
-        run = 0
+        wi = dim ** (n - i)   # the weight of slot i in T, and of P's last slot in S
         for j in range(i + 1, n + 1):
-            e = (i + 1) + pi * run
-            run += tpar[j]
-            image = table[T[i] * alg.dim + T[j]]
-            if image:
-                head = T[:i] + T[i + 1:j]
-                tail = T[j + 1:]
-                for k, c in image:
-                    yield head + (k,) + tail, (-c if e & 1 else c), None
-    # left-action terms: [x_i, f(..., ^x_i, ...)], i = 1..n
-    run = degree
+            wj = dim ** (n - j)   # the weight of slot j in T and of k in S
+            for p in range(dim ** i):
+                for m, mpar in enumerate(par[j - i - 1]):
+                    t0 = (p * wi + m * wj) * dim
+                    s0 = p * wi + m * wj * dim
+                    for a, b, image in brackets:
+                        t = t0 + a * wi + b * wj
+                        neg = (i + 1 + (apar[a] & mpar)) & 1
+                        for k, c in image:
+                            s = s0 + k * wj
+                            if neg:
+                                c = -c
+                            for r in range(wj):
+                                yield t + r, s + r, c, None
+    # left-action terms: T = P + (x,) + R, S = P + R, [x, f(S)]
+    acting = [(x, act) for x, act in enumerate(left) if act]
     for i in range(n):
-        pi = tpar[i]
-        e = i + pi * run
-        run += pi
-        if left[T[i]]:
-            yield T[:i] + T[i + 1:], _SIGN[e & 1], left[T[i]]
-    # right-action term: (-1)**(n+1) [f(x_1..x_n), x_{n+1}]
-    if right[T[n]]:
-        yield T[:n], _SIGN[(n + 1) & 1], right[T[n]]
+        wi = dim ** (n - i)
+        for p, ppar in enumerate(par[i]):
+            for x, act in acting:
+                t, s = (p * dim + x) * wi, p * wi
+                sign = _SIGN[(i + (apar[x] & (degree ^ ppar))) & 1]
+                for r in range(wi):
+                    yield t + r, s + r, sign, act
+    # right-action term: T = S + (x,), (-1)**(n+1) [f(S), x]
+    sign = _SIGN[(n + 1) & 1]
+    for x, act in enumerate(right):
+        if act:
+            for s in range(dim ** n):
+                yield s * dim + x, s, sign, act
 
 
 def delta(f: Cochain) -> Cochain:
     """Coboundary: arity n+1, same degree."""
-    alg, mod = f.algebra, f.module
-    dim = alg.dim
-    structure = scaled_structure(mod)
-    # the nonzero entries of f, by tuple index, scanned once
-    support = {}
-    for idx, w in enumerate(f.coeffs):
-        nz = [(m, wm) for m, wm in enumerate(w) if wm]
-        if nz:
-            support[idx] = nz
-    out = Cochain.zero(alg, mod, f.arity + 1, f.degree)
-    for acc, T in zip(out.coeffs, all_tuples(dim, f.arity + 1)):
-        for S, c, action in coboundary_terms(alg, structure, f.degree, T):
-            for m, wm in support.get(tuple_index(S, dim), ()):
-                if action is None:
-                    acc[m] += c * wm
-                else:
+    structure = scaled_structure(f.module)
+    support = [[(m, wm) for m, wm in enumerate(w) if wm] for w in f.coeffs]
+    out = Cochain.zero(f.algebra, f.module, f.arity + 1, f.degree)
+    acc = out.coeffs
+    for t, s, c, action in coboundary_terms(f.algebra, structure, f.degree, f.arity):
+        if support[s]:
+            row = acc[t]
+            if action is None:
+                for m, wm in support[s]:
+                    row[m] += c * wm
+            else:
+                for m, wm in support[s]:
                     cw = c * wm
                     for k, x in action[m]:
-                        acc[k] += cw * x
+                        row[k] += cw * x
     if structure[0] != 1:
-        out.coeffs = [[x / structure[0] for x in v] for v in out.coeffs]
+        out.coeffs = [[x / structure[0] for x in v] for v in acc]
     return out

@@ -1,6 +1,8 @@
 """Coboundary matrices, built as sparse int rows over one denominator, and
 cohomology dimensions/bases from linalg's one engine, which reduces ints
-and returns canonical Fractions.
+and returns canonical Fractions.  A cohomology table scales the structure
+once and eliminates D times each coboundary, which has the same rank,
+kernel and image, so the engine receives ints only.
 
 The basis of each parity component of a cochain space is enumerated
 deterministically: tuples of algebra basis indices in lexicographic
@@ -11,12 +13,13 @@ bases depend on it), and no other module reads cochain coordinates.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .algebra import LeibnizSuperalgebra, SuperBimodule
-from .cochain import (Cochain, all_tuples, coboundary_terms, scaled_structure,
-                      tuple_index)
+from .cochain import (Cochain, all_tuples, coboundary_terms, parity_tables,
+                      scaled_structure, tuple_index)
 from .linalg import (RatMatrix, extend_to_basis, kernel_basis, rank, row_space_basis,
                      solve)
 
@@ -58,58 +61,77 @@ def cochain_from_coords(alg: LeibnizSuperalgebra, mod: SuperBimodule,
     return f
 
 
+def bounded_power(base: int, exp: int) -> int | None:
+    """base**exp, or None when it would exceed 2**256: the power is then
+    never evaluated, so a size message never holds a huge number."""
+    return base ** exp if exp * base.bit_length() <= 256 else None
+
+
 def _check_cap(alg: LeibnizSuperalgebra, mod: SuperBimodule, arity: int,
                max_arity: int) -> None:
     if arity > max_arity:
+        size = bounded_power(alg.dim, arity)
+        value = "" if size is None else f" = {mod.dim * size}"
         raise ArityCapError(
             f"arity {arity} exceeds the cap {max_arity}; the cochain space "
-            f"has dimension dim M * (dim L)^n = {mod.dim} * {alg.dim}^{arity} "
-            f"= {mod.dim * alg.dim ** arity} (raise the cap to proceed)")
+            f"has dimension dim M * (dim L)^n = {mod.dim} * {alg.dim}^{arity}"
+            f"{value} (raise the cap to proceed)")
+
+
+def _positions(tuple_parities: list[int], mpar: tuple[int, ...],
+               parity: int) -> tuple[list[int | None], int]:
+    """The flat position list of a parity component and its dimension:
+    entry tuple_index(t) * dim M + k is the place of (t, k) in the
+    enumerate_basis order, or None when (t, k) is not in the component."""
+    inside = [p == parity ^ q for q in tuple_parities for p in mpar]
+    count = itertools.count()
+    return [next(count) if x else None for x in inside], sum(inside)
 
 
 def delta_matrix(alg: LeibnizSuperalgebra, mod: SuperBimodule, n: int, parity: int,
-                 max_arity: int = DEFAULT_MAX_ARITY) -> RatMatrix:
+                 max_arity: int = DEFAULT_MAX_ARITY,
+                 structure: tuple[int, list, list, list] | None = None) -> RatMatrix:
     """Matrix of the coboundary on the parity component, arity n -> n+1.
 
     Columns follow the domain enumeration, rows the codomain enumeration;
     applying the matrix to a cochain's coordinates gives the coordinates
-    of its coboundary.  Built in one pass over the codomain tuples, as
-    sparse int rows over the denominator D of scaled_structure: the
-    entries are ints when D is 1 and Fraction(x, D) otherwise.
+    of its coboundary.  Built in one pass over the terms of
+    coboundary_terms, as sparse int rows over the denominator D of
+    structure (scaled_structure(mod) by default): the entries are ints
+    when D is 1 and Fraction(x, D) otherwise.  A caller that passes
+    (1, table, left, right) from scaled_structure gets D times the
+    coboundary in ints, with the same rank, kernel and image.
     """
     if n < 0:
         raise ValueError("arity must be >= 0")
     _check_cap(alg, mod, n + 1, max_arity)
-    dim, mpar = alg.dim, mod.space.parities
-    dom = enumerate_basis(alg, mod, n, parity)
-    cols = [[None] * mod.dim for _ in range(dim ** n)]   # [tuple_index(S)][k]: column of (S, k)
-    for c, (t, k) in enumerate(dom):
-        cols[tuple_index(t, dim)][k] = c
-    structure = scaled_structure(mod)
-    tpars = [parity]   # parity + the parity of each codomain tuple, in order
-    for _ in range(n + 1):
-        tpars = [q ^ p for q in tpars for p in alg.space.parities]
-    rows = []
-    for T, want in zip(all_tuples(dim, n + 1), tpars):
-        block = {k: {} for k in range(mod.dim) if mpar[k] == want}
-        for S, c, action in coboundary_terms(alg, structure, parity, T):
-            scol = cols[tuple_index(S, dim)]
-            if action is None:
-                for k, row in block.items():
-                    j = scol[k]
-                    if j is not None:
-                        row[j] = row.get(j, 0) + c
-                continue
-            for j, image in zip(scol, action):
-                if j is not None:
-                    for k, x in image:
-                        row = block.get(k)
-                        if row is not None:
-                            row[j] = row.get(j, 0) + c * x
-        rows.extend(block.values())
+    if structure is None:
+        structure = scaled_structure(mod)
+    dm, mpar = mod.dim, mod.space.parities
+    pars = parity_tables(alg.space.parities, n + 1)
+    cols, ncols = _positions(pars[n], mpar, parity)
+    places, nrows = _positions(pars[n + 1], mpar, parity)
+    rows = [{} for _ in range(nrows)]
+    for t, s, c, action in coboundary_terms(alg, structure, parity, n):
+        t, s = t * dm, s * dm
+        if action is None:
+            for k in range(dm):
+                i, j = places[t + k], cols[s + k]
+                if i is not None and j is not None:
+                    row = rows[i]
+                    row[j] = row.get(j, 0) + c
+            continue
+        for m, image in enumerate(action):
+            j = cols[s + m]
+            if j is not None:
+                for k, x in image:
+                    i = places[t + k]
+                    if i is not None:
+                        row = rows[i]
+                        row[j] = row.get(j, 0) + c * x
     if structure[0] != 1:
         rows = [{j: Fraction(x, structure[0]) for j, x in row.items() if x} for row in rows]
-    return RatMatrix.from_sparse(len(dom), rows)
+    return RatMatrix.from_sparse(ncols, rows)
 
 
 def _cochains(rows: list[list[Fraction]], alg: LeibnizSuperalgebra,
@@ -155,27 +177,37 @@ class CohomologyTable:
         return self.entries[(n, parity)].dim_h
 
 
+def _integral(mod: SuperBimodule) -> tuple[int, list, list, list]:
+    """scaled_structure(mod) with its denominator D dropped: the structure
+    constants times D, whose coboundary D*delta has delta's rank, kernel and
+    image and whose matrices hold ints only."""
+    return (1, *scaled_structure(mod)[1:])
+
+
 def cohomology_table(alg: LeibnizSuperalgebra, mod: SuperBimodule, max_n: int,
                      with_bases: bool = False,
                      max_arity: int = DEFAULT_MAX_ARITY) -> CohomologyTable:
     """Z/B/H dimensions (and optionally echelon bases) for n = 0..max_n.
 
     Computing H^n needs the coboundary into arity n+1, so max_n+1 must be
-    within the arity cap.
+    within the arity cap.  The structure is scaled once, and every matrix
+    is D*delta in ints (see _integral).
     """
     _check_cap(alg, mod, max_n + 1, max_arity)
     table = CohomologyTable(alg, mod, max_n)
+    structure = _integral(mod)
     for parity in (0, 1):
         prev_matrix: RatMatrix | None = None
         dim_b = 0
         for n in range(max_n + 1):
-            enum = enumerate_basis(alg, mod, n, parity)
-            dim_c = len(enum)
-            mat = delta_matrix(alg, mod, n, parity, max_arity=max_arity)
+            mat = delta_matrix(alg, mod, n, parity, max_arity=max_arity,
+                               structure=structure)
+            dim_c = mat.cols
             zrows = _z_rows(mat) if with_bases else None
             dim_z = len(zrows) if with_bases else dim_c - rank(mat)
             e = CohomologyEntry(n, parity, dim_c, dim_z, dim_b, dim_z - dim_b)
             if with_bases:
+                enum = enumerate_basis(alg, mod, n, parity)
                 brows = _b_rows(prev_matrix)
                 e.basis_z, e.basis_b, e.basis_h = (
                     _cochains(rows, alg, mod, n, parity, enum)
@@ -190,7 +222,8 @@ def cohomology_table(alg: LeibnizSuperalgebra, mod: SuperBimodule, max_n: int,
 def derivations(alg: LeibnizSuperalgebra, mod: SuperBimodule,
                 parity: int, max_arity: int = DEFAULT_MAX_ARITY) -> list[Cochain]:
     """Canonical basis of the 1-cocycles of the given parity: Z^1."""
-    mat = delta_matrix(alg, mod, 1, parity, max_arity=max_arity)
+    mat = delta_matrix(alg, mod, 1, parity, max_arity=max_arity,
+                       structure=_integral(mod))
     return _cochains(_z_rows(mat), alg, mod, 1, parity,
                      enumerate_basis(alg, mod, 1, parity))
 

@@ -118,13 +118,17 @@ class RatMatrix:
 
     @classmethod
     def from_sparse(cls, cols: int, sparse_rows: list[SparseRow]) -> "RatMatrix":
-        """A matrix from {column: coefficient} rows; zero coefficients are dropped."""
+        """A matrix from {column: coefficient} rows; zero coefficients are dropped.
+
+        The matrix takes the rows over without copying them, so callers
+        pass rows that nothing else holds.
+        """
         used = [row for row in sparse_rows if row]
         if used and (min(map(min, used)) < 0 or max(map(max, used)) >= cols):
             raise ValueError(f"column index outside 0..{cols - 1}")
         m = cls.__new__(cls)
         m.rows, m.cols, m._dense = len(sparse_rows), cols, None
-        m.sparse_rows = [dict(row) if all(row.values()) else
+        m.sparse_rows = [row if all(row.values()) else
                          {j: x for j, x in row.items() if x} for row in sparse_rows]
         return m
 

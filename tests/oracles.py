@@ -35,9 +35,12 @@
   each pivot row scaled to a leading 1 as it is found; the reference for
   the library's fraction-free int engine.
 - fraction_delta_matrix: the coboundary matrix summed in Fractions over
-  the unscaled structure tables, with a (tuple, module index) column
-  lookup; the reference for the library's int walk over tables scaled
-  by one common denominator.
+  the unscaled structure tables, one codomain tuple at a time through
+  tuple_coboundary_terms (which tests every slot pair and every action
+  at that tuple), with a (tuple, module index) column lookup; the
+  reference for the library's walk over the nonzero structure constants
+  scaled by one common denominator (cochain.coboundary_terms) and its
+  flat position lists.
 - mat_vec, matmul, zero_matrix and identity_matrix: matrix arithmetic on
   RatMatrix that only the tests need.
 """
@@ -52,7 +55,7 @@ import sympy
 
 from superleibniz.algebra import (EVEN, CheckReport, LeibnizSuperalgebra,
                                   SuperBimodule, SuperSpace, koszul)
-from superleibniz.cochain import Cochain, all_tuples, coboundary_terms, tuple_index
+from superleibniz.cochain import Cochain, all_tuples, tuple_index
 from superleibniz.cohomology import enumerate_basis
 from superleibniz.linalg import (F0, F1, RatMatrix, add_scaled, basis_vec, bilinear,
                                  kernel_basis, lin_comb, zeros)
@@ -392,12 +395,51 @@ def fraction_extend_to_basis(base_rows: list[list[Fraction]],
             if _fraction_insert({j: x for j, x in enumerate(cand) if x}, pivots)]
 
 
+def tuple_coboundary_terms(alg: LeibnizSuperalgebra, structure: tuple, degree: int,
+                           T: tuple[int, ...]):
+    """The terms of D*(delta f)(T), f of degree `degree` and arity len(T)-1,
+    found by testing every slot pair and every action at the one tuple T.
+
+    structure is (D, table, left, right) as cochain.scaled_structure lays
+    it out.  Yields (S, scalar, action): with action None the term is
+    scalar * f(S); otherwise action[m] lists the nonzeros (k, coefficient)
+    of the image of m_m, and the term is scalar * sum_m f(S)[m] * action[m].
+    """
+    n = len(T) - 1
+    _, table, left, right = structure
+    tpar = [alg.space.parities[t] for t in T]
+    # bracket-substitution terms: delete slot i, bracket lands in slot j
+    for i in range(n + 1):
+        pi = tpar[i]
+        run = 0
+        for j in range(i + 1, n + 1):
+            e = (i + 1) + pi * run
+            run += tpar[j]
+            image = table[T[i] * alg.dim + T[j]]
+            if image:
+                head = T[:i] + T[i + 1:j]
+                tail = T[j + 1:]
+                for k, c in image:
+                    yield head + (k,) + tail, (-c if e & 1 else c), None
+    # left-action terms: [x_i, f(..., ^x_i, ...)], i = 1..n
+    run = degree
+    for i in range(n):
+        pi = tpar[i]
+        e = i + pi * run
+        run += pi
+        if left[T[i]]:
+            yield T[:i] + T[i + 1:], (-1 if e & 1 else 1), left[T[i]]
+    # right-action term: (-1)**(n+1) [f(x_1..x_n), x_{n+1}]
+    if right[T[n]]:
+        yield T[:n], (-1 if (n + 1) & 1 else 1), right[T[n]]
+
+
 def fraction_delta_matrix(alg: LeibnizSuperalgebra, mod: SuperBimodule,
                           n: int, parity: int) -> RatMatrix:
     """The coboundary matrix from arity n, summed in Fractions."""
     def nz(v):
         return [(k, c) for k, c in enumerate(v) if c]
-    # the structure tables unscaled, as the walk's D = 1 case reads them
+    # the structure tables unscaled, laid out as scaled_structure's with D = 1
     structure = (1, [nz(v) for row in alg.table for v in row],
                  [[nz(v) for v in row] for row in mod.left],
                  [[nz(mod.right[m][x]) for m in range(mod.dim)] for x in range(alg.dim)])
@@ -408,7 +450,7 @@ def fraction_delta_matrix(alg: LeibnizSuperalgebra, mod: SuperBimodule,
     for T in all_tuples(alg.dim, n + 1):
         want = (parity + alg.space.tuple_parity(T)) & 1
         block = {k: {} for k in range(mod.dim) if mpar[k] == want}
-        for S, c, action in coboundary_terms(alg, structure, parity, T):
+        for S, c, action in tuple_coboundary_terms(alg, structure, parity, T):
             if action is None:
                 for k, row in block.items():
                     j = col.get((S, k))

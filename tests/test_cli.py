@@ -130,6 +130,22 @@ def test_dimension_cap_message(tmp_path):
     assert code == 0
 
 
+def test_size_messages_never_write_out_huge_powers(tmp_path):
+    # 6**6001 has 4670 digits, past the interpreter's limit for int -> str
+    from superleibniz.algebra import SuperSpace, free_truncated
+    from superleibniz.fileio import save_algebra
+    p = tmp_path / "F6.json"
+    save_algebra(free_truncated(SuperSpace("V", ("a", "b"), (0, 1)), 2), str(p))
+    code, out, err = run(["cohomology", str(p), "--max-n", "6000"])
+    assert code == 2 and out == "" and err.count("\n") == 1
+    assert "arity 6001 exceeds the cap 4" in err and "= 6 * 6^6001 (raise" in err
+    code, out, err = run(["validate", str(p), "--max-dim", "2", "--max-arity", "3000"])
+    assert code == 2 and out == "" and err.count("\n") == 1
+    assert "C^2999 -> C^3000" in err and "a 6^3001 x 6^3000 matrix; pass --max-dim 6" in err
+    from superleibniz.cohomology import bounded_power
+    assert bounded_power(13, 9) == 10604499373 and bounded_power(6, 6001) is None
+
+
 def test_dimension_cap_message_states_the_largest_matrix():
     code, out, err = run(["validate", ALG, "--max-dim", "-1"])
     assert code == 2 and out == ""

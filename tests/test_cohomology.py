@@ -8,11 +8,13 @@ import pytest
 
 from helpers import modules_for, random_cochain, standard_fixtures, transport
 from oracles import (annihilator, basis_cochain, cochain_eval, dense_delta,
-                     fraction_delta_matrix, identity_map, mat_vec, matmul, sympy_rank)
+                     fraction_delta_matrix, fraction_extend_to_basis, fraction_rref,
+                     identity_map, mat_vec, matmul, sympy_rank)
+from superleibniz import cochain, cohomology, linalg
 from superleibniz.algebra import (LeibnizSuperalgebra, SuperSpace, abelian,
                                   adjoint_module, free_truncated, nonlie_example,
                                   zero_module)
-from superleibniz.cochain import Cochain, delta
+from superleibniz.cochain import Cochain, delta, scaled_structure
 from superleibniz.cohomology import (ArityCapError, cochain_coords,
                                      cohomology_table, delta_matrix, derivations,
                                      enumerate_basis, inner_derivations,
@@ -135,6 +137,86 @@ def test_delta_matrix_matches_the_fraction_walk():
                     # ints when no denominator is needed, else Fractions throughout
                     assert len({type(x) for row in mat.sparse_rows for x in row.values()}) <= 1
     assert denominators > {1}
+
+
+def test_cohomology_table_scales_the_structure_once(monkeypatch):
+    calls = []
+
+    def spy(mod):
+        calls.append(mod)
+        return scaled_structure(mod)
+
+    monkeypatch.setattr(cohomology, "scaled_structure", spy)
+    monkeypatch.setattr(cochain, "scaled_structure", spy)
+    L = nonlie_example()
+    for M in modules_for(L):
+        for with_bases in (False, True):
+            calls.clear()
+            cohomology_table(L, M, 2, with_bases=with_bases)
+            assert calls == [M]
+
+
+def _denominator_algebra() -> LeibnizSuperalgebra:
+    """free_truncated on one even and one odd generator at depth 2, in a
+    seeded basis whose structure constants need a denominator D > 1."""
+    L = _halved_basis(free_truncated(SuperSpace("V", ("a", "b"), (0, 1)), 2),
+                      random.Random(5))
+    assert scaled_structure(adjoint_module(L))[0] > 1
+    return L
+
+
+def test_cohomology_table_hands_rref_ints_only(monkeypatch):
+    L = _denominator_algebra()
+    M = adjoint_module(L)
+    seen = set()
+    rref = linalg.rref
+
+    def spy(m):
+        seen.update(type(x) for row in m.sparse_rows for x in row.values())
+        return rref(m)
+
+    monkeypatch.setattr(linalg, "rref", spy)
+    table = cohomology_table(L, M, 2)
+    assert seen == {int}
+    monkeypatch.undo()
+    # the dimensions do not depend on the basis
+    plain = free_truncated(SuperSpace("V", ("a", "b"), (0, 1)), 2)
+    assert table.entries == cohomology_table(plain, adjoint_module(plain), 2).entries
+
+
+def _fraction_rows(m: RatMatrix) -> list[list[Fraction]]:
+    red, pivots = fraction_rref(m)
+    return [[row.get(j, F(0)) for j in range(m.cols)] for row in red.sparse_rows[:len(pivots)]]
+
+
+def _fraction_kernel(m: RatMatrix) -> list[list[Fraction]]:
+    red, pivots = fraction_rref(m)
+    basis = []
+    for fc in (c for c in range(m.cols) if c not in pivots):
+        v = basis_vec(m.cols, fc)
+        for pc, row in zip(pivots, red.sparse_rows):
+            v[pc] = -row.get(fc, F(0))
+        basis.append(v)
+    return basis
+
+
+def test_bases_from_the_int_matrices_match_the_fraction_oracles():
+    L = _denominator_algebra()
+    M = adjoint_module(L)
+    table = cohomology_table(L, M, 2, with_bases=True)
+    for parity in (0, 1):
+        prev = None
+        for n in range(3):
+            mat = fraction_delta_matrix(L, M, n, parity)
+            kernel = _fraction_kernel(mat)
+            z = _fraction_rows(RatMatrix.from_rows(kernel)) if kernel else []
+            b = [] if prev is None else _fraction_rows(prev.transpose())
+            h = fraction_extend_to_basis(b, z)
+            enum = enumerate_basis(L, M, n, parity)
+            e = table.entry(n, parity)
+            for basis, rows in ((e.basis_z, z), (e.basis_b, b), (e.basis_h, h)):
+                assert [cochain_coords(f, enum) for f in basis] == rows
+            prev = mat
 
 
 def test_arity_cap():

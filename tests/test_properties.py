@@ -1,5 +1,7 @@
 """Property tests: basis independence of cohomology, delta(delta(f)) = 0 on
-random algebras, and the CLI's exit codes on random and mutated documents.
+random algebras, the coboundary walk against its oracles on random
+structure constants, and the CLI's exit codes on random and mutated
+documents.
 
 Hypothesis runs derandomized with a bounded number of examples and no
 example database, so every run checks the same cases.
@@ -15,12 +17,14 @@ from hypothesis import strategies as st
 
 from helpers import (matrix_1_1_associative, random_cochain, standard_fixtures,
                      transport, upper_triangular_associative)
+from oracles import dense_delta, fraction_delta_matrix
 from test_cli import ALG, GOLDEN, run
 from superleibniz.algebra import (AssociativeSuperalgebra, LeibnizSuperalgebra,
-                                  SuperSpace, adjoint_module, free_truncated,
-                                  from_associative, nonlie_example, zero_module)
-from superleibniz.cochain import delta
-from superleibniz.cohomology import cohomology_table
+                                  SuperBimodule, SuperSpace, adjoint_module,
+                                  free_truncated, from_associative, nonlie_example,
+                                  zero_module)
+from superleibniz.cochain import delta, scaled_structure
+from superleibniz.cohomology import cohomology_table, delta_matrix
 from superleibniz.fileio import module_to_doc
 from superleibniz.linalg import F0, RatMatrix, basis_vec, lin_comb, rank, zeros
 
@@ -102,6 +106,54 @@ def test_delta_squared_vanishes_on_random_from_associative_algebras(data):
              for col in cols]
     alg = from_associative(AssociativeSuperalgebra(assoc.space, table), t_map)
     _delta_squared_vanishes(data, alg)
+
+
+# -- the coboundary walk against its oracles ----------------------------------
+
+# mostly zeros, as in real structure constants, and some with denominators
+COEFFS = st.sampled_from([F0] * 6 + [Fraction(c) for c in (1, -1, 2)]
+                         + [Fraction(1, 2), Fraction(-2, 3), Fraction(3, 4)])
+
+
+def _space(draw, name, dim):
+    parities = tuple(draw(st.lists(st.integers(0, 1), min_size=dim, max_size=dim)))
+    return SuperSpace(name, tuple(f"{name}{i}" for i in range(dim)), parities)
+
+
+def _table(draw, rows, cols, dim):
+    return [[[draw(COEFFS) for _ in range(dim)] for _ in range(cols)] for _ in range(rows)]
+
+
+@st.composite
+def rough_structures(draw):
+    """An algebra and a module whose constants obey neither the grading nor
+    any identity; one bracket constant has denominator 2 or 3, so D > 1.
+    The module is the adjoint one, the zero one, or one with dim M != dim L."""
+    dim = draw(st.integers(1, 3))
+    table = _table(draw, dim, dim, dim)
+    i, j, k = (draw(st.integers(0, dim - 1)) for _ in range(3))
+    table[i][j][k] = Fraction(draw(st.sampled_from((1, -1, 5))), draw(st.sampled_from((2, 3))))
+    alg = LeibnizSuperalgebra(_space(draw, "x", dim), table)
+    kind = draw(st.sampled_from(("adjoint", "zero", "other")))
+    if kind == "adjoint":
+        return alg, adjoint_module(alg)
+    if kind == "zero":
+        return alg, zero_module(alg)
+    dm = draw(st.sampled_from([d for d in (1, 2, 3) if d != dim]))
+    return alg, SuperBimodule(alg, _space(draw, "m", dm),
+                              _table(draw, dim, dm, dm), _table(draw, dm, dim, dm))
+
+
+@PROPERTY
+@given(st.data())
+def test_coboundary_walk_matches_its_oracles(data):
+    alg, mod = data.draw(rough_structures())
+    assert scaled_structure(mod)[0] > 1
+    n = data.draw(st.integers(0, 3))
+    parity = data.draw(st.integers(0, 1))
+    assert delta_matrix(alg, mod, n, parity) == fraction_delta_matrix(alg, mod, n, parity)
+    f = random_cochain(alg, mod, n, parity, random.Random(data.draw(st.integers(0, 2 ** 16))))
+    assert delta(f) == dense_delta(f)
 
 
 # -- the CLI on random and mutated documents -----------------------------------
