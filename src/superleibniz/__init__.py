@@ -13,8 +13,7 @@ from .cohomology import (ArityCapError, CohomologyTable, cohomology_table,
 from .deformation import (ExtensionUndefined, FormalIsomorphism,
                           TruncatedDeformation, check_deformation,
                           deformation_residual, equivalent_deformations,
-                          extend_deformation, infinitesimal,
-                          infinitesimal_relation, transform)
-from .extension import (Extension, build_extension, check_extension,
-                        classify_extensions, extensions_equivalent)
+                          extend_deformation, infinitesimal_relation,
+                          transform)
+from .extension import Extension, build_extension, check_extension
 from .linalg import RatMatrix, kernel_basis, rank, rref, solve

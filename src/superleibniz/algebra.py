@@ -47,10 +47,6 @@ class SuperSpace:
         if any(p not in (0, 1) for p in self.parities):
             raise ValueError("parities must be 0 or 1")
 
-    @classmethod
-    def from_pairs(cls, name: str, pairs: list[tuple[str, int]]) -> "SuperSpace":
-        return cls(name, tuple(p[0] for p in pairs), tuple(p[1] for p in pairs))
-
     @property
     def dim(self) -> int:
         return len(self.labels)
@@ -173,13 +169,6 @@ class LeibnizSuperalgebra:
 
     def bracket(self, i: int, j: int) -> list[Fraction]:
         return self.table[i][j]
-
-    def bracket_vec(self, u: list[Fraction], v: list[Fraction]) -> list[Fraction]:
-        """Bilinear extension of the structure constants."""
-        dim = self.dim
-        if len(u) != dim or len(v) != dim:
-            raise ValueError("vector length does not match algebra dimension")
-        return bilinear(self.table, u, v, dim)
 
     def check_grading(self) -> CheckReport:
         """All nonzero c_ijk must satisfy parity(k) = parity(i) + parity(j)."""

@@ -37,7 +37,7 @@ import itertools
 from fractions import Fraction
 
 from .algebra import LeibnizSuperalgebra, SuperBimodule
-from .linalg import F1, scale_to_ints, vec_is_zero, zeros
+from .linalg import scale_to_ints, vec_is_zero, zeros
 
 
 def tuple_index(t: tuple[int, ...], dim: int) -> int:
@@ -116,13 +116,6 @@ class Cochain:
         return Cochain(self.algebra, self.module, self.arity, self.degree,
                        [[a - b for a, b in zip(u, v)]
                         for u, v in zip(self.coeffs, other.coeffs)])
-
-    def scale(self, c: Fraction) -> "Cochain":
-        return Cochain(self.algebra, self.module, self.arity, self.degree,
-                       [[c * a for a in v] for v in self.coeffs])
-
-    def __neg__(self) -> "Cochain":
-        return self.scale(-F1)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Cochain) and self.arity == other.arity

@@ -24,7 +24,9 @@ cancelled the higher residuals.
 A formal isomorphism Psi_t = id + psi_1 t + ... from mu_t to nu_t solves
 nu_t(Psi_t a, Psi_t b) = Psi_t(mu_t(a, b)); the order-r part of that
 equation, the intertwining defect, is the one kernel of transform,
-equivalent_deformations and infinitesimal_relation.
+equivalent_deformations and infinitesimal_relation.  None of them needs
+the inverse series Psi_t^(-1); the test suite's oracle builds it to check
+transform as Psi_t o mu_t o (Psi_t^(-1) x Psi_t^(-1)).
 
 The residual and the intertwining defect are the hot loops, and both are
 exact without Fractions in them: every family of coefficients (mu, nu,
@@ -46,7 +48,7 @@ from .algebra import (CheckReport, LeibnizSuperalgebra, SuperBimodule,
 from .cochain import Cochain, all_tuples
 from .cohomology import (DEFAULT_MAX_ARITY, coboundary_preimage, delta_matrix,
                          is_coboundary)
-from .linalg import F1, add_scaled, basis_vec, lin_comb, scale_to_ints, zeros
+from .linalg import basis_vec, scale_to_ints, zeros
 
 
 def _check_term(alg: LeibnizSuperalgebra, mod: SuperBimodule, f: Cochain,
@@ -141,21 +143,6 @@ class FormalIsomorphism:
             return [list(self.terms[i - 1].coeffs[j]) for j in range(dim)]
         return [zeros(dim) for _ in range(dim)]
 
-    def inverse(self, order: int | None = None) -> "FormalIsomorphism":
-        """The inverse series mod t**(order+1): phi_r = -sum_s psi_s phi_(r-s)."""
-        n = self.order if order is None else order
-        dim = self.algebra.dim
-        phis = [self.matrix(0)]
-        for r in range(1, n + 1):
-            cols = [zeros(dim) for _ in range(dim)]
-            for s in range(1, r + 1):
-                psi_s = self.matrix(s)
-                for col, phi_col in zip(cols, phis[r - s]):
-                    add_scaled(col, -F1, lin_comb(psi_s, phi_col, dim))
-            phis.append(cols)
-        return FormalIsomorphism(self.algebra, [Cochain(self.algebra, self.module, 1, 0, c)
-                                                for c in phis[1:]], self.module)
-
 
 def _residual_ints(d: TruncatedDeformation, mus: tuple, r: int) -> list[list[int]]:
     """The order-r residual as leibniz_defect gives it, from mus =
@@ -204,14 +191,6 @@ def check_deformation(d: TruncatedDeformation, mod_order: bool = False) -> Check
         if bad:
             return CheckReport(False, bad)  # the first failing order only
     return CheckReport(True, [])
-
-
-def infinitesimal(d: TruncatedDeformation) -> tuple[int, Cochain] | None:
-    """First nonzero term with its index, or None if all terms vanish."""
-    for i, f in enumerate(d.terms, start=1):
-        if not f.is_zero():
-            return i, f
-    return None
 
 
 class ExtensionUndefined(ValueError):

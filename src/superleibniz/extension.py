@@ -7,19 +7,19 @@ product of lifted elements is
 
 for a degree-0 2-cochain h.  The total is a Leibniz superalgebra exactly
 when h is a cocycle, and two cocycles give equivalent extensions exactly
-when their difference is a coboundary, via (x,m) -> (x, m + f(x)).
+when their difference is a coboundary, via (x,m) -> (x, m + f(x)); the
+test suite's oracle checks that theorem.  So the classes are the H^2_0
+representatives basis_h of cohomology_table(L, M, 2, with_bases=True).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .algebra import (CheckReport, LeibnizSuperalgebra, SuperBimodule,
                       SuperSpace)
 from .cochain import Cochain
-from .cohomology import DEFAULT_MAX_ARITY, cohomology_table, is_coboundary
-from .linalg import basis_vec, lin_comb, vec_is_zero, zeros
+from .linalg import vec_is_zero, zeros
 
 
 @dataclass
@@ -120,53 +120,3 @@ def check_extension(ext: Extension) -> CheckReport:
     for v in rep.violations:
         bad.append({"kind": "leibniz", **v})
     return CheckReport(not bad, bad)
-
-
-def _psi_matrix(ext_dim: int, dl: int, f: Cochain) -> list[list[Fraction]]:
-    """Matrix of (x,m) -> (x, m + f(x)) on the total space, column-wise."""
-    cols = [basis_vec(ext_dim, c) for c in range(ext_dim)]
-    for i in range(dl):
-        for k, c in enumerate(f.coeffs[i]):
-            if c:
-                cols[i][dl + k] += c
-    return cols
-
-
-def extensions_equivalent(e1: Extension, e2: Extension,
-                          max_arity: int = DEFAULT_MAX_ARITY) -> Cochain | None:
-    """A degree-0 1-cochain f with delta(f) = h1 - h2, or None.
-
-    When f exists, (x,m) -> (x, m + f(x)) is verified to be an algebra
-    isomorphism of the totals commuting with the inclusion and the
-    projection.
-    """
-    if e1.base != e2.base or e1.coeffs != e2.coeffs:
-        raise ValueError("extensions have different base or coefficients")
-    f = is_coboundary(e1.cocycle - e2.cocycle, max_arity=max_arity)
-    if f is None:
-        return None
-    alg, mod = e1.base, e1.coeffs
-    dl = alg.dim
-    dim = dl + mod.dim
-    cols = _psi_matrix(dim, dl, f)
-    for i in range(dim):
-        for j in range(dim):
-            lhs = lin_comb(cols, e1.total.bracket(i, j), dim)
-            rhs = e2.total.bracket_vec(cols[i], cols[j])
-            if lhs != rhs:
-                raise AssertionError(
-                    "delta(f) = h1 - h2 but the induced map is not "
-                    f"multiplicative at pair ({i},{j}); sign conventions broken")
-    return f
-
-
-def classify_extensions(alg: LeibnizSuperalgebra, mod: SuperBimodule,
-                        max_arity: int = DEFAULT_MAX_ARITY) -> list[Extension]:
-    """One extension per basis class of the degree-0 2-cohomology.
-
-    The cocycles are the canonical H^2_0 representatives of
-    cohomology_table, which extend the canonical coboundary basis to a
-    cocycle basis; they are pairwise inequivalent by construction.
-    """
-    table = cohomology_table(alg, mod, 2, with_bases=True, max_arity=max_arity)
-    return [build_extension(alg, mod, h) for h in table.entry(2, 0).basis_h]

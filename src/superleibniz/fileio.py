@@ -167,6 +167,7 @@ def _value_from_doc(value, space: SuperSpace, where: str) -> list[Fraction]:
     if not isinstance(value, list):
         raise ParseError(f"{where}: 'value' must be a list")
     vec = zeros(space.dim)
+    seen = set()
     for term in value:
         if not isinstance(term, dict) or "label" not in term or "coeff" not in term:
             raise ParseError(f"{where}: value terms need 'label' and 'coeff'")
@@ -174,7 +175,10 @@ def _value_from_doc(value, space: SuperSpace, where: str) -> list[Fraction]:
             k = space.index(term["label"])
         except KeyError:
             raise ParseError(f"{where}: unknown label {term['label']!r}")
-        vec[k] += parse_rational(term["coeff"])
+        if k in seen:
+            raise ParseError(f"{where}: duplicate value term for label {term['label']!r}")
+        seen.add(k)
+        vec[k] = parse_rational(term["coeff"])
     return vec
 
 

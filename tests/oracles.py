@@ -43,6 +43,13 @@
   flat position lists.
 - mat_vec, matmul, zero_matrix and identity_matrix: matrix arithmetic on
   RatMatrix that only the tests need.
+- bracket_vec, scale and inverse: the bracket of two coefficient vectors,
+  a multiple of a cochain and the inverse of a formal isomorphism; the
+  operator calculus, fraction_transform and the lemma tests use them,
+  and no library computation does.
+- extensions_equivalent: the oracle of the extension theorem.  It finds
+  f with delta(f) = h1 - h2 through cohomology.is_coboundary and checks
+  that (x,m) -> (x, m + f(x)) is an isomorphism of the totals.
 """
 
 from __future__ import annotations
@@ -56,7 +63,9 @@ import sympy
 from superleibniz.algebra import (EVEN, CheckReport, LeibnizSuperalgebra,
                                   SuperBimodule, SuperSpace, koszul)
 from superleibniz.cochain import Cochain, all_tuples, tuple_index
-from superleibniz.cohomology import enumerate_basis
+from superleibniz.cohomology import DEFAULT_MAX_ARITY, enumerate_basis, is_coboundary
+from superleibniz.deformation import FormalIsomorphism
+from superleibniz.extension import Extension
 from superleibniz.linalg import (F0, F1, RatMatrix, add_scaled, basis_vec, bilinear,
                                  kernel_basis, lin_comb, zeros)
 
@@ -179,7 +188,7 @@ def expanded_act_right(f: Cochain, a: list[Fraction]) -> Cochain:
     n = f.arity
     par = alg.space.parities
     out = Cochain.zero(alg, mod, n, (f.degree + pa) & 1)
-    bcols = [alg.bracket_vec(a, basis_vec(dim, t)) for t in range(dim)]
+    bcols = [bracket_vec(alg, a, basis_vec(dim, t)) for t in range(dim)]
     sgn_bracket = koszul(pa, f.degree)
     for T in all_tuples(dim, n):
         acc = zeros(mod.dim)
@@ -513,7 +522,7 @@ def fraction_transform(d, iso) -> list[Cochain]:
     alg = d.algebra
     dim, n = alg.dim, d.order
     mus = _mu_tables(d)
-    phis = [iso.inverse(n).matrix(r) for r in range(n + 1)]
+    phis = [inverse(iso, n).matrix(r) for r in range(n + 1)]
     psis = [iso.matrix(i) for i in range(n + 1)]
     terms = []
     for r in range(1, n + 1):
@@ -613,7 +622,7 @@ def d_op(x: list[Fraction], f: Cochain) -> Cochain:
     par = alg.space.parities
     out = Cochain.zero(alg, mod, n, (f.degree + px) & 1)
     # bracket of x with each basis element, precomputed per column
-    bcols = [alg.bracket_vec(x, basis_vec(dim, t)) for t in range(dim)]
+    bcols = [bracket_vec(alg, x, basis_vec(dim, t)) for t in range(dim)]
     for T in all_tuples(dim, n):
         acc = bilinear(mod.left, x, f.value(T), mod.dim)
         run = f.degree
@@ -656,7 +665,7 @@ def act_right(f: Cochain, a: list[Fraction]) -> Cochain:
     both a and f are odd.
     """
     pa = _vector_parity_or_raise(f.algebra.space, a, "operator argument")
-    return d_op(a, f).scale(-koszul(pa, f.degree))
+    return scale(d_op(a, f), -koszul(pa, f.degree))
 
 
 def cochain_space_module(alg: LeibnizSuperalgebra, mod: SuperBimodule,
@@ -822,3 +831,76 @@ def dense_check_axioms(mod: SuperBimodule) -> CheckReport:
             add_scaled(rhs, -koszul(pk, pi), act_left_vec(ei, act_right_vec(mk, ej)))
             compare(3, (msp.labels[k], asp.labels[i], asp.labels[j]), lhs, rhs)
     return CheckReport(not bad, bad)
+
+
+# ---------------------------------------------------------------------------
+# arithmetic on vectors, cochains and formal isomorphisms, and the extension
+# theorem: used by the oracles above and the tests, by no library computation
+# ---------------------------------------------------------------------------
+
+def bracket_vec(alg: LeibnizSuperalgebra, u: list[Fraction],
+                v: list[Fraction]) -> list[Fraction]:
+    """[u, v]: the bilinear extension of the structure constants."""
+    dim = alg.dim
+    if len(u) != dim or len(v) != dim:
+        raise ValueError("vector length does not match algebra dimension")
+    return bilinear(alg.table, u, v, dim)
+
+
+def scale(f: Cochain, c: Fraction) -> Cochain:
+    """The cochain c * f."""
+    return Cochain(f.algebra, f.module, f.arity, f.degree,
+                   [[c * a for a in v] for v in f.coeffs])
+
+
+def inverse(iso: FormalIsomorphism, order: int | None = None) -> FormalIsomorphism:
+    """The inverse series mod t**(order+1): phi_r = -sum_s psi_s phi_(r-s)."""
+    n = iso.order if order is None else order
+    dim = iso.algebra.dim
+    phis = [iso.matrix(0)]
+    for r in range(1, n + 1):
+        cols = [zeros(dim) for _ in range(dim)]
+        for s in range(1, r + 1):
+            psi_s = iso.matrix(s)
+            for col, phi_col in zip(cols, phis[r - s]):
+                add_scaled(col, -F1, lin_comb(psi_s, phi_col, dim))
+        phis.append(cols)
+    return FormalIsomorphism(iso.algebra, [Cochain(iso.algebra, iso.module, 1, 0, c)
+                                           for c in phis[1:]], iso.module)
+
+
+def _psi_matrix(ext_dim: int, dl: int, f: Cochain) -> list[list[Fraction]]:
+    """Matrix of (x,m) -> (x, m + f(x)) on the total space, column-wise."""
+    cols = [basis_vec(ext_dim, c) for c in range(ext_dim)]
+    for i in range(dl):
+        for k, c in enumerate(f.coeffs[i]):
+            if c:
+                cols[i][dl + k] += c
+    return cols
+
+
+def extensions_equivalent(e1: Extension, e2: Extension,
+                          max_arity: int = DEFAULT_MAX_ARITY) -> Cochain | None:
+    """A degree-0 1-cochain f with delta(f) = h1 - h2, or None.
+
+    When f exists, (x,m) -> (x, m + f(x)) is verified to be an algebra
+    isomorphism of the totals commuting with the inclusion and the
+    projection.
+    """
+    if e1.base != e2.base or e1.coeffs != e2.coeffs:
+        raise ValueError("extensions have different base or coefficients")
+    f = is_coboundary(e1.cocycle - e2.cocycle, max_arity=max_arity)
+    if f is None:
+        return None
+    dl = e1.base.dim
+    dim = dl + e1.coeffs.dim
+    cols = _psi_matrix(dim, dl, f)
+    for i in range(dim):
+        for j in range(dim):
+            lhs = lin_comb(cols, e1.total.bracket(i, j), dim)
+            rhs = bracket_vec(e2.total, cols[i], cols[j])
+            if lhs != rhs:
+                raise AssertionError(
+                    "delta(f) = h1 - h2 but the induced map is not "
+                    f"multiplicative at pair ({i},{j}); sign conventions broken")
+    return f

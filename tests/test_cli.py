@@ -609,3 +609,31 @@ def test_repeated_calls_carry_no_state_between_them(monkeypatch):
     # --format falls back to its default, text
     assert run(cohomology) == (
         0, (GOLDEN / "out_cohomology_nonlie3.txt").read_text(), "")
+
+
+_TWICE = [{"label": "x", "coeff": "1"}, {"label": "x", "coeff": "-1"}]
+
+REPEATED_LABEL = [
+    ("bracket", ["validate"], None,
+     {"name": "twice", "basis": _BASIS,
+      "brackets": [{"left": "y", "right": "x", "value": _TWICE}]},
+     "bracket (y,x): duplicate value term for label 'x'"),
+    ("module_action", ["cohomology", ALG], "--module",
+     {"basis": _BASIS, "left": [{"left": "y", "right": "x", "value": _TWICE}]},
+     "left action (y,x): duplicate value term for label 'x'"),
+    ("deformation_term", ["deform", "check", ALG], "--deformation",
+     {"order": 1, "terms": {"1": {"entries": [{"args": ["z", "z"], "value": _TWICE}]}}},
+     "cochain entry ['z', 'z']: duplicate value term for label 'x'"),
+]
+
+
+@pytest.mark.parametrize("name,verb,flag,doc,message", REPEATED_LABEL,
+                         ids=[c[0] for c in REPEATED_LABEL])
+def test_a_value_that_repeats_a_label_is_a_usage_error(tmp_path, name, verb, flag,
+                                                       doc, message):
+    # summed, the two terms read as zero and the file was accepted
+    p = tmp_path / "doc.json"
+    p.write_text(json.dumps(doc))
+    code, out, err = run(verb + ([flag, str(p)] if flag else [str(p)]))
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"

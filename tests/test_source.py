@@ -1,17 +1,24 @@
-"""Source hygiene: no library module imports a name it never uses, and
-no module-level private function or class goes unreferenced.
+"""Source hygiene: no library module imports a name it never uses, no
+module-level private function or class goes unreferenced, and every
+public name of the library is reached by the library itself or by the
+benchmark.
 
 A stdlib stand-in for a linter's unused-import and dead-code rules.  The
 package __init__ is skipped by the import check: its imports are the
-public re-exports.
+public re-exports.  It is skipped as a reference too, since a re-export
+reaches nothing; a name that only the tests call belongs in
+tests/oracles.py.
 """
 
 import ast
 import pathlib
+import re
+from collections import Counter
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "superleibniz"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "superleibniz"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -85,3 +92,77 @@ def test_unreferenced_private_helper_is_reported():
                         "class _Gone:\n    pass\n"),
                "b.py": "from a import _used\nx = _used()\n"}
     assert unreferenced_privates(sources) == ["a.py: _left_behind", "a.py: _Gone"]
+
+
+# A dotted string such as "LeibnizSuperalgebra.check_grading" names its parts:
+# bench/spans.py names the functions it wraps that way.
+_DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")
+
+# Public names no library or benchmark code reaches, each with its reason.
+PUBLIC_EXEMPT = {
+    "fileio.py: module_to_doc": "the writer half of the module-file codec, "
+    "whose byte-exact round trip README documents; it is built on fileio's "
+    "private table codec",
+}
+
+
+def _names(node: ast.AST) -> Counter:
+    found = Counter()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            found[n.id] += 1
+        elif isinstance(n, ast.Attribute):
+            found[n.attr] += 1
+        elif (isinstance(n, ast.Constant) and isinstance(n.value, str)
+              and _DOTTED.fullmatch(n.value)):
+            found.update(n.value.split("."))
+    return found
+
+
+def unreferenced_publics(defined: dict[str, str], readers: dict[str, str]) -> list[str]:
+    """The public module-level functions and classes of defined, and the
+    non-dunder methods of its classes, as 'file: name' or 'file:
+    Class.method', that no source in readers names outside the name's own
+    definition."""
+    used = sum((_names(ast.parse(source)) for source in readers.values()), Counter())
+    found = []
+    for name, source in defined.items():
+        for node in ast.parse(source).body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            members = [(node.name, node)]
+            if isinstance(node, ast.ClassDef):
+                members += [(f"{node.name}.{m.name}", m) for m in node.body
+                            if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef))
+                            and not m.name.startswith("__")]
+            for label, member in members:
+                short = member.name
+                if member is node and short.startswith("_"):
+                    continue
+                if used[short] <= _names(member)[short]:
+                    found.append(f"{name}: {label}")
+    return found
+
+
+def test_every_public_name_is_reached_by_the_library_or_the_benchmark():
+    defined = {p.name: p.read_text(encoding="utf-8") for p in MODULES}
+    bench = {f"bench/{p.name}": p.read_text(encoding="utf-8")
+             for p in sorted((ROOT / "bench").glob("*.py"))}
+    stray = unreferenced_publics(defined, {**defined, **bench})
+    assert [s for s in stray if s not in PUBLIC_EXEMPT] == []
+    assert sorted(PUBLIC_EXEMPT) == sorted(s for s in stray if s in PUBLIC_EXEMPT)
+
+
+def test_unreferenced_public_name_is_reported():
+    defined = {"a.py": ("def used():\n    pass\n\n"
+                        "def left_behind():\n    return left_behind()\n\n"
+                        "class Kept:\n"
+                        "    def named(self):\n        pass\n\n"
+                        "    def _helper(self):\n        return self._helper()\n\n"
+                        "    def __repr__(self):\n        return ''\n")}
+    caller = {"b.py": "from a import Kept, used\nused()\nKept().named()\n"}
+    targets = {"c.py": "TARGETS = (('a', 'Kept.named'), ('a', 'left_behind'))\n"}
+    assert unreferenced_publics(defined, {**defined, **caller}) \
+        == ["a.py: left_behind", "a.py: Kept._helper"]
+    assert unreferenced_publics(defined, {**defined, **targets}) \
+        == ["a.py: used", "a.py: Kept._helper"]
