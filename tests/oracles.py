@@ -63,7 +63,7 @@ import sympy
 from superleibniz.algebra import (EVEN, CheckReport, LeibnizSuperalgebra,
                                   SuperBimodule, SuperSpace, koszul)
 from superleibniz.cochain import Cochain, all_tuples, tuple_index
-from superleibniz.cohomology import DEFAULT_MAX_ARITY, enumerate_basis, is_coboundary
+from superleibniz.cohomology import enumerate_basis, is_coboundary
 from superleibniz.deformation import FormalIsomorphism
 from superleibniz.extension import Extension
 from superleibniz.linalg import (F0, F1, RatMatrix, add_scaled, basis_vec, bilinear,
@@ -879,8 +879,7 @@ def _psi_matrix(ext_dim: int, dl: int, f: Cochain) -> list[list[Fraction]]:
     return cols
 
 
-def extensions_equivalent(e1: Extension, e2: Extension,
-                          max_arity: int = DEFAULT_MAX_ARITY) -> Cochain | None:
+def extensions_equivalent(e1: Extension, e2: Extension) -> Cochain | None:
     """A degree-0 1-cochain f with delta(f) = h1 - h2, or None.
 
     When f exists, (x,m) -> (x, m + f(x)) is verified to be an algebra
@@ -889,7 +888,7 @@ def extensions_equivalent(e1: Extension, e2: Extension,
     """
     if e1.base != e2.base or e1.coeffs != e2.coeffs:
         raise ValueError("extensions have different base or coefficients")
-    f = is_coboundary(e1.cocycle - e2.cocycle, max_arity=max_arity)
+    f = is_coboundary(e1.cocycle - e2.cocycle)
     if f is None:
         return None
     dl = e1.base.dim
