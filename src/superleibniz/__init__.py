@@ -9,7 +9,7 @@ from .algebra import (AssociativeSuperalgebra, CheckReport, LeibnizSuperalgebra,
 from .cochain import Cochain, delta
 from .cohomology import (ArityCapError, CohomologyTable, cohomology_table,
                          delta_matrix, derivations, enumerate_basis,
-                         inner_derivations, is_coboundary)
+                         inner_derivations)
 from .deformation import (ExtensionUndefined, FormalIsomorphism,
                           TruncatedDeformation, check_deformation,
                           deformation_residual, equivalent_deformations,

@@ -28,7 +28,7 @@ from .extension import build_extension, check_extension
 from .fileio import (DimensionCapError, ParseError, canonical_json,
                      cochain_to_doc, load_algebra, load_cochain,
                      load_deformation, load_module, parity_name, save_algebra,
-                     save_deformation)
+                     save_deformation, series_to_doc)
 
 EXIT_OK = 0
 EXIT_MATH_FAIL = 1
@@ -384,10 +384,7 @@ def cmd_deform_equiv(args) -> int:
     if args.order is not None:
         report["searched_order"] = args.order
     if iso is not None:
-        report["isomorphism"] = {
-            str(i): cochain_to_doc(f)["entries"]
-            for i, f in enumerate(iso.terms, start=1) if not f.is_zero()
-        }
+        report["isomorphism"] = series_to_doc(iso)
         # an order-0 search says nothing about the order-1 terms
         rel = infinitesimal_relation(d1, d2, iso) if iso.order >= 1 else None
         report["infinitesimal_relation"] = rel.ok if rel is not None else None

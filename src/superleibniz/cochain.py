@@ -81,6 +81,17 @@ class Cochain:
         return cls(algebra, module, arity, degree,
                    [zeros(dm) for _ in range(algebra.dim ** arity)])
 
+    @classmethod
+    def from_table(cls, algebra: LeibnizSuperalgebra, module: SuperBimodule, arity: int,
+                   degree: int, den: int, table: list | None) -> "Cochain":
+        """The cochain whose flat table lists, at each tuple index, the
+        nonzeros (k, x) of its value times den; None is the zero cochain."""
+        f = cls.zero(algebra, module, arity, degree)
+        for vec, row in zip(f.coeffs, table or ()):
+            for k, x in row:
+                vec[k] = Fraction(x, den)
+        return f
+
     # -- structure ----------------------------------------------------------
 
     def value(self, t: tuple[int, ...]) -> list[Fraction]:
@@ -88,17 +99,6 @@ class Cochain:
 
     def is_zero(self) -> bool:
         return all(vec_is_zero(v) for v in self.coeffs)
-
-    def is_homogeneous(self) -> bool:
-        """Support check: value at t lives in parity degree + |t| only."""
-        apar = self.algebra.space
-        mpar = self.module.space.parities
-        for t in all_tuples(self.algebra.dim, self.arity):
-            want = (self.degree + apar.tuple_parity(t)) & 1
-            for k, c in enumerate(self.value(t)):
-                if c and mpar[k] != want:
-                    return False
-        return True
 
     def _compatible(self, other: "Cochain") -> None:
         if (self.algebra != other.algebra or self.module != other.module

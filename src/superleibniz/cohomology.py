@@ -14,6 +14,7 @@ bases depend on it), and no other module reads cochain coordinates.
 from __future__ import annotations
 
 import itertools
+from math import lcm
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -43,17 +44,10 @@ def enumerate_basis(alg: LeibnizSuperalgebra, mod: SuperBimodule,
     return out
 
 
-def cochain_coords(f: Cochain,
-                   enum: list[tuple[tuple[int, ...], int]]) -> list[Fraction]:
-    dim = f.algebra.dim
-    return [f.coeffs[tuple_index(t, dim)][k] for t, k in enum]
-
-
 def cochain_from_coords(alg: LeibnizSuperalgebra, mod: SuperBimodule,
                         n: int, parity: int, coords: list[Fraction],
-                        enum: list[tuple[tuple[int, ...], int]] | None = None) -> Cochain:
-    if enum is None:
-        enum = enumerate_basis(alg, mod, n, parity)
+                        enum: list[tuple[tuple[int, ...], int]]) -> Cochain:
+    """The cochain with the coordinates coords in the enumerate_basis order enum."""
     f = Cochain.zero(alg, mod, n, parity)
     for c, (t, k) in zip(coords, enum):
         if c:
@@ -78,19 +72,24 @@ def _check_cap(alg: LeibnizSuperalgebra, mod: SuperBimodule, arity: int,
             f"{value} (raise the cap to proceed)")
 
 
-def _positions(tuple_parities: list[int], mpar: tuple[int, ...],
-               parity: int) -> tuple[list[int | None], int]:
-    """The flat position list of a parity component and its dimension:
-    entry tuple_index(t) * dim M + k is the place of (t, k) in the
-    enumerate_basis order, or None when (t, k) is not in the component."""
-    inside = [p == parity ^ q for q in tuple_parities for p in mpar]
-    count = itertools.count()
-    return [next(count) if x else None for x in inside], sum(inside)
+def _positions(alg: LeibnizSuperalgebra, mod: SuperBimodule, top: int,
+               parity: int) -> list[tuple[list[int | None], int]]:
+    """For the arities n = 0..top, the flat position list of the parity
+    component and its dimension: entry tuple_index(t) * dim M + k is the
+    place of (t, k) in the enumerate_basis order, or None when (t, k) is
+    not in the component."""
+    out = []
+    for pars in parity_tables(alg.space.parities, top):
+        inside = [p == parity ^ q for q in pars for p in mod.space.parities]
+        count = itertools.count()
+        out.append(([next(count) if x else None for x in inside], sum(inside)))
+    return out
 
 
 def delta_matrix(alg: LeibnizSuperalgebra, mod: SuperBimodule, n: int, parity: int,
                  max_arity: int = DEFAULT_MAX_ARITY,
-                 structure: tuple[int, list, list, list] | None = None) -> RatMatrix:
+                 structure: tuple[int, list, list, list] | None = None,
+                 positions: list | None = None) -> RatMatrix:
     """Matrix of the coboundary on the parity component, arity n -> n+1.
 
     Columns follow the domain enumeration, rows the codomain enumeration;
@@ -100,17 +99,16 @@ def delta_matrix(alg: LeibnizSuperalgebra, mod: SuperBimodule, n: int, parity: i
     structure (scaled_structure(mod) by default): the entries are ints
     when D is 1 and Fraction(x, D) otherwise.  A caller that passes
     (1, table, left, right) from scaled_structure gets D times the
-    coboundary in ints, with the same rank, kernel and image.
+    coboundary in ints, with the same rank, kernel and image.  positions
+    are the _positions of arities n and n+1 (built here by default).
     """
     if n < 0:
         raise ValueError("arity must be >= 0")
     _check_cap(alg, mod, n + 1, max_arity)
     if structure is None:
         structure = scaled_structure(mod)
-    dm, mpar = mod.dim, mod.space.parities
-    pars = parity_tables(alg.space.parities, n + 1)
-    cols, ncols = _positions(pars[n], mpar, parity)
-    places, nrows = _positions(pars[n + 1], mpar, parity)
+    dm = mod.dim
+    (cols, ncols), (places, nrows) = positions or _positions(alg, mod, n + 1, parity)[n:]
     rows = [{} for _ in range(nrows)]
     for t, s, c, action in coboundary_terms(alg, structure, parity, n):
         t, s = t * dm, s * dm
@@ -191,17 +189,19 @@ def cohomology_table(alg: LeibnizSuperalgebra, mod: SuperBimodule, max_n: int,
 
     Computing H^n needs the coboundary into arity n+1, so max_n+1 must be
     within the arity cap.  The structure is scaled once, and every matrix
-    is D*delta in ints (see _integral).
+    is D*delta in ints (see _integral).  The position list of each arity
+    is built once per parity.
     """
     _check_cap(alg, mod, max_n + 1, max_arity)
     table = CohomologyTable(alg, mod, max_n)
     structure = _integral(mod)
     for parity in (0, 1):
+        layout = _positions(alg, mod, max_n + 1, parity)
         prev_matrix: RatMatrix | None = None
         dim_b = 0
         for n in range(max_n + 1):
             mat = delta_matrix(alg, mod, n, parity, max_arity=max_arity,
-                               structure=structure)
+                               structure=structure, positions=layout[n:n + 2])
             dim_c = mat.cols
             zrows = _z_rows(mat) if with_bases else None
             dim_z = len(zrows) if with_bases else dim_c - rank(mat)
@@ -240,20 +240,41 @@ def inner_derivations(alg: LeibnizSuperalgebra, mod: SuperBimodule) -> list[Coch
     return _cochains(row_space_basis(RatMatrix.from_rows(rows)), alg, mod, 1, 0, enum)
 
 
-def coboundary_preimage(mat: RatMatrix, f: Cochain) -> Cochain | None:
-    """The canonical g with delta(g) = f (free coordinates zero), or None.
+def integral_coboundary(mod: SuperBimodule, n: int, parity: int,
+                        max_arity: int = DEFAULT_MAX_ARITY) -> tuple[int, RatMatrix]:
+    """(D, D*delta) on the parity component from arity n, D*delta built on
+    the structure scaled to ints (see _integral): (D*delta)(y) = delta(D*y)."""
+    d, *structure = scaled_structure(mod)
+    return d, delta_matrix(mod.algebra, mod, n, parity, max_arity=max_arity,
+                           structure=(1, *structure))
 
-    mat is delta_matrix of f's degree from arity f.arity - 1; callers that
-    test many cochains build it once.
+
+def coboundary_preimage(mat: RatMatrix, mod: SuperBimodule, n: int, parity: int,
+                        rows: list) -> tuple[int, list] | None:
+    """The canonical g with mat(g) = f (free coordinates zero), or None.
+
+    mat is delta_matrix of the parity from arity n - 1, or a multiple of it
+    such as integral_coboundary's, built once by callers that solve many.
+    rows is the flat table of the arity-n cochain f: at each tuple index,
+    the nonzeros (k, c) of its value, c an int or a Fraction; only the
+    coordinates in the component are read.  g is returned the same way,
+    as (E, table) with ints E*coefficient.  A zero f is not eliminated.
     """
-    alg, mod, n, parity = f.algebra, f.module, f.arity, f.degree
-    x = solve(mat, cochain_coords(f, enumerate_basis(alg, mod, n, parity)))
-    return None if x is None else cochain_from_coords(alg, mod, n - 1, parity, x)
-
-
-def is_coboundary(f: Cochain, max_arity: int = DEFAULT_MAX_ARITY) -> Cochain | None:
-    """Some g with delta(g) = f, or None when f is not a coboundary."""
-    if f.arity < 1:
-        raise ValueError("arity must be >= 1")
-    return coboundary_preimage(
-        delta_matrix(f.algebra, f.module, f.arity - 1, f.degree, max_arity=max_arity), f)
+    dm = mod.dim
+    (cols, _), (places, _) = _positions(mod.algebra, mod, n, parity)[n - 1:]
+    b = [0] * mat.rows
+    for t, row in enumerate(rows):
+        for k, c in row:
+            if places[t * dm + k] is not None:
+                b[places[t * dm + k]] = c
+    table = [[] for _ in range(len(cols) // dm)]
+    if not any(b):
+        return 1, table
+    x = solve(mat, b)
+    if x is None:
+        return None
+    e = lcm(*(v.denominator for v in x))
+    for pos, j in enumerate(cols):
+        if j is not None and x[j]:
+            table[pos // dm].append((pos % dm, x[j].numerator * (e // x[j].denominator)))
+    return e, table

@@ -11,9 +11,8 @@ vanishing of the residual
 (indices beyond the truncation order contribute zero).  Splitting off the
 i=0 and j=0 terms gives R_r = -delta(mu_r) - R'_r with R'_r collecting the
 products of two higher terms, so extending a deformation to order r means
-solving delta(mu_r) = -R'_r, which is cohomology.is_coboundary of the
-residual without mu_r; the solver verifies the appended term kills the
-order-r residual.
+solving delta(mu_r) = -R'_r for the residual without mu_r; the solver
+verifies the appended term kills the order-r residual.
 
 The strict checker demands R_r = 0 for r = 1..2N (products of two order-N
 truncations reach t**(2N)); the jet reading stops at r = N.  Truncating a
@@ -28,144 +27,168 @@ equivalent_deformations and infinitesimal_relation.  None of them needs
 the inverse series Psi_t^(-1); the test suite's oracle builds it to check
 transform as Psi_t o mu_t o (Psi_t^(-1) x Psi_t^(-1)).
 
-The residual and the intertwining defect are the hot loops, and both are
-exact without Fractions in them: every family of coefficients (mu, nu,
-psi) is scaled once to ints over its common denominator
-(linalg.scale_to_ints), the products are summed in ints, and each nonzero
-entry is divided once, by D**2 for the residual and by
-D_mu * D_nu * D_psi**2 for the defect.  The checks zero-test the int
-residuals themselves: a strict check scales mu_0..mu_N once for all of
-its orders and builds Fractions only for the defects it reports.
+Both are a Series: sparse int tables over one running denominator D, a
+term scaled once as it is added.  The residual and the defect are summed
+in those ints, over D**2 and D_mu * D_nu * D_psi**2, and the solves of
+extend and equiv take them as they are (see integral_coboundary), so a
+Fraction is built only for a reported defect or the dense terms view.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd, lcm
 
 from .algebra import (CheckReport, LeibnizSuperalgebra, SuperBimodule,
                       adjoint_module, leibniz_defect)
 from .cochain import Cochain, all_tuples
-from .cohomology import (DEFAULT_MAX_ARITY, coboundary_preimage, delta_matrix,
-                         is_coboundary)
-from .linalg import basis_vec, scale_to_ints, zeros
+from .cohomology import DEFAULT_MAX_ARITY, coboundary_preimage, integral_coboundary
+from .linalg import scale_to_ints
 
 
-def _check_term(alg: LeibnizSuperalgebra, mod: SuperBimodule, f: Cochain,
-                what: str) -> None:
-    if f.algebra != alg or f.module != mod:
-        raise ValueError(f"{what} must be a cochain on the algebra with "
-                         "adjoint coefficients")
-    if f.degree != 0:
-        raise ValueError(f"{what} must be homogeneous of degree 0")
+def _scaled(table: list, mul: int, div: int = 1) -> list:
+    """table with every int times mul, divided (exactly) by div."""
+    if mul == div:
+        return table
+    return [[(k, x * mul // div) for k, x in row] for row in table]
 
 
-@dataclass
-class TruncatedDeformation:
-    """mu_0 + mu_1 t + ... + mu_N t^N; terms holds mu_1..mu_N only."""
+class Series:
+    """A truncated formal series sum_i s_i t**i of degree-0 cochains of
+    arity ARITY on an algebra, with adjoint coefficients, held sparse and
+    fraction-free.  tables maps each power i <= order with s_i nonzero to
+    the flat table of s_i (s_0, the undeformed map, included): entry T, a
+    tuple index, lists the nonzeros (k, D*coefficient) of s_i at T by
+    ascending k, over one denominator den = D, the lcm of the
+    denominators of all coefficients.  So equal series have equal den and
+    tables.  Tables are never changed in place; copies share them.
+    """
 
-    algebra: LeibnizSuperalgebra
-    terms: list[Cochain]
-    module: SuperBimodule = field(default=None)  # adjoint; shared by all terms
+    def __init__(self, algebra: LeibnizSuperalgebra, terms: list[Cochain],
+                 module: SuperBimodule | None = None, order: int | None = None):
+        """The series of order `order` (default len(terms)) with the
+        cochains terms at t**1..t**len(terms)."""
+        module = module if module is not None else adjoint_module(algebra)
+        self._set(algebra, module, len(terms) if order is None else order, 1, {})
+        self._unit()
+        for k, f in enumerate(terms, start=1):
+            self._check(f, k)
+            self.append(k, f.coeffs)
 
-    def __post_init__(self):
-        if self.module is None:
-            self.module = adjoint_module(self.algebra)
-        for k, f in enumerate(self.terms):
-            if f.arity != 2:
-                raise ValueError("deformation terms must have arity 2")
-            _check_term(self.algebra, self.module, f, f"term {k + 1}")
+    def _set(self, algebra, module, order: int, den: int, tables: dict) -> "Series":
+        self.algebra, self.module, self.order = algebra, module, order
+        self.den, self.tables, self._terms = den, tables, None
+        return self
+
+    def _copy(self, order: int, den: int, tables: dict) -> "Series":
+        return object.__new__(type(self))._set(self.algebra, self.module, order, den, tables)
+
+    def _check(self, f: Cochain, k: int) -> None:
+        if f.arity != self.ARITY:
+            raise ValueError(f"{self.KIND} terms must have arity {self.ARITY}")
+        if f.algebra != self.algebra or f.module != self.module:
+            raise ValueError(f"term {k} must be a cochain on the algebra with "
+                             "adjoint coefficients")
+        if f.degree != 0:
+            raise ValueError(f"term {k} must be homogeneous of degree 0")
+
+    def append(self, power: int, vectors: list[list[Fraction]]) -> None:
+        """add() for a term given as dense Fraction vectors, one per tuple."""
+        den, (table,) = scale_to_ints([vectors])
+        self.add(power, den, table)
+
+    def add(self, power: int, den: int, table: list) -> None:
+        """Set the term at power, absent so far, to the flat int table over
+        den.  The term is brought to lowest terms and scaled alone; the
+        stored ints are rescaled only if D grows.  A zero term is dropped."""
+        xs = [x for row in table for _, x in row]
+        if not xs:
+            return
+        g = gcd(den, *xs)
+        den //= g
+        top = lcm(self.den, den)
+        if top != self.den:
+            self.tables = {i: _scaled(t, top // self.den) for i, t in self.tables.items()}
+            self.den = top
+        self.tables[power] = _scaled(table, top // den, g)
+
+    @property
+    def terms(self) -> list[Cochain]:
+        """s_1..s_N as dense cochains, built on first access; read-only."""
+        if self._terms is None:
+            self._terms = [Cochain.from_table(self.algebra, self.module, self.ARITY, 0,
+                                              self.den, self.tables.get(i))
+                           for i in range(1, self.order + 1)]
+        return self._terms
+
+    def truncated(self, order: int) -> "Series":
+        """The series mod t**(order+1), over its own lcm of denominators."""
+        kept = {i: t for i, t in self.tables.items() if i <= order}
+        g = 1 if len(kept) == len(self.tables) else gcd(
+            self.den, *(x for t in kept.values() for row in t for _, x in row))
+        return self._copy(min(order, self.order), self.den // g,
+                          {i: _scaled(t, 1, g) for i, t in kept.items()})
+
+    def __eq__(self, other) -> bool:
+        return (type(other) is type(self) and self.order == other.order
+                and self.algebra == other.algebra and self.den == other.den
+                and self.tables == other.tables)
+
+
+class TruncatedDeformation(Series):
+    """mu_0 + mu_1 t + ... + mu_N t^N, mu_0 the bracket; terms holds mu_1..mu_N."""
+
+    ARITY, KIND = 2, "deformation"
+
+    def _unit(self) -> None:
+        self.append(0, [v for row in self.algebra.table for v in row])
 
     @classmethod
     def zero(cls, alg: LeibnizSuperalgebra, order: int,
              module: SuperBimodule | None = None) -> "TruncatedDeformation":
-        mod = module if module is not None else adjoint_module(alg)
-        return cls(alg, [Cochain.zero(alg, mod, 2, 0) for _ in range(order)], mod)
-
-    @property
-    def order(self) -> int:
-        return len(self.terms)
-
-    def mu_ints(self) -> tuple[int, list, set[int]]:
-        """mu_0..mu_N fraction-free over one common denominator D, as
-        scale_to_ints gives them: one flat table per mu_i whose entry
-        a*dim + b lists the nonzeros (k, D*coefficient) of mu_i(e_a, e_b);
-        last, the set of i with mu_i nonzero, so that the residuals skip
-        the products of zero terms."""
-        d, tables = scale_to_ints([[v for row in self.algebra.table for v in row]]
-                                  + [f.coeffs for f in self.terms])
-        return d, tables, {i for i, t in enumerate(tables) if any(t)}
+        return cls(alg, [], module, order)
 
     def appended(self, mu: Cochain) -> "TruncatedDeformation":
-        return TruncatedDeformation(self.algebra, self.terms + [mu], self.module)
-
-    def truncated(self, order: int) -> "TruncatedDeformation":
-        return TruncatedDeformation(self.algebra, self.terms[:order], self.module)
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, TruncatedDeformation)
-                and self.algebra == other.algebra
-                and [f.coeffs for f in self.terms] == [f.coeffs for f in other.terms])
+        self._check(mu, self.order + 1)
+        d = self._copy(self.order + 1, self.den, dict(self.tables))
+        d.append(d.order, mu.coeffs)
+        return d
 
 
-@dataclass
-class FormalIsomorphism:
+class FormalIsomorphism(Series):
     """Psi_t = id + psi_1 t + ... + psi_N t^N, each psi_i degree-0 on L."""
 
-    algebra: LeibnizSuperalgebra
-    terms: list[Cochain]
-    module: SuperBimodule = field(default=None)
+    ARITY, KIND = 1, "isomorphism"
 
-    def __post_init__(self):
-        if self.module is None:
-            self.module = adjoint_module(self.algebra)
-        for k, f in enumerate(self.terms):
-            if f.arity != 1:
-                raise ValueError("isomorphism terms must have arity 1")
-            _check_term(self.algebra, self.module, f, f"term {k + 1}")
+    def _unit(self) -> None:
+        self.add(0, 1, [[(a, 1)] for a in range(self.algebra.dim)])
 
     @classmethod
     def identity(cls, alg: LeibnizSuperalgebra, order: int,
                  module: SuperBimodule | None = None) -> "FormalIsomorphism":
-        mod = module if module is not None else adjoint_module(alg)
-        return cls(alg, [Cochain.zero(alg, mod, 1, 0) for _ in range(order)], mod)
-
-    @property
-    def order(self) -> int:
-        return len(self.terms)
-
-    def matrix(self, i: int) -> list[list[Fraction]]:
-        """psi_i as a list of image columns; psi_0 is the identity."""
-        dim = self.algebra.dim
-        if i == 0:
-            return [basis_vec(dim, j) for j in range(dim)]
-        if i <= self.order:
-            return [list(self.terms[i - 1].coeffs[j]) for j in range(dim)]
-        return [zeros(dim) for _ in range(dim)]
+        return cls(alg, [], module, order)
 
 
-def _residual_ints(d: TruncatedDeformation, mus: tuple, r: int) -> list[list[int]]:
-    """The order-r residual as leibniz_defect gives it, from mus =
-    d.mu_ints(): one int vector per basis triple, the residual times D**2
-    for the common denominator D of mu_0..mu_N."""
-    _, tables, live = mus
-    # the pairs (mu_i, mu_j), i + j = r, of nonzero terms within the order
-    pairs = [(tables[i], tables[r - i]) for i in live if r - i in live]
-    return leibniz_defect(pairs, d.algebra.space.parities)
+def _residual_ints(d: TruncatedDeformation, r: int) -> list[list[int]]:
+    """The order-r residual of d as leibniz_defect gives it: one int vector
+    per basis triple, the residual times D**2; empty when each product
+    mu_i mu_(r-i) has a zero factor."""
+    t = d.tables
+    pairs = [(t[i], t[r - i]) for i in t if r - i in t]
+    return leibniz_defect(pairs, d.algebra.space.parities) if pairs else []
 
 
 def deformation_residual(d: TruncatedDeformation, r: int) -> Cochain:
     """The order-r residual as a degree-0 3-cochain; zero iff order r holds.
 
-    Summed in ints over the common denominator D of mu_0..mu_N; each
-    nonzero entry is divided by D**2 once, when it is written back.
+    Summed in ints over the denominator D of the series; each nonzero
+    entry is divided by D**2 once, when it is written back.
     """
     if r < 1 or r > 2 * max(d.order, 1):
         raise ValueError(f"order {r} out of range 1..{2 * max(d.order, 1)}")
-    mus = d.mu_ints()
-    den = mus[0] * mus[0]
+    den = d.den ** 2
     out = Cochain.zero(d.algebra, d.module, 3, 0)
-    for idx, v in enumerate(_residual_ints(d, mus, r)):
+    for idx, v in enumerate(_residual_ints(d, r)):
         if any(v):
             out.coeffs[idx] = [Fraction(y, den) for y in v]
     return out
@@ -176,17 +199,17 @@ def check_deformation(d: TruncatedDeformation, mod_order: bool = False) -> Check
 
     Strict mode requires residuals 1..2N to vanish (the unqualified
     reading of the defining equation); mod_order stops at N, treating the
-    deformation as a jet mod t**(N+1).  mu_0..mu_N are scaled to ints
-    once per check; Fractions are built only for the reported defects.
+    deformation as a jet mod t**(N+1).  The int residuals of the series
+    are zero-tested; Fractions are built only for the reported defects,
+    and an order whose products all have a zero factor costs no product.
     """
     top = d.order if mod_order else 2 * d.order
     sp = d.algebra.space
-    mus = d.mu_ints()
-    den = mus[0] * mus[0]
+    den = d.den ** 2
     for r in range(1, top + 1):
         bad = [{"order": r, "triple": tuple(sp.labels[i] for i in t),
                 "defect": sp.describe([Fraction(y, den) for y in v])}
-               for t, v in zip(all_tuples(d.algebra.dim, 3), _residual_ints(d, mus, r))
+               for t, v in zip(all_tuples(d.algebra.dim, 3), _residual_ints(d, r))
                if any(v)]
         if bad:
             return CheckReport(False, bad)  # the first failing order only
@@ -224,39 +247,43 @@ def extend_deformation(d: TruncatedDeformation, r: int,
     lower = check_deformation(base, mod_order=True)
     if not lower.ok:
         raise ExtensionUndefined(lower)
-    # the residual without mu_r equals -R'_r
-    mu_r = is_coboundary(deformation_residual(base, r), max_arity=max_arity)
-    if mu_r is None:
+    # the residual without mu_r is -R'_r, held as D**2 times it; against
+    # D_s * delta its canonical preimage y gives mu_r = y * D_s / D**2
+    ds, mat = integral_coboundary(base.module, 2, 0, max_arity)
+    rhs = [[(k, y) for k, y in enumerate(v) if y] for v in _residual_ints(base, r)]
+    solution = coboundary_preimage(mat, base.module, 3, 0, rhs)
+    if solution is None:
         return None
-    extended = base.appended(mu_r)
-    if any(any(v) for v in _residual_ints(extended, extended.mu_ints(), r)):
+    extended = base._copy(r, base.den, dict(base.tables))
+    extended.add(r, solution[0] * base.den ** 2, _scaled(solution[1], ds))
+    if any(any(v) for v in _residual_ints(extended, r)):
         raise AssertionError("solver produced mu_r that fails order r; "
                              "sign conventions broken")
-    return mu_r
+    return Cochain.from_table(base.algebra, base.module, 2, 0, extended.den,
+                              extended.tables.get(r))
 
 
-def _intertwining_defect(d: TruncatedDeformation, mus: tuple, nus: tuple,
-                         psis: tuple, r: int) -> Cochain:
-    """Order r of Psi_t(mu_t(a,b)) - nu_t(Psi_t a, Psi_t b) as a degree-0
-    2-cochain, from mu_ints() of both deformations and scale_to_ints of the
-    columns of psi_0, psi_1, ...; terms past a family's end count as zero.
-    Each summand psi_i(mu_j(a,b)) or nu_j(psi_k a, psi_l b) is one entry of
-    each factor, so the defect is summed in ints over D_mu*D_nu*D_psi**2.
+def _intertwining_defect(mu: Series, nu: Series, psi: Series, r: int,
+                         dim: int) -> tuple[int, list]:
+    """Order r of Psi_t(mu_t(a,b)) - nu_t(Psi_t a, Psi_t b) as a flat int
+    table of nonzeros (k, x) per pair (a, b), and its denominator
+    D_mu*D_nu*D_psi**2; terms absent from a series count as zero.  Each
+    summand psi_i(mu_j(a,b)) or nu_j(psi_k a, psi_l b) is one entry of
+    each factor, so the defect is summed in ints.
     """
-    dim = d.algebra.dim
-    (d_mu, mu, mu_live), (d_nu, nu, nu_live), (d_psi, psi) = mus, nus, psis
-    top, up = len(psi) - 1, d_nu * d_psi
-    outer = [(mu[j], psi[r - j]) for j in mu_live if r - top <= j <= r]
-    inner = [(nu[j], psi[k], psi[r - j - k]) for j in nu_live if j <= r
-             for k in range(max(0, r - j - top), min(top, r - j) + 1)]
-    f = Cochain.zero(d.algebra, d.module, 2, 0)
+    (d_mu, m), (d_nu, n), (d_psi, p) = ((s.den, s.tables) for s in (mu, nu, psi))
+    up = d_nu * d_psi
+    outer = [(m[j], p[r - j]) for j in m if r - j in p]
+    inner = [(n[j], p[k], p[r - j - k]) for j in n if j <= r
+             for k in p if r - j - k in p]
+    out = []
     for idx, (a, b) in enumerate(all_tuples(dim, 2)):
         acc = [0] * dim
         for table, psi_i in outer:
             for t, c in table[idx]:
                 c *= up
-                for s, p in psi_i[t]:
-                    acc[s] += c * p
+                for s, x in psi_i[t]:
+                    acc[s] += c * x
         for table, psi_k, psi_l in inner:
             vb = psi_l[b]
             for x, u in psi_k[a]:
@@ -265,9 +292,8 @@ def _intertwining_defect(d: TruncatedDeformation, mus: tuple, nus: tuple,
                     uz = u * z
                     for t, c in table[row + y]:
                         acc[t] -= uz * c
-        if any(acc):
-            f.coeffs[idx] = [Fraction(y, up * d_psi * d_mu) for y in acc]
-    return f
+        out.append([(k, y) for k, y in enumerate(acc) if y])
+    return up * d_psi * d_mu, out
 
 
 def transform(d: TruncatedDeformation, iso: FormalIsomorphism) -> TruncatedDeformation:
@@ -281,10 +307,9 @@ def transform(d: TruncatedDeformation, iso: FormalIsomorphism) -> TruncatedDefor
         raise ValueError("isomorphism is over a different algebra")
     if iso.order != d.order:
         raise ValueError("isomorphism and deformation must share the order")
-    mus, psis = d.mu_ints(), scale_to_ints([iso.matrix(i) for i in range(d.order + 1)])
-    nu = TruncatedDeformation(d.algebra, [], d.module)
+    nu = TruncatedDeformation.zero(d.algebra, d.order, d.module)
     for r in range(1, d.order + 1):
-        nu.terms.append(_intertwining_defect(d, mus, nu.mu_ints(), psis, r))
+        nu.add(r, *_intertwining_defect(d, nu, iso, r, d.algebra.dim))
     return nu
 
 
@@ -306,15 +331,16 @@ def equivalent_deformations(d1: TruncatedDeformation, d2: TruncatedDeformation,
         raise ValueError(f"order must be nonnegative, got {order}")
     n = d1.order if order is None else min(order, d1.order)
     da, db = d1.truncated(n), d2.truncated(n)
-    mat = delta_matrix(da.algebra, da.module, 1, 0, max_arity=max_arity)
-    iso = FormalIsomorphism.identity(da.algebra, n, da.module)
-    mus, nus = da.mu_ints(), db.mu_ints()
+    alg, mod = da.algebra, da.module
+    ds, mat = integral_coboundary(mod, 1, 0, max_arity)
+    iso = FormalIsomorphism.identity(alg, n, mod)
     for r in range(1, n + 1):
-        psis = scale_to_ints([iso.matrix(i) for i in range(r)])
-        psi_r = coboundary_preimage(mat, _intertwining_defect(da, mus, nus, psis, r))
-        if psi_r is None:
+        den, defect = _intertwining_defect(da, db, iso, r, alg.dim)
+        # the canonical y with D_s * delta(y) = den * defect: psi_r = y * D_s / den
+        solution = coboundary_preimage(mat, mod, 2, 0, defect)
+        if solution is None:
             return None
-        iso.terms[r - 1] = psi_r
+        iso.add(r, solution[0] * den, _scaled(solution[1], ds))
     if transform(da, iso) != db:
         raise AssertionError("order-by-order solution failed to match; "
                              "sign conventions broken")
@@ -327,10 +353,9 @@ def infinitesimal_relation(d1: TruncatedDeformation, d2: TruncatedDeformation,
     vanishing of the order-1 intertwining defect (mu_1 - nu_1) - delta(psi_1)."""
     if d1.order < 1 or d2.order < 1:
         raise ValueError("both deformations need at least order 1")
-    psis = scale_to_ints([iso.matrix(0), iso.matrix(1)])
-    diff = _intertwining_defect(d1, d1.truncated(1).mu_ints(),
-                                d2.truncated(1).mu_ints(), psis, 1)
-    sp = d1.algebra.space
+    dim, sp = d1.algebra.dim, d1.algebra.space
+    den, diff = _intertwining_defect(d1, d2, iso, 1, dim)
+    values = Cochain.from_table(d1.algebra, d1.module, 2, 0, den, diff).coeffs
     bad = [{"pair": tuple(sp.labels[i] for i in t), "defect": sp.describe(v)}
-           for t, v in zip(all_tuples(d1.algebra.dim, 2), diff.coeffs) if any(v)]
+           for t, v in zip(all_tuples(dim, 2), values) if any(v)]
     return CheckReport(not bad, bad)

@@ -11,10 +11,12 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
+from json.encoder import encode_basestring
+from math import lcm
 
 from .algebra import (EVEN, ODD, LeibnizSuperalgebra, SuperBimodule, SuperSpace)
 from .cochain import Cochain, all_tuples, tuple_index
-from .deformation import TruncatedDeformation
+from .deformation import Series, TruncatedDeformation
 from .linalg import zeros
 
 
@@ -33,12 +35,13 @@ class DimensionCapError(ParseError):
 _RATIONAL_RE = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")   # ASCII digits only
 
 
-def parse_rational(value) -> Fraction:
-    """Exact rational from an integer or a 'p' / 'p/q' string; no floats."""
+def rational_parts(value) -> tuple[int, int]:
+    """An exact rational from an integer or a 'p' / 'p/q' string, no floats,
+    as a numerator and a positive denominator, not reduced."""
     if isinstance(value, bool):
         raise ParseError(f"not a rational coefficient: {value!r}")
     if isinstance(value, int):
-        return Fraction(value)
+        return value, 1
     if isinstance(value, float):
         raise ParseError(f"floating-point coefficient {value!r} rejected; "
                          "write an exact rational like \"-1/2\"")
@@ -52,7 +55,7 @@ def parse_rational(value) -> Fraction:
             raise ParseError(f"coefficient {value[:20]!r}...: {exc}") from exc
         if den == 0:
             raise ParseError(f"zero denominator in {value!r}")
-        return Fraction(num, den)
+        return num, den
     raise ParseError(f"not a rational coefficient: {value!r}")
 
 
@@ -94,7 +97,44 @@ def parity_name(p: int) -> str:
 
 
 def canonical_json(doc) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    """json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) + "\\n",
+    byte for byte, for documents of dicts with str keys, lists, str, int,
+    bool and None; anything else raises TypeError.  (With an indent the
+    json module encodes in pure Python; this writer does less.)"""
+    out: list[str] = []
+    _write_json(doc, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+_JSON_CONSTANTS = {None: "null", True: "true", False: "false"}
+
+
+def _write_json(value, pad: str, out: list[str]) -> None:
+    """Append value's encoding to out; pad is the newline and indent of its line."""
+    kind, inner = type(value), pad + "  "
+    if kind is str:
+        out.append(encode_basestring(value))
+    elif kind is int:
+        out.append(int.__repr__(value))
+    elif kind is bool or value is None:
+        out.append(_JSON_CONSTANTS[value])
+    elif kind is list and value:
+        for i, item in enumerate(value):
+            out.append(("," if i else "[") + inner)
+            _write_json(item, inner, out)
+        out.append(pad + "]")
+    elif kind is dict and value:
+        for i, key in enumerate(sorted(value)):
+            if type(key) is not str:
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            out.append(("," if i else "{") + inner + encode_basestring(key) + ": ")
+            _write_json(value[key], inner, out)
+        out.append(pad + "}")
+    elif kind is list or kind is dict:
+        out.append("[]" if kind is list else "{}")
+    else:
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
 def _unique_keys(pairs: list[tuple]) -> dict:
@@ -163,11 +203,12 @@ def _space_to_doc(space: SuperSpace) -> dict:
     }
 
 
-def _value_from_doc(value, space: SuperSpace, where: str) -> list[Fraction]:
+def _sparse_value(value, space: SuperSpace, where: str) -> list[tuple[int, int, int]]:
+    """The nonzero terms of a value list as (k, numerator, denominator), by
+    ascending basis index k; a label may not repeat."""
     if not isinstance(value, list):
         raise ParseError(f"{where}: 'value' must be a list")
-    vec = zeros(space.dim)
-    seen = set()
+    out, seen = [], set()
     for term in value:
         if not isinstance(term, dict) or "label" not in term or "coeff" not in term:
             raise ParseError(f"{where}: value terms need 'label' and 'coeff'")
@@ -178,13 +219,22 @@ def _value_from_doc(value, space: SuperSpace, where: str) -> list[Fraction]:
         if k in seen:
             raise ParseError(f"{where}: duplicate value term for label {term['label']!r}")
         seen.add(k)
-        vec[k] = parse_rational(term["coeff"])
+        num, den = rational_parts(term["coeff"])
+        if num:
+            out.append((k, num, den))
+    return sorted(out)
+
+
+def _value_from_doc(value, space: SuperSpace, where: str) -> list[Fraction]:
+    vec = zeros(space.dim)
+    for k, num, den in _sparse_value(value, space, where):
+        vec[k] = Fraction(num, den)
     return vec
 
 
-def _value_to_doc(vec: list[Fraction], space: SuperSpace) -> list[dict]:
-    return [{"label": space.labels[k], "coeff": str(c)}
-            for k, c in enumerate(vec) if c]
+def _value_to_doc(row, space: SuperSpace) -> list[dict]:
+    """The value terms of the nonzeros (k, c) of a vector, c a Fraction."""
+    return [{"label": space.labels[k], "coeff": str(c)} for k, c in row]
 
 
 def _table_from_doc(doc: dict, key: str, left_space: SuperSpace,
@@ -215,7 +265,7 @@ def _table_to_doc(table, left_space: SuperSpace, right_space: SuperSpace,
                   out_space: SuperSpace) -> list[dict]:
     """The nonzero entries of a structure table, in basis order."""
     return [{"left": left_space.labels[i], "right": right_space.labels[j],
-             "value": _value_to_doc(vec, out_space)}
+             "value": _value_to_doc(_nonzeros(vec), out_space)}
             for i, row in enumerate(table) for j, vec in enumerate(row) if any(vec)]
 
 
@@ -280,11 +330,12 @@ def load_module(path: str, alg: LeibnizSuperalgebra,
 # cochains
 # ---------------------------------------------------------------------------
 
-def cochain_from_doc(doc, alg: LeibnizSuperalgebra, mod: SuperBimodule,
-                     even2: str | None = None) -> Cochain:
-    """The cochain in doc.  Its arity sizes the table, so a caller that
-    accepts only even 2-cochains passes the refusal message as even2 and
-    any other header is refused before the table is built."""
+def _cochain_table(doc, alg: LeibnizSuperalgebra, mod: SuperBimodule,
+                   even2: str | None) -> tuple[int, int, int, list]:
+    """The cochain in doc as its arity, its degree, a denominator D and its
+    flat table of nonzeros (k, D*coefficient).  Labels, repeats and
+    homogeneity are checked entry by entry.  A caller that accepts only
+    even 2-cochains passes the refusal message as even2."""
     if not isinstance(doc, dict):
         raise ParseError("cochain document must be a JSON object")
     if even2 is not None and (doc.get("arity"), doc.get("degree")) != (2, "even"):
@@ -295,38 +346,52 @@ def cochain_from_doc(doc, alg: LeibnizSuperalgebra, mod: SuperBimodule,
     if not isinstance(degree, str) or degree not in _PARITY_NAMES:
         raise ParseError("'degree' must be 'even' or 'odd'")
     degree = _PARITY_NAMES[degree]
-    f = Cochain.zero(alg, mod, arity, degree)
-    seen = set()
+    asp, mpar = alg.space, mod.space.parities
+    values = {}
     for ent in _entry_list(doc, "entries", ("args",), "cochain"):
         args = ent["args"]
         if not isinstance(args, list) or len(args) != arity:
             raise ParseError(f"cochain entry needs {arity} args, got {args!r}")
         try:
-            t = tuple(alg.space.index(lab) for lab in args)
+            t = tuple(asp.index(lab) for lab in args)
         except KeyError as exc:
             raise ParseError(f"cochain entry: {exc.args[0]}")
-        if t in seen:
+        if tuple_index(t, alg.dim) in values:
             raise ParseError(f"duplicate cochain entry for args {args!r}")
-        seen.add(t)
-        f.coeffs[tuple_index(t, alg.dim)] = _value_from_doc(
-            ent.get("value", []), mod.space, f"cochain entry {args}")
-    if not f.is_homogeneous():
-        raise ParseError("cochain entries violate homogeneity: some value has "
-                         "a component whose parity differs from degree + "
-                         "sum of argument parities")
-    return f
+        value = _sparse_value(ent.get("value", []), mod.space, f"cochain entry {args}")
+        if any(mpar[k] != (degree + asp.tuple_parity(t)) & 1 for k, _, _ in value):
+            raise ParseError("cochain entries violate homogeneity: some value has "
+                             "a component whose parity differs from degree + "
+                             "sum of argument parities")
+        values[tuple_index(t, alg.dim)] = value
+    den = lcm(*(d for value in values.values() for _, _, d in value))
+    table = [[] for _ in range(alg.dim ** arity)]
+    for idx, value in values.items():
+        table[idx] = [(k, num * (den // d)) for k, num, d in value]
+    return arity, degree, den, table
+
+
+def cochain_from_doc(doc, alg: LeibnizSuperalgebra, mod: SuperBimodule,
+                     even2: str | None = None) -> Cochain:
+    """The cochain in doc (see _cochain_table for even2)."""
+    return Cochain.from_table(alg, mod, *_cochain_table(doc, alg, mod, even2))
+
+
+def _nonzeros(vec: list[Fraction]) -> list[tuple[int, Fraction]]:
+    return [(k, c) for k, c in enumerate(vec) if c]
+
+
+def _entries_to_doc(rows, arity: int, asp: SuperSpace, msp: SuperSpace) -> list[dict]:
+    """The entries of a cochain whose flat table rows lists, per tuple, the
+    nonzeros (k, c) of its value, c a Fraction."""
+    return [{"args": [asp.labels[i] for i in t], "value": _value_to_doc(row, msp)}
+            for t, row in zip(all_tuples(asp.dim, arity), rows) if row]
 
 
 def cochain_to_doc(f: Cochain) -> dict:
-    asp, msp = f.algebra.space, f.module.space
-    entries = []
-    for t in all_tuples(f.algebra.dim, f.arity):
-        vec = f.value(t)
-        if any(vec):
-            entries.append({"args": [asp.labels[i] for i in t],
-                            "value": _value_to_doc(vec, msp)})
     return {"arity": f.arity, "degree": parity_name(f.degree),
-            "entries": entries}
+            "entries": _entries_to_doc(map(_nonzeros, f.coeffs), f.arity,
+                                       f.algebra.space, f.module.space)}
 
 
 def load_cochain(path: str, alg: LeibnizSuperalgebra, mod: SuperBimodule,
@@ -343,8 +408,13 @@ def save_cochain(f: Cochain, path: str) -> None:
 # deformations
 # ---------------------------------------------------------------------------
 
+_TERM_KEY = re.compile(r"[1-9][0-9]*")   # ASCII digits, no leading zero
+
+
 def deformation_from_doc(doc, alg: LeibnizSuperalgebra,
                          mod: SuperBimodule) -> TruncatedDeformation:
+    """The deformation in doc, each term parsed straight into its series;
+    an error inside a term names its power of t."""
     if not isinstance(doc, dict):
         raise ParseError("deformation document must be a JSON object")
     _check_keys(doc, ("order", "terms"), "deformation")
@@ -352,31 +422,37 @@ def deformation_from_doc(doc, alg: LeibnizSuperalgebra,
     terms_doc = doc.get("terms", {})
     if not isinstance(terms_doc, dict):
         raise ParseError("'terms' must map powers of t to cochain tables")
-    keys = [str(i) for i in range(1, order + 1)]
-    unknown = sorted(set(terms_doc).difference(keys))
+    unknown = sorted(k for k in terms_doc if not (
+        _TERM_KEY.fullmatch(k) and len(k) <= len(str(order)) and int(k) <= order))
     if unknown:
         raise ParseError(f"term key {unknown[0]!r} outside 1..{order}; term keys "
                          "are decimals without leading zeros")
-    terms = []
-    for key in keys:
-        if key in terms_doc:
+    d = TruncatedDeformation.zero(alg, order, mod)
+    for power, key in sorted((int(key), key) for key in terms_doc):
+        try:
             if not isinstance(terms_doc[key], dict):
-                raise ParseError(f"term {key}: must be an object with 'entries'")
-            sub = {"arity": 2, "degree": "even", **terms_doc[key]}
-            terms.append(cochain_from_doc(sub, alg, mod, f"term {key}: deformation "
-                                          "terms must be even 2-cochains"))
-        else:
-            terms.append(Cochain.zero(alg, mod, 2, 0))
-    return TruncatedDeformation(alg, terms, mod)
+                raise ParseError("must be an object with 'entries'")
+            _, _, den, table = _cochain_table(
+                {"arity": 2, "degree": "even", **terms_doc[key]}, alg, mod,
+                "deformation terms must be even 2-cochains")
+        except ParseError as exc:
+            raise ParseError(f"term {key}: {exc}") from None
+        d.add(power, den, table)
+    return d
+
+
+def series_to_doc(s: Series) -> dict[str, list]:
+    """{str(i): entries} for the nonzero terms i >= 1 of a deformation or a
+    formal isomorphism, the entries as cochain_to_doc writes them."""
+    asp, msp = s.algebra.space, s.module.space
+    return {str(i): _entries_to_doc(([(k, Fraction(x, s.den)) for k, x in row]
+                                     for row in table), s.ARITY, asp, msp)
+            for i, table in s.tables.items() if i}
 
 
 def deformation_to_doc(d: TruncatedDeformation) -> dict:
-    terms = {}
-    for i, f in enumerate(d.terms, start=1):
-        if not f.is_zero():
-            sub = cochain_to_doc(f)
-            terms[str(i)] = {"entries": sub["entries"]}
-    return {"order": d.order, "terms": terms}
+    return {"order": d.order,
+            "terms": {i: {"entries": e} for i, e in series_to_doc(d).items()}}
 
 
 def load_deformation(path: str, alg: LeibnizSuperalgebra,

@@ -126,10 +126,15 @@ class RatMatrix:
         used = [row for row in sparse_rows if row]
         if used and (min(map(min, used)) < 0 or max(map(max, used)) >= cols):
             raise ValueError(f"column index outside 0..{cols - 1}")
+        return cls._of(cols, [row if all(row.values()) else
+                              {j: x for j, x in row.items() if x} for row in sparse_rows])
+
+    @classmethod
+    def _of(cls, cols: int, sparse_rows: list[SparseRow]) -> "RatMatrix":
+        """from_sparse without its checks, for rows that hold nonzero
+        coefficients in columns 0..cols-1 only by construction."""
         m = cls.__new__(cls)
-        m.rows, m.cols, m._dense = len(sparse_rows), cols, None
-        m.sparse_rows = [row if all(row.values()) else
-                         {j: x for j, x in row.items() if x} for row in sparse_rows]
+        m.rows, m.cols, m.sparse_rows, m._dense = len(sparse_rows), cols, sparse_rows, None
         return m
 
     @property
@@ -144,7 +149,7 @@ class RatMatrix:
         for i, row in enumerate(self.sparse_rows):
             for j, x in row.items():
                 out[j][i] = x
-        return RatMatrix.from_sparse(self.rows, out)
+        return RatMatrix._of(self.rows, out)
 
     def is_zero(self) -> bool:
         return not any(self.sparse_rows)
@@ -229,7 +234,7 @@ def rref(m: RatMatrix) -> tuple[RatMatrix, list[int]]:
     order = sorted(pivots)
     red = [{j: F1 if j == c else Fraction(x, row[c]) for j, x in row.items()}
            for c, row in sorted(pivots.items())] + [{} for _ in range(m.rows - len(order))]
-    return RatMatrix.from_sparse(m.cols, red), order
+    return RatMatrix._of(m.cols, red), order
 
 
 def rank(m: RatMatrix) -> int:
@@ -262,7 +267,7 @@ def solve(m: RatMatrix, b: list[Fraction]) -> list[Fraction] | None:
     for row, bb in zip(aug, b):
         if bb:
             row[n] = bb
-    red, pivots = rref(RatMatrix.from_sparse(n + 1, aug))
+    red, pivots = rref(RatMatrix._of(n + 1, aug))
     if pivots and pivots[-1] == n:
         return None
     x = zeros(n)

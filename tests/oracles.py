@@ -48,8 +48,21 @@
   operator calculus, fraction_transform and the lemma tests use them,
   and no library computation does.
 - extensions_equivalent: the oracle of the extension theorem.  It finds
-  f with delta(f) = h1 - h2 through cohomology.is_coboundary and checks
-  that (x,m) -> (x, m + f(x)) is an isomorphism of the totals.
+  f with delta(f) = h1 - h2 through is_coboundary and checks that
+  (x,m) -> (x, m + f(x)) is an isomorphism of the totals.
+- is_coboundary, cochain_preimage, cochain_coords, is_homogeneous,
+  iso_matrix and parse_rational: the dense face of the library's sparse
+  routines (cohomology.coboundary_preimage, the coordinate order of
+  enumerate_basis, the homogeneity that fileio checks per entry, the
+  terms of a FormalIsomorphism and fileio.rational_parts), which only
+  the tests need.
+- dense_deformation_from_doc and dense_mu_ints: the deformation file read
+  into one dense Fraction cochain per power of t (a zero one per missing
+  term), and those terms with the bracket scaled together to ints by
+  scale_to_ints; the reference for the series that fileio parses each
+  term straight into.
+- fraction_intertwining_defect: the order-r intertwining defect from the
+  polynomial expansion, the reference right-hand side of equiv's solves.
 """
 
 from __future__ import annotations
@@ -63,11 +76,13 @@ import sympy
 from superleibniz.algebra import (EVEN, CheckReport, LeibnizSuperalgebra,
                                   SuperBimodule, SuperSpace, koszul)
 from superleibniz.cochain import Cochain, all_tuples, tuple_index
-from superleibniz.cohomology import enumerate_basis, is_coboundary
+from superleibniz.cohomology import (coboundary_preimage, delta_matrix,
+                                     enumerate_basis)
 from superleibniz.deformation import FormalIsomorphism
 from superleibniz.extension import Extension
+from superleibniz.fileio import cochain_from_doc, rational_parts
 from superleibniz.linalg import (F0, F1, RatMatrix, add_scaled, basis_vec, bilinear,
-                                 kernel_basis, lin_comb, zeros)
+                                 kernel_basis, lin_comb, scale_to_ints, zeros)
 
 
 def _mu(d, i: int, u: list[Fraction], v: list[Fraction]) -> list[Fraction]:
@@ -222,7 +237,7 @@ def intertwining_defects(d_from, d_to, iso, cap: int) -> list[tuple[int, tuple[i
     formal isomorphism from d_from to d_to; empty means iso intertwines.
     """
     dim = d_from.algebra.dim
-    psis = [iso.matrix(i) for i in range(cap + 1)]
+    psis = [iso_matrix(iso, i) for i in range(cap + 1)]
     out = []
     for a in range(dim):
         for b in range(dim):
@@ -522,8 +537,8 @@ def fraction_transform(d, iso) -> list[Cochain]:
     alg = d.algebra
     dim, n = alg.dim, d.order
     mus = _mu_tables(d)
-    phis = [inverse(iso, n).matrix(r) for r in range(n + 1)]
-    psis = [iso.matrix(i) for i in range(n + 1)]
+    phis = [iso_matrix(inverse(iso, n), r) for r in range(n + 1)]
+    psis = [iso_matrix(iso, i) for i in range(n + 1)]
     terms = []
     for r in range(1, n + 1):
         f = Cochain.zero(alg, d.module, 2, 0)
@@ -857,11 +872,11 @@ def inverse(iso: FormalIsomorphism, order: int | None = None) -> FormalIsomorphi
     """The inverse series mod t**(order+1): phi_r = -sum_s psi_s phi_(r-s)."""
     n = iso.order if order is None else order
     dim = iso.algebra.dim
-    phis = [iso.matrix(0)]
+    phis = [iso_matrix(iso, 0)]
     for r in range(1, n + 1):
         cols = [zeros(dim) for _ in range(dim)]
         for s in range(1, r + 1):
-            psi_s = iso.matrix(s)
+            psi_s = iso_matrix(iso, s)
             for col, phi_col in zip(cols, phis[r - s]):
                 add_scaled(col, -F1, lin_comb(psi_s, phi_col, dim))
         phis.append(cols)
@@ -902,4 +917,99 @@ def extensions_equivalent(e1: Extension, e2: Extension) -> Cochain | None:
                 raise AssertionError(
                     "delta(f) = h1 - h2 but the induced map is not "
                     f"multiplicative at pair ({i},{j}); sign conventions broken")
+    return f
+
+
+# ---------------------------------------------------------------------------
+# dense cochains over the library's sparse routines
+# ---------------------------------------------------------------------------
+
+def parse_rational(value) -> Fraction:
+    """The exact rational that fileio.rational_parts reads, as a Fraction."""
+    return Fraction(*rational_parts(value))
+
+
+def cochain_coords(f: Cochain, enum: list[tuple[tuple[int, ...], int]]) -> list[Fraction]:
+    """f's coordinates in the enumerate_basis order enum."""
+    dim = f.algebra.dim
+    return [f.coeffs[tuple_index(t, dim)][k] for t, k in enum]
+
+
+def is_homogeneous(f: Cochain) -> bool:
+    """Support check: the value at t lives in parity degree + |t| only."""
+    apar, mpar = f.algebra.space, f.module.space.parities
+    for t in all_tuples(f.algebra.dim, f.arity):
+        want = (f.degree + apar.tuple_parity(t)) & 1
+        for k, c in enumerate(f.value(t)):
+            if c and mpar[k] != want:
+                return False
+    return True
+
+
+def cochain_preimage(mat: RatMatrix, f: Cochain) -> Cochain | None:
+    """coboundary_preimage for a dense cochain f: the canonical g with
+    delta(g) = f as a cochain, or None; mat as coboundary_preimage takes it."""
+    rows = [[(k, c) for k, c in enumerate(v) if c] for v in f.coeffs]
+    found = coboundary_preimage(mat, f.module, f.arity, f.degree, rows)
+    if found is None:
+        return None
+    return Cochain.from_table(f.algebra, f.module, f.arity - 1, f.degree, *found)
+
+
+def is_coboundary(f: Cochain) -> Cochain | None:
+    """Some g with delta(g) = f, or None when f is not a coboundary."""
+    if f.arity < 1:
+        raise ValueError("arity must be >= 1")
+    return cochain_preimage(delta_matrix(f.algebra, f.module, f.arity - 1, f.degree), f)
+
+
+def iso_matrix(iso: FormalIsomorphism, i: int) -> list[list[Fraction]]:
+    """psi_i as a list of image columns; psi_0 is the identity."""
+    dim = iso.algebra.dim
+    if i == 0:
+        return [basis_vec(dim, j) for j in range(dim)]
+    if i <= iso.order:
+        return [list(iso.terms[i - 1].coeffs[j]) for j in range(dim)]
+    return [zeros(dim) for _ in range(dim)]
+
+
+# ---------------------------------------------------------------------------
+# deformation files and series, the dense way
+# ---------------------------------------------------------------------------
+
+def dense_deformation_from_doc(doc, alg: LeibnizSuperalgebra,
+                               mod: SuperBimodule) -> list[Cochain]:
+    """mu_1..mu_N of a well-formed deformation document, one dense cochain
+    per power, a zero one for each missing term."""
+    terms = []
+    for i in range(1, doc["order"] + 1):
+        sub = doc["terms"].get(str(i))
+        terms.append(Cochain.zero(alg, mod, 2, 0) if sub is None else
+                     cochain_from_doc({"arity": 2, "degree": "even", **sub}, alg, mod))
+    return terms
+
+
+def dense_mu_ints(alg: LeibnizSuperalgebra, terms: list[Cochain]) -> tuple[int, dict]:
+    """mu_0..mu_N scaled together by scale_to_ints: (D, {i: flat table})
+    for the nonzero mu_i only."""
+    d, tables = scale_to_ints([[v for row in alg.table for v in row]]
+                              + [f.coeffs for f in terms])
+    return d, {i: t for i, t in enumerate(tables) if any(t)}
+
+
+def fraction_intertwining_defect(d_from, d_to, psis: list, r: int) -> Cochain:
+    """Order r of Psi(mu_t(a,b)) - nu_t(Psi a, Psi b), Psi the series of the
+    column matrices psis (psi_0..psi_(r-1), the rest zero), expanded as
+    polynomials: the right-hand side delta(psi_r) of equiv's order r."""
+    alg = d_from.algebra
+    dim = alg.dim
+    psis = psis + [[zeros(dim) for _ in range(dim)]] * (r + 1 - len(psis))
+    f = Cochain.zero(alg, d_from.module, 2, 0)
+    for acc, (a, b) in zip(f.coeffs, all_tuples(dim, 2)):
+        q = _poly_apply_mu(d_from, [basis_vec(dim, a)], [basis_vec(dim, b)], r)
+        for i in range(r + 1):
+            add_scaled(acc, F1, lin_comb(psis[i], q[r - i], dim))
+        lhs = _poly_apply_mu(d_to, [psis[k][a] for k in range(r + 1)],
+                             [psis[k][b] for k in range(r + 1)], r)
+        add_scaled(acc, -F1, lhs[r])
     return f

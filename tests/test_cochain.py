@@ -8,8 +8,8 @@ from helpers import (modules_for, random_cochain, random_homogeneous_vector,
                      standard_fixtures)
 from oracles import (MixedParityError, act_left, act_right, cochain_eval,
                      cochain_space_module, curry, d_op, dense_delta,
-                     bracket_vec, expanded_act_right, identity_map, restrict,
-                     scale, uncurry_value, vector_parity)
+                     bracket_vec, expanded_act_right, identity_map, is_homogeneous,
+                     restrict, scale, uncurry_value, vector_parity)
 from superleibniz.algebra import (SuperSpace, abelian, adjoint_module,
                                   free_truncated, koszul, nonlie_example)
 from superleibniz.cochain import Cochain, all_tuples, delta, tuple_index
@@ -123,7 +123,7 @@ def test_delta_degree_and_homogeneity_bookkeeping():
             f = random_cochain(L, M, n, deg, rng)
             df = delta(f)
             assert df.arity == n + 1 and df.degree == deg
-            assert df.is_homogeneous()
+            assert is_homogeneous(df)
 
 
 def test_delta_delta_zero_across_fixtures():
@@ -247,8 +247,8 @@ def test_degree_bookkeeping_d_op_restrict():
             v = random_homogeneous_vector(L.space, px, rng)
             assert d_op(v, f).degree == (deg + px) & 1
             assert restrict(f, v).degree == (deg + px) & 1
-            assert d_op(v, f).is_homogeneous()
-            assert restrict(f, v).is_homogeneous()
+            assert is_homogeneous(d_op(v, f))
+            assert is_homogeneous(restrict(f, v))
 
 
 # -- lemma suite (operator identities) -----------------------------------

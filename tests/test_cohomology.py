@@ -7,18 +7,17 @@ from fractions import Fraction
 import pytest
 
 from helpers import modules_for, random_cochain, standard_fixtures, transport
-from oracles import (annihilator, basis_cochain, cochain_eval, dense_delta,
-                     fraction_delta_matrix, fraction_extend_to_basis, fraction_rref,
-                     identity_map, mat_vec, matmul, sympy_rank)
+from oracles import (annihilator, basis_cochain, cochain_coords, cochain_eval,
+                     dense_delta, fraction_delta_matrix, fraction_extend_to_basis,
+                     fraction_rref, identity_map, is_coboundary, mat_vec, matmul,
+                     sympy_rank)
 from superleibniz import cochain, cohomology, linalg
 from superleibniz.algebra import (LeibnizSuperalgebra, SuperSpace, abelian,
                                   adjoint_module, free_truncated, nonlie_example,
                                   zero_module)
 from superleibniz.cochain import Cochain, delta, scaled_structure
-from superleibniz.cohomology import (ArityCapError, cochain_coords,
-                                     cohomology_table, delta_matrix, derivations,
-                                     enumerate_basis, inner_derivations,
-                                     is_coboundary)
+from superleibniz.cohomology import (ArityCapError, cohomology_table, delta_matrix,
+                                     derivations, enumerate_basis, inner_derivations)
 from superleibniz.extension import build_extension, check_extension
 from superleibniz.linalg import (RatMatrix, basis_vec, bilinear, kernel_basis,
                                  rank, row_space_basis)

@@ -1,22 +1,28 @@
 import itertools
+import json
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import random_cochain, standard_fixtures
-from oracles import (bruteforce_deformation_failures, cochain_eval,
-                     fraction_residual, fraction_transform, inverse, scale)
+from oracles import (bruteforce_deformation_failures, cochain_coords, cochain_eval,
+                     cochain_preimage, dense_deformation_from_doc, dense_mu_ints,
+                     dense_solve, fraction_intertwining_defect, fraction_residual,
+                     fraction_transform, inverse, iso_matrix, scale)
 from superleibniz.algebra import abelian, adjoint_module, nonlie_example
 from superleibniz.cochain import Cochain, all_tuples, delta, tuple_index
-from superleibniz.cohomology import (coboundary_preimage, cochain_coords,
-                                     cochain_from_coords, cohomology_table,
+from superleibniz.cohomology import (cochain_from_coords, cohomology_table,
                                      delta_matrix, enumerate_basis)
 from superleibniz.deformation import (ExtensionUndefined, FormalIsomorphism,
                                       TruncatedDeformation, check_deformation,
                                       deformation_residual, equivalent_deformations,
                                       extend_deformation, infinitesimal_relation,
                                       transform)
+from superleibniz.fileio import (cochain_to_doc, deformation_from_doc, load_deformation,
+                                 save_deformation)
 from superleibniz.linalg import F0, F1, basis_vec, bilinear
 
 F = Fraction
@@ -225,23 +231,26 @@ def test_strict_checker_agrees_with_oracle_on_fractional_jets():
     assert check_deformation(d, mod_order=True).ok and first > d.order
 
 
-def test_strict_check_scales_the_terms_once_per_check(monkeypatch):
-    # one mu_ints per check, whether it runs all 2N orders or stops at the
-    # first failing one
+def test_terms_are_scaled_once_when_the_series_is_built(monkeypatch):
+    # each term is scaled to ints once, as it enters the series; a check,
+    # whether it runs all 2N orders or stops at the first failing one,
+    # rescales nothing
+    import superleibniz.deformation as deformation
     calls = []
-    original = TruncatedDeformation.mu_ints
+    original = deformation.scale_to_ints
 
-    def counted(self):
-        calls.append(self.order)
-        return original(self)
+    def counted(tables):
+        calls.append(len(tables))
+        return original(tables)
 
-    monkeypatch.setattr(TruncatedDeformation, "mu_ints", counted)
+    monkeypatch.setattr(deformation, "scale_to_ints", counted)
     L, M = nonlie_setup()
     failing = TruncatedDeformation(L, [Cochain.zero(L, M, 2, 0), mu_zz_x(L, M)], M)
+    assert calls == [1, 1, 1]   # the bracket, then each term alone
     for d, ok in ((TruncatedDeformation.zero(L, 3, M), True), (failing, False)):
         calls.clear()
         rep = check_deformation(d)
-        assert rep.ok is ok and calls == [d.order]
+        assert rep.ok is ok and calls == []
     assert {v["order"] for v in rep.violations} == {2}
 
 
@@ -292,8 +301,8 @@ def test_extend_rejects_a_term_that_leaves_the_residual(monkeypatch):
     d = TruncatedDeformation(L, [mu1], M)
     assert not deformation_residual(d, 2).is_zero()
     assert extend_deformation(d, 2) is not None
-    monkeypatch.setattr(deformation, "is_coboundary",
-                        lambda f, max_arity: Cochain.zero(L, M, 2, 0))
+    monkeypatch.setattr(deformation, "coboundary_preimage",
+                        lambda mat, mod, n, parity, rows: (1, [[] for _ in range(9)]))
     with pytest.raises(AssertionError, match="sign conventions broken"):
         extend_deformation(d, 2)
 
@@ -471,11 +480,11 @@ def test_inverse_is_a_series_inverse():
     rng = random.Random(11)
     iso = random_iso(L, M, 3, rng)
     inv = inverse(iso)
-    phis = [inverse(inv, 3).matrix(r) for r in range(4)]
+    phis = [iso_matrix(inverse(inv, 3), r) for r in range(4)]
     for r in range(1, 4):
         # composing the inverse series of inv with iso terms gives identity: the
         # double inverse must reproduce the original term matrices
-        assert phis[r] == iso.matrix(r)
+        assert phis[r] == iso_matrix(iso, r)
 
 
 def test_transform_preserves_validity_mod_order():
@@ -538,7 +547,7 @@ def test_equivalent_deformations_recovers_transforms():
     d1 = TruncatedDeformation(L, [d1.terms[0], Cochain.zero(L, M, 2, 0), d1.terms[2]], M)
     assert not d1.terms[0].is_zero() and not d1.terms[2].is_zero()
     mat = delta_matrix(L, M, 1, 0)
-    iso0 = FormalIsomorphism(L, [coboundary_preimage(mat, delta(f))
+    iso0 = FormalIsomorphism(L, [cochain_preimage(mat, delta(f))
                                  for f in random_iso(L, M, 3, rng).terms], M)
     d2 = transform(d1, iso0)
     iso = equivalent_deformations(d1, d2)
@@ -639,3 +648,131 @@ def test_abelian_everything_is_rigid():
     assert check_deformation(d1, mod_order=True).ok
     assert not check_deformation(d1).ok
     assert equivalent_deformations(d1, TruncatedDeformation.zero(A, 1)) is None
+
+
+# -- the series: parse, scale, solve -----------------------------------------
+
+PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=60)
+
+# numerators and denominators that make the running denominator grow,
+# shrink back on truncation and cancel between terms
+COEFFS = [F(0), F(1), F(-1), F(2, 3), F(-5, 4), F(7, 6), F(HUGE, 10007), F(1, 2 ** 70)]
+
+
+@st.composite
+def deformation_documents(draw):
+    """A deformation file of a standard fixture: some powers of t carry a
+    homogeneous even 2-cochain drawn from COEFFS, written as JSON with the
+    entries and the value terms in a drawn order."""
+    L = draw(st.sampled_from(standard_fixtures()))
+    M = adjoint_module(L)
+    order = draw(st.integers(0, 5))
+    powers = draw(st.sets(st.integers(1, order), max_size=order)) if order else set()
+    terms = {}
+    for i in sorted(powers):
+        f = Cochain.zero(L, M, 2, 0)
+        for idx, t in enumerate(all_tuples(L.dim, 2)):
+            want = L.space.tuple_parity(t)
+            f.coeffs[idx] = [draw(st.sampled_from(COEFFS)) if p == want else F0
+                             for p in M.space.parities]
+        entries = draw(st.permutations(cochain_to_doc(f)["entries"]))
+        for ent in entries:
+            ent["value"] = draw(st.permutations(ent["value"]))
+        terms[str(i)] = {"entries": entries}
+    return L, M, {"order": order, "terms": terms}
+
+
+@PROPERTY
+@given(deformation_documents())
+def test_series_parse_equals_the_dense_reference(case):
+    # the series holds each term scaled by the lcm of all denominators, as
+    # scaling the dense cochains together does, and writes the same bytes
+    L, M, doc = case
+    d = deformation_from_doc(doc, L, M)
+    den, tables = dense_mu_ints(L, dense_deformation_from_doc(doc, L, M))
+    assert (d.order, d.den, d.tables) == (doc["order"], den, tables)
+    assert d.terms == dense_deformation_from_doc(doc, L, M)
+    assert d == TruncatedDeformation(L, d.terms, M)
+
+
+@PROPERTY
+@given(deformation_documents())
+def test_series_load_then_save_is_byte_identical(tmp_path_factory, case):
+    L, M, doc = case
+    for ent in (e for term in doc["terms"].values() for e in term["entries"]):
+        ent["value"].sort(key=lambda v: L.space.index(v["label"]))
+    for term in doc["terms"].values():
+        term["entries"].sort(key=lambda e: [L.space.index(x) for x in e["args"]])
+    doc["terms"] = {k: v for k, v in doc["terms"].items() if v["entries"]}
+    text = json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    src, dst = (tmp_path_factory.getbasetemp() / name for name in ("in.json", "out.json"))
+    src.write_text(text, encoding="utf-8")
+    save_deformation(load_deformation(str(src), L, M), str(dst))
+    assert dst.read_text(encoding="utf-8") == text
+
+
+def test_series_rescales_only_when_the_denominator_grows():
+    L, M = nonlie_setup()
+    third, half = (scale(mu_zz_x(L, M), c) for c in (F(1, 3), F(1, 2)))
+    d = TruncatedDeformation(L, [third], M)
+    stored = d.tables[1]
+    assert d.den == 3 and stored == [[] for _ in range(8)] + [[(0, 1)]]
+    grown = d.appended(half)
+    assert grown.den == 6 and grown.tables[1] == [[] for _ in range(8)] + [[(0, 2)]]
+    assert d.tables[1] is stored and d.den == 3   # the original is untouched
+    same = d.appended(scale(third, F(2)))
+    assert same.den == 3 and same.tables[1] is stored   # D kept: no rescale
+    assert same.truncated(1) == d and grown.truncated(1) == d
+    assert grown.truncated(0) == TruncatedDeformation.zero(L, 0, M)
+
+
+def _component_coords(f, parity=0):
+    return cochain_coords(f, enumerate_basis(f.algebra, f.module, f.arity, parity))
+
+
+@pytest.mark.parametrize("L", standard_fixtures(), ids=lambda L: L.space.name)
+def test_extend_solutions_equal_the_dense_fraction_solve(L):
+    # jets that hold (transforms of zero by fractional isomorphisms) and
+    # random fractional jets; extend's int solve against D*delta equals the
+    # dense Fraction solve of delta(mu_r) = residual, obstructed or not
+    rng = random.Random(21)
+    M = adjoint_module(L)
+    mat = delta_matrix(L, M, 2, 0)
+    enum = enumerate_basis(L, M, 2, 0)
+    zero = TruncatedDeformation.zero(L, 3, M)
+    cases = [transform(zero, fractional_iso(L, M, 3, rng)) for _ in range(3)]
+    cases += [TruncatedDeformation(L, [random_cochain(L, M, 2, 0, rng)], M)
+              for _ in range(4)]
+    solved = 0
+    for d in cases:
+        r = d.order if d.order > 1 else 2
+        base = d.truncated(r - 1)
+        if not check_deformation(base, mod_order=True).ok:
+            continue
+        x = dense_solve(mat, _component_coords(fraction_residual(base, r), 0))
+        mu = extend_deformation(d, r)
+        assert (mu is None) == (x is None)
+        if x is not None:
+            solved += 1
+            assert mu == cochain_from_coords(L, M, 2, 0, x, enum)
+    assert solved
+
+
+@pytest.mark.parametrize("L", standard_fixtures(), ids=lambda L: L.space.name)
+def test_equiv_solutions_equal_the_dense_fraction_solve(L):
+    # each psi_r found is the dense Fraction solve of delta(psi_r) = the
+    # intertwining defect with psi_1..psi_(r-1) as found
+    rng = random.Random(22)
+    M = adjoint_module(L)
+    mat = delta_matrix(L, M, 1, 0)
+    enum = enumerate_basis(L, M, 1, 0)
+    d1 = transform(TruncatedDeformation.zero(L, 3, M), fractional_iso(L, M, 3, rng))
+    d2 = transform(d1, fractional_iso(L, M, 3, rng))
+    iso = equivalent_deformations(d1, d2)
+    assert iso is not None
+    for r in range(1, 4):
+        psis = [iso_matrix(iso, i) for i in range(r)]
+        rhs = fraction_intertwining_defect(d1, d2, psis, r)
+        x = dense_solve(mat, _component_coords(rhs))
+        assert x is not None
+        assert iso.terms[r - 1] == cochain_from_coords(L, M, 1, 0, x, enum)

@@ -4,8 +4,11 @@ import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import standard_fixtures
+from oracles import parse_rational
 from superleibniz.algebra import adjoint_module, nonlie_example, zero_module
 from superleibniz.cochain import Cochain, tuple_index
 from superleibniz.deformation import TruncatedDeformation
@@ -14,7 +17,7 @@ from superleibniz.fileio import (ParseError, algebra_from_doc, algebra_to_doc,
                                  deformation_from_doc, deformation_to_doc,
                                  load_algebra, load_cochain, load_deformation,
                                  load_module, module_from_doc, module_to_doc,
-                                 parse_rational, save_algebra)
+                                 save_algebra)
 from superleibniz.linalg import basis_vec
 
 F = Fraction
@@ -315,3 +318,35 @@ def test_save_algebra_writes_canonical_bytes(tmp_path):
     p = tmp_path / "alg.json"
     save_algebra(L, str(p))
     assert p.read_text() == (GOLDEN / "nonlie3.json").read_text()
+
+
+# -- the canonical JSON writer -------------------------------------------------
+
+def dumps(doc) -> str:
+    return json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+
+
+@pytest.mark.parametrize("path", sorted(GOLDEN.glob("*.json")), ids=lambda p: p.name)
+def test_canonical_json_matches_json_dumps_on_the_goldens(path):
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    assert canonical_json(doc) == dumps(doc)
+
+
+# labels with quotes, escapes, control and non-ASCII characters
+TEXT = st.text(alphabet=st.sampled_from('xyz"\\/\n\t\x01é⊗𝕊 '), max_size=4)
+JSON_DOCS = st.recursive(
+    st.none() | st.booleans() | st.integers(-10 ** 30, 10 ** 30) | TEXT,
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(TEXT, kids, max_size=3),
+    max_leaves=12)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(JSON_DOCS)
+def test_canonical_json_matches_json_dumps(doc):
+    assert canonical_json(doc) == dumps(doc)
+
+
+@pytest.mark.parametrize("doc", [1.5, (1, 2), {1: "a"}, {"a": [Fraction(1, 2)]}])
+def test_canonical_json_refuses_what_the_library_never_writes(doc):
+    with pytest.raises(TypeError):
+        canonical_json(doc)

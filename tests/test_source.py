@@ -166,3 +166,35 @@ def test_unreferenced_public_name_is_reported():
         == ["a.py: left_behind", "a.py: Kept._helper"]
     assert unreferenced_publics(defined, {**defined, **targets}) \
         == ["a.py: used", "a.py: Kept._helper"]
+
+
+def scaling_sites(source: str) -> list[str]:
+    """The functions (as Class.method or name) that call scale_to_ints."""
+    sites = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, f"{where}.{child.name}".lstrip("."))
+            else:
+                if (isinstance(child, ast.Call) and isinstance(child.func, ast.Name)
+                        and child.func.id == "scale_to_ints"):
+                    sites.append(where)
+                visit(child, where)
+
+    visit(ast.parse(source), "")
+    return sites
+
+
+def test_series_terms_are_scaled_in_one_place():
+    # a deformation or an isomorphism holds its terms scaled once, as they
+    # enter the series; nothing rescans them per order or per check
+    sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
+    assert not any("mu_ints" in _names(ast.parse(s)) for s in sources.values())
+    assert scaling_sites(sources["deformation.py"]) in ([], ["Series.append"])
+
+
+def test_scaling_sites_are_reported():
+    source = ("def f(x):\n    return scale_to_ints(x)\n\n"
+              "class A:\n    def g(self):\n        return [scale_to_ints(y) for y in z]\n")
+    assert scaling_sites(source) == ["f", "A.g"]
