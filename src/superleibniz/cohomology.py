@@ -14,9 +14,9 @@ bases depend on it), and no other module reads cochain coordinates.
 from __future__ import annotations
 
 import itertools
-from math import lcm
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
 from .algebra import LeibnizSuperalgebra, SuperBimodule
 from .cochain import (Cochain, all_tuples, coboundary_terms, parity_tables,
@@ -47,7 +47,6 @@ def enumerate_basis(alg: LeibnizSuperalgebra, mod: SuperBimodule,
 def cochain_from_coords(alg: LeibnizSuperalgebra, mod: SuperBimodule,
                         n: int, parity: int, coords: list[Fraction],
                         enum: list[tuple[tuple[int, ...], int]]) -> Cochain:
-    """The cochain with the coordinates coords in the enumerate_basis order enum."""
     f = Cochain.zero(alg, mod, n, parity)
     for c, (t, k) in zip(coords, enum):
         if c:
@@ -175,13 +174,6 @@ class CohomologyTable:
         return self.entries[(n, parity)].dim_h
 
 
-def _integral(mod: SuperBimodule) -> tuple[int, list, list, list]:
-    """scaled_structure(mod) with its denominator D dropped: the structure
-    constants times D, whose coboundary D*delta has delta's rank, kernel and
-    image and whose matrices hold ints only."""
-    return (1, *scaled_structure(mod)[1:])
-
-
 def cohomology_table(alg: LeibnizSuperalgebra, mod: SuperBimodule, max_n: int,
                      with_bases: bool = False,
                      max_arity: int = DEFAULT_MAX_ARITY) -> CohomologyTable:
@@ -189,12 +181,12 @@ def cohomology_table(alg: LeibnizSuperalgebra, mod: SuperBimodule, max_n: int,
 
     Computing H^n needs the coboundary into arity n+1, so max_n+1 must be
     within the arity cap.  The structure is scaled once, and every matrix
-    is D*delta in ints (see _integral).  The position list of each arity
-    is built once per parity.
+    is D*delta in ints (see integral_coboundary).  The position list of
+    each arity is built once per parity.
     """
     _check_cap(alg, mod, max_n + 1, max_arity)
     table = CohomologyTable(alg, mod, max_n)
-    structure = _integral(mod)
+    structure = (1, *scaled_structure(mod)[1:])
     for parity in (0, 1):
         layout = _positions(alg, mod, max_n + 1, parity)
         prev_matrix: RatMatrix | None = None
@@ -222,8 +214,7 @@ def cohomology_table(alg: LeibnizSuperalgebra, mod: SuperBimodule, max_n: int,
 def derivations(alg: LeibnizSuperalgebra, mod: SuperBimodule,
                 parity: int, max_arity: int = DEFAULT_MAX_ARITY) -> list[Cochain]:
     """Canonical basis of the 1-cocycles of the given parity: Z^1."""
-    mat = delta_matrix(alg, mod, 1, parity, max_arity=max_arity,
-                       structure=_integral(mod))
+    _, mat = integral_coboundary(mod, 1, parity, max_arity)
     return _cochains(_z_rows(mat), alg, mod, 1, parity,
                      enumerate_basis(alg, mod, 1, parity))
 
@@ -242,8 +233,10 @@ def inner_derivations(alg: LeibnizSuperalgebra, mod: SuperBimodule) -> list[Coch
 
 def integral_coboundary(mod: SuperBimodule, n: int, parity: int,
                         max_arity: int = DEFAULT_MAX_ARITY) -> tuple[int, RatMatrix]:
-    """(D, D*delta) on the parity component from arity n, D*delta built on
-    the structure scaled to ints (see _integral): (D*delta)(y) = delta(D*y)."""
+    """(D, D*delta) on the parity component from arity n: the matrix built
+    on the structure constants times their common denominator D, which has
+    delta's rank, kernel and image and holds ints only.  Its canonical
+    preimage of f is D times delta's."""
     d, *structure = scaled_structure(mod)
     return d, delta_matrix(mod.algebra, mod, n, parity, max_arity=max_arity,
                            structure=(1, *structure))
@@ -253,12 +246,10 @@ def coboundary_preimage(mat: RatMatrix, mod: SuperBimodule, n: int, parity: int,
                         rows: list) -> tuple[int, list] | None:
     """The canonical g with mat(g) = f (free coordinates zero), or None.
 
-    mat is delta_matrix of the parity from arity n - 1, or a multiple of it
-    such as integral_coboundary's, built once by callers that solve many.
-    rows is the flat table of the arity-n cochain f: at each tuple index,
-    the nonzeros (k, c) of its value, c an int or a Fraction; only the
-    coordinates in the component are read.  g is returned the same way,
-    as (E, table) with ints E*coefficient.  A zero f is not eliminated.
+    mat is delta_matrix of the parity from arity n - 1, or integral_coboundary's
+    multiple of it.  rows lists per tuple index the nonzeros (k, c) of the
+    arity-n f, c an int or a Fraction; g comes back as (E, flat table of
+    (k, E*coefficient)).  A zero f needs no elimination.
     """
     dm = mod.dim
     (cols, _), (places, _) = _positions(mod.algebra, mod, n, parity)[n - 1:]

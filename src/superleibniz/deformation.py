@@ -54,15 +54,14 @@ def _scaled(table: list, mul: int, div: int = 1) -> list:
 
 
 class Series:
-    """A truncated formal series sum_i s_i t**i of degree-0 cochains of
-    arity ARITY on an algebra, with adjoint coefficients, held sparse and
-    fraction-free.  tables maps each power i <= order with s_i nonzero to
-    the flat table of s_i (s_0, the undeformed map, included): entry T, a
-    tuple index, lists the nonzeros (k, D*coefficient) of s_i at T by
-    ascending k, over one denominator den = D, the lcm of the
-    denominators of all coefficients.  So equal series have equal den and
-    tables.  Tables are never changed in place; copies share them.
-    """
+    """sum_i s_i t**i mod t**(order+1), each s_i a degree-0 ARITY-cochain
+    with adjoint coefficients, sparse and fraction-free.  tables maps each
+    power i with s_i nonzero (s_0, the undeformed map, included) to its
+    flat table: entry T, a tuple index, lists the nonzeros (k, D*coeff) of
+    s_i at T by ascending k; den = D, the lcm of every denominator, so
+    equal series have equal den and tables.  Tables are never changed in
+    place; copies share them.  A subclass fixes ARITY, KIND (its name in
+    errors) and _unit, which adds s_0."""
 
     def __init__(self, algebra: LeibnizSuperalgebra, terms: list[Cochain],
                  module: SuperBimodule | None = None, order: int | None = None):
@@ -98,9 +97,8 @@ class Series:
         self.add(power, den, table)
 
     def add(self, power: int, den: int, table: list) -> None:
-        """Set the term at power, absent so far, to the flat int table over
-        den.  The term is brought to lowest terms and scaled alone; the
-        stored ints are rescaled only if D grows.  A zero term is dropped."""
+        """Set the absent term at power to the flat int table over den, in
+        lowest terms; the stored ints are rescaled only if D grows."""
         xs = [x for row in table for _, x in row]
         if not xs:
             return

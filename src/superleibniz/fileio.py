@@ -225,16 +225,9 @@ def _sparse_value(value, space: SuperSpace, where: str) -> list[tuple[int, int, 
     return sorted(out)
 
 
-def _value_from_doc(value, space: SuperSpace, where: str) -> list[Fraction]:
-    vec = zeros(space.dim)
-    for k, num, den in _sparse_value(value, space, where):
-        vec[k] = Fraction(num, den)
-    return vec
-
-
 def _value_to_doc(row, space: SuperSpace) -> list[dict]:
-    """The value terms of the nonzeros (k, c) of a vector, c a Fraction."""
-    return [{"label": space.labels[k], "coeff": str(c)} for k, c in row]
+    """The value terms of the nonzero pairs (k, c) of row, c a Fraction."""
+    return [{"label": space.labels[k], "coeff": str(c)} for k, c in row if c]
 
 
 def _table_from_doc(doc: dict, key: str, left_space: SuperSpace,
@@ -256,8 +249,9 @@ def _table_from_doc(doc: dict, key: str, left_space: SuperSpace,
         if (i, j) in seen:
             raise ParseError(f"duplicate {what} entry {pair}")
         seen.add((i, j))
-        table[i][j] = _value_from_doc(ent["value"], out_space,
-                                      f"{what} ({ent['left']},{ent['right']})")
+        where = f"{what} ({ent['left']},{ent['right']})"
+        for k, num, den in _sparse_value(ent["value"], out_space, where):
+            table[i][j][k] = Fraction(num, den)
     return table
 
 
@@ -265,7 +259,7 @@ def _table_to_doc(table, left_space: SuperSpace, right_space: SuperSpace,
                   out_space: SuperSpace) -> list[dict]:
     """The nonzero entries of a structure table, in basis order."""
     return [{"left": left_space.labels[i], "right": right_space.labels[j],
-             "value": _value_to_doc(_nonzeros(vec), out_space)}
+             "value": _value_to_doc(enumerate(vec), out_space)}
             for i, row in enumerate(table) for j, vec in enumerate(row) if any(vec)]
 
 
@@ -332,10 +326,9 @@ def load_module(path: str, alg: LeibnizSuperalgebra,
 
 def _cochain_table(doc, alg: LeibnizSuperalgebra, mod: SuperBimodule,
                    even2: str | None) -> tuple[int, int, int, list]:
-    """The cochain in doc as its arity, its degree, a denominator D and its
-    flat table of nonzeros (k, D*coefficient).  Labels, repeats and
-    homogeneity are checked entry by entry.  A caller that accepts only
-    even 2-cochains passes the refusal message as even2."""
+    """The cochain in doc as arity, degree, a denominator D and the flat
+    table of nonzeros (k, D*coefficient), checked entry by entry.  A caller
+    that takes only even 2-cochains passes the refusal message as even2."""
     if not isinstance(doc, dict):
         raise ParseError("cochain document must be a JSON object")
     if even2 is not None and (doc.get("arity"), doc.get("degree")) != (2, "even"):
@@ -377,20 +370,17 @@ def cochain_from_doc(doc, alg: LeibnizSuperalgebra, mod: SuperBimodule,
     return Cochain.from_table(alg, mod, *_cochain_table(doc, alg, mod, even2))
 
 
-def _nonzeros(vec: list[Fraction]) -> list[tuple[int, Fraction]]:
-    return [(k, c) for k, c in enumerate(vec) if c]
-
-
 def _entries_to_doc(rows, arity: int, asp: SuperSpace, msp: SuperSpace) -> list[dict]:
-    """The entries of a cochain whose flat table rows lists, per tuple, the
-    nonzeros (k, c) of its value, c a Fraction."""
-    return [{"args": [asp.labels[i] for i in t], "value": _value_to_doc(row, msp)}
-            for t, row in zip(all_tuples(asp.dim, arity), rows) if row]
+    """The nonzero entries of a cochain whose values rows yields per tuple
+    as (k, c) pairs, c a Fraction."""
+    return [{"args": [asp.labels[i] for i in t], "value": value}
+            for t, row in zip(all_tuples(asp.dim, arity), rows)
+            if (value := _value_to_doc(row, msp))]
 
 
 def cochain_to_doc(f: Cochain) -> dict:
     return {"arity": f.arity, "degree": parity_name(f.degree),
-            "entries": _entries_to_doc(map(_nonzeros, f.coeffs), f.arity,
+            "entries": _entries_to_doc(map(enumerate, f.coeffs), f.arity,
                                        f.algebra.space, f.module.space)}
 
 

@@ -2,12 +2,14 @@
 
 Vectors are dense lists of `fractions.Fraction`; scale_to_ints turns
 families of them into sparse integer rows over one common denominator
-for the multiply-and-add loops of the coboundary walk and the
-deformation kernels.  Matrices store sparse rows, one {column:
-coefficient} dict per row holding the nonzeros only (ints or Fractions);
-a dense view is built on request.  One elimination routine serves rank,
-kernel, solve and bases.  It reduces primitive int rows fraction-free
-and writes Fractions only for the rows it returns: the canonical reduced
+for the multiply-and-add loops of the coboundary walk, the Leibniz
+defect and the terms of a deformation series.  Matrices store sparse
+rows, one {column: coefficient} dict per row holding the nonzeros only
+(ints or Fractions); a dense view is built on request.  One elimination
+routine serves rank, kernel, solve and bases.  It reduces primitive int
+rows fraction-free (int rows, such as a coboundary matrix built on the
+integral structure and an int right-hand side, go in as they are) and
+writes Fractions only for the rows it returns: the canonical reduced
 row echelon form, which depends only on the row space, never on the
 order in which rows are reduced, so golden tests reproduce bit for bit.
 """
