@@ -8,8 +8,7 @@ from .algebra import (AssociativeSuperalgebra, CheckReport, LeibnizSuperalgebra,
                       zero_module)
 from .cochain import Cochain, delta
 from .cohomology import (ArityCapError, CohomologyTable, cohomology_table,
-                         delta_matrix, derivations, enumerate_basis,
-                         inner_derivations)
+                         delta_matrix, derivations, inner_derivations)
 from .deformation import (ExtensionUndefined, FormalIsomorphism,
                           TruncatedDeformation, check_deformation,
                           deformation_residual, equivalent_deformations,

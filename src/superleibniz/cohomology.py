@@ -8,7 +8,9 @@ The basis of each parity component of a cochain space is enumerated
 deterministically: tuples of algebra basis indices in lexicographic
 order, then the admissible module basis indices in ascending order.
 This enumeration is part of the external contract (golden matrices and
-bases depend on it), and no other module reads cochain coordinates.
+bases depend on it); _positions is its one encoding, and no other module
+reads cochain coordinates.  Coordinate rows cross to linalg and back as
+sparse {coordinate: coefficient} rows.
 """
 
 from __future__ import annotations
@@ -19,8 +21,7 @@ from fractions import Fraction
 from math import lcm
 
 from .algebra import LeibnizSuperalgebra, SuperBimodule
-from .cochain import (Cochain, all_tuples, coboundary_terms, parity_tables,
-                      scaled_structure, tuple_index)
+from .cochain import Cochain, coboundary_terms, parity_tables, scaled_structure
 from .linalg import (RatMatrix, extend_to_basis, kernel_basis, rank, row_space_basis,
                      solve)
 
@@ -29,29 +30,6 @@ DEFAULT_MAX_ARITY = 4
 
 class ArityCapError(ValueError):
     """Requested cochain space exceeds the configured arity cap."""
-
-
-def enumerate_basis(alg: LeibnizSuperalgebra, mod: SuperBimodule,
-                    n: int, parity: int) -> list[tuple[tuple[int, ...], int]]:
-    """Ordered basis of the parity component of the arity-n cochain space."""
-    asp, msp = alg.space, mod.space
-    out = []
-    for t in all_tuples(alg.dim, n):
-        want = (parity + asp.tuple_parity(t)) & 1
-        for k in range(mod.dim):
-            if msp.parities[k] == want:
-                out.append((t, k))
-    return out
-
-
-def cochain_from_coords(alg: LeibnizSuperalgebra, mod: SuperBimodule,
-                        n: int, parity: int, coords: list[Fraction],
-                        enum: list[tuple[tuple[int, ...], int]]) -> Cochain:
-    f = Cochain.zero(alg, mod, n, parity)
-    for c, (t, k) in zip(coords, enum):
-        if c:
-            f.coeffs[tuple_index(t, alg.dim)][k] += c
-    return f
 
 
 def bounded_power(base: int, exp: int) -> int | None:
@@ -75,8 +53,8 @@ def _positions(alg: LeibnizSuperalgebra, mod: SuperBimodule, top: int,
                parity: int) -> list[tuple[list[int | None], int]]:
     """For the arities n = 0..top, the flat position list of the parity
     component and its dimension: entry tuple_index(t) * dim M + k is the
-    place of (t, k) in the enumerate_basis order, or None when (t, k) is
-    not in the component."""
+    coordinate of (t, k), counted in the enumeration order, or None when
+    (t, k) is not in the component."""
     out = []
     for pars in parity_tables(alg.space.parities, top):
         inside = [p == parity ^ q for q in pars for p in mod.space.parities]
@@ -128,21 +106,30 @@ def delta_matrix(alg: LeibnizSuperalgebra, mod: SuperBimodule, n: int, parity: i
                         row[j] = row.get(j, 0) + c * x
     if structure[0] != 1:
         rows = [{j: Fraction(x, structure[0]) for j, x in row.items() if x} for row in rows]
-    return RatMatrix.from_sparse(ncols, rows)
+    return RatMatrix(ncols, rows)
 
 
-def _cochains(rows: list[list[Fraction]], alg: LeibnizSuperalgebra,
-              mod: SuperBimodule, n: int, parity: int,
-              enum: list[tuple[tuple[int, ...], int]]) -> list[Cochain]:
-    return [cochain_from_coords(alg, mod, n, parity, v, enum) for v in rows]
+def _cochains(rows: list[dict], alg: LeibnizSuperalgebra, mod: SuperBimodule,
+              n: int, parity: int, places: list[int | None]) -> list[Cochain]:
+    """One cochain per sparse coordinate row, each coordinate placed by
+    places, the arity-n position list of _positions."""
+    flat = [p for p, j in enumerate(places) if j is not None]
+    out = []
+    for row in rows:
+        f = Cochain.zero(alg, mod, n, parity)
+        for j, c in row.items():
+            t, k = divmod(flat[j], mod.dim)
+            f.coeffs[t][k] = c
+        out.append(f)
+    return out
 
 
-def _z_rows(mat: RatMatrix) -> list[list[Fraction]]:
-    """Canonical (rref) basis of the kernel of D_n, as coordinate rows."""
-    return row_space_basis(RatMatrix.from_rows(kernel_basis(mat)))
+def _z_rows(mat: RatMatrix) -> list[dict]:
+    """Canonical (rref) basis of the kernel of D_n, as sparse coordinate rows."""
+    return row_space_basis(RatMatrix(mat.cols, kernel_basis(mat)))
 
 
-def _b_rows(prev_matrix: RatMatrix | None) -> list[list[Fraction]]:
+def _b_rows(prev_matrix: RatMatrix | None) -> list[dict]:
     """Canonical basis of the image of D_(n-1) (none for n = 0)."""
     return [] if prev_matrix is None else row_space_basis(prev_matrix.transpose())
 
@@ -199,10 +186,9 @@ def cohomology_table(alg: LeibnizSuperalgebra, mod: SuperBimodule, max_n: int,
             dim_z = len(zrows) if with_bases else dim_c - rank(mat)
             e = CohomologyEntry(n, parity, dim_c, dim_z, dim_b, dim_z - dim_b)
             if with_bases:
-                enum = enumerate_basis(alg, mod, n, parity)
                 brows = _b_rows(prev_matrix)
                 e.basis_z, e.basis_b, e.basis_h = (
-                    _cochains(rows, alg, mod, n, parity, enum)
+                    _cochains(rows, alg, mod, n, parity, layout[n][0])
                     for rows in (zrows, brows, extend_to_basis(brows, zrows)))
             table.entries[(n, parity)] = e
             prev_matrix = mat
@@ -216,7 +202,7 @@ def derivations(alg: LeibnizSuperalgebra, mod: SuperBimodule,
     """Canonical basis of the 1-cocycles of the given parity: Z^1."""
     _, mat = integral_coboundary(mod, 1, parity, max_arity)
     return _cochains(_z_rows(mat), alg, mod, 1, parity,
-                     enumerate_basis(alg, mod, 1, parity))
+                     _positions(alg, mod, 1, parity)[1][0])
 
 
 def inner_derivations(alg: LeibnizSuperalgebra, mod: SuperBimodule) -> list[Cochain]:
@@ -225,10 +211,11 @@ def inner_derivations(alg: LeibnizSuperalgebra, mod: SuperBimodule) -> list[Coch
     This is B^1 of degree 0, delta(m)(x) = -[m, x], read off the right
     action instead of building D_0.
     """
-    enum = enumerate_basis(alg, mod, 1, 0)
-    rows = [[mod.right[m][t[0]][k] for t, k in enum]
+    places, ncols = _positions(alg, mod, 1, 0)[1]
+    rows = [{places[pos]: c for pos, c in enumerate(itertools.chain(*mod.right[m]))
+             if c and places[pos] is not None}
             for m, p in enumerate(mod.space.parities) if p == 0]
-    return _cochains(row_space_basis(RatMatrix.from_rows(rows)), alg, mod, 1, 0, enum)
+    return _cochains(row_space_basis(RatMatrix(ncols, rows)), alg, mod, 1, 0, places)
 
 
 def integral_coboundary(mod: SuperBimodule, n: int, parity: int,
@@ -253,19 +240,16 @@ def coboundary_preimage(mat: RatMatrix, mod: SuperBimodule, n: int, parity: int,
     """
     dm = mod.dim
     (cols, _), (places, _) = _positions(mod.algebra, mod, n, parity)[n - 1:]
-    b = [0] * mat.rows
-    for t, row in enumerate(rows):
-        for k, c in row:
-            if places[t * dm + k] is not None:
-                b[places[t * dm + k]] = c
+    b = {places[t * dm + k]: c for t, row in enumerate(rows) for k, c in row
+         if places[t * dm + k] is not None}
     table = [[] for _ in range(len(cols) // dm)]
-    if not any(b):
+    if not b:
         return 1, table
     x = solve(mat, b)
     if x is None:
         return None
-    e = lcm(*(v.denominator for v in x))
+    e = lcm(*(v.denominator for v in x.values()))
     for pos, j in enumerate(cols):
-        if j is not None and x[j]:
+        if j in x:
             table[pos // dm].append((pos % dm, x[j].numerator * (e // x[j].denominator)))
     return e, table

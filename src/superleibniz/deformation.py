@@ -31,7 +31,7 @@ Both are a Series: sparse int tables over one running denominator D, a
 term scaled once as it is added.  The residual and the defect are summed
 in those ints, over D**2 and D_mu * D_nu * D_psi**2, and the solves of
 extend and equiv take them as they are (see integral_coboundary), so a
-Fraction is built only for a reported defect or the dense terms view.
+Fraction is built only for a reported defect or a returned cochain.
 """
 
 from __future__ import annotations
@@ -76,7 +76,7 @@ class Series:
 
     def _set(self, algebra, module, order: int, den: int, tables: dict) -> "Series":
         self.algebra, self.module, self.order = algebra, module, order
-        self.den, self.tables, self._terms = den, tables, None
+        self.den, self.tables = den, tables
         return self
 
     def _copy(self, order: int, den: int, tables: dict) -> "Series":
@@ -110,15 +110,6 @@ class Series:
             self.den = top
         self.tables[power] = _scaled(table, top // den, g)
 
-    @property
-    def terms(self) -> list[Cochain]:
-        """s_1..s_N as dense cochains, built on first access; read-only."""
-        if self._terms is None:
-            self._terms = [Cochain.from_table(self.algebra, self.module, self.ARITY, 0,
-                                              self.den, self.tables.get(i))
-                           for i in range(1, self.order + 1)]
-        return self._terms
-
     def truncated(self, order: int) -> "Series":
         """The series mod t**(order+1), over its own lcm of denominators."""
         kept = {i: t for i, t in self.tables.items() if i <= order}
@@ -134,7 +125,7 @@ class Series:
 
 
 class TruncatedDeformation(Series):
-    """mu_0 + mu_1 t + ... + mu_N t^N, mu_0 the bracket; terms holds mu_1..mu_N."""
+    """mu_0 + mu_1 t + ... + mu_N t^N, mu_0 the bracket."""
 
     ARITY, KIND = 2, "deformation"
 

@@ -1,17 +1,20 @@
 """Exact linear algebra over the rationals.
 
-Vectors are dense lists of `fractions.Fraction`; scale_to_ints turns
-families of them into sparse integer rows over one common denominator
-for the multiply-and-add loops of the coboundary walk, the Leibniz
-defect and the terms of a deformation series.  Matrices store sparse
-rows, one {column: coefficient} dict per row holding the nonzeros only
-(ints or Fractions); a dense view is built on request.  One elimination
-routine serves rank, kernel, solve and bases.  It reduces primitive int
-rows fraction-free (int rows, such as a coboundary matrix built on the
-integral structure and an int right-hand side, go in as they are) and
-writes Fractions only for the rows it returns: the canonical reduced
-row echelon form, which depends only on the row space, never on the
-order in which rows are reduced, so golden tests reproduce bit for bit.
+The structure tables hold dense lists of `fractions.Fraction`;
+scale_to_ints turns families of them into sparse integer rows over one
+common denominator for the multiply-and-add loops of the coboundary
+walk, the Leibniz defect and the terms of a deformation series.
+Everything else here is sparse: a matrix stores one {column:
+coefficient} dict per row holding the nonzeros only (ints or
+Fractions), and kernel_basis, row_space_basis, extend_to_basis and solve
+take and return such rows ({index: nonzero}); .entries builds a dense
+view on request.  One elimination routine serves rank, kernel, solve and
+bases.  It reduces primitive int rows fraction-free (int rows, such as a
+coboundary matrix built on the integral structure and an int right-hand
+side, go in as they are) and writes Fractions only for the rows it
+returns: the canonical reduced row echelon form, which depends only on
+the row space, never on the order in which rows are reduced, so golden
+tests reproduce bit for bit.
 """
 
 from __future__ import annotations
@@ -87,39 +90,12 @@ def scale_to_ints(tables) -> tuple[int, list[list[list[tuple[int, int]]]]]:
 SparseRow = dict[int, Fraction]
 
 
-def _sparse(v: list[Fraction]) -> SparseRow:
-    return {j: x for j, x in enumerate(v) if x}
-
-
-def _dense(row: SparseRow, n: int) -> list[Fraction]:
-    v = [F0] * n
-    for j, x in row.items():
-        v[j] = x
-    return v
-
-
 class RatMatrix:
     """Rational matrix stored as sparse rows ({column: nonzero coefficient})."""
 
-    __slots__ = ("rows", "cols", "sparse_rows", "_dense")
+    __slots__ = ("rows", "cols", "sparse_rows", "_entries")
 
-    def __init__(self, rows: int, cols: int, entries: list[list[Fraction]]):
-        """A matrix from a dense row-major table."""
-        if len(entries) != rows or any(len(r) != cols for r in entries):
-            raise ValueError(f"entry table is not {rows}x{cols}")
-        self.rows = rows
-        self.cols = cols
-        self.sparse_rows = [_sparse(r) for r in entries]
-        self._dense = None
-
-    @classmethod
-    def from_rows(cls, entries: list[list[Fraction]]) -> "RatMatrix":
-        rows = len(entries)
-        cols = len(entries[0]) if rows else 0
-        return cls(rows, cols, entries)
-
-    @classmethod
-    def from_sparse(cls, cols: int, sparse_rows: list[SparseRow]) -> "RatMatrix":
+    def __init__(self, cols: int, sparse_rows: list[SparseRow]):
         """A matrix from {column: coefficient} rows; zero coefficients are dropped.
 
         The matrix takes the rows over without copying them, so callers
@@ -128,23 +104,27 @@ class RatMatrix:
         used = [row for row in sparse_rows if row]
         if used and (min(map(min, used)) < 0 or max(map(max, used)) >= cols):
             raise ValueError(f"column index outside 0..{cols - 1}")
-        return cls._of(cols, [row if all(row.values()) else
-                              {j: x for j, x in row.items() if x} for row in sparse_rows])
+        self.rows, self.cols, self._entries = len(sparse_rows), cols, None
+        self.sparse_rows = [row if all(row.values()) else
+                            {j: x for j, x in row.items() if x} for row in sparse_rows]
 
     @classmethod
     def _of(cls, cols: int, sparse_rows: list[SparseRow]) -> "RatMatrix":
-        """from_sparse without its checks, for rows that hold nonzero
+        """The constructor without its checks, for rows that hold nonzero
         coefficients in columns 0..cols-1 only by construction."""
         m = cls.__new__(cls)
-        m.rows, m.cols, m.sparse_rows, m._dense = len(sparse_rows), cols, sparse_rows, None
+        m.rows, m.cols, m.sparse_rows, m._entries = len(sparse_rows), cols, sparse_rows, None
         return m
 
     @property
     def entries(self) -> list[list[Fraction]]:
         """Dense row-major table, built on first access and cached; read-only."""
-        if self._dense is None:
-            self._dense = [_dense(r, self.cols) for r in self.sparse_rows]
-        return self._dense
+        if self._entries is None:
+            self._entries = [[F0] * self.cols for _ in self.sparse_rows]
+            for dense, row in zip(self._entries, self.sparse_rows):
+                for j, x in row.items():
+                    dense[j] = x
+        return self._entries
 
     def transpose(self) -> "RatMatrix":
         out: list[SparseRow] = [{} for _ in range(self.cols)]
@@ -152,9 +132,6 @@ class RatMatrix:
             for j, x in row.items():
                 out[j][i] = x
         return RatMatrix._of(self.rows, out)
-
-    def is_zero(self) -> bool:
-        return not any(self.sparse_rows)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, RatMatrix) and self.rows == other.rows
@@ -244,15 +221,15 @@ def rank(m: RatMatrix) -> int:
     return len(pivots)
 
 
-def kernel_basis(m: RatMatrix) -> list[list[Fraction]]:
-    """Basis of the right null space, one vector per free column.
+def kernel_basis(m: RatMatrix) -> list[SparseRow]:
+    """Basis of the right null space as sparse rows, one per free column.
 
     Free columns are visited in ascending index and each basis vector has
     a 1 in its free coordinate, which makes the result canonical.
     """
     red, pivots = rref(m)
     pivot_set = set(pivots)
-    basis = {fc: basis_vec(m.cols, fc) for fc in range(m.cols) if fc not in pivot_set}
+    basis = {fc: {fc: F1} for fc in range(m.cols) if fc not in pivot_set}
     for pc, row in zip(pivots, red.sparse_rows):
         for j, x in row.items():
             if j != pc:
@@ -260,38 +237,37 @@ def kernel_basis(m: RatMatrix) -> list[list[Fraction]]:
     return list(basis.values())
 
 
-def solve(m: RatMatrix, b: list[Fraction]) -> list[Fraction] | None:
-    """One solution of m*x = b (free variables zero), or None if inconsistent."""
-    if len(b) != m.rows:
-        raise ValueError(f"rhs length {len(b)} != rows {m.rows}")
+def solve(m: RatMatrix, b: SparseRow) -> SparseRow | None:
+    """One solution x of m*x = b (free variables zero), or None if
+    inconsistent; b and x are {index: coefficient}, x holding nonzeros only."""
+    if b and (min(b) < 0 or max(b) >= m.rows):
+        raise ValueError(f"right-hand side index outside 0..{m.rows - 1}")
     n = m.cols
     aug = [dict(row) for row in m.sparse_rows]
-    for row, bb in zip(aug, b):
+    for i, bb in b.items():
         if bb:
-            row[n] = bb
+            aug[i][n] = bb
     red, pivots = rref(RatMatrix._of(n + 1, aug))
     if pivots and pivots[-1] == n:
         return None
-    x = zeros(n)
-    for pc, row in zip(pivots, red.sparse_rows):
-        x[pc] = row.get(n, F0)
-    return x
+    return {pc: row[n] for pc, row in zip(pivots, red.sparse_rows) if n in row}
 
 
-def row_space_basis(m: RatMatrix) -> list[list[Fraction]]:
-    """Canonical (rref) basis of the row space."""
+def row_space_basis(m: RatMatrix) -> list[SparseRow]:
+    """Canonical (rref) basis of the row space, as sparse rows."""
     red, pivots = rref(m)
-    return [_dense(row, m.cols) for row in red.sparse_rows[:len(pivots)]]
+    return red.sparse_rows[:len(pivots)]
 
 
-def extend_to_basis(base_rows: list[list[Fraction]],
-                    candidates: list[list[Fraction]]) -> list[list[Fraction]]:
-    """Candidates (in order) that enlarge the span of base_rows, greedily.
+def extend_to_basis(base_rows: list[SparseRow],
+                    candidates: list[SparseRow]) -> list[SparseRow]:
+    """Candidates (in order) that enlarge the span of base_rows, greedily;
+    every row is sparse, with nonzero coefficients only.
 
     One incremental elimination: each candidate is reduced against the
     pivot rows of the base and of the candidates chosen before it.
     """
     pivots: dict[int, dict[int, int]] = {}
     for r in base_rows:
-        _insert(_int_row(_sparse(r)), pivots)
-    return [list(cand) for cand in candidates if _insert(_int_row(_sparse(cand)), pivots)]
+        _insert(_int_row(r), pivots)
+    return [cand for cand in candidates if _insert(_int_row(cand), pivots)]

@@ -112,7 +112,8 @@ def transport(table, cols: list[list[Fraction]]):
     holds e_c in the f basis), which carries linear maps across too.
     """
     dim = len(cols)
-    change = RatMatrix.from_rows([list(r) for r in zip(*cols)])
-    coords = [solve(change, basis_vec(dim, c)) for c in range(dim)]
+    change = RatMatrix(dim, [{j: x for j, x in enumerate(r) if x} for r in zip(*cols)])
+    coords = [[x.get(j, F0) for j in range(dim)]
+              for x in (solve(change, {c: F1}) for c in range(dim))]
     return [[lin_comb(coords, bilinear(table, u, v, dim), dim) for v in cols]
             for u in cols], coords

@@ -30,6 +30,8 @@
   Gauss-Jordan elimination over every cell of a dense table, the
   reference for the library's sparse row-by-row elimination
   (linalg.rref and the rank, kernel, solve and basis routines on it).
+  Like those routines they take and return sparse rows; sparse gives a
+  dense vector's nonzeros as one.
 - fraction_rref and fraction_extend_to_basis: the same sparse row-by-row
   elimination as the library's, with every multiply-add in Fractions and
   each pivot row scaled to a leading 1 as it is found; the reference for
@@ -50,12 +52,17 @@
 - extensions_equivalent: the oracle of the extension theorem.  It finds
   f with delta(f) = h1 - h2 through is_coboundary and checks that
   (x,m) -> (x, m + f(x)) is an isomorphism of the totals.
-- is_coboundary, cochain_preimage, cochain_coords, is_homogeneous,
-  iso_matrix and parse_rational: the dense face of the library's sparse
-  routines (cohomology.coboundary_preimage, the coordinate order of
-  enumerate_basis, the homogeneity that fileio checks per entry, the
-  terms of a FormalIsomorphism and fileio.rational_parts), which only
-  the tests need.
+- enumerate_basis, cochain_from_coords and cochain_coords: the
+  coordinate contract of cochain spaces (tuples in lexicographic order,
+  then the admissible module indices), stated as a list of (tuple, module
+  index) pairs apart from the library's flat position lists
+  (cohomology._positions); fraction_delta_matrix and the golden bases
+  are read in it.
+- is_coboundary, cochain_preimage, is_homogeneous, iso_matrix,
+  dense_terms and parse_rational: the dense face of the library's sparse
+  routines (cohomology.coboundary_preimage, the homogeneity that fileio
+  checks per entry, the terms of a Series and fileio.rational_parts),
+  which only the tests need.
 - dense_deformation_from_doc and dense_mu_ints: the deformation file read
   into one dense Fraction cochain per power of t (a zero one per missing
   term), and those terms with the bracket scaled together to ints by
@@ -76,8 +83,7 @@ import sympy
 from superleibniz.algebra import (EVEN, CheckReport, LeibnizSuperalgebra,
                                   SuperBimodule, SuperSpace, koszul)
 from superleibniz.cochain import Cochain, all_tuples, tuple_index
-from superleibniz.cohomology import (coboundary_preimage, delta_matrix,
-                                     enumerate_basis)
+from superleibniz.cohomology import coboundary_preimage, delta_matrix
 from superleibniz.deformation import FormalIsomorphism
 from superleibniz.extension import Extension
 from superleibniz.fileio import cochain_from_doc, rational_parts
@@ -85,25 +91,24 @@ from superleibniz.linalg import (F0, F1, RatMatrix, add_scaled, basis_vec, bilin
                                  kernel_basis, lin_comb, scale_to_ints, zeros)
 
 
-def _mu(d, i: int, u: list[Fraction], v: list[Fraction]) -> list[Fraction]:
-    """mu_i(u, v) read straight off the bracket table (i = 0) or the
-    coefficient table of term i; zero past the order."""
-    dim = d.algebra.dim
+def _mu(mus: list, i: int, u: list[Fraction], v: list[Fraction]) -> list[Fraction]:
+    """mu_i(u, v) read straight off the nested table mus[i] (mus as
+    _mu_tables gives it); zero past the order."""
+    dim = len(u)
     out = zeros(dim)
-    if i > d.order:
+    if i >= len(mus):
         return out
     for a, b in itertools.product(range(dim), repeat=2):
         if u[a] and v[b]:
-            value = (d.algebra.table[a][b] if i == 0
-                     else d.terms[i - 1].coeffs[a * dim + b])
-            add_scaled(out, u[a] * v[b], value)
+            add_scaled(out, u[a] * v[b], mus[i][a][b])
     return out
 
 
-def _poly_apply_mu(d, pa: list[list[Fraction]], pb: list[list[Fraction]],
+def _poly_apply_mu(mus: list, pa: list[list[Fraction]], pb: list[list[Fraction]],
                    cap: int) -> list[list[Fraction]]:
-    """mu_t(pa, pb) for vector polynomials pa, pb, truncated past t**cap."""
-    dim = d.algebra.dim
+    """mu_t(pa, pb) for vector polynomials pa, pb, truncated past t**cap;
+    mus as _mu_tables gives it."""
+    dim = len(mus[0])
     out = [zeros(dim) for _ in range(cap + 1)]
     for i in range(cap + 1):
         for k, u in enumerate(pa):
@@ -113,7 +118,7 @@ def _poly_apply_mu(d, pa: list[list[Fraction]], pb: list[list[Fraction]],
                 deg = i + k + l
                 if deg > cap:
                     break
-                add_scaled(out[deg], Fraction(1), _mu(d, i, u, v))
+                add_scaled(out[deg], Fraction(1), _mu(mus, i, u, v))
     return out
 
 
@@ -125,14 +130,15 @@ def bruteforce_deformation_failures(d, cap: int) -> list[tuple[int, tuple[int, .
     """
     dim = d.algebra.dim
     par = d.algebra.space.parities
+    mus = _mu_tables(d)
     failures = []
     for a, b, c in itertools.product(range(dim), repeat=3):
         pa = [basis_vec(dim, a)]
         pb = [basis_vec(dim, b)]
         pc = [basis_vec(dim, c)]
-        lhs = _poly_apply_mu(d, _poly_apply_mu(d, pa, pb, cap), pc, cap)
-        r1 = _poly_apply_mu(d, pa, _poly_apply_mu(d, pb, pc, cap), cap)
-        r2 = _poly_apply_mu(d, pb, _poly_apply_mu(d, pa, pc, cap), cap)
+        lhs = _poly_apply_mu(mus, _poly_apply_mu(mus, pa, pb, cap), pc, cap)
+        r1 = _poly_apply_mu(mus, pa, _poly_apply_mu(mus, pb, pc, cap), cap)
+        r2 = _poly_apply_mu(mus, pb, _poly_apply_mu(mus, pa, pc, cap), cap)
         s = koszul(par[a], par[b])
         for r in range(1, cap + 1):
             diff = [x - y + s * z for x, y, z in zip(lhs[r], r1[r], r2[r])]
@@ -238,13 +244,14 @@ def intertwining_defects(d_from, d_to, iso, cap: int) -> list[tuple[int, tuple[i
     """
     dim = d_from.algebra.dim
     psis = [iso_matrix(iso, i) for i in range(cap + 1)]
+    mus_from, mus_to = _mu_tables(d_from), _mu_tables(d_to)
     out = []
     for a in range(dim):
         for b in range(dim):
             pa = [psis[k][a] for k in range(cap + 1)]
             pb = [psis[k][b] for k in range(cap + 1)]
-            lhs = _poly_apply_mu(d_to, pa, pb, cap)
-            q = _poly_apply_mu(d_from, [basis_vec(dim, a)],
+            lhs = _poly_apply_mu(mus_to, pa, pb, cap)
+            q = _poly_apply_mu(mus_from, [basis_vec(dim, a)],
                                [basis_vec(dim, b)], cap)
             for r in range(cap + 1):
                 rhs = zeros(dim)
@@ -256,6 +263,11 @@ def intertwining_defects(d_from, d_to, iso, cap: int) -> list[tuple[int, tuple[i
                 if lhs[r] != rhs:
                     out.append((r, (a, b)))
     return out
+
+
+def sparse(v: list[Fraction]) -> dict:
+    """The nonzeros of a dense vector as {index: value}."""
+    return {j: x for j, x in enumerate(v) if x}
 
 
 def dense_rref(m: RatMatrix) -> tuple[RatMatrix, list[int]]:
@@ -285,10 +297,10 @@ def dense_rref(m: RatMatrix) -> tuple[RatMatrix, list[int]]:
         r += 1
         if r == nrows:
             break
-    return RatMatrix(nrows, ncols, a), pivots
+    return RatMatrix(ncols, [sparse(row) for row in a]), pivots
 
 
-def dense_kernel_basis(m: RatMatrix) -> list[list[Fraction]]:
+def dense_kernel_basis(m: RatMatrix) -> list[dict]:
     red, pivots = dense_rref(m)
     basis = []
     for fc in (c for c in range(m.cols) if c not in pivots):
@@ -296,47 +308,49 @@ def dense_kernel_basis(m: RatMatrix) -> list[list[Fraction]]:
         v[fc] = F1
         for r, pc in enumerate(pivots):
             v[pc] = -red.entries[r][fc]
-        basis.append(v)
+        basis.append(sparse(v))
     return basis
 
 
-def dense_solve(m: RatMatrix, b: list[Fraction]) -> list[Fraction] | None:
-    aug = RatMatrix(m.rows, m.cols + 1,
-                    [list(row) + [bb] for row, bb in zip(m.entries, b)])
+def dense_solve(m: RatMatrix, b: dict) -> dict | None:
+    rhs = [b.get(i, F0) for i in range(m.rows)]
+    aug = RatMatrix(m.cols + 1, [sparse(row + [bb]) for row, bb in zip(m.entries, rhs)])
     red, pivots = dense_rref(aug)
     if pivots and pivots[-1] == m.cols:
         return None
     x = zeros(m.cols)
     for r, pc in enumerate(pivots):
         x[pc] = red.entries[r][m.cols]
-    return x
+    return sparse(x)
 
 
-def dense_row_space_basis(m: RatMatrix) -> list[list[Fraction]]:
+def dense_row_space_basis(m: RatMatrix) -> list[dict]:
     red, pivots = dense_rref(m)
-    return [list(red.entries[r]) for r in range(len(pivots))]
+    return [sparse(red.entries[r]) for r in range(len(pivots))]
 
 
-def dense_extend_to_basis(base_rows: list[list[Fraction]],
-                          candidates: list[list[Fraction]],
-                          cols: int) -> list[list[Fraction]]:
+def dense_extend_to_basis(base_rows: list[dict], candidates: list[dict],
+                          cols: int) -> list[dict]:
     """Greedy span extension, one full dense rref per candidate."""
-    rows = [list(r) for r in base_rows]
-    cur = len(dense_rref(RatMatrix(len(rows), cols, rows))[1])
+    rows = list(base_rows)
+    cur = len(dense_rref(RatMatrix(cols, rows))[1])
     chosen = []
     for cand in candidates:
-        trial = rows + [list(cand)]
-        r = len(dense_rref(RatMatrix(len(trial), cols, trial))[1])
+        trial = rows + [cand]
+        r = len(dense_rref(RatMatrix(cols, trial))[1])
         if r > cur:
             rows, cur = trial, r
-            chosen.append(list(cand))
+            chosen.append(cand)
     return chosen
 
 
-def mat_vec(m: RatMatrix, v: list[Fraction]) -> list[Fraction]:
-    if len(v) != m.cols:
-        raise ValueError(f"vector length {len(v)} != cols {m.cols}")
-    return [sum((x * v[j] for j, x in row.items() if v[j]), F0) for row in m.sparse_rows]
+def mat_vec(m: RatMatrix, v: dict) -> dict:
+    """m*v for a sparse v, as a sparse row."""
+    if v and (min(v) < 0 or max(v) >= m.cols):
+        raise ValueError(f"vector index outside 0..{m.cols - 1}")
+    out = {i: sum((x * v[j] for j, x in row.items() if j in v), F0)
+           for i, row in enumerate(m.sparse_rows)}
+    return {i: x for i, x in out.items() if x}
 
 
 def matmul(a: RatMatrix, b: RatMatrix) -> RatMatrix:
@@ -349,15 +363,15 @@ def matmul(a: RatMatrix, b: RatMatrix) -> RatMatrix:
             for j, y in b.sparse_rows[k].items():
                 acc[j] = acc.get(j, F0) + x * y
         out.append(acc)
-    return RatMatrix.from_sparse(b.cols, out)
+    return RatMatrix(b.cols, out)
 
 
 def zero_matrix(rows: int, cols: int) -> RatMatrix:
-    return RatMatrix.from_sparse(cols, [{} for _ in range(rows)])
+    return RatMatrix(cols, [{} for _ in range(rows)])
 
 
 def identity_matrix(n: int) -> RatMatrix:
-    return RatMatrix.from_sparse(n, [{i: F1} for i in range(n)])
+    return RatMatrix(n, [{i: F1} for i in range(n)])
 
 
 def _fraction_reduce(row: dict, pivots: dict) -> None:
@@ -407,16 +421,15 @@ def fraction_rref(m: RatMatrix) -> tuple[RatMatrix, list[int]]:
         row[c] = F1
     order = sorted(pivots)
     red = [pivots[c] for c in order] + [{} for _ in range(m.rows - len(order))]
-    return RatMatrix.from_sparse(m.cols, red), order
+    return RatMatrix(m.cols, red), order
 
 
-def fraction_extend_to_basis(base_rows: list[list[Fraction]],
-                             candidates: list[list[Fraction]]) -> list[list[Fraction]]:
+def fraction_extend_to_basis(base_rows: list[dict], candidates: list[dict]) -> list[dict]:
     pivots: dict[int, dict] = {}
     for r in base_rows:
-        _fraction_insert({j: x for j, x in enumerate(r) if x}, pivots)
-    return [list(cand) for cand in candidates
-            if _fraction_insert({j: x for j, x in enumerate(cand) if x}, pivots)]
+        _fraction_insert({j: Fraction(x) for j, x in r.items()}, pivots)
+    return [cand for cand in candidates
+            if _fraction_insert({j: Fraction(x) for j, x in cand.items()}, pivots)]
 
 
 def tuple_coboundary_terms(alg: LeibnizSuperalgebra, structure: tuple, degree: int,
@@ -489,7 +502,7 @@ def fraction_delta_matrix(alg: LeibnizSuperalgebra, mod: SuperBimodule,
                         if row is not None:
                             row[j] = row.get(j, F0) + c * x
         rows.extend(block.values())
-    return RatMatrix.from_sparse(len(dom), rows)
+    return RatMatrix(len(dom), rows)
 
 
 def fraction_leibniz_defect(outer, inner, parities, a: int, b: int, c: int,
@@ -515,7 +528,7 @@ def _mu_tables(d) -> list:
     """Nested structure-constant tables of mu_0..mu_N."""
     dim = d.algebra.dim
     return [d.algebra.table] + [
-        [f.coeffs[a * dim:(a + 1) * dim] for a in range(dim)] for f in d.terms]
+        [f.coeffs[a * dim:(a + 1) * dim] for a in range(dim)] for f in dense_terms(d)]
 
 
 def fraction_residual(d, r: int) -> Cochain:
@@ -781,18 +794,13 @@ def annihilator(alg: LeibnizSuperalgebra, mod: SuperBimodule) -> list[list[Fract
     even = [k for k in range(mod.dim) if msp.parities[k] == 0]
     if not even:
         return []
-    rows = []
-    for i in range(alg.dim):
-        for t in range(mod.dim):
-            rows.append([mod.right[k][i][t] for k in even])
-    mat = (RatMatrix.from_rows(rows) if rows
-           else zero_matrix(0, len(even)))
-    ker = kernel_basis(mat)
+    rows = [sparse([mod.right[k][i][t] for k in even])
+            for i in range(alg.dim) for t in range(mod.dim)]
     out = []
-    for v in ker:
+    for v in kernel_basis(RatMatrix(len(even), rows)):
         full = zeros(mod.dim)
-        for c, k in zip(v, even):
-            full[k] = c
+        for j, c in v.items():
+            full[even[j]] = c
         out.append(full)
     return out
 
@@ -929,10 +937,42 @@ def parse_rational(value) -> Fraction:
     return Fraction(*rational_parts(value))
 
 
-def cochain_coords(f: Cochain, enum: list[tuple[tuple[int, ...], int]]) -> list[Fraction]:
-    """f's coordinates in the enumerate_basis order enum."""
+def enumerate_basis(alg: LeibnizSuperalgebra, mod: SuperBimodule,
+                    n: int, parity: int) -> list[tuple[tuple[int, ...], int]]:
+    """Ordered basis of the parity component of the arity-n cochain space:
+    the coordinate contract, stated apart from the library's position lists."""
+    asp, msp = alg.space, mod.space
+    out = []
+    for t in all_tuples(alg.dim, n):
+        want = (parity + asp.tuple_parity(t)) & 1
+        for k in range(mod.dim):
+            if msp.parities[k] == want:
+                out.append((t, k))
+    return out
+
+
+def cochain_from_coords(alg: LeibnizSuperalgebra, mod: SuperBimodule, n: int,
+                        parity: int, coords: dict,
+                        enum: list[tuple[tuple[int, ...], int]]) -> Cochain:
+    """The cochain with the sparse coordinates coords in the order enum."""
+    f = Cochain.zero(alg, mod, n, parity)
+    for j, c in coords.items():
+        t, k = enum[j]
+        f.coeffs[tuple_index(t, alg.dim)][k] += c
+    return f
+
+
+def cochain_coords(f: Cochain, enum: list[tuple[tuple[int, ...], int]]) -> dict:
+    """f's nonzero coordinates in the order enum, as {index: value}."""
     dim = f.algebra.dim
-    return [f.coeffs[tuple_index(t, dim)][k] for t, k in enum]
+    return sparse([f.coeffs[tuple_index(t, dim)][k] for t, k in enum])
+
+
+def dense_terms(series) -> list[Cochain]:
+    """s_1..s_N of a Series as dense cochains, a zero one where absent."""
+    return [Cochain.from_table(series.algebra, series.module, series.ARITY, 0,
+                               series.den, series.tables.get(i))
+            for i in range(1, series.order + 1)]
 
 
 def is_homogeneous(f: Cochain) -> bool:
@@ -969,7 +1009,7 @@ def iso_matrix(iso: FormalIsomorphism, i: int) -> list[list[Fraction]]:
     if i == 0:
         return [basis_vec(dim, j) for j in range(dim)]
     if i <= iso.order:
-        return [list(iso.terms[i - 1].coeffs[j]) for j in range(dim)]
+        return [list(v) for v in dense_terms(iso)[i - 1].coeffs]
     return [zeros(dim) for _ in range(dim)]
 
 
@@ -1004,12 +1044,13 @@ def fraction_intertwining_defect(d_from, d_to, psis: list, r: int) -> Cochain:
     alg = d_from.algebra
     dim = alg.dim
     psis = psis + [[zeros(dim) for _ in range(dim)]] * (r + 1 - len(psis))
+    mus_from, mus_to = _mu_tables(d_from), _mu_tables(d_to)
     f = Cochain.zero(alg, d_from.module, 2, 0)
     for acc, (a, b) in zip(f.coeffs, all_tuples(dim, 2)):
-        q = _poly_apply_mu(d_from, [basis_vec(dim, a)], [basis_vec(dim, b)], r)
+        q = _poly_apply_mu(mus_from, [basis_vec(dim, a)], [basis_vec(dim, b)], r)
         for i in range(r + 1):
             add_scaled(acc, F1, lin_comb(psis[i], q[r - i], dim))
-        lhs = _poly_apply_mu(d_to, [psis[k][a] for k in range(r + 1)],
+        lhs = _poly_apply_mu(mus_to, [psis[k][a] for k in range(r + 1)],
                              [psis[k][b] for k in range(r + 1)], r)
         add_scaled(acc, -F1, lhs[r])
     return f

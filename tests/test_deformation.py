@@ -9,13 +9,13 @@ from hypothesis import strategies as st
 
 from helpers import random_cochain, standard_fixtures
 from oracles import (bruteforce_deformation_failures, cochain_coords, cochain_eval,
-                     cochain_preimage, dense_deformation_from_doc, dense_mu_ints,
-                     dense_solve, fraction_intertwining_defect, fraction_residual,
-                     fraction_transform, inverse, iso_matrix, scale)
+                     cochain_from_coords, cochain_preimage, dense_deformation_from_doc,
+                     dense_mu_ints, dense_solve, dense_terms, enumerate_basis,
+                     fraction_intertwining_defect, fraction_residual,
+                     fraction_transform, inverse, iso_matrix, scale, sparse)
 from superleibniz.algebra import abelian, adjoint_module, nonlie_example
 from superleibniz.cochain import Cochain, all_tuples, delta, tuple_index
-from superleibniz.cohomology import (cochain_from_coords, cohomology_table,
-                                     delta_matrix, enumerate_basis)
+from superleibniz.cohomology import cohomology_table, delta_matrix
 from superleibniz.deformation import (ExtensionUndefined, FormalIsomorphism,
                                       TruncatedDeformation, check_deformation,
                                       deformation_residual, equivalent_deformations,
@@ -42,7 +42,7 @@ def mu_zz_x(L, M):
 def random_psi(L, M, rng):
     enum = enumerate_basis(L, M, 1, 0)
     return cochain_from_coords(L, M, 1, 0,
-                               [F(rng.randint(-2, 2)) for _ in enum], enum)
+                               sparse([F(rng.randint(-2, 2)) for _ in enum]), enum)
 
 
 def random_iso(L, M, order, rng):
@@ -123,7 +123,7 @@ def fractional_coords(n: int, rng) -> list:
 
 def fractional_cochain(L, M, arity, rng):
     enum = enumerate_basis(L, M, arity, 0)
-    return cochain_from_coords(L, M, arity, 0, fractional_coords(len(enum), rng),
+    return cochain_from_coords(L, M, arity, 0, sparse(fractional_coords(len(enum), rng)),
                                enum)
 
 
@@ -141,7 +141,7 @@ def test_fractional_coefficients_cover_the_denominators():
     rng = random.Random(11)
     L, M = nonlie_setup()
     d = fractional_deformation(L, M, 3, rng)
-    entries = [x for f in d.terms for v in f.coeffs for x in v if x]
+    entries = [x for f in dense_terms(d) for v in f.coeffs for x in v if x]
     assert {x.denominator for x in entries} >= set(DENOMS)
     assert max(abs(x.numerator) for x in entries) > 2 ** 64
 
@@ -161,15 +161,16 @@ def test_transform_matches_fraction_reference_on_fractional_isomorphisms(L):
     M = adjoint_module(L)
     d = fractional_deformation(L, M, 3, rng)
     iso = fractional_iso(L, M, 3, rng)
-    assert transform(d, iso).terms == fraction_transform(d, iso)
+    assert dense_terms(transform(d, iso)) == fraction_transform(d, iso)
     zero = TruncatedDeformation.zero(L, 3, M)
-    assert transform(zero, iso).terms == fraction_transform(zero, iso)
+    assert dense_terms(transform(zero, iso)) == fraction_transform(zero, iso)
     # order 6 walks the index bounds; a zero gap (mu_2 = 0 between nonzero
     # mu_1 and mu_3) exercises the skip of zero terms
     d6, iso6 = fractional_deformation(L, M, 6, rng), fractional_iso(L, M, 6, rng)
-    assert transform(d6, iso6).terms == fraction_transform(d6, iso6)
-    gap = TruncatedDeformation(L, [d.terms[0], Cochain.zero(L, M, 2, 0), d.terms[2]], M)
-    assert transform(gap, iso).terms == fraction_transform(gap, iso)
+    assert dense_terms(transform(d6, iso6)) == fraction_transform(d6, iso6)
+    mu1, _, mu3 = dense_terms(d)
+    gap = TruncatedDeformation(L, [mu1, Cochain.zero(L, M, 2, 0), mu3], M)
+    assert dense_terms(transform(gap, iso)) == fraction_transform(gap, iso)
 
 
 # -- checker vs brute-force oracle ------------------------------------------
@@ -340,7 +341,7 @@ def test_n_infinitesimal_of_valid_deformation_is_cocycle():
         t = transform(TruncatedDeformation.zero(L, 2), iso)
         assert check_deformation(t, mod_order=True).ok
         # the first nonzero term with its order
-        inf = next(((n, g) for n, g in enumerate(t.terms, start=1)
+        inf = next(((n, g) for n, g in enumerate(dense_terms(t), start=1)
                     if not g.is_zero()), None)
         if inf is None:
             continue
@@ -381,12 +382,12 @@ def test_extend_matches_trivial_completion():
     f = random_psi(L, M, rng)
     iso = FormalIsomorphism(L, [f, Cochain.zero(L, M, 1, 0)], M)
     t = transform(TruncatedDeformation.zero(L, 2), iso)
-    d = TruncatedDeformation(L, [t.terms[0]], M)
+    d = TruncatedDeformation(L, [dense_terms(t)[0]], M)
     mu2 = extend_deformation(d, 2)
     assert mu2 is not None
     # both completions pass; they may differ by a 2-cocycle
     assert check_deformation(d.appended(mu2), mod_order=True).ok
-    diff = mu2 - t.terms[1]
+    diff = mu2 - dense_terms(t)[1]
     assert delta(diff).is_zero()
 
 
@@ -416,8 +417,10 @@ def test_extend_obstructed_case():
     mat = delta_matrix(A, MA, 2, 0)
     rhs = cochain_coords(deformation_residual(d, 2),
                          enumerate_basis(A, MA, 3, 0))
-    aug = RatMatrix(mat.rows, mat.cols + 1,
-                    [list(r) + [b] for r, b in zip(mat.entries, rhs)])
+    rows = [dict(row) for row in mat.sparse_rows]
+    for i, b in rhs.items():
+        rows[i][mat.cols] = b
+    aug = RatMatrix(mat.cols + 1, rows)
     assert rank(aug) == rank(mat) + 1
 
 
@@ -453,7 +456,7 @@ def test_transform_order1_formula():
         iso = FormalIsomorphism(L, [psi1], M)
         t = transform(TruncatedDeformation.zero(L, 1), iso)
         expect = scale(delta(psi1), F(-1))
-        assert t.terms[0].coeffs == expect.coeffs
+        assert dense_terms(t)[0].coeffs == expect.coeffs
         for i, j in itertools.product(range(3), repeat=2):
             ei, ej = basis_vec(3, i), basis_vec(3, j)
             manual = cochain_eval(psi1, [L.bracket(i, j)])
@@ -461,7 +464,7 @@ def test_transform_order1_formula():
             manual = [m - c for m, c in zip(manual, step)]
             step = bilinear(M.left, ei, cochain_eval(psi1, [ej]), M.dim)
             manual = [m - c for m, c in zip(manual, step)]
-            assert t.terms[0].value((i, j)) == manual
+            assert dense_terms(t)[0].value((i, j)) == manual
 
 
 def test_transform_round_trip_with_inverse():
@@ -544,14 +547,15 @@ def test_equivalent_deformations_recovers_transforms():
     # whose terms are canonical preimages (free coordinates zero), as it
     # picks them itself
     d1 = transform(TruncatedDeformation.zero(L, 3), random_iso(L, M, 3, rng))
-    d1 = TruncatedDeformation(L, [d1.terms[0], Cochain.zero(L, M, 2, 0), d1.terms[2]], M)
-    assert not d1.terms[0].is_zero() and not d1.terms[2].is_zero()
+    mu1, _, mu3 = dense_terms(d1)
+    d1 = TruncatedDeformation(L, [mu1, Cochain.zero(L, M, 2, 0), mu3], M)
+    assert not mu1.is_zero() and not mu3.is_zero()
     mat = delta_matrix(L, M, 1, 0)
     iso0 = FormalIsomorphism(L, [cochain_preimage(mat, delta(f))
-                                 for f in random_iso(L, M, 3, rng).terms], M)
+                                 for f in dense_terms(random_iso(L, M, 3, rng))], M)
     d2 = transform(d1, iso0)
     iso = equivalent_deformations(d1, d2)
-    assert iso is not None and iso.terms == iso0.terms
+    assert iso is not None and dense_terms(iso) == dense_terms(iso0)
     assert transform(d1, iso) == d2
 
 
@@ -609,8 +613,8 @@ def test_infinitesimal_relation_for_transforms():
         rep = infinitesimal_relation(d1, d2, iso)
         assert rep.ok
         # and explicitly: mu_1 - nu_1 = delta(psi_1)
-        lhs = d1.terms[0] - d2.terms[0]
-        assert lhs.coeffs == delta(iso.terms[0]).coeffs
+        lhs = dense_terms(d1)[0] - dense_terms(d2)[0]
+        assert lhs.coeffs == delta(dense_terms(iso)[0]).coeffs
 
 
 def test_infinitesimal_relation_defect_reported():
@@ -691,8 +695,8 @@ def test_series_parse_equals_the_dense_reference(case):
     d = deformation_from_doc(doc, L, M)
     den, tables = dense_mu_ints(L, dense_deformation_from_doc(doc, L, M))
     assert (d.order, d.den, d.tables) == (doc["order"], den, tables)
-    assert d.terms == dense_deformation_from_doc(doc, L, M)
-    assert d == TruncatedDeformation(L, d.terms, M)
+    assert dense_terms(d) == dense_deformation_from_doc(doc, L, M)
+    assert d == TruncatedDeformation(L, dense_terms(d), M)
 
 
 @PROPERTY
@@ -775,4 +779,4 @@ def test_equiv_solutions_equal_the_dense_fraction_solve(L):
         rhs = fraction_intertwining_defect(d1, d2, psis, r)
         x = dense_solve(mat, _component_coords(rhs))
         assert x is not None
-        assert iso.terms[r - 1] == cochain_from_coords(L, M, 1, 0, x, enum)
+        assert dense_terms(iso)[r - 1] == cochain_from_coords(L, M, 1, 0, x, enum)

@@ -5,11 +5,11 @@ from fractions import Fraction
 import pytest
 
 from helpers import random_cochain, standard_fixtures
-from oracles import basis_cochain, extensions_equivalent
+from oracles import (basis_cochain, cochain_from_coords, enumerate_basis,
+                     extensions_equivalent)
 from superleibniz.algebra import abelian, adjoint_module, nonlie_example, zero_module
 from superleibniz.cochain import Cochain, all_tuples, delta
-from superleibniz.cohomology import (cochain_from_coords, cohomology_table,
-                                     delta_matrix, enumerate_basis, kernel_basis)
+from superleibniz.cohomology import cohomology_table, delta_matrix, kernel_basis
 from superleibniz.extension import build_extension, check_extension
 from superleibniz.linalg import basis_vec
 

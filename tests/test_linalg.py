@@ -9,17 +9,19 @@ from hypothesis import strategies as st
 from helpers import modules_for, standard_fixtures
 from oracles import (dense_extend_to_basis, dense_kernel_basis, dense_row_space_basis,
                      dense_rref, dense_solve, fraction_extend_to_basis, fraction_rref,
-                     identity_matrix, mat_vec, zero_matrix)
+                     identity_matrix, mat_vec, sparse, zero_matrix)
 from superleibniz import linalg
 from superleibniz.cohomology import delta_matrix
 from superleibniz.linalg import (RatMatrix, extend_to_basis, kernel_basis, rank,
-                                 row_space_basis, rref, solve, zeros)
+                                 row_space_basis, rref, solve)
 
 F = Fraction
 
 
-def mat(rows):
-    return RatMatrix.from_rows([[F(x) for x in r] for r in rows])
+def mat(rows, cols=None):
+    """The matrix of a dense table (cols needed only when it has no rows)."""
+    cols = len(rows[0]) if cols is None else cols
+    return RatMatrix(cols, [sparse([F(x) for x in r]) for r in rows])
 
 
 def test_rank_identity():
@@ -49,36 +51,43 @@ def test_kernel_single_relation():
     basis = kernel_basis(m)
     assert len(basis) == 3 - rank(m)
     for v in basis:
-        assert mat_vec(m, v) == zeros(1)
-    # canonical: free columns ascending, with (a,-a,b) shape
-    assert basis[0][1] == F(1) and basis[0][0] == F(-1)
-    assert basis[1][2] == F(1)
+        assert mat_vec(m, v) == {}
+    # canonical: free columns ascending, with (a,-a,b) shape, nonzeros only
+    assert basis == [{1: F(1), 0: F(-1)}, {2: F(1)}]
 
 
 def test_solve_identity():
-    x = solve(identity_matrix(2), [F(3), F(5)])
-    assert x == [F(3), F(5)]
+    x = solve(identity_matrix(2), {0: F(3), 1: F(5)})
+    assert x == {0: F(3), 1: F(5)}
+    assert solve(identity_matrix(2), {1: F(5)}) == {1: F(5)}   # x holds nonzeros only
 
 
 def test_solve_underdetermined_by_substitution():
     m = mat([[1, 1]])
-    x = solve(m, [F(2)])
-    assert x is not None and mat_vec(m, x) == [F(2)]
+    x = solve(m, {0: F(2)})
+    assert x is not None and mat_vec(m, x) == {0: F(2)}
 
 
 def test_solve_inconsistent():
     m = mat([[1], [1]])
-    assert solve(m, [F(0), F(1)]) is None
+    assert solve(m, {1: F(1)}) is None
+    assert solve(m, {0: F(0), 1: F(1)}) is None   # an explicit zero is no equation
 
 
 def test_solve_dimension_mismatch():
+    # a right-hand side index outside the rows is rejected, never dropped
+    for b in ({1: F(1)}, {0: F(1), 1: F(2)}, {-1: F(1)}, {3: F(0)}):
+        with pytest.raises(ValueError, match=r"outside 0\.\.0"):
+            solve(mat([[1, 2]]), b)
     with pytest.raises(ValueError):
-        solve(mat([[1, 2]]), [F(1), F(2)])
+        solve(zero_matrix(0, 2), {0: F(1)})
+    assert solve(zero_matrix(0, 2), {}) == {}
 
 
 def test_rref_canonical():
     red, pivots = rref(mat([[2, 4], [1, 3]]))
     assert pivots == [0, 1]
+    assert red.sparse_rows == [{0: F(1)}, {1: F(1)}]
     assert red.entries == [[F(1), F(0)], [F(0), F(1)]]
 
 
@@ -86,32 +95,30 @@ def test_rank_nullity_random():
     rng = random.Random(0)
     for _ in range(40):
         r, c = rng.randint(1, 6), rng.randint(1, 6)
-        m = RatMatrix.from_rows(
-            [[F(rng.randint(-3, 3), rng.choice((1, 1, 2))) for _ in range(c)]
-             for _ in range(r)])
+        m = mat([[F(rng.randint(-3, 3), rng.choice((1, 1, 2))) for _ in range(c)]
+                 for _ in range(r)])
         assert rank(m) + len(kernel_basis(m)) == c
         for v in kernel_basis(m):
-            assert mat_vec(m, v) == zeros(r)
+            assert mat_vec(m, v) == {}
 
 
 def test_rank_invariant_under_row_permutation():
     rng = random.Random(1)
     for _ in range(20):
         r, c = rng.randint(2, 5), rng.randint(1, 5)
-        rows = [[F(rng.randint(-3, 3)) for _ in range(c)] for _ in range(r)]
-        m = RatMatrix.from_rows(rows)
+        rows = [sparse([F(rng.randint(-3, 3)) for _ in range(c)]) for _ in range(r)]
+        m = RatMatrix(c, rows)
         shuffled = rows[:]
         rng.shuffle(shuffled)
-        assert rank(m) == rank(RatMatrix.from_rows(shuffled))
+        assert rank(m) == rank(RatMatrix(c, shuffled))
 
 
 def test_solve_random_consistent_systems():
     rng = random.Random(2)
     for _ in range(30):
         r, c = rng.randint(1, 5), rng.randint(1, 5)
-        m = RatMatrix.from_rows(
-            [[F(rng.randint(-2, 2)) for _ in range(c)] for _ in range(r)])
-        x0 = [F(rng.randint(-3, 3), rng.choice((1, 2))) for _ in range(c)]
+        m = mat([[F(rng.randint(-2, 2)) for _ in range(c)] for _ in range(r)])
+        x0 = sparse([F(rng.randint(-3, 3), rng.choice((1, 2))) for _ in range(c)])
         b = mat_vec(m, x0)
         x = solve(m, b)
         assert x is not None and mat_vec(m, x) == b
@@ -134,12 +141,13 @@ def test_sparse_storage_and_dense_view():
     assert m.sparse_rows == [{1: F(2)}, {}, {0: F(1), 2: F(-3)}]
     assert m.entries == [[0, 2, 0], [0, 0, 0], [1, 0, -3]]
     assert m.entries is m.entries   # built once
-    s = RatMatrix.from_sparse(3, [{1: F(2), 0: F(0)}, {}, {2: F(-3), 0: F(1)}])
+    s = RatMatrix(3, [{1: F(2), 0: F(0)}, {}, {2: F(-3), 0: F(1)}])
     assert s == m and s.sparse_rows[0] == {1: F(2)}   # zeros dropped
     assert m.transpose().sparse_rows == [{2: F(1)}, {0: F(2)}, {2: F(-3)}]
     assert m.transpose().transpose() == m
-    with pytest.raises(ValueError):
-        RatMatrix.from_sparse(3, [{3: F(1)}])
+    for rows in ([{3: F(1)}], [{}, {-1: F(1)}], [{0: F(1), 5: F(0)}]):
+        with pytest.raises(ValueError):
+            RatMatrix(3, rows)
 
 
 def _random_matrix(rng: random.Random, r: int, c: int) -> RatMatrix:
@@ -158,21 +166,18 @@ def _random_matrix(rng: random.Random, r: int, c: int) -> RatMatrix:
             a, b = rng.randrange(r), rng.randrange(r)
             x, y = F(rng.randint(-2, 2), 2), F(rng.randint(-2, 2))
             rows[i] = [x * p + y * q for p, q in zip(rows[a], rows[b])]
-    return RatMatrix(r, c, rows)
+    return mat(rows, c)
 
 
 def _assert_engine_matches_dense_oracle(m: RatMatrix, rng: random.Random) -> None:
-    red, pivots = rref(m)
-    dred, dpivots = dense_rref(m)
-    assert pivots == dpivots
-    assert red.entries == dred.entries and (red.rows, red.cols) == (dred.rows, dred.cols)
+    assert rref(m) == dense_rref(m)
     assert kernel_basis(m) == dense_kernel_basis(m)
     assert row_space_basis(m) == dense_row_space_basis(m)
     # one consistent right-hand side (a combination of the columns), one arbitrary
-    x0 = [F(rng.randint(-2, 2)) for _ in range(m.cols)]
-    for b in (mat_vec(m, x0), [F(rng.randint(-2, 2)) for _ in range(m.rows)]):
+    x0 = sparse([F(rng.randint(-2, 2)) for _ in range(m.cols)])
+    for b in (mat_vec(m, x0), sparse([F(rng.randint(-2, 2)) for _ in range(m.rows)])):
         assert solve(m, b) == dense_solve(m, b)
-    rows = m.entries
+    rows = m.sparse_rows
     cut = rng.randint(0, m.rows)
     assert (extend_to_basis(rows[:cut], rows[cut:])
             == dense_extend_to_basis(rows[:cut], rows[cut:], m.cols))
@@ -199,9 +204,9 @@ def test_rref_does_not_depend_on_row_order():
     rng = random.Random(5)
     for _ in range(40):
         m = _random_matrix(rng, rng.randint(1, 8), rng.randint(1, 8))
-        rows = list(m.entries)
+        rows = list(m.sparse_rows)
         rng.shuffle(rows)
-        shuffled = RatMatrix(m.rows, m.cols, rows)
+        shuffled = RatMatrix(m.cols, rows)
         assert rref(shuffled) == rref(m)
 
 
@@ -242,11 +247,11 @@ def matrices(draw):
             a, b = draw(st.integers(0, r - 1)), draw(st.integers(0, r - 1))
             x, y = draw(SMALL), draw(st.one_of(SMALL, HUGE))
             rows[i] = [x * p + y * q for p, q in zip(rows[a], rows[b])]
-    return RatMatrix(r, c, rows)
+    return RatMatrix(c, [sparse(row) for row in rows])
 
 
-def _all_fractions(vectors) -> bool:
-    return all(type(x) is Fraction for v in vectors for x in v)
+def _all_fractions(rows) -> bool:
+    return all(type(x) is Fraction for row in rows for x in row.values())
 
 
 def _consumers(m: RatMatrix, rhs: list[list[Fraction]]):
@@ -256,13 +261,13 @@ def _consumers(m: RatMatrix, rhs: list[list[Fraction]]):
 def _assert_int_engine_matches_fraction_engine(m: RatMatrix, rhs, cut: int) -> None:
     red, pivots = rref(m)
     assert (red, pivots) == fraction_rref(m)
-    assert _all_fractions(row.values() for row in red.sparse_rows)
+    assert _all_fractions(red.sparse_rows)
     got = _consumers(m, rhs)
     with mock.patch.object(linalg, "rref", fraction_rref):
         assert got == _consumers(m, rhs)
     _, kernel, solutions, basis = got
     assert _all_fractions(kernel + [x for x in solutions if x is not None] + basis)
-    rows = [[Fraction(x) for x in row] for row in m.entries]
+    rows = [{j: Fraction(x) for j, x in row.items()} for row in m.sparse_rows]
     chosen = extend_to_basis(rows[:cut], rows[cut:])
     assert chosen == fraction_extend_to_basis(rows[:cut], rows[cut:])
     assert _all_fractions(chosen)
@@ -271,9 +276,9 @@ def _assert_int_engine_matches_fraction_engine(m: RatMatrix, rhs, cut: int) -> N
 @PROPERTY
 @given(matrices(), st.data())
 def test_int_engine_matches_the_fraction_engine(m, data):
-    x0 = [data.draw(ENTRY) for _ in range(m.cols)]
-    consistent = [Fraction(v) for v in mat_vec(m, x0)]
-    arbitrary = [Fraction(data.draw(ENTRY)) for _ in range(m.rows)]
+    x0 = sparse([data.draw(ENTRY) for _ in range(m.cols)])
+    consistent = mat_vec(m, x0)
+    arbitrary = sparse([Fraction(data.draw(ENTRY)) for _ in range(m.rows)])
     _assert_int_engine_matches_fraction_engine(
         m, [consistent, arbitrary], data.draw(st.integers(0, m.rows)))
 
@@ -281,21 +286,23 @@ def test_int_engine_matches_the_fraction_engine(m, data):
 def test_int_engine_matches_the_fraction_engine_on_pinned_cases():
     big = Fraction(2 ** 70 + 1, 3 ** 45)
     cases = [
-        mat([]),                                          # empty
-        RatMatrix(0, 3, []),
-        RatMatrix(3, 0, [[], [], []]),
+        mat([], 0),                                       # empty
+        mat([], 3),
+        mat([[], [], []], 0),
         mat([[0, 0], [0, 0]]),                            # zero rows only
         mat([[-2, 4, 6], [0, 0, 0], [1, -2, -3]]),        # negative leading entry
-        RatMatrix(2, 2, [[big, -big], [F(1, 2 ** 65), F(-1, 2 ** 65)]]),
-        RatMatrix(3, 3, [[F(-1, 3), F(2 ** 66, 7), F(0)], [F(5, 2), 0, F(-3, 4)],
-                         [F(7, 6), F(2 ** 67, 7), F(-3, 4)]]),
+        mat([[big, -big], [F(1, 2 ** 65), F(-1, 2 ** 65)]]),
+        mat([[F(-1, 3), F(2 ** 66, 7), F(0)], [F(5, 2), 0, F(-3, 4)],
+             [F(7, 6), F(2 ** 67, 7), F(-3, 4)]]),
+        RatMatrix(4, [{3: 6, 1: -4}, {}, {2: F(0), 1: 2}]),   # ints, columns unordered
     ]
     for m in cases:
-        rhs = [[F(1)] * m.rows, [F(0)] * m.rows]
+        # all ones, explicit zeros (no equations) and the empty right-hand side
+        rhs = [{i: F(1) for i in range(m.rows)}, {i: F(0) for i in range(m.rows)}, {}]
         _assert_int_engine_matches_fraction_engine(m, rhs, m.rows // 2)
     # inconsistent: the rows agree, the right-hand sides do not
-    m = RatMatrix(2, 2, [[big, F(-3, 2)], [big, F(-3, 2)]])
-    assert solve(m, [F(1), F(2)]) is None
-    assert _consumers(m, [[F(1), F(2)]])[2] == [None]
+    m = mat([[big, F(-3, 2)], [big, F(-3, 2)]])
+    assert solve(m, {0: F(1), 1: F(2)}) is None
+    assert _consumers(m, [{0: F(1), 1: F(2)}])[2] == [None]
     red, pivots = rref(m)
     assert pivots == [0] and red.sparse_rows[0] == {0: F(1), 1: F(-3, 2) / big}

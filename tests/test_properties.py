@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from helpers import (matrix_1_1_associative, random_cochain, standard_fixtures,
                      transport, upper_triangular_associative)
-from oracles import dense_delta, fraction_delta_matrix
+from oracles import dense_delta, fraction_delta_matrix, sparse
 from test_cli import ALG, GOLDEN, run
 from superleibniz.algebra import (AssociativeSuperalgebra, LeibnizSuperalgebra,
                                   SuperBimodule, SuperSpace, adjoint_module,
@@ -40,7 +40,7 @@ def basis_changes(draw, parities):
     dim = len(parities)
     cols = [[Fraction(draw(st.integers(-2, 2))) if parities[k] == parities[i] else F0
              for k in range(dim)] for i in range(dim)]
-    assume(rank(RatMatrix.from_rows(cols)) == dim)
+    assume(rank(RatMatrix(dim, [sparse(c) for c in cols])) == dim)
     return cols
 
 

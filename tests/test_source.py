@@ -107,6 +107,8 @@ PUBLIC_EXEMPT = {
 
 
 def _names(node: ast.AST) -> Counter:
+    """Bare names, attribute names and the parts of dotted strings: what
+    reaches a module-level function or class."""
     found = Counter()
     for n in ast.walk(node):
         if isinstance(n, ast.Name):
@@ -119,28 +121,44 @@ def _names(node: ast.AST) -> Counter:
     return found
 
 
+def _method_refs(node: ast.AST) -> Counter:
+    """Attribute accesses .name and whole dotted strings "Class.method":
+    what reaches a method.  A bare name or a plain string does not, so a
+    local variable or a JSON key never keeps a method alive."""
+    found = Counter()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Attribute):
+            found[n.attr] += 1
+        elif (isinstance(n, ast.Constant) and isinstance(n.value, str)
+              and "." in n.value and _DOTTED.fullmatch(n.value)):
+            found[n.value] += 1
+    return found
+
+
 def unreferenced_publics(defined: dict[str, str], readers: dict[str, str]) -> list[str]:
     """The public module-level functions and classes of defined, and the
     non-dunder methods of its classes, as 'file: name' or 'file:
-    Class.method', that no source in readers names outside the name's own
-    definition."""
-    used = sum((_names(ast.parse(source)) for source in readers.values()), Counter())
+    Class.method', that no source in readers reaches outside the name's
+    own definition (see _names and _method_refs)."""
+    trees = [ast.parse(source) for source in readers.values()]
+    used = sum(map(_names, trees), Counter())
+    reached = sum(map(_method_refs, trees), Counter())
     found = []
     for name, source in defined.items():
         for node in ast.parse(source).body:
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 continue
-            members = [(node.name, node)]
-            if isinstance(node, ast.ClassDef):
-                members += [(f"{node.name}.{m.name}", m) for m in node.body
-                            if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef))
-                            and not m.name.startswith("__")]
-            for label, member in members:
-                short = member.name
-                if member is node and short.startswith("_"):
-                    continue
-                if used[short] <= _names(member)[short]:
-                    found.append(f"{name}: {label}")
+            short = node.name
+            if not short.startswith("_") and used[short] <= _names(node)[short]:
+                found.append(f"{name}: {short}")
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for m in node.body:
+                if (isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not m.name.startswith("__")):
+                    label = f"{node.name}.{m.name}"
+                    if reached[m.name] + reached[label] <= _method_refs(m)[m.name]:
+                        found.append(f"{name}: {label}")
     return found
 
 
@@ -166,6 +184,11 @@ def test_unreferenced_public_name_is_reported():
         == ["a.py: left_behind", "a.py: Kept._helper"]
     assert unreferenced_publics(defined, {**defined, **targets}) \
         == ["a.py: used", "a.py: Kept._helper"]
+    # a bare name, a plain string or another class's dotted string is no
+    # method call; the names still reach the module-level function
+    lookalikes = {"d.py": "named = used = 1\ndoc = {'named': 'used'}\nx = 'Other.named'\n"}
+    assert unreferenced_publics(defined, {**defined, **lookalikes}) \
+        == ["a.py: left_behind", "a.py: Kept", "a.py: Kept.named", "a.py: Kept._helper"]
 
 
 def scaling_sites(source: str) -> list[str]:
