@@ -36,16 +36,19 @@ class SuperSpace:
     name: str
     labels: tuple[str, ...]
     parities: tuple[int, ...]
+    _positions: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.labels) != len(self.parities):
             raise ValueError("labels and parities differ in length")
         if any(not lab for lab in self.labels):
             raise ValueError("basis labels must be nonempty")
-        if len(set(self.labels)) != len(self.labels):
+        positions = {lab: i for i, lab in enumerate(self.labels)}
+        if len(positions) != len(self.labels):
             raise ValueError("basis labels must be unique")
         if any(p not in (0, 1) for p in self.parities):
             raise ValueError("parities must be 0 or 1")
+        object.__setattr__(self, "_positions", positions)
 
     @property
     def dim(self) -> int:
@@ -60,10 +63,12 @@ class SuperSpace:
         return sum(1 for p in self.parities if p == ODD)
 
     def index(self, label: str) -> int:
+        """label's basis position; any other value is a KeyError."""
         try:
-            return self.labels.index(label)
-        except ValueError:
-            raise KeyError(f"no basis element labelled {label!r} in space {self.name!r}")
+            return self._positions[label]
+        except (KeyError, TypeError):
+            raise KeyError(f"no basis element labelled {label!r} in space "
+                           f"{self.name!r}") from None
 
     def tuple_parity(self, indices: tuple[int, ...]) -> int:
         return sum(self.parities[i] for i in indices) & 1
@@ -119,30 +124,44 @@ def leibniz_defect(pairs, parities) -> list[list[int]]:
     returned vector over D**2, and it vanishes iff the vector does.  With
     both tables the bracket this is the Leibniz defect; summed over the
     pairs (mu_i, mu_(r-i)) of a deformation it is the order-r residual.
+
+    Nonzeros only: an inner nonzero w at k of entry (x, y) meets the outer
+    entries with left argument k (term 1), then each (a, k) with value o
+    serves terms 2 and 3: -w*o to (a, x, y), (-1)**(xa) w*o to (x, a, y).
     """
     dim = len(parities)
-    out = [[0] * dim for _ in range(dim ** 3)]
+    sq = dim * dim
+    out = [[0] * dim for _ in range(sq * dim)]
     for outer, inner in pairs:
-        for a in range(dim):
-            pa = parities[a]
-            row_a = a * dim
-            for b in range(dim):
-                ab = inner[row_a + b]
-                row_b = b * dim
-                s = -1 if pa & parities[b] else 1
-                base = (row_a + b) * dim
-                for c in range(dim):
-                    acc = out[base + c]
-                    for k, w in ab:
-                        for j, y in outer[k * dim + c]:
-                            acc[j] += w * y
-                    for k, w in inner[row_b + c]:
-                        for j, y in outer[row_a + k]:
-                            acc[j] -= w * y
-                    for k, w in inner[row_a + c]:
-                        w *= s
-                        for j, y in outer[row_b + k]:
-                            acc[j] += w * y
+        by_left = [[] for _ in range(dim)]
+        by_right = [[] for _ in range(dim)]
+        for e, value in enumerate(outer):
+            if value:
+                a, b = divmod(e, dim)
+                by_left[a].append((b, value))
+                by_right[b].append((a, value))
+        for e, value in enumerate(inner):
+            if not value:
+                continue
+            x, y = divmod(e, dim)
+            px, first, row_x = parities[x], e * dim, x * sq + y
+            for k, w in value:
+                for c, ov in by_left[k]:
+                    acc = out[first + c]
+                    for j, o in ov:
+                        acc[j] += w * o
+                for a, ov in by_right[k]:
+                    minus, plus = out[a * sq + e], out[row_x + a * dim]
+                    if px & parities[a]:
+                        for j, o in ov:
+                            wo = w * o
+                            minus[j] -= wo
+                            plus[j] -= wo
+                    else:
+                        for j, o in ov:
+                            wo = w * o
+                            minus[j] -= wo
+                            plus[j] += wo
     return out
 
 

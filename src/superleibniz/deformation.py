@@ -218,6 +218,20 @@ class ExtensionUndefined(ValueError):
         self.report = report
 
 
+def _extended_residual(base: TruncatedDeformation, residual: list,
+                       extended: TruncatedDeformation, r: int) -> list[list[int]]:
+    """_residual_ints(extended, r) from residual = _residual_ints(base, r):
+    R_r is bilinear and extended is base plus mu_r, so it is residual *
+    (D'/D)**2 plus the products (mu_0, mu_r) and (mu_r, mu_0); D | D'."""
+    t, grown = extended.tables, (extended.den // base.den) ** 2
+    total = leibniz_defect([(t[0], t[r]), (t[r], t[0])] if 0 in t and r in t else [],
+                           base.algebra.space.parities)
+    for v, w in zip(residual, total):
+        for j, y in enumerate(v):
+            w[j] += y * grown
+    return total
+
+
 def extend_deformation(d: TruncatedDeformation, r: int,
                        max_arity: int = DEFAULT_MAX_ARITY) -> Cochain | None:
     """Solve for mu_r making the order-r equation hold; None if obstructed.
@@ -226,6 +240,9 @@ def extend_deformation(d: TruncatedDeformation, r: int,
     beyond are ignored); raises ExtensionUndefined, a ValueError, if not.
     Returns the canonical solution of delta(mu_r) = -R'_r (free variables
     zero); any solution differs by a 2-cocycle.
+
+    An AssertionError reports a mu_r that fails order r, found by two
+    products with mu_0, not r + 1 (see _extended_residual).
     """
     if r < 1:
         raise ValueError("target order must be >= 1")
@@ -239,13 +256,14 @@ def extend_deformation(d: TruncatedDeformation, r: int,
     # the residual without mu_r is -R'_r, held as D**2 times it; against
     # D_s * delta its canonical preimage y gives mu_r = y * D_s / D**2
     ds, mat = integral_coboundary(base.module, 2, 0, max_arity)
-    rhs = [[(k, y) for k, y in enumerate(v) if y] for v in _residual_ints(base, r)]
+    residual = _residual_ints(base, r)
+    rhs = [[(k, y) for k, y in enumerate(v) if y] for v in residual]
     solution = coboundary_preimage(mat, base.module, 3, 0, rhs)
     if solution is None:
         return None
     extended = base._copy(r, base.den, dict(base.tables))
     extended.add(r, solution[0] * base.den ** 2, _scaled(solution[1], ds))
-    if any(any(v) for v in _residual_ints(extended, r)):
+    if any(map(any, _extended_residual(base, residual, extended, r))):
         raise AssertionError("solver produced mu_r that fails order r; "
                              "sign conventions broken")
     return Cochain.from_table(base.algebra, base.module, 2, 0, extended.den,

@@ -15,7 +15,7 @@ from json.encoder import encode_basestring
 from math import lcm
 
 from .algebra import (EVEN, ODD, LeibnizSuperalgebra, SuperBimodule, SuperSpace)
-from .cochain import Cochain, all_tuples, tuple_index
+from .cochain import Cochain, all_tuples
 from .deformation import Series, TruncatedDeformation
 from .linalg import zeros
 
@@ -33,6 +33,7 @@ class DimensionCapError(ParseError):
 
 
 _RATIONAL_RE = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")   # ASCII digits only
+_INTEGER_RE = re.compile(r"[+-]?[0-9]+")
 
 
 def rational_parts(value) -> tuple[int, int]:
@@ -139,11 +140,13 @@ def _write_json(value, pad: str, out: list[str]) -> None:
 
 def _unique_keys(pairs: list[tuple]) -> dict:
     """A JSON object as a dict; a key given twice is an error, not a last win."""
-    doc = {}
-    for key, value in pairs:
-        if key in doc:
-            raise ParseError(f"duplicate key {key!r} in a JSON object")
-        doc[key] = value
+    doc = dict(pairs)
+    if len(doc) != len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ParseError(f"duplicate key {key!r} in a JSON object")
+            seen.add(key)
     return doc
 
 
@@ -219,10 +222,24 @@ def _sparse_value(value, space: SuperSpace, where: str) -> list[tuple[int, int, 
         if k in seen:
             raise ParseError(f"{where}: duplicate value term for label {term['label']!r}")
         seen.add(k)
-        num, den = rational_parts(term["coeff"])
+        num, den = _coefficient(term["coeff"], where, term["label"])
         if num:
             out.append((k, num, den))
     return sorted(out)
+
+
+def _coefficient(value, where: str, label) -> tuple[int, int]:
+    """rational_parts(value), an error in it prefixed with where and the
+    label; an integer string within the digit limit is read directly."""
+    if type(value) is str and _INTEGER_RE.fullmatch(value):
+        try:
+            return int(value), 1
+        except ValueError:   # past the digit limit: rational_parts words it
+            pass
+    try:
+        return rational_parts(value)
+    except ParseError as exc:
+        raise ParseError(f"{where}: label {label!r}: {exc}") from None
 
 
 def _value_to_doc(row, space: SuperSpace) -> list[dict]:
@@ -339,26 +356,30 @@ def _cochain_table(doc, alg: LeibnizSuperalgebra, mod: SuperBimodule,
     if not isinstance(degree, str) or degree not in _PARITY_NAMES:
         raise ParseError("'degree' must be 'even' or 'odd'")
     degree = _PARITY_NAMES[degree]
-    asp, mpar = alg.space, mod.space.parities
+    asp, apar, mpar, dim = alg.space, alg.space.parities, mod.space.parities, alg.dim
     values = {}
     for ent in _entry_list(doc, "entries", ("args",), "cochain"):
         args = ent["args"]
         if not isinstance(args, list) or len(args) != arity:
             raise ParseError(f"cochain entry needs {arity} args, got {args!r}")
+        # the tuple index of the args and the parity their values must have
+        idx, want = 0, degree
         try:
-            t = tuple(asp.index(lab) for lab in args)
+            for lab in args:
+                i = asp.index(lab)
+                idx, want = idx * dim + i, want ^ apar[i]
         except KeyError as exc:
             raise ParseError(f"cochain entry: {exc.args[0]}")
-        if tuple_index(t, alg.dim) in values:
+        if idx in values:
             raise ParseError(f"duplicate cochain entry for args {args!r}")
         value = _sparse_value(ent.get("value", []), mod.space, f"cochain entry {args}")
-        if any(mpar[k] != (degree + asp.tuple_parity(t)) & 1 for k, _, _ in value):
+        if any(mpar[k] != want for k, _, _ in value):
             raise ParseError("cochain entries violate homogeneity: some value has "
                              "a component whose parity differs from degree + "
                              "sum of argument parities")
-        values[tuple_index(t, alg.dim)] = value
+        values[idx] = value
     den = lcm(*(d for value in values.values() for _, _, d in value))
-    table = [[] for _ in range(alg.dim ** arity)]
+    table = [[] for _ in range(dim ** arity)]
     for idx, value in values.items():
         table[idx] = [(k, num * (den // d)) for k, num, d in value]
     return arity, degree, den, table

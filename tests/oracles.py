@@ -10,6 +10,9 @@
   isomorphism summed term by term in Fractions, the references for the
   library's fraction-free kernels (algebra.leibniz_defect,
   deformation.deformation_residual and deformation.transform).
+- triple_walk_leibniz_defect: the fraction-free Leibniz defect walked
+  over every basis triple, empty entries included; the exact int
+  reference for algebra.leibniz_defect, which visits nonzeros only.
 - dense_delta: the coboundary as a dense loop over codomain tuples, a
   reference for the library's term walk (cochain.coboundary_terms).  With
   bracket_in_slot_i it is the rejected reading where the substituted
@@ -522,6 +525,37 @@ def fraction_leibniz_defect(outer, inner, parities, a: int, b: int, c: int,
     for k, w in enumerate(inner[a][c]):
         if w:
             add_scaled(acc, s * w, outer[b][k])
+
+
+def triple_walk_leibniz_defect(pairs, parities) -> list[list[int]]:
+    """algebra.leibniz_defect as a walk over every basis triple (a, b, c),
+    with the three terms' inner loops set up at each, empty entries
+    included: the reference for the library's walk over the nonzeros.
+    Same flat int tables in, same int vector per triple out."""
+    dim = len(parities)
+    out = [[0] * dim for _ in range(dim ** 3)]
+    for outer, inner in pairs:
+        for a in range(dim):
+            pa = parities[a]
+            row_a = a * dim
+            for b in range(dim):
+                ab = inner[row_a + b]
+                row_b = b * dim
+                s = -1 if pa & parities[b] else 1
+                base = (row_a + b) * dim
+                for c in range(dim):
+                    acc = out[base + c]
+                    for k, w in ab:
+                        for j, y in outer[k * dim + c]:
+                            acc[j] += w * y
+                    for k, w in inner[row_b + c]:
+                        for j, y in outer[row_a + k]:
+                            acc[j] -= w * y
+                    for k, w in inner[row_a + c]:
+                        w *= s
+                        for j, y in outer[row_b + k]:
+                            acc[j] += w * y
+    return out
 
 
 def _mu_tables(d) -> list:

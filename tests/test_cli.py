@@ -653,3 +653,101 @@ def test_empty_series_cost_follows_their_nonzero_terms(tmp_path, verb, order):
     assert time.perf_counter() - start < 10
     assert code == 0 and err == ""
     assert "equivalent: true" in out if verb == "equiv" else "status: pass" in out
+
+
+BAD_COEFF = [
+    ("bracket", ["validate"], None,
+     {"name": "n", "basis": _BASIS,
+      "brackets": [{"left": "y", "right": "x",
+                    "value": [{"label": "x", "coeff": "1.5"}]}]},
+     "bracket (y,x): label 'x': cannot parse '1.5' as an exact rational"),
+    ("module_action", ["cohomology", ALG], "--module",
+     {"basis": _BASIS, "right": [{"left": "z", "right": "y",
+                                  "value": [{"label": "z", "coeff": [1]}]}]},
+     "right action (z,y): label 'z': not a rational coefficient: [1]"),
+    ("cochain_file", ["extend", ALG], "--cocycle",
+     {"arity": 2, "degree": "even",
+      "entries": [{"args": ["y", "z"], "value": [{"label": "z", "coeff": "1/0"}]}]},
+     "cochain entry ['y', 'z']: label 'z': zero denominator in '1/0'"),
+    ("deformation_term", ["deform", "check", ALG], "--deformation",
+     {"order": 1, "terms": {"1": {"entries": [
+         {"args": ["z", "z"], "value": [{"label": "x", "coeff": [1]}]}]}}},
+     "term 1: cochain entry ['z', 'z']: label 'x': not a rational coefficient: [1]"),
+    ("float_in_bracket", ["validate"], None,
+     {"name": "n", "basis": _BASIS,
+      "brackets": [{"left": "y", "right": "y",
+                    "value": [{"label": "x", "coeff": 0.5}]}]},
+     "bracket (y,y): label 'x': floating-point coefficient 0.5 rejected; "
+     "write an exact rational like \"-1/2\""),
+]
+
+
+@pytest.mark.parametrize("name,verb,flag,doc,message", BAD_COEFF,
+                         ids=[c[0] for c in BAD_COEFF])
+def test_a_malformed_coefficient_names_its_entry_and_label(tmp_path, name, verb, flag,
+                                                           doc, message):
+    p = tmp_path / "doc.json"
+    p.write_text(json.dumps(doc))
+    code, out, err = run(verb + ([flag, str(p)] if flag else [str(p)]))
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_an_integer_coefficient_past_the_digit_limit_keeps_its_message(tmp_path):
+    # integer strings are read directly; past the interpreter's digit limit
+    # they take the rational path and its message
+    doc = {"name": "n", "basis": _BASIS,
+           "brackets": [{"left": "y", "right": "x",
+                         "value": [{"label": "x", "coeff": "7" * 5000}]}]}
+    p = tmp_path / "doc.json"
+    p.write_text(json.dumps(doc))
+    code, out, err = run(["validate", str(p)])
+    assert code == 2 and out == ""
+    assert err.startswith("error: bracket (y,x): label 'x': coefficient "
+                          "'77777777777777777777'...: Exceeds the limit")
+
+
+def _label_at(where, lab):
+    """A document with the label lab at where, the verb that reads it, and
+    the message its refusal prints."""
+    r = repr(lab)
+    bracket = {"name": "n", "basis": _BASIS}
+    if where == "value_term":
+        return (["validate"], None,
+                {**bracket, "brackets": [{"left": "y", "right": "x",
+                                          "value": [{"label": lab, "coeff": "1"}]}]},
+                f"bracket (y,x): unknown label {r}")
+    if where == "deformation_value_term":
+        return (["deform", "check", ALG], "--deformation",
+                {"order": 1, "terms": {"1": {"entries": [
+                    {"args": ["z", "z"], "value": [{"label": lab, "coeff": "1"}]}]}}},
+                f"term 1: cochain entry ['z', 'z']: unknown label {r}")
+    if where == "cochain_args":
+        return (["extend", ALG], "--cocycle",
+                {"arity": 2, "degree": "even", "entries": [{"args": ["y", lab], "value": []}]},
+                f"cochain entry: no basis element labelled {r} in space 'nonlie3'")
+    if where == "deformation_args":
+        return (["deform", "check", ALG], "--deformation",
+                {"order": 1, "terms": {"1": {"entries": [{"args": [lab, "z"], "value": []}]}}},
+                f"term 1: cochain entry: no basis element labelled {r} in space 'nonlie3'")
+    if where == "bracket_left":
+        return (["validate"], None,
+                {**bracket, "brackets": [{"left": lab, "right": "x", "value": []}]},
+                f"bracket entry ({r}, 'x'): no basis element labelled {r} in space 'n'")
+    return (["validate"], None,
+            {**bracket, "brackets": [{"left": "y", "right": lab, "value": []}]},
+            f"bracket entry ('y', {r}): no basis element labelled {r} in space 'n'")
+
+
+@pytest.mark.parametrize("lab", [None, 1, [1], {"a": 1}],
+                         ids=["null", "int", "list", "object"])
+@pytest.mark.parametrize("where", ["value_term", "deformation_value_term", "cochain_args",
+                                   "deformation_args", "bracket_left", "bracket_right"])
+def test_a_label_that_is_not_a_string_is_a_usage_error(tmp_path, where, lab):
+    # labels resolve by a dict lookup; an unhashable one is still an
+    # unknown label (exit 2), never a TypeError (exit 3)
+    verb, flag, doc, message = _label_at(where, lab)
+    p = tmp_path / "doc.json"
+    p.write_text(json.dumps(doc))
+    code, out, err = run(verb + ([flag, str(p)] if flag else [str(p)]))
+    assert (code, out, err) == (2, "", f"error: {message}\n")

@@ -13,6 +13,7 @@ from oracles import (bruteforce_deformation_failures, cochain_coords, cochain_ev
                      dense_mu_ints, dense_solve, dense_terms, enumerate_basis,
                      fraction_intertwining_defect, fraction_residual,
                      fraction_transform, inverse, iso_matrix, scale, sparse)
+from test_cli import run
 from superleibniz.algebra import abelian, adjoint_module, nonlie_example
 from superleibniz.cochain import Cochain, all_tuples, delta, tuple_index
 from superleibniz.cohomology import cohomology_table, delta_matrix
@@ -22,7 +23,7 @@ from superleibniz.deformation import (ExtensionUndefined, FormalIsomorphism,
                                       extend_deformation, infinitesimal_relation,
                                       transform)
 from superleibniz.fileio import (cochain_to_doc, deformation_from_doc, load_deformation,
-                                 save_deformation)
+                                 save_algebra, save_deformation)
 from superleibniz.linalg import F0, F1, basis_vec, bilinear
 
 F = Fraction
@@ -306,6 +307,71 @@ def test_extend_rejects_a_term_that_leaves_the_residual(monkeypatch):
                         lambda mat, mod, n, parity, rows: (1, [[] for _ in range(9)]))
     with pytest.raises(AssertionError, match="sign conventions broken"):
         extend_deformation(d, 2)
+
+
+@pytest.mark.parametrize("L", standard_fixtures(), ids=lambda L: L.space.name)
+def test_two_product_certificate_is_the_full_residual(L):
+    # extend certifies mu_r from the base's residual and the two products
+    # with mu_0; on the solver's term and on arbitrary fractional ones
+    # (which grow the denominator) that sum is the extended series' residual
+    import superleibniz.deformation as deformation
+    rng = random.Random(18)
+    M = adjoint_module(L)
+    zero = TruncatedDeformation.zero(L, 2, M)
+    for base in (zero, transform(zero, fractional_iso(L, M, 2, rng)),
+                 fractional_deformation(L, M, 2, rng)):
+        residual = deformation._residual_ints(base, 3)
+        terms = [fractional_cochain(L, M, 2, rng)]
+        if check_deformation(base, mod_order=True).ok:
+            mu = extend_deformation(base, 3)
+            terms += [mu] if mu is not None else []
+        for mu in terms:
+            extended = base.appended(mu)
+            full = deformation._residual_ints(extended, 3) or [[0] * L.dim] * L.dim ** 3
+            assert deformation._extended_residual(base, residual, extended, 3) == full
+
+
+def _negated(den, table):
+    return [[(k, -x) for k, x in row] for row in table]
+
+
+def _plus_a_non_cocycle(den, table):
+    # mu(z, z) += a multiple of x: mu_zz_x, which is no cocycle on nonlie3
+    zz = tuple_index((2, 2), 3)
+    row = dict(table[zz])
+    row[0] = row.get(0, 0) + den
+    return table[:zz] + [sorted((k, x) for k, x in row.items() if x)] + table[zz + 1:]
+
+
+@pytest.mark.parametrize("corrupt", [_negated, _plus_a_non_cocycle],
+                         ids=["negated", "plus_non_cocycle"])
+def test_extend_rejects_a_corrupted_solver_term(monkeypatch, tmp_path, corrupt):
+    # a wrong mu_r fails the two-product certificate: an AssertionError in
+    # the library, exit 3 in the CLI, and no output file
+    import superleibniz.cli as cli
+    import superleibniz.deformation as deformation
+    L, M = nonlie_setup()
+    assert not delta(mu_zz_x(L, M)).is_zero()
+    mu1 = cohomology_table(L, M, 2, with_bases=True).entry(2, 0).basis_z[0]
+    d = TruncatedDeformation(L, [mu1], M)
+    assert not extend_deformation(d, 2).is_zero()
+    solve = deformation.coboundary_preimage
+
+    def corrupted(mat, mod, n, parity, rows):
+        den, table = solve(mat, mod, n, parity, rows)
+        return den, corrupt(den, table)
+
+    monkeypatch.setattr(deformation, "coboundary_preimage", corrupted)
+    with pytest.raises(AssertionError, match="sign conventions broken"):
+        extend_deformation(d, 2)
+    alg, src, out = (tmp_path / name for name in ("alg.json", "d.json", "out.json"))
+    save_algebra(L, str(alg))
+    save_deformation(d, str(src))
+    code, stdout, err = run(["deform", "extend", str(alg), "--deformation", str(src),
+                             "--order", "2", "--out", str(out)])
+    assert code == cli.EXIT_INTERNAL == 3 and stdout == ""
+    assert err.startswith("internal error: ") and "sign conventions broken" in err
+    assert not out.exists()
 
 
 def test_strict_vs_jet_reading_of_truncated_transforms():

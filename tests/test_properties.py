@@ -1,7 +1,7 @@
 """Property tests: basis independence of cohomology, delta(delta(f)) = 0 on
-random algebras, the coboundary walk against its oracles on random
-structure constants, and the CLI's exit codes on random and mutated
-documents.
+random algebras, the coboundary walk and the Leibniz-defect kernel
+against their oracles on random structure constants, and the CLI's exit
+codes on random and mutated documents.
 
 Hypothesis runs derandomized with a bounded number of examples and no
 example database, so every run checks the same cases.
@@ -17,12 +17,13 @@ from hypothesis import strategies as st
 
 from helpers import (matrix_1_1_associative, random_cochain, standard_fixtures,
                      transport, upper_triangular_associative)
-from oracles import dense_delta, fraction_delta_matrix, sparse
+from oracles import (dense_delta, fraction_delta_matrix, sparse,
+                     triple_walk_leibniz_defect)
 from test_cli import ALG, GOLDEN, run
 from superleibniz.algebra import (AssociativeSuperalgebra, LeibnizSuperalgebra,
                                   SuperBimodule, SuperSpace, adjoint_module,
-                                  free_truncated, from_associative, nonlie_example,
-                                  zero_module)
+                                  free_truncated, from_associative, leibniz_defect,
+                                  nonlie_example, zero_module)
 from superleibniz.cochain import delta, scaled_structure
 from superleibniz.cohomology import cohomology_table, delta_matrix
 from superleibniz.fileio import module_to_doc
@@ -154,6 +155,38 @@ def test_coboundary_walk_matches_its_oracles(data):
     assert delta_matrix(alg, mod, n, parity) == fraction_delta_matrix(alg, mod, n, parity)
     f = random_cochain(alg, mod, n, parity, random.Random(data.draw(st.integers(0, 2 ** 16))))
     assert delta(f) == dense_delta(f)
+
+
+# -- the Leibniz-defect kernel against the triple walk --------------------------
+
+# small ints, and some past 2**64, as the scaled constants of a large D give
+INTS = st.one_of(st.integers(-3, 3).filter(bool),
+                 st.integers(2 ** 64, 2 ** 70), st.integers(-2 ** 70, -2 ** 64))
+
+
+@st.composite
+def flat_tables(draw, dim):
+    """A flat int table as scale_to_ints gives it: per pair (i, j) the
+    nonzeros (k, x) by ascending k; each entry empty, sparse or dense."""
+    table = []
+    for _ in range(dim * dim):
+        shape = draw(st.sampled_from(("empty", "empty", "sparse", "dense")))
+        ks = (range(dim) if shape == "dense" else [] if shape == "empty"
+              else sorted(draw(st.sets(st.integers(0, dim - 1), max_size=2))))
+        table.append([(k, draw(INTS)) for k in ks])
+    return table
+
+
+@PROPERTY
+@given(st.data())
+def test_leibniz_defect_matches_the_triple_walk(data):
+    dim = data.draw(st.integers(1, 4))
+    parities = tuple(data.draw(st.lists(st.integers(0, 1), min_size=dim, max_size=dim)))
+    pairs = [(data.draw(flat_tables(dim)), data.draw(flat_tables(dim)))
+             for _ in range(data.draw(st.integers(0, 3)))]
+    if pairs and data.draw(st.booleans()):
+        pairs.append((pairs[0][0], pairs[0][0]))   # one table on both sides
+    assert leibniz_defect(pairs, parities) == triple_walk_leibniz_defect(pairs, parities)
 
 
 # -- the CLI on random and mutated documents -----------------------------------

@@ -221,3 +221,27 @@ def test_scaling_sites_are_reported():
     source = ("def f(x):\n    return scale_to_ints(x)\n\n"
               "class A:\n    def g(self):\n        return [scale_to_ints(y) for y in z]\n")
     assert scaling_sites(source) == ["f", "A.g"]
+
+
+def label_scans(source: str) -> list[int]:
+    """The lines that call .index on something named labels (labels.index,
+    self.labels.index, space.labels.index): a linear scan of a basis."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "index"
+            and ((isinstance(node.func.value, ast.Name) and node.func.value.id == "labels")
+                 or (isinstance(node.func.value, ast.Attribute)
+                     and node.func.value.attr == "labels"))]
+
+
+def test_labels_resolve_through_the_space_index_alone():
+    # SuperSpace.index is one dict lookup; labels.index walks the basis
+    # for every label a file names
+    for p in sorted(SRC.glob("*.py")):
+        assert label_scans(p.read_text(encoding="utf-8")) == [], p.name
+
+
+def test_label_scans_are_reported():
+    source = ("i = labels.index(x)\nj = self.labels.index(y)\n"
+              "k = space.index(z)\nm = names.index(w)\n")
+    assert label_scans(source) == [1, 2]
