@@ -152,11 +152,12 @@ def parity_tables(parities: tuple[int, ...], n: int) -> list[list[int]]:
 
 
 def coboundary_terms(alg: LeibnizSuperalgebra, structure: tuple[int, list, list, list],
-                     degree: int, n: int):
+                     degree: int, n: int, par: list[list[int]]):
     """The terms of D*delta on arity-n cochains of degree `degree`.
 
     structure is scaled_structure of the cochains' module, or any
-    rescaling of it, and D its denominator.  Only nonzero structure
+    rescaling of it, and D its denominator; par is parity_tables to
+    arity n or beyond.  Only nonzero structure
     constants are visited: each bracket [x_a, x_b] at slots i < j, each
     left action of x_i at a slot i < n+1 and each right action at slot
     n+1, with the other slots free.  Yields (T, S, scalar, action) with T
@@ -168,7 +169,6 @@ def coboundary_terms(alg: LeibnizSuperalgebra, structure: tuple[int, list, list,
     """
     dim, apar = alg.dim, alg.space.parities
     _, table, left, right = structure
-    par = parity_tables(apar, n)
     # T = P + (a,) + M + (b,) + R and S = P + M + (k,) + R, with the bracket
     # [x_a, x_b] = sum_k c_k x_k deleted from slot i and landing in slot j
     brackets = [(*divmod(ab, dim), image) for ab, image in enumerate(table) if image]
@@ -213,7 +213,8 @@ def delta(f: Cochain) -> Cochain:
     support = [[(m, wm) for m, wm in enumerate(w) if wm] for w in f.coeffs]
     out = Cochain.zero(f.algebra, f.module, f.arity + 1, f.degree)
     acc = out.coeffs
-    for t, s, c, action in coboundary_terms(f.algebra, structure, f.degree, f.arity):
+    par = parity_tables(f.algebra.space.parities, f.arity)
+    for t, s, c, action in coboundary_terms(f.algebra, structure, f.degree, f.arity, par):
         if support[s]:
             row = acc[t]
             if action is None:

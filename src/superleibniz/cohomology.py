@@ -49,14 +49,14 @@ def _check_cap(alg: LeibnizSuperalgebra, mod: SuperBimodule, arity: int,
             f"{value} (raise the cap to proceed)")
 
 
-def _positions(alg: LeibnizSuperalgebra, mod: SuperBimodule, top: int,
+def _positions(mod: SuperBimodule, par: list[list[int]],
                parity: int) -> list[tuple[list[int | None], int]]:
-    """For the arities n = 0..top, the flat position list of the parity
-    component and its dimension: entry tuple_index(t) * dim M + k is the
-    coordinate of (t, k), counted in the enumeration order, or None when
-    (t, k) is not in the component."""
+    """For each arity n of par (parity_tables), the flat position list of
+    the parity component and its dimension: entry tuple_index(t) * dim M + k
+    is the coordinate of (t, k), counted in the enumeration order, or None
+    when (t, k) is not in the component."""
     out = []
-    for pars in parity_tables(alg.space.parities, top):
+    for pars in par:
         inside = [p == parity ^ q for q in pars for p in mod.space.parities]
         count = itertools.count()
         out.append(([next(count) if x else None for x in inside], sum(inside)))
@@ -66,7 +66,7 @@ def _positions(alg: LeibnizSuperalgebra, mod: SuperBimodule, top: int,
 def delta_matrix(alg: LeibnizSuperalgebra, mod: SuperBimodule, n: int, parity: int,
                  max_arity: int = DEFAULT_MAX_ARITY,
                  structure: tuple[int, list, list, list] | None = None,
-                 positions: list | None = None) -> RatMatrix:
+                 positions: list | None = None, par: list | None = None) -> RatMatrix:
     """Matrix of the coboundary on the parity component, arity n -> n+1.
 
     Columns follow the domain enumeration, rows the codomain enumeration;
@@ -76,8 +76,9 @@ def delta_matrix(alg: LeibnizSuperalgebra, mod: SuperBimodule, n: int, parity: i
     structure (scaled_structure(mod) by default): the entries are ints
     when D is 1 and Fraction(x, D) otherwise.  A caller that passes
     (1, table, left, right) from scaled_structure gets D times the
-    coboundary in ints, with the same rank, kernel and image.  positions
-    are the _positions of arities n and n+1 (built here by default).
+    coboundary in ints, with the same rank, kernel and image.  par
+    (parity_tables to arity n+1 or beyond) and positions (_positions of
+    arities n and n+1) are built here by default.
     """
     if n < 0:
         raise ValueError("arity must be >= 0")
@@ -85,9 +86,10 @@ def delta_matrix(alg: LeibnizSuperalgebra, mod: SuperBimodule, n: int, parity: i
     if structure is None:
         structure = scaled_structure(mod)
     dm = mod.dim
-    (cols, ncols), (places, nrows) = positions or _positions(alg, mod, n + 1, parity)[n:]
+    par = par or parity_tables(alg.space.parities, n + 1)
+    (cols, ncols), (places, nrows) = positions or _positions(mod, par, parity)[n:n + 2]
     rows = [{} for _ in range(nrows)]
-    for t, s, c, action in coboundary_terms(alg, structure, parity, n):
+    for t, s, c, action in coboundary_terms(alg, structure, parity, n, par):
         t, s = t * dm, s * dm
         if action is None:
             for k in range(dm):
@@ -104,9 +106,12 @@ def delta_matrix(alg: LeibnizSuperalgebra, mod: SuperBimodule, n: int, parity: i
                     if i is not None:
                         row = rows[i]
                         row[j] = row.get(j, 0) + c * x
+    # terms can cancel: drop the coefficients that summed to zero
     if structure[0] != 1:
         rows = [{j: Fraction(x, structure[0]) for j, x in row.items() if x} for row in rows]
-    return RatMatrix(ncols, rows)
+    else:
+        rows = [row if all(row.values()) else {j: x for j, x in row.items() if x} for row in rows]
+    return RatMatrix._of(ncols, rows)
 
 
 def _cochains(rows: list[dict], alg: LeibnizSuperalgebra, mod: SuperBimodule,
@@ -168,19 +173,20 @@ def cohomology_table(alg: LeibnizSuperalgebra, mod: SuperBimodule, max_n: int,
 
     Computing H^n needs the coboundary into arity n+1, so max_n+1 must be
     within the arity cap.  The structure is scaled once, and every matrix
-    is D*delta in ints (see integral_coboundary).  The position list of
-    each arity is built once per parity.
+    is D*delta in ints (see integral_coboundary).  The parity tables are
+    built once, and the position list of each arity once per parity.
     """
     _check_cap(alg, mod, max_n + 1, max_arity)
     table = CohomologyTable(alg, mod, max_n)
     structure = (1, *scaled_structure(mod)[1:])
+    par = parity_tables(alg.space.parities, max_n + 1)
     for parity in (0, 1):
-        layout = _positions(alg, mod, max_n + 1, parity)
+        layout = _positions(mod, par, parity)
         prev_matrix: RatMatrix | None = None
         dim_b = 0
         for n in range(max_n + 1):
             mat = delta_matrix(alg, mod, n, parity, max_arity=max_arity,
-                               structure=structure, positions=layout[n:n + 2])
+                               structure=structure, positions=layout[n:n + 2], par=par)
             dim_c = mat.cols
             zrows = _z_rows(mat) if with_bases else None
             dim_z = len(zrows) if with_bases else dim_c - rank(mat)
@@ -200,9 +206,8 @@ def cohomology_table(alg: LeibnizSuperalgebra, mod: SuperBimodule, max_n: int,
 def derivations(alg: LeibnizSuperalgebra, mod: SuperBimodule,
                 parity: int, max_arity: int = DEFAULT_MAX_ARITY) -> list[Cochain]:
     """Canonical basis of the 1-cocycles of the given parity: Z^1."""
-    _, mat = integral_coboundary(mod, 1, parity, max_arity)
-    return _cochains(_z_rows(mat), alg, mod, 1, parity,
-                     _positions(alg, mod, 1, parity)[1][0])
+    _, mat, places, _ = integral_coboundary(mod, 1, parity, max_arity)
+    return _cochains(_z_rows(mat), alg, mod, 1, parity, places)
 
 
 def inner_derivations(alg: LeibnizSuperalgebra, mod: SuperBimodule) -> list[Cochain]:
@@ -211,7 +216,7 @@ def inner_derivations(alg: LeibnizSuperalgebra, mod: SuperBimodule) -> list[Coch
     This is B^1 of degree 0, delta(m)(x) = -[m, x], read off the right
     action instead of building D_0.
     """
-    places, ncols = _positions(alg, mod, 1, 0)[1]
+    places, ncols = _positions(mod, parity_tables(alg.space.parities, 1), 0)[1]
     rows = [{places[pos]: c for pos, c in enumerate(itertools.chain(*mod.right[m]))
              if c and places[pos] is not None}
             for m, p in enumerate(mod.space.parities) if p == 0]
@@ -219,27 +224,32 @@ def inner_derivations(alg: LeibnizSuperalgebra, mod: SuperBimodule) -> list[Coch
 
 
 def integral_coboundary(mod: SuperBimodule, n: int, parity: int,
-                        max_arity: int = DEFAULT_MAX_ARITY) -> tuple[int, RatMatrix]:
-    """(D, D*delta) on the parity component from arity n: the matrix built
-    on the structure constants times their common denominator D, which has
-    delta's rank, kernel and image and holds ints only.  Its canonical
-    preimage of f is D times delta's."""
+                        max_arity: int = DEFAULT_MAX_ARITY) -> tuple[int, RatMatrix, list, list]:
+    """(D, D*delta, cols, places) on the parity component from arity n:
+    the matrix on the structure constants times their common denominator
+    D, built when its rows are first read, has delta's rank, kernel and
+    image and holds ints only; cols and places are the _positions lists
+    of arities n and n+1.  Its canonical preimage of f is D times delta's."""
+    alg = mod.algebra
+    _check_cap(alg, mod, n + 1, max_arity)
     d, *structure = scaled_structure(mod)
-    return d, delta_matrix(mod.algebra, mod, n, parity, max_arity=max_arity,
-                           structure=(1, *structure))
+    par = parity_tables(alg.space.parities, n + 1)
+    (cols, ncols), (places, nrows) = positions = _positions(mod, par, parity)[n:]
+    return d, RatMatrix._of(ncols, lambda: delta_matrix(
+        alg, mod, n, parity, max_arity, (1, *structure), positions, par).sparse_rows,
+        nrows), cols, places
 
 
-def coboundary_preimage(mat: RatMatrix, mod: SuperBimodule, n: int, parity: int,
+def coboundary_preimage(mat: RatMatrix, mod: SuperBimodule, cols: list, places: list,
                         rows: list) -> tuple[int, list] | None:
     """The canonical g with mat(g) = f (free coordinates zero), or None.
 
-    mat is delta_matrix of the parity from arity n - 1, or integral_coboundary's
-    multiple of it.  rows lists per tuple index the nonzeros (k, c) of the
-    arity-n f, c an int or a Fraction; g comes back as (E, flat table of
-    (k, E*coefficient)).  A zero f needs no elimination.
+    mat is delta_matrix from arity n - 1, or integral_coboundary's multiple
+    of it, with its cols and places.  rows lists per tuple index the
+    nonzeros (k, c) of the arity-n f, c an int or a Fraction; g comes back
+    as (E, flat table of (k, E*coefficient)).  A zero f reads no row of mat.
     """
     dm = mod.dim
-    (cols, _), (places, _) = _positions(mod.algebra, mod, n, parity)[n - 1:]
     b = {places[t * dm + k]: c for t, row in enumerate(rows) for k, c in row
          if places[t * dm + k] is not None}
     table = [[] for _ in range(len(cols) // dm)]

@@ -255,10 +255,10 @@ def extend_deformation(d: TruncatedDeformation, r: int,
         raise ExtensionUndefined(lower)
     # the residual without mu_r is -R'_r, held as D**2 times it; against
     # D_s * delta its canonical preimage y gives mu_r = y * D_s / D**2
-    ds, mat = integral_coboundary(base.module, 2, 0, max_arity)
+    ds, mat, cols, places = integral_coboundary(base.module, 2, 0, max_arity)
     residual = _residual_ints(base, r)
     rhs = [[(k, y) for k, y in enumerate(v) if y] for v in residual]
-    solution = coboundary_preimage(mat, base.module, 3, 0, rhs)
+    solution = coboundary_preimage(mat, base.module, cols, places, rhs)
     if solution is None:
         return None
     extended = base._copy(r, base.den, dict(base.tables))
@@ -339,12 +339,12 @@ def equivalent_deformations(d1: TruncatedDeformation, d2: TruncatedDeformation,
     n = d1.order if order is None else min(order, d1.order)
     da, db = d1.truncated(n), d2.truncated(n)
     alg, mod = da.algebra, da.module
-    ds, mat = integral_coboundary(mod, 1, 0, max_arity)
+    ds, mat, cols, places = integral_coboundary(mod, 1, 0, max_arity)
     iso = FormalIsomorphism.identity(alg, n, mod)
     for r in range(1, n + 1):
         den, defect = _intertwining_defect(da, db, iso, r, alg.dim)
         # the canonical y with D_s * delta(y) = den * defect: psi_r = y * D_s / den
-        solution = coboundary_preimage(mat, mod, 2, 0, defect)
+        solution = coboundary_preimage(mat, mod, cols, places, defect)
         if solution is None:
             return None
         iso.add(r, solution[0] * den, _scaled(solution[1], ds))

@@ -11,10 +11,11 @@ take and return such rows ({index: nonzero}); .entries builds a dense
 view on request.  One elimination routine serves rank, kernel, solve and
 bases.  It reduces primitive int rows fraction-free (int rows, such as a
 coboundary matrix built on the integral structure and an int right-hand
-side, go in as they are) and writes Fractions only for the rows it
-returns: the canonical reduced row echelon form, which depends only on
-the row space, never on the order in which rows are reduced, so golden
-tests reproduce bit for bit.
+side, go in as they are); rank reads its forward pass only.  The rows
+it returns are reduced, and written as Fractions, on first read: the
+canonical reduced row echelon form, which depends only on the row space,
+never on the order in which rows are reduced, so golden tests reproduce
+bit for bit.
 """
 
 from __future__ import annotations
@@ -91,9 +92,10 @@ SparseRow = dict[int, Fraction]
 
 
 class RatMatrix:
-    """Rational matrix stored as sparse rows ({column: nonzero coefficient})."""
+    """Rational matrix stored as sparse rows ({column: nonzero coefficient}),
+    which a lazy matrix (see _of) makes on their first read."""
 
-    __slots__ = ("rows", "cols", "sparse_rows", "_entries")
+    __slots__ = ("rows", "cols", "_sparse", "_entries")
 
     def __init__(self, cols: int, sparse_rows: list[SparseRow]):
         """A matrix from {column: coefficient} rows; zero coefficients are dropped.
@@ -105,16 +107,25 @@ class RatMatrix:
         if used and (min(map(min, used)) < 0 or max(map(max, used)) >= cols):
             raise ValueError(f"column index outside 0..{cols - 1}")
         self.rows, self.cols, self._entries = len(sparse_rows), cols, None
-        self.sparse_rows = [row if all(row.values()) else
-                            {j: x for j, x in row.items() if x} for row in sparse_rows]
+        self._sparse = [row if all(row.values()) else
+                        {j: x for j, x in row.items() if x} for row in sparse_rows]
 
     @classmethod
-    def _of(cls, cols: int, sparse_rows: list[SparseRow]) -> "RatMatrix":
+    def _of(cls, cols: int, sparse_rows, rows: int | None = None) -> "RatMatrix":
         """The constructor without its checks, for rows that hold nonzero
-        coefficients in columns 0..cols-1 only by construction."""
+        coefficients in columns 0..cols-1 only by construction.  A lazy
+        matrix passes a function and the row count: the function makes
+        the rows when sparse_rows (so .entries, == or transpose) is first read."""
         m = cls.__new__(cls)
-        m.rows, m.cols, m.sparse_rows, m._entries = len(sparse_rows), cols, sparse_rows, None
+        m.rows = len(sparse_rows) if rows is None else rows
+        m.cols, m._sparse, m._entries = cols, sparse_rows, None
         return m
+
+    @property
+    def sparse_rows(self) -> list[SparseRow]:
+        if callable(self._sparse):
+            self._sparse = self._sparse()
+        return self._sparse
 
     @property
     def entries(self) -> list[list[Fraction]]:
@@ -200,25 +211,28 @@ def rref(m: RatMatrix) -> tuple[RatMatrix, list[int]]:
     The result is the canonical basis of the row space, so two matrices
     have equal row spaces iff their rrefs agree up to trailing zero rows.
     Int rows are reduced fraction-free against the pivot rows so far,
-    sparsest first (less fill-in); back-substitution then makes the form
-    reduced, and each pivot row is divided by its leading entry.
+    sparsest first (less fill-in), which fixes the pivot columns.  The
+    returned matrix is lazy: on first read, back-substitution makes the
+    form reduced, and each pivot row is divided by its leading entry.
     """
     pivots: dict[int, dict[int, int]] = {}
     for row in sorted(filter(None, m.sparse_rows), key=len):
         _insert(_int_row(row), pivots)
-    # right to left: the pivot rows right of c are already reduced, so one
-    # pass clears every other pivot column from row c
-    for c in sorted(pivots, reverse=True):
-        _insert(pivots.pop(c), pivots)
     order = sorted(pivots)
-    red = [{j: F1 if j == c else Fraction(x, row[c]) for j, x in row.items()}
-           for c, row in sorted(pivots.items())] + [{} for _ in range(m.rows - len(order))]
-    return RatMatrix._of(m.cols, red), order
+
+    def reduce() -> list[SparseRow]:
+        # right to left: the pivot rows right of c are already reduced, so
+        # one pass clears every other pivot column from row c
+        for c in reversed(order):
+            _insert(pivots.pop(c), pivots)
+        return [{j: F1 if j == c else Fraction(x, row[c]) for j, x in row.items()}
+                for c, row in sorted(pivots.items())] + [{} for _ in range(m.rows - len(order))]
+
+    return RatMatrix._of(m.cols, reduce, m.rows), order
 
 
 def rank(m: RatMatrix) -> int:
-    _, pivots = rref(m)
-    return len(pivots)
+    return len(rref(m)[1])
 
 
 def kernel_basis(m: RatMatrix) -> list[SparseRow]:

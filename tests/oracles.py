@@ -86,7 +86,7 @@ import sympy
 from superleibniz.algebra import (EVEN, CheckReport, LeibnizSuperalgebra,
                                   SuperBimodule, SuperSpace, koszul)
 from superleibniz.cochain import Cochain, all_tuples, tuple_index
-from superleibniz.cohomology import coboundary_preimage, delta_matrix
+from superleibniz.cohomology import coboundary_preimage, delta_matrix, integral_coboundary
 from superleibniz.deformation import FormalIsomorphism
 from superleibniz.extension import Extension
 from superleibniz.fileio import cochain_from_doc, rational_parts
@@ -1024,7 +1024,9 @@ def cochain_preimage(mat: RatMatrix, f: Cochain) -> Cochain | None:
     """coboundary_preimage for a dense cochain f: the canonical g with
     delta(g) = f as a cochain, or None; mat as coboundary_preimage takes it."""
     rows = [[(k, c) for k, c in enumerate(v) if c] for v in f.coeffs]
-    found = coboundary_preimage(mat, f.module, f.arity, f.degree, rows)
+    # the position lists only: integral_coboundary's own matrix is lazy and never read
+    *_, cols, places = integral_coboundary(f.module, f.arity - 1, f.degree, f.arity)
+    found = coboundary_preimage(mat, f.module, cols, places, rows)
     if found is None:
         return None
     return Cochain.from_table(f.algebra, f.module, f.arity - 1, f.degree, *found)

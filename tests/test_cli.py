@@ -292,6 +292,16 @@ def test_deform_extend_target_beyond_the_next_order_is_a_usage_error():
     assert "provides orders up to 1, cannot target order 3" in err
 
 
+def test_deform_extend_of_a_zero_residual_keeps_the_arity_cap():
+    # a zero residual needs no coboundary matrix, but D_2's arity is still
+    # checked against the cap before anything is solved
+    code, out, err = run(["deform", "extend", ALG, "--deformation", DEFORM_ZERO,
+                          "--max-arity", "2"])
+    assert code == 2 and out == ""
+    assert err == ("error: arity 3 exceeds the cap 2; the cochain space has dimension "
+                   "dim M * (dim L)^n = 3 * 3^3 = 81 (raise the cap to proceed)\n")
+
+
 def test_deform_equiv_round_trip():
     code, out, _ = run(["deform", "equiv", ALG,
                         "--deformation", DEFORM_ZERO,

@@ -183,6 +183,38 @@ def test_cohomology_table_hands_rref_ints_only(monkeypatch):
     assert table.entries == cohomology_table(plain, adjoint_module(plain), 2).entries
 
 
+def _touched_cells(L, M, n: int, parity: int) -> set:
+    """The (row, column) cells of D_n that some term of the coboundary walk
+    reaches, whether or not the terms on a cell cancel."""
+    par = cochain.parity_tables(L.space.parities, n + 1)
+    (cols, _), (places, _) = cohomology._positions(M, par, parity)[n:n + 2]
+    dm, cells = M.dim, set()
+    for t, s, _, action in cochain.coboundary_terms(L, scaled_structure(M), parity, n, par):
+        pairs = ([(k, k) for k in range(dm)] if action is None else
+                 [(k, m) for m, image in enumerate(action) for k, _ in image])
+        cells.update((places[t * dm + k], cols[s * dm + m]) for k, m in pairs
+                     if places[t * dm + k] is not None and cols[s * dm + m] is not None)
+    return cells
+
+
+def test_delta_matrix_holds_no_zero_and_no_column_out_of_range():
+    # delta_matrix builds its matrix unchecked; the checked constructor,
+    # which drops zeros and range-checks columns, must give the same matrix,
+    # also where terms cancel and on the Fraction path of a structure with D > 1
+    D = _denominator_algebra()
+    for L in standard_fixtures() + [D]:
+        for M in modules_for(L):
+            for n in range(4 if L.dim < 6 else 3):
+                for parity in (0, 1):
+                    m = delta_matrix(L, M, n, parity)
+                    assert m == RatMatrix(m.cols, [dict(r) for r in m.sparse_rows])
+    L = nonlie_example()
+    m = delta_matrix(L, adjoint_module(L), 1, 0)
+    assert len(_touched_cells(L, adjoint_module(L), 1, 0)) > sum(map(len, m.sparse_rows))
+    m = delta_matrix(D, adjoint_module(D), 1, 0)
+    assert {type(x) for r in m.sparse_rows for x in r.values()} == {Fraction}
+
+
 def _fraction_rows(m: RatMatrix) -> list[dict]:
     red, pivots = fraction_rref(m)
     return red.sparse_rows[:len(pivots)]

@@ -331,6 +331,31 @@ def test_two_product_certificate_is_the_full_residual(L):
             assert deformation._extended_residual(base, residual, extended, 3) == full
 
 
+def test_solves_build_the_coboundary_matrix_for_a_nonzero_right_hand_side_only(monkeypatch):
+    # extend and equiv lay out the coordinates once per call and build D_n
+    # on the first nonzero right-hand side, once; a zero one reads no row
+    import superleibniz.cohomology as cohomology
+    built, layouts = [], []
+    matrix, positions = cohomology.delta_matrix, cohomology._positions
+    monkeypatch.setattr(cohomology, "delta_matrix",
+                        lambda *a, **k: built.append(a[2]) or matrix(*a, **k))
+    monkeypatch.setattr(cohomology, "_positions",
+                        lambda *a: layouts.append(a[2]) or positions(*a))
+    L, M = nonlie_setup()
+    mu1 = cohomology_table(L, M, 2, with_bases=True).entry(2, 0).basis_z[0]
+    zero = TruncatedDeformation.zero(L, 3, M)
+    d1 = transform(zero, random_iso(L, M, 3, random.Random(19)))
+    cases = [(lambda: extend_deformation(zero.truncated(2), 3).is_zero(), []),
+             (lambda: extend_deformation(TruncatedDeformation(L, [mu1], M), 2), [2]),
+             (lambda: equivalent_deformations(zero, zero), []),
+             (lambda: equivalent_deformations(zero, d1), [1])]
+    for call, matrices in cases:
+        built.clear()
+        layouts.clear()
+        assert call()
+        assert built == matrices and layouts == [0]
+
+
 def _negated(den, table):
     return [[(k, -x) for k, x in row] for row in table]
 

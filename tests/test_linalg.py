@@ -37,6 +37,22 @@ def test_rank_dependent_rows():
     assert rank(mat([[1, 2], [2, 4]])) == 1
 
 
+def test_rank_runs_the_forward_pass_only():
+    # one _insert per nonzero row; back-substitution, one more per pivot,
+    # waits for the first read of rref's rows and runs once
+    m = mat([[1, 2, 3], [2, 4, 7], [0, 0, 0], [1, 0, 1], [3, 4, 7]])
+    calls = []
+    insert = linalg._insert
+    with mock.patch.object(linalg, "_insert",
+                           lambda row, pivots: calls.append(row) or insert(row, pivots)):
+        assert rank(m) == 3 and len(calls) == 4
+        red, pivots = rref(m)
+        assert pivots == [0, 1, 2] and red.rows == 5 and len(calls) == 8
+        assert red.sparse_rows == [{0: 1}, {1: 1}, {2: 1}, {}, {}] and len(calls) == 11
+        assert red.entries[0] == [1, 0, 0] and red == red.transpose().transpose()
+        assert len(calls) == 11
+
+
 def test_kernel_identity_empty():
     assert kernel_basis(identity_matrix(2)) == []
 

@@ -1,7 +1,8 @@
 """Property tests: basis independence of cohomology, delta(delta(f)) = 0 on
 random algebras, the coboundary walk and the Leibniz-defect kernel
-against their oracles on random structure constants, and the CLI's exit
-codes on random and mutated documents.
+against their oracles on random structure constants, rref's lazily
+reduced rows against the dense oracle, and the CLI's exit codes on random
+and mutated documents.
 
 Hypothesis runs derandomized with a bounded number of examples and no
 example database, so every run checks the same cases.
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 
 from helpers import (matrix_1_1_associative, random_cochain, standard_fixtures,
                      transport, upper_triangular_associative)
-from oracles import (dense_delta, fraction_delta_matrix, sparse,
+from oracles import (dense_delta, dense_rref, fraction_delta_matrix, sparse,
                      triple_walk_leibniz_defect)
 from test_cli import ALG, GOLDEN, run
 from superleibniz.algebra import (AssociativeSuperalgebra, LeibnizSuperalgebra,
@@ -27,7 +28,7 @@ from superleibniz.algebra import (AssociativeSuperalgebra, LeibnizSuperalgebra,
 from superleibniz.cochain import delta, scaled_structure
 from superleibniz.cohomology import cohomology_table, delta_matrix
 from superleibniz.fileio import module_to_doc
-from superleibniz.linalg import F0, RatMatrix, basis_vec, lin_comb, rank, zeros
+from superleibniz.linalg import F0, RatMatrix, basis_vec, lin_comb, rank, rref, zeros
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=100)
 
@@ -187,6 +188,47 @@ def test_leibniz_defect_matches_the_triple_walk(data):
     if pairs and data.draw(st.booleans()):
         pairs.append((pairs[0][0], pairs[0][0]))   # one table on both sides
     assert leibniz_defect(pairs, parities) == triple_walk_leibniz_defect(pairs, parities)
+
+
+# -- rref's rows, reduced on first read, against the dense oracle --------------
+
+# zeros, small ints, ints past 2**64 and Fractions, mixed in one matrix
+ENTRIES = st.one_of(st.just(0), st.just(0), st.integers(-3, 3), INTS,
+                    st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4)))
+
+
+@st.composite
+def lazy_cases(draw):
+    """Up to 6x6 with zero rows and zero columns; a row may be a multiple
+    of an earlier one, so that ranks drop."""
+    r, c = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    zero_cols = draw(st.sets(st.integers(0, 5)))
+    rows = []
+    for _ in range(r):
+        kind = draw(st.sampled_from(("new", "new", "zero", "multiple")))
+        if kind == "multiple" and rows:
+            k = draw(st.sampled_from((2, -1, Fraction(1, 3), 2 ** 65)))
+            rows.append({j: k * x for j, x in draw(st.sampled_from(rows)).items()})
+        else:
+            cells = [] if kind == "zero" else [j for j in range(c) if j not in zero_cols]
+            rows.append({j: x for j in cells if (x := draw(ENTRIES))})
+    return RatMatrix(c, rows)
+
+
+@PROPERTY
+@given(lazy_cases(), st.booleans())
+def test_rref_rows_reduced_on_first_read_match_the_dense_oracle(m, entries_first):
+    want, pivots = dense_rref(m)
+    assert rank(m) == len(rref(m)[1]) == len(pivots)
+    red, got = rref(m)
+    assert got == pivots and (red.rows, red.cols) == (want.rows, want.cols)
+    for _ in range(2):
+        if entries_first:
+            assert red.entries == want.entries
+        assert red.sparse_rows == want.sparse_rows and red.entries == want.entries
+    # == and transpose on a result whose rows nothing has read yet
+    assert rref(m)[0] == want and want == rref(m)[0] and rref(m)[0] == rref(m)[0]
+    assert rref(m)[0].transpose() == want.transpose()
 
 
 # -- the CLI on random and mutated documents -----------------------------------

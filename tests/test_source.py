@@ -1,7 +1,7 @@
 """Source hygiene: no library module imports a name it never uses, no
-module-level private function or class goes unreferenced, and every
-public name of the library is reached by the library itself or by the
-benchmark.
+module-level private function or class goes unreferenced, every public
+name of the library is reached by the library itself or by the
+benchmark, and one elimination engine serves every matrix.
 
 A stdlib stand-in for a linter's unused-import and dead-code rules.  The
 package __init__ is skipped by the import check: its imports are the
@@ -245,3 +245,36 @@ def test_label_scans_are_reported():
     source = ("i = labels.index(x)\nj = self.labels.index(y)\n"
               "k = space.index(z)\nm = names.index(w)\n")
     assert label_scans(source) == [1, 2]
+
+
+def elimination_sites(sources: dict[str, str]) -> list[str]:
+    """'file: name' for each module-level definition that names _insert,
+    the one elimination step, other than its own ('<module>' for any other
+    module-level statement, an import included); nested functions count
+    as the definition that holds them."""
+    sites = []
+    for name, source in sources.items():
+        for node in ast.parse(source).body:
+            label = getattr(node, "name", "<module>")
+            if label != "_insert" and any(
+                    (isinstance(n, ast.Name) and n.id == "_insert")
+                    or (isinstance(n, ast.Attribute) and n.attr == "_insert")
+                    or (isinstance(n, ast.alias) and n.name == "_insert")
+                    for n in ast.walk(node)):
+                sites.append(f"{name}: {label}")
+    return sites
+
+
+def test_one_elimination_engine():
+    # rank, kernels, solves and bases all go through rref; a rank-only
+    # elimination beside it would be a second engine
+    sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
+    assert elimination_sites(sources) == ["linalg.py: rref", "linalg.py: extend_to_basis"]
+
+
+def test_elimination_sites_are_reported():
+    sources = {"a.py": ("def _insert(row, pivots):\n    return _insert(row, pivots)\n\n"
+                        "def rank_only(m):\n    def step(r):\n        return _insert(r, {})\n"
+                        "    return step\n\nalias = linalg._insert\n"),
+               "b.py": "from a import _insert\n"}
+    assert elimination_sites(sources) == ["a.py: rank_only", "a.py: <module>", "b.py: <module>"]
