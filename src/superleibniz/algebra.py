@@ -36,7 +36,7 @@ class SuperSpace:
     name: str
     labels: tuple[str, ...]
     parities: tuple[int, ...]
-    _positions: dict = field(init=False, repr=False, compare=False)
+    _by_label: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.labels) != len(self.parities):
@@ -48,7 +48,7 @@ class SuperSpace:
             raise ValueError("basis labels must be unique")
         if any(p not in (0, 1) for p in self.parities):
             raise ValueError("parities must be 0 or 1")
-        object.__setattr__(self, "_positions", positions)
+        object.__setattr__(self, "_by_label", positions)
 
     @property
     def dim(self) -> int:
@@ -65,7 +65,7 @@ class SuperSpace:
     def index(self, label: str) -> int:
         """label's basis position; any other value is a KeyError."""
         try:
-            return self._positions[label]
+            return self._by_label[label]
         except (KeyError, TypeError):
             raise KeyError(f"no basis element labelled {label!r} in space "
                            f"{self.name!r}") from None

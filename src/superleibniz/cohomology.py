@@ -1,16 +1,16 @@
 """Coboundary matrices, built as sparse int rows over one denominator, and
 cohomology dimensions/bases from linalg's one engine, which reduces ints
-and returns canonical Fractions.  A cohomology table scales the structure
-once and eliminates D times each coboundary, which has the same rank,
-kernel and image, so the engine receives ints only.
+and returns canonical Fractions.  A Coboundary scales the structure once
+and hands the engine D times each coboundary, which has the same rank,
+kernel and image, so the engine receives ints only, and solves delta.
 
 The basis of each parity component of a cochain space is enumerated
 deterministically: tuples of algebra basis indices in lexicographic
 order, then the admissible module basis indices in ascending order.
 This enumeration is part of the external contract (golden matrices and
-bases depend on it); _positions is its one encoding, and no other module
-reads cochain coordinates.  Coordinate rows cross to linalg and back as
-sparse {coordinate: coefficient} rows.
+bases depend on it); _positions is its one encoding, which Coboundary
+holds: no other module reads cochain coordinates.  Coordinate rows cross
+to linalg and back as sparse {coordinate: coefficient} rows.
 """
 
 from __future__ import annotations
@@ -38,17 +38,6 @@ def bounded_power(base: int, exp: int) -> int | None:
     return base ** exp if exp * base.bit_length() <= 256 else None
 
 
-def _check_cap(alg: LeibnizSuperalgebra, mod: SuperBimodule, arity: int,
-               max_arity: int) -> None:
-    if arity > max_arity:
-        size = bounded_power(alg.dim, arity)
-        value = "" if size is None else f" = {mod.dim * size}"
-        raise ArityCapError(
-            f"arity {arity} exceeds the cap {max_arity}; the cochain space "
-            f"has dimension dim M * (dim L)^n = {mod.dim} * {alg.dim}^{arity}"
-            f"{value} (raise the cap to proceed)")
-
-
 def _positions(mod: SuperBimodule, par: list[list[int]],
                parity: int) -> list[tuple[list[int | None], int]]:
     """For each arity n of par (parity_tables), the flat position list of
@@ -65,31 +54,25 @@ def _positions(mod: SuperBimodule, par: list[list[int]],
 
 def delta_matrix(alg: LeibnizSuperalgebra, mod: SuperBimodule, n: int, parity: int,
                  max_arity: int = DEFAULT_MAX_ARITY,
-                 structure: tuple[int, list, list, list] | None = None,
-                 positions: list | None = None, par: list | None = None) -> RatMatrix:
+                 coboundary: Coboundary | None = None) -> RatMatrix:
     """Matrix of the coboundary on the parity component, arity n -> n+1.
 
     Columns follow the domain enumeration, rows the codomain enumeration;
     applying the matrix to a cochain's coordinates gives the coordinates
     of its coboundary.  Built in one pass over the terms of
-    coboundary_terms, as sparse int rows over the denominator D of
-    structure (scaled_structure(mod) by default): the entries are ints
-    when D is 1 and Fraction(x, D) otherwise.  A caller that passes
-    (1, table, left, right) from scaled_structure gets D times the
-    coboundary in ints, with the same rank, kernel and image.  par
-    (parity_tables to arity n+1 or beyond) and positions (_positions of
-    arities n and n+1) are built here by default.
+    coboundary_terms, as sparse int rows over the structure's denominator
+    D: the entries are ints when D is 1 and Fraction(x, D) otherwise.
+    Given coboundary (a Coboundary of mod to arity n+1 or beyond), it
+    reads that one's tables and layout and returns D times the coboundary
+    in ints, with the same rank, kernel and image.
     """
     if n < 0:
         raise ValueError("arity must be >= 0")
-    _check_cap(alg, mod, n + 1, max_arity)
-    if structure is None:
-        structure = scaled_structure(mod)
+    cob = Coboundary(mod, n + 1, max_arity) if coboundary is None else coboundary
     dm = mod.dim
-    par = par or parity_tables(alg.space.parities, n + 1)
-    (cols, ncols), (places, nrows) = positions or _positions(mod, par, parity)[n:n + 2]
+    (cols, ncols), (places, nrows) = cob.layout(parity)[n:n + 2]
     rows = [{} for _ in range(nrows)]
-    for t, s, c, action in coboundary_terms(alg, structure, parity, n, par):
+    for t, s, c, action in coboundary_terms(alg, cob.structure, parity, n, cob.par):
         t, s = t * dm, s * dm
         if action is None:
             for k in range(dm):
@@ -107,11 +90,71 @@ def delta_matrix(alg: LeibnizSuperalgebra, mod: SuperBimodule, n: int, parity: i
                         row = rows[i]
                         row[j] = row.get(j, 0) + c * x
     # terms can cancel: drop the coefficients that summed to zero
-    if structure[0] != 1:
-        rows = [{j: Fraction(x, structure[0]) for j, x in row.items() if x} for row in rows]
+    if coboundary is None and cob.den != 1:
+        rows = [{j: Fraction(x, cob.den) for j, x in row.items() if x} for row in rows]
     else:
         rows = [row if all(row.values()) else {j: x for j, x in row.items() if x} for row in rows]
     return RatMatrix._of(ncols, rows)
+
+
+class Coboundary:
+    """delta on mod's cochains up to arity top (at most max_arity): the
+    structure scaled once to ints by its denominator den, the parity tables
+    built once, each parity's layout on first use; matrix keeps the last
+    matrix it built, so repeated solves against one D_n build it once."""
+
+    def __init__(self, mod: SuperBimodule, top: int, max_arity: int = DEFAULT_MAX_ARITY):
+        alg = mod.algebra
+        if top > max_arity:
+            size = bounded_power(alg.dim, top)
+            value = "" if size is None else f" = {mod.dim * size}"
+            raise ArityCapError(
+                f"arity {top} exceeds the cap {max_arity}; the cochain space "
+                f"has dimension dim M * (dim L)^n = {mod.dim} * {alg.dim}^{top}"
+                f"{value} (raise the cap to proceed)")
+        self.module = mod
+        self.den, *tables = scaled_structure(mod)
+        self.structure = (1, *tables)
+        self.par = parity_tables(alg.space.parities, top)
+        self._layouts: dict[int, list] = {}
+        self._last: tuple[int, int, RatMatrix] | None = None
+
+    def layout(self, parity: int) -> list[tuple[list[int | None], int]]:
+        """_positions of the parity component, for arities 0..top."""
+        if parity not in self._layouts:
+            self._layouts[parity] = _positions(self.module, self.par, parity)
+        return self._layouts[parity]
+
+    def matrix(self, n: int, parity: int) -> RatMatrix:
+        """den * delta from arity n on the parity component, in ints."""
+        if self._last is None or self._last[:2] != (n, parity):
+            self._last = n, parity, delta_matrix(self.module.algebra, self.module, n,
+                                                 parity, coboundary=self)
+        return self._last[2]
+
+    def preimage(self, n: int, parity: int, den: int, rows: list) -> tuple[int, list] | None:
+        """The canonical g with delta(g) = f (free coordinates zero), or None.
+
+        rows lists per arity-(n+1) tuple index the nonzeros (k, den*c) of
+        f; g comes back as (E, flat table of (k, E*coefficient)).  A zero f
+        builds no matrix."""
+        dm = self.module.dim
+        (cols, _), (places, _) = self.layout(parity)[n:n + 2]
+        b = {places[t * dm + k]: c for t, row in enumerate(rows) for k, c in row
+             if places[t * dm + k] is not None}
+        table = [[] for _ in range(len(cols) // dm)]
+        if not b:
+            return 1, table
+        x = solve(self.matrix(n, parity), b)
+        if x is None:
+            return None
+        # the matrix is self.den * delta and b is den * f: g = x * self.den / den
+        e = lcm(*(v.denominator for v in x.values()))
+        for pos, j in enumerate(cols):
+            if j in x:
+                table[pos // dm].append(
+                    (pos % dm, x[j].numerator * (e // x[j].denominator) * self.den))
+        return e * den, table
 
 
 def _cochains(rows: list[dict], alg: LeibnizSuperalgebra, mod: SuperBimodule,
@@ -172,21 +215,17 @@ def cohomology_table(alg: LeibnizSuperalgebra, mod: SuperBimodule, max_n: int,
     """Z/B/H dimensions (and optionally echelon bases) for n = 0..max_n.
 
     Computing H^n needs the coboundary into arity n+1, so max_n+1 must be
-    within the arity cap.  The structure is scaled once, and every matrix
-    is D*delta in ints (see integral_coboundary).  The parity tables are
-    built once, and the position list of each arity once per parity.
+    within the arity cap.  One Coboundary scales the structure once, and
+    every matrix is D*delta in ints; the parity tables are built once, and
+    the position list of each arity once per parity.
     """
-    _check_cap(alg, mod, max_n + 1, max_arity)
+    cob = Coboundary(mod, max_n + 1, max_arity)
     table = CohomologyTable(alg, mod, max_n)
-    structure = (1, *scaled_structure(mod)[1:])
-    par = parity_tables(alg.space.parities, max_n + 1)
     for parity in (0, 1):
-        layout = _positions(mod, par, parity)
         prev_matrix: RatMatrix | None = None
         dim_b = 0
         for n in range(max_n + 1):
-            mat = delta_matrix(alg, mod, n, parity, max_arity=max_arity,
-                               structure=structure, positions=layout[n:n + 2], par=par)
+            mat = cob.matrix(n, parity)
             dim_c = mat.cols
             zrows = _z_rows(mat) if with_bases else None
             dim_z = len(zrows) if with_bases else dim_c - rank(mat)
@@ -194,7 +233,7 @@ def cohomology_table(alg: LeibnizSuperalgebra, mod: SuperBimodule, max_n: int,
             if with_bases:
                 brows = _b_rows(prev_matrix)
                 e.basis_z, e.basis_b, e.basis_h = (
-                    _cochains(rows, alg, mod, n, parity, layout[n][0])
+                    _cochains(rows, alg, mod, n, parity, cob.layout(parity)[n][0])
                     for rows in (zrows, brows, extend_to_basis(brows, zrows)))
             table.entries[(n, parity)] = e
             prev_matrix = mat
@@ -206,8 +245,9 @@ def cohomology_table(alg: LeibnizSuperalgebra, mod: SuperBimodule, max_n: int,
 def derivations(alg: LeibnizSuperalgebra, mod: SuperBimodule,
                 parity: int, max_arity: int = DEFAULT_MAX_ARITY) -> list[Cochain]:
     """Canonical basis of the 1-cocycles of the given parity: Z^1."""
-    _, mat, places, _ = integral_coboundary(mod, 1, parity, max_arity)
-    return _cochains(_z_rows(mat), alg, mod, 1, parity, places)
+    cob = Coboundary(mod, 2, max_arity)
+    return _cochains(_z_rows(cob.matrix(1, parity)), alg, mod, 1, parity,
+                     cob.layout(parity)[1][0])
 
 
 def inner_derivations(alg: LeibnizSuperalgebra, mod: SuperBimodule) -> list[Cochain]:
@@ -221,45 +261,3 @@ def inner_derivations(alg: LeibnizSuperalgebra, mod: SuperBimodule) -> list[Coch
              if c and places[pos] is not None}
             for m, p in enumerate(mod.space.parities) if p == 0]
     return _cochains(row_space_basis(RatMatrix(ncols, rows)), alg, mod, 1, 0, places)
-
-
-def integral_coboundary(mod: SuperBimodule, n: int, parity: int,
-                        max_arity: int = DEFAULT_MAX_ARITY) -> tuple[int, RatMatrix, list, list]:
-    """(D, D*delta, cols, places) on the parity component from arity n:
-    the matrix on the structure constants times their common denominator
-    D, built when its rows are first read, has delta's rank, kernel and
-    image and holds ints only; cols and places are the _positions lists
-    of arities n and n+1.  Its canonical preimage of f is D times delta's."""
-    alg = mod.algebra
-    _check_cap(alg, mod, n + 1, max_arity)
-    d, *structure = scaled_structure(mod)
-    par = parity_tables(alg.space.parities, n + 1)
-    (cols, ncols), (places, nrows) = positions = _positions(mod, par, parity)[n:]
-    return d, RatMatrix._of(ncols, lambda: delta_matrix(
-        alg, mod, n, parity, max_arity, (1, *structure), positions, par).sparse_rows,
-        nrows), cols, places
-
-
-def coboundary_preimage(mat: RatMatrix, mod: SuperBimodule, cols: list, places: list,
-                        rows: list) -> tuple[int, list] | None:
-    """The canonical g with mat(g) = f (free coordinates zero), or None.
-
-    mat is delta_matrix from arity n - 1, or integral_coboundary's multiple
-    of it, with its cols and places.  rows lists per tuple index the
-    nonzeros (k, c) of the arity-n f, c an int or a Fraction; g comes back
-    as (E, flat table of (k, E*coefficient)).  A zero f reads no row of mat.
-    """
-    dm = mod.dim
-    b = {places[t * dm + k]: c for t, row in enumerate(rows) for k, c in row
-         if places[t * dm + k] is not None}
-    table = [[] for _ in range(len(cols) // dm)]
-    if not b:
-        return 1, table
-    x = solve(mat, b)
-    if x is None:
-        return None
-    e = lcm(*(v.denominator for v in x.values()))
-    for pos, j in enumerate(cols):
-        if j in x:
-            table[pos // dm].append((pos % dm, x[j].numerator * (e // x[j].denominator)))
-    return e, table

@@ -30,8 +30,9 @@ transform as Psi_t o mu_t o (Psi_t^(-1) x Psi_t^(-1)).
 Both are a Series: sparse int tables over one running denominator D, a
 term scaled once as it is added.  The residual and the defect are summed
 in those ints, over D**2 and D_mu * D_nu * D_psi**2, and the solves of
-extend and equiv take them as they are (see integral_coboundary), so a
-Fraction is built only for a reported defect or a returned cochain.
+extend and equiv hand them as they are to Coboundary.preimage, whose term
+the series adds as it is, so a Fraction is built only for a reported
+defect or a returned cochain.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from math import gcd, lcm
 from .algebra import (CheckReport, LeibnizSuperalgebra, SuperBimodule,
                       adjoint_module, leibniz_defect)
 from .cochain import Cochain, all_tuples
-from .cohomology import DEFAULT_MAX_ARITY, coboundary_preimage, integral_coboundary
+from .cohomology import DEFAULT_MAX_ARITY, Coboundary
 from .linalg import scale_to_ints
 
 
@@ -253,16 +254,15 @@ def extend_deformation(d: TruncatedDeformation, r: int,
     lower = check_deformation(base, mod_order=True)
     if not lower.ok:
         raise ExtensionUndefined(lower)
-    # the residual without mu_r is -R'_r, held as D**2 times it; against
-    # D_s * delta its canonical preimage y gives mu_r = y * D_s / D**2
-    ds, mat, cols, places = integral_coboundary(base.module, 2, 0, max_arity)
+    # the residual without mu_r is -R'_r, held as D**2 times it
+    cob = Coboundary(base.module, 3, max_arity)
     residual = _residual_ints(base, r)
     rhs = [[(k, y) for k, y in enumerate(v) if y] for v in residual]
-    solution = coboundary_preimage(mat, base.module, cols, places, rhs)
+    solution = cob.preimage(2, 0, base.den ** 2, rhs)
     if solution is None:
         return None
     extended = base._copy(r, base.den, dict(base.tables))
-    extended.add(r, solution[0] * base.den ** 2, _scaled(solution[1], ds))
+    extended.add(r, *solution)
     if any(map(any, _extended_residual(base, residual, extended, r))):
         raise AssertionError("solver produced mu_r that fails order r; "
                              "sign conventions broken")
@@ -339,15 +339,13 @@ def equivalent_deformations(d1: TruncatedDeformation, d2: TruncatedDeformation,
     n = d1.order if order is None else min(order, d1.order)
     da, db = d1.truncated(n), d2.truncated(n)
     alg, mod = da.algebra, da.module
-    ds, mat, cols, places = integral_coboundary(mod, 1, 0, max_arity)
+    cob = Coboundary(mod, 2, max_arity)
     iso = FormalIsomorphism.identity(alg, n, mod)
     for r in range(1, n + 1):
-        den, defect = _intertwining_defect(da, db, iso, r, alg.dim)
-        # the canonical y with D_s * delta(y) = den * defect: psi_r = y * D_s / den
-        solution = coboundary_preimage(mat, mod, cols, places, defect)
+        solution = cob.preimage(1, 0, *_intertwining_defect(da, db, iso, r, alg.dim))
         if solution is None:
             return None
-        iso.add(r, solution[0] * den, _scaled(solution[1], ds))
+        iso.add(r, *solution)
     if transform(da, iso) != db:
         raise AssertionError("order-by-order solution failed to match; "
                              "sign conventions broken")

@@ -35,10 +35,11 @@
   (linalg.rref and the rank, kernel, solve and basis routines on it).
   Like those routines they take and return sparse rows; sparse gives a
   dense vector's nonzeros as one.
-- fraction_rref and fraction_extend_to_basis: the same sparse row-by-row
-  elimination as the library's, with every multiply-add in Fractions and
-  each pivot row scaled to a leading 1 as it is found; the reference for
-  the library's fraction-free int engine.
+- fraction_rref, fraction_solve and fraction_extend_to_basis: the same
+  sparse row-by-row elimination as the library's, with every multiply-add
+  in Fractions and each pivot row scaled to a leading 1 as it is found;
+  the reference for the library's fraction-free int engine, and the
+  canonical solve where dense_solve would take seconds.
 - fraction_delta_matrix: the coboundary matrix summed in Fractions over
   the unscaled structure tables, one codomain tuple at a time through
   tuple_coboundary_terms (which tests every slot pair and every action
@@ -59,11 +60,11 @@
   coordinate contract of cochain spaces (tuples in lexicographic order,
   then the admissible module indices), stated as a list of (tuple, module
   index) pairs apart from the library's flat position lists
-  (cohomology._positions); fraction_delta_matrix and the golden bases
+  (cohomology.Coboundary.layout); fraction_delta_matrix and the golden bases
   are read in it.
 - is_coboundary, cochain_preimage, is_homogeneous, iso_matrix,
   dense_terms and parse_rational: the dense face of the library's sparse
-  routines (cohomology.coboundary_preimage, the homogeneity that fileio
+  routines (cohomology.Coboundary.preimage, the homogeneity that fileio
   checks per entry, the terms of a Series and fileio.rational_parts),
   which only the tests need.
 - dense_deformation_from_doc and dense_mu_ints: the deformation file read
@@ -86,7 +87,7 @@ import sympy
 from superleibniz.algebra import (EVEN, CheckReport, LeibnizSuperalgebra,
                                   SuperBimodule, SuperSpace, koszul)
 from superleibniz.cochain import Cochain, all_tuples, tuple_index
-from superleibniz.cohomology import coboundary_preimage, delta_matrix, integral_coboundary
+from superleibniz.cohomology import Coboundary
 from superleibniz.deformation import FormalIsomorphism
 from superleibniz.extension import Extension
 from superleibniz.fileio import cochain_from_doc, rational_parts
@@ -425,6 +426,19 @@ def fraction_rref(m: RatMatrix) -> tuple[RatMatrix, list[int]]:
     order = sorted(pivots)
     red = [pivots[c] for c in order] + [{} for _ in range(m.rows - len(order))]
     return RatMatrix(m.cols, red), order
+
+
+def fraction_solve(m: RatMatrix, b: dict) -> dict | None:
+    """dense_solve through fraction_rref, for matrices too large for the
+    dense elimination: one solution (free variables zero), or None."""
+    n = m.cols
+    aug = [dict(row) for row in m.sparse_rows]
+    for i, c in b.items():
+        aug[i][n] = c
+    red, pivots = fraction_rref(RatMatrix(n + 1, aug))
+    if pivots and pivots[-1] == n:
+        return None
+    return {pc: row[n] for pc, row in zip(pivots, red.sparse_rows) if n in row}
 
 
 def fraction_extend_to_basis(base_rows: list[dict], candidates: list[dict]) -> list[dict]:
@@ -1020,13 +1034,11 @@ def is_homogeneous(f: Cochain) -> bool:
     return True
 
 
-def cochain_preimage(mat: RatMatrix, f: Cochain) -> Cochain | None:
-    """coboundary_preimage for a dense cochain f: the canonical g with
-    delta(g) = f as a cochain, or None; mat as coboundary_preimage takes it."""
-    rows = [[(k, c) for k, c in enumerate(v) if c] for v in f.coeffs]
-    # the position lists only: integral_coboundary's own matrix is lazy and never read
-    *_, cols, places = integral_coboundary(f.module, f.arity - 1, f.degree, f.arity)
-    found = coboundary_preimage(mat, f.module, cols, places, rows)
+def cochain_preimage(f: Cochain) -> Cochain | None:
+    """Coboundary.preimage for a dense cochain f: the canonical g with
+    delta(g) = f (free coordinates zero) as a cochain, or None."""
+    den, (rows,) = scale_to_ints([f.coeffs])
+    found = Coboundary(f.module, f.arity, f.arity).preimage(f.arity - 1, f.degree, den, rows)
     if found is None:
         return None
     return Cochain.from_table(f.algebra, f.module, f.arity - 1, f.degree, *found)
@@ -1036,7 +1048,7 @@ def is_coboundary(f: Cochain) -> Cochain | None:
     """Some g with delta(g) = f, or None when f is not a coboundary."""
     if f.arity < 1:
         raise ValueError("arity must be >= 1")
-    return cochain_preimage(delta_matrix(f.algebra, f.module, f.arity - 1, f.degree), f)
+    return cochain_preimage(f)
 
 
 def iso_matrix(iso: FormalIsomorphism, i: int) -> list[list[Fraction]]:

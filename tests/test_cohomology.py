@@ -186,10 +186,10 @@ def test_cohomology_table_hands_rref_ints_only(monkeypatch):
 def _touched_cells(L, M, n: int, parity: int) -> set:
     """The (row, column) cells of D_n that some term of the coboundary walk
     reaches, whether or not the terms on a cell cancel."""
-    par = cochain.parity_tables(L.space.parities, n + 1)
-    (cols, _), (places, _) = cohomology._positions(M, par, parity)[n:n + 2]
+    cob = cohomology.Coboundary(M, n + 1)
+    (cols, _), (places, _) = cob.layout(parity)[n:n + 2]
     dm, cells = M.dim, set()
-    for t, s, _, action in cochain.coboundary_terms(L, scaled_structure(M), parity, n, par):
+    for t, s, _, action in cochain.coboundary_terms(L, cob.structure, parity, n, cob.par):
         pairs = ([(k, k) for k in range(dm)] if action is None else
                  [(k, m) for m, image in enumerate(action) for k, _ in image])
         cells.update((places[t * dm + k], cols[s * dm + m]) for k, m in pairs

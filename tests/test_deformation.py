@@ -11,9 +11,11 @@ from helpers import random_cochain, standard_fixtures
 from oracles import (bruteforce_deformation_failures, cochain_coords, cochain_eval,
                      cochain_from_coords, cochain_preimage, dense_deformation_from_doc,
                      dense_mu_ints, dense_solve, dense_terms, enumerate_basis,
-                     fraction_intertwining_defect, fraction_residual,
+                     fraction_delta_matrix, fraction_intertwining_defect,
+                     fraction_residual, fraction_solve,
                      fraction_transform, inverse, iso_matrix, scale, sparse)
 from test_cli import run
+from test_cohomology import _denominator_algebra
 from superleibniz.algebra import abelian, adjoint_module, nonlie_example
 from superleibniz.cochain import Cochain, all_tuples, delta, tuple_index
 from superleibniz.cohomology import cohomology_table, delta_matrix
@@ -297,14 +299,14 @@ def test_reported_defects_match_fraction_reference_on_fractional_jets(L):
 def test_extend_rejects_a_term_that_leaves_the_residual(monkeypatch):
     # the post-solve check on the int residual turns a wrong solution into
     # an AssertionError (exit 3 in the CLI), never into a result
-    import superleibniz.deformation as deformation
+    import superleibniz.cohomology as cohomology
     L, M = nonlie_setup()
     mu1 = cohomology_table(L, M, 2, with_bases=True).entry(2, 0).basis_z[0]
     d = TruncatedDeformation(L, [mu1], M)
     assert not deformation_residual(d, 2).is_zero()
     assert extend_deformation(d, 2) is not None
-    monkeypatch.setattr(deformation, "coboundary_preimage",
-                        lambda mat, mod, n, parity, rows: (1, [[] for _ in range(9)]))
+    monkeypatch.setattr(cohomology.Coboundary, "preimage",
+                        lambda self, n, parity, den, rows: (1, [[] for _ in range(9)]))
     with pytest.raises(AssertionError, match="sign conventions broken"):
         extend_deformation(d, 2)
 
@@ -332,15 +334,16 @@ def test_two_product_certificate_is_the_full_residual(L):
 
 
 def test_solves_build_the_coboundary_matrix_for_a_nonzero_right_hand_side_only(monkeypatch):
-    # extend and equiv lay out the coordinates once per call and build D_n
-    # on the first nonzero right-hand side, once; a zero one reads no row
+    # extend and equiv make one Coboundary per call, lay out the parity-0
+    # coordinates only, and build D_n on the first nonzero right-hand side,
+    # once; a zero one reads no row
     import superleibniz.cohomology as cohomology
-    built, layouts = [], []
-    matrix, positions = cohomology.delta_matrix, cohomology._positions
+    built, made = [], []
+    matrix, init = cohomology.delta_matrix, cohomology.Coboundary.__init__
     monkeypatch.setattr(cohomology, "delta_matrix",
                         lambda *a, **k: built.append(a[2]) or matrix(*a, **k))
-    monkeypatch.setattr(cohomology, "_positions",
-                        lambda *a: layouts.append(a[2]) or positions(*a))
+    monkeypatch.setattr(cohomology.Coboundary, "__init__",
+                        lambda self, *a: made.append(self) or init(self, *a))
     L, M = nonlie_setup()
     mu1 = cohomology_table(L, M, 2, with_bases=True).entry(2, 0).basis_z[0]
     zero = TruncatedDeformation.zero(L, 3, M)
@@ -351,9 +354,9 @@ def test_solves_build_the_coboundary_matrix_for_a_nonzero_right_hand_side_only(m
              (lambda: equivalent_deformations(zero, d1), [1])]
     for call, matrices in cases:
         built.clear()
-        layouts.clear()
+        made.clear()
         assert call()
-        assert built == matrices and layouts == [0]
+        assert built == matrices and [list(cob._layouts) for cob in made] == [[0]]
 
 
 def _negated(den, table):
@@ -374,19 +377,19 @@ def test_extend_rejects_a_corrupted_solver_term(monkeypatch, tmp_path, corrupt):
     # a wrong mu_r fails the two-product certificate: an AssertionError in
     # the library, exit 3 in the CLI, and no output file
     import superleibniz.cli as cli
-    import superleibniz.deformation as deformation
+    import superleibniz.cohomology as cohomology
     L, M = nonlie_setup()
     assert not delta(mu_zz_x(L, M)).is_zero()
     mu1 = cohomology_table(L, M, 2, with_bases=True).entry(2, 0).basis_z[0]
     d = TruncatedDeformation(L, [mu1], M)
     assert not extend_deformation(d, 2).is_zero()
-    solve = deformation.coboundary_preimage
+    solve = cohomology.Coboundary.preimage
 
-    def corrupted(mat, mod, n, parity, rows):
-        den, table = solve(mat, mod, n, parity, rows)
+    def corrupted(self, n, parity, den, rows):
+        den, table = solve(self, n, parity, den, rows)
         return den, corrupt(den, table)
 
-    monkeypatch.setattr(deformation, "coboundary_preimage", corrupted)
+    monkeypatch.setattr(cohomology.Coboundary, "preimage", corrupted)
     with pytest.raises(AssertionError, match="sign conventions broken"):
         extend_deformation(d, 2)
     alg, src, out = (tmp_path / name for name in ("alg.json", "d.json", "out.json"))
@@ -641,8 +644,7 @@ def test_equivalent_deformations_recovers_transforms():
     mu1, _, mu3 = dense_terms(d1)
     d1 = TruncatedDeformation(L, [mu1, Cochain.zero(L, M, 2, 0), mu3], M)
     assert not mu1.is_zero() and not mu3.is_zero()
-    mat = delta_matrix(L, M, 1, 0)
-    iso0 = FormalIsomorphism(L, [cochain_preimage(mat, delta(f))
+    iso0 = FormalIsomorphism(L, [cochain_preimage(delta(f))
                                  for f in dense_terms(random_iso(L, M, 3, rng))], M)
     d2 = transform(d1, iso0)
     iso = equivalent_deformations(d1, d2)
@@ -851,6 +853,30 @@ def test_extend_solutions_equal_the_dense_fraction_solve(L):
             solved += 1
             assert mu == cochain_from_coords(L, M, 2, 0, x, enum)
     assert solved
+
+
+def test_solves_over_a_structure_denominator():
+    # every standard fixture has D = 1; here the structure, the series and
+    # the solutions all carry denominators.  Each extend term completes the
+    # jet and is the canonical Fraction solve against delta itself, and
+    # equiv recovers a transform
+    L = _denominator_algebra()
+    M = adjoint_module(L)
+    rng = random.Random(23)
+    mat = fraction_delta_matrix(L, M, 2, 0)
+    enum = enumerate_basis(L, M, 2, 0)
+    d = transform(TruncatedDeformation.zero(L, 3, M), fractional_iso(L, M, 3, rng))
+    assert d.den > 1
+    for r in (2, 3):
+        base = d.truncated(r - 1)
+        mu = extend_deformation(d, r)
+        assert mu is not None and not mu.is_zero()
+        assert check_deformation(base.appended(mu), mod_order=True).ok
+        x = fraction_solve(mat, _component_coords(fraction_residual(base, r)))
+        assert mu == cochain_from_coords(L, M, 2, 0, x, enum)
+    d2 = transform(d, fractional_iso(L, M, 3, rng))
+    iso = equivalent_deformations(d, d2)
+    assert iso is not None and transform(d, iso) == d2
 
 
 @pytest.mark.parametrize("L", standard_fixtures(), ids=lambda L: L.space.name)

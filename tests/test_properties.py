@@ -1,6 +1,6 @@
 """Property tests: basis independence of cohomology, delta(delta(f)) = 0 on
-random algebras, the coboundary walk and the Leibniz-defect kernel
-against their oracles on random structure constants, rref's lazily
+random algebras, the coboundary walk, its preimage and the Leibniz-defect
+kernel against their oracles on random structure constants, rref's lazily
 reduced rows against the dense oracle, and the CLI's exit codes on random
 and mutated documents.
 
@@ -18,17 +18,19 @@ from hypothesis import strategies as st
 
 from helpers import (matrix_1_1_associative, random_cochain, standard_fixtures,
                      transport, upper_triangular_associative)
-from oracles import (dense_delta, dense_rref, fraction_delta_matrix, sparse,
+from oracles import (cochain_coords, cochain_from_coords, dense_delta, dense_rref,
+                     dense_solve, enumerate_basis, fraction_delta_matrix, sparse,
                      triple_walk_leibniz_defect)
 from test_cli import ALG, GOLDEN, run
 from superleibniz.algebra import (AssociativeSuperalgebra, LeibnizSuperalgebra,
                                   SuperBimodule, SuperSpace, adjoint_module,
                                   free_truncated, from_associative, leibniz_defect,
                                   nonlie_example, zero_module)
-from superleibniz.cochain import delta, scaled_structure
-from superleibniz.cohomology import cohomology_table, delta_matrix
+from superleibniz.cochain import Cochain, delta, scaled_structure
+from superleibniz.cohomology import Coboundary, cohomology_table, delta_matrix
 from superleibniz.fileio import module_to_doc
-from superleibniz.linalg import F0, RatMatrix, basis_vec, lin_comb, rank, rref, zeros
+from superleibniz.linalg import (F0, RatMatrix, basis_vec, lin_comb, rank, rref,
+                                 scale_to_ints, zeros)
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=100)
 
@@ -156,6 +158,32 @@ def test_coboundary_walk_matches_its_oracles(data):
     assert delta_matrix(alg, mod, n, parity) == fraction_delta_matrix(alg, mod, n, parity)
     f = random_cochain(alg, mod, n, parity, random.Random(data.draw(st.integers(0, 2 ** 16))))
     assert delta(f) == dense_delta(f)
+
+
+@PROPERTY
+@given(st.data())
+def test_preimage_is_the_canonical_dense_solve(data):
+    # with D > 1 the int matrix is D*delta and f = rows/den: the preimage
+    # of a coboundary f = delta(g0) solves delta(g) = f, and it is the
+    # solve with free coordinates zero against the Fraction matrix.  These
+    # constants ignore the grading, so delta leaves the parity component
+    # and only its coordinates there are solved for; on a graded structure
+    # they are all of f
+    alg, mod = data.draw(rough_structures())
+    n = data.draw(st.integers(0, 2))
+    parity = data.draw(st.integers(0, 1))
+    g0 = random_cochain(alg, mod, n, parity, random.Random(data.draw(st.integers(0, 2 ** 16))))
+    f = delta(g0)
+    den, (rows,) = scale_to_ints([f.coeffs])
+    found = Coboundary(mod, n + 1).preimage(n, parity, den, rows)
+    assert found is not None
+    g = Cochain.from_table(alg, mod, n, parity, *found)
+    enum, image = (enumerate_basis(alg, mod, k, parity) for k in (n, n + 1))
+    assert cochain_coords(delta(g), image) == cochain_coords(f, image)
+    if f == cochain_from_coords(alg, mod, n + 1, parity, cochain_coords(f, image), image):
+        assert delta(g) == f
+    x = dense_solve(fraction_delta_matrix(alg, mod, n, parity), cochain_coords(f, image))
+    assert g == cochain_from_coords(alg, mod, n, parity, x, enum)
 
 
 # -- the Leibniz-defect kernel against the triple walk --------------------------

@@ -1,7 +1,8 @@
 """Source hygiene: no library module imports a name it never uses, no
 module-level private function or class goes unreferenced, every public
 name of the library is reached by the library itself or by the
-benchmark, and one elimination engine serves every matrix.
+benchmark, one elimination engine serves every matrix, and one
+Coboundary owns the cochain coordinates.
 
 A stdlib stand-in for a linter's unused-import and dead-code rules.  The
 package __init__ is skipped by the import check: its imports are the
@@ -278,3 +279,46 @@ def test_elimination_sites_are_reported():
                         "    return step\n\nalias = linalg._insert\n"),
                "b.py": "from a import _insert\n"}
     assert elimination_sites(sources) == ["a.py: rank_only", "a.py: <module>", "b.py: <module>"]
+
+
+def position_readers(sources: dict[str, str]) -> list[str]:
+    """The files, other than cohomology.py, that name _positions (as a
+    bare name, an attribute or an imported name): the cochain coordinate
+    layout has one owner, cohomology.Coboundary."""
+    return [name for name, source in sources.items() if name != "cohomology.py" and any(
+        (isinstance(n, ast.Name) and n.id == "_positions")
+        or (isinstance(n, ast.Attribute) and n.attr == "_positions")
+        or (isinstance(n, ast.alias) and n.name == "_positions")
+        for n in ast.walk(ast.parse(source)))]
+
+
+def cohomology_imports(source: str) -> list[str]:
+    """The names a library module imports from .cohomology, sorted."""
+    return sorted(alias.name for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.ImportFrom) and node.module == "cohomology"
+                  and node.level == 1 for alias in node.names)
+
+
+def test_one_owner_of_the_cochain_coordinates():
+    # the library and the tests reach delta's coordinates through
+    # Coboundary.layout
+    paths = sorted(SRC.glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+    assert position_readers({p.name: p.read_text(encoding="utf-8") for p in paths}) == []
+
+
+def test_deformation_takes_only_the_coboundary_from_cohomology():
+    # deformation hands a right-hand side to Coboundary.preimage and adds
+    # the term it returns; no layout, denominator or matrix crosses over
+    deformation = (SRC / "deformation.py").read_text(encoding="utf-8")
+    assert cohomology_imports(deformation) == ["Coboundary", "DEFAULT_MAX_ARITY"]
+
+
+def test_position_readers_and_cohomology_imports_are_reported():
+    sources = {"cohomology.py": "def _positions():\n    pass\n",
+               "a.py": "from .cohomology import _positions\n",
+               "b.py": "import cohomology\nx = cohomology._positions\n",
+               "c.py": "x = '_positions'\n"}
+    assert position_readers(sources) == ["a.py", "b.py"]
+    source = ("from .cohomology import DEFAULT_MAX_ARITY, delta_matrix\n"
+              "from .linalg import solve\nfrom superleibniz.cohomology import Coboundary\n")
+    assert cohomology_imports(source) == ["DEFAULT_MAX_ARITY", "delta_matrix"]
