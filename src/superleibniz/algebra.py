@@ -308,6 +308,12 @@ class SuperBimodule:
         return f"SuperBimodule({self.space.name!r} over {self.algebra.space.name!r})"
 
 
+def check_module_over(alg: LeibnizSuperalgebra, mod: SuperBimodule) -> None:
+    """Raise ValueError unless mod is a module over alg (identity first)."""
+    if mod.algebra is not alg and mod.algebra != alg:
+        raise ValueError("module is not over the given algebra")
+
+
 class AssociativeSuperalgebra:
     """Associative superalgebra by structure constants; table[i][j] = e_i e_j."""
 

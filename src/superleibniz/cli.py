@@ -336,7 +336,7 @@ def cmd_deform_extend(args) -> int:
         "target_order": target,
     }
     try:
-        mu = extend_deformation(d, target, max_arity=args.max_arity)
+        jet = extend_deformation(d, target, max_arity=args.max_arity)
     except ExtensionUndefined as exc:
         # a lower order fails: a mathematical failure, reported with its
         # violations; solvability is undefined, hence null
@@ -346,17 +346,16 @@ def cmd_deform_extend(args) -> int:
         emit(report, args.format)
         return EXIT_MATH_FAIL
     report.update({
-        "status": "pass" if mu is not None else "fail",
-        "solvable": mu is not None,
-        "term": cochain_to_doc(mu)["entries"] if mu is not None else None,
+        "status": "pass" if jet is not None else "fail",
+        "solvable": jet is not None,
+        "term": series_to_doc(jet).get(str(target), []) if jet is not None else None,
         "output": None,
     })
-    if mu is not None and args.out:
-        extended = d.truncated(target - 1).appended(mu)
-        save_deformation(extended, args.out)
+    if jet is not None and args.out:
+        save_deformation(jet, args.out)
         report["output"] = args.out
     emit(report, args.format)
-    return EXIT_OK if mu is not None else EXIT_MATH_FAIL
+    return EXIT_OK if jet is not None else EXIT_MATH_FAIL
 
 
 def cmd_deform_equiv(args) -> int:

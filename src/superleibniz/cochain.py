@@ -36,7 +36,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .algebra import LeibnizSuperalgebra, SuperBimodule
+from .algebra import LeibnizSuperalgebra, SuperBimodule, check_module_over
 from .linalg import scale_to_ints, vec_is_zero, zeros
 
 
@@ -58,8 +58,7 @@ class Cochain:
 
     def __init__(self, algebra: LeibnizSuperalgebra, module: SuperBimodule,
                  arity: int, degree: int, coeffs: list[list[Fraction]]):
-        if module.algebra is not algebra and module.algebra != algebra:
-            raise ValueError("module is not over the given algebra")
+        check_module_over(algebra, module)
         if arity < 0:
             raise ValueError("arity must be >= 0")
         if degree not in (0, 1):

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 
-from .algebra import LeibnizSuperalgebra, SuperBimodule
+from .algebra import LeibnizSuperalgebra, SuperBimodule, check_module_over
 from .cochain import Cochain, coboundary_terms, parity_tables, scaled_structure
 from .linalg import (RatMatrix, extend_to_basis, kernel_basis, rank, row_space_basis,
                      solve)
@@ -68,6 +68,7 @@ def delta_matrix(alg: LeibnizSuperalgebra, mod: SuperBimodule, n: int, parity: i
     """
     if n < 0:
         raise ValueError("arity must be >= 0")
+    check_module_over(alg, mod)
     cob = Coboundary(mod, n + 1, max_arity) if coboundary is None else coboundary
     dm = mod.dim
     (cols, ncols), (places, nrows) = cob.layout(parity)[n:n + 2]
@@ -219,6 +220,7 @@ def cohomology_table(alg: LeibnizSuperalgebra, mod: SuperBimodule, max_n: int,
     every matrix is D*delta in ints; the parity tables are built once, and
     the position list of each arity once per parity.
     """
+    check_module_over(alg, mod)
     cob = Coboundary(mod, max_n + 1, max_arity)
     table = CohomologyTable(alg, mod, max_n)
     for parity in (0, 1):
@@ -245,6 +247,7 @@ def cohomology_table(alg: LeibnizSuperalgebra, mod: SuperBimodule, max_n: int,
 def derivations(alg: LeibnizSuperalgebra, mod: SuperBimodule,
                 parity: int, max_arity: int = DEFAULT_MAX_ARITY) -> list[Cochain]:
     """Canonical basis of the 1-cocycles of the given parity: Z^1."""
+    check_module_over(alg, mod)
     cob = Coboundary(mod, 2, max_arity)
     return _cochains(_z_rows(cob.matrix(1, parity)), alg, mod, 1, parity,
                      cob.layout(parity)[1][0])
@@ -256,6 +259,7 @@ def inner_derivations(alg: LeibnizSuperalgebra, mod: SuperBimodule) -> list[Coch
     This is B^1 of degree 0, delta(m)(x) = -[m, x], read off the right
     action instead of building D_0.
     """
+    check_module_over(alg, mod)
     places, ncols = _positions(mod, parity_tables(alg.space.parities, 1), 0)[1]
     rows = [{places[pos]: c for pos, c in enumerate(itertools.chain(*mod.right[m]))
              if c and places[pos] is not None}

@@ -12,7 +12,7 @@ vanishing of the residual
 i=0 and j=0 terms gives R_r = -delta(mu_r) - R'_r with R'_r collecting the
 products of two higher terms, so extending a deformation to order r means
 solving delta(mu_r) = -R'_r for the residual without mu_r; the solver
-verifies the appended term kills the order-r residual.
+verifies that the new term kills the order-r residual and returns the jet.
 
 The strict checker demands R_r = 0 for r = 1..2N (products of two order-N
 truncations reach t**(2N)); the jet reading stops at r = N.  Truncating a
@@ -72,7 +72,13 @@ class Series:
         self._set(algebra, module, len(terms) if order is None else order, 1, {})
         self._unit()
         for k, f in enumerate(terms, start=1):
-            self._check(f, k)
+            if f.arity != self.ARITY:
+                raise ValueError(f"{self.KIND} terms must have arity {self.ARITY}")
+            if f.algebra != self.algebra or f.module != self.module:
+                raise ValueError(f"term {k} must be a cochain on the algebra with "
+                                 "adjoint coefficients")
+            if f.degree != 0:
+                raise ValueError(f"term {k} must be homogeneous of degree 0")
             self.append(k, f.coeffs)
 
     def _set(self, algebra, module, order: int, den: int, tables: dict) -> "Series":
@@ -82,15 +88,6 @@ class Series:
 
     def _copy(self, order: int, den: int, tables: dict) -> "Series":
         return object.__new__(type(self))._set(self.algebra, self.module, order, den, tables)
-
-    def _check(self, f: Cochain, k: int) -> None:
-        if f.arity != self.ARITY:
-            raise ValueError(f"{self.KIND} terms must have arity {self.ARITY}")
-        if f.algebra != self.algebra or f.module != self.module:
-            raise ValueError(f"term {k} must be a cochain on the algebra with "
-                             "adjoint coefficients")
-        if f.degree != 0:
-            raise ValueError(f"term {k} must be homogeneous of degree 0")
 
     def append(self, power: int, vectors: list[list[Fraction]]) -> None:
         """add() for a term given as dense Fraction vectors, one per tuple."""
@@ -138,12 +135,6 @@ class TruncatedDeformation(Series):
              module: SuperBimodule | None = None) -> "TruncatedDeformation":
         return cls(alg, [], module, order)
 
-    def appended(self, mu: Cochain) -> "TruncatedDeformation":
-        self._check(mu, self.order + 1)
-        d = self._copy(self.order + 1, self.den, dict(self.tables))
-        d.append(d.order, mu.coeffs)
-        return d
-
 
 class FormalIsomorphism(Series):
     """Psi_t = id + psi_1 t + ... + psi_N t^N, each psi_i degree-0 on L."""
@@ -176,12 +167,9 @@ def deformation_residual(d: TruncatedDeformation, r: int) -> Cochain:
     """
     if r < 1 or r > 2 * max(d.order, 1):
         raise ValueError(f"order {r} out of range 1..{2 * max(d.order, 1)}")
-    den = d.den ** 2
-    out = Cochain.zero(d.algebra, d.module, 3, 0)
-    for idx, v in enumerate(_residual_ints(d, r)):
-        if any(v):
-            out.coeffs[idx] = [Fraction(y, den) for y in v]
-    return out
+    return Cochain.from_table(d.algebra, d.module, 3, 0, d.den ** 2,
+                              [[(k, y) for k, y in enumerate(v) if y]
+                               for v in _residual_ints(d, r)])
 
 
 def check_deformation(d: TruncatedDeformation, mod_order: bool = False) -> CheckReport:
@@ -234,13 +222,14 @@ def _extended_residual(base: TruncatedDeformation, residual: list,
 
 
 def extend_deformation(d: TruncatedDeformation, r: int,
-                       max_arity: int = DEFAULT_MAX_ARITY) -> Cochain | None:
-    """Solve for mu_r making the order-r equation hold; None if obstructed.
+                       max_arity: int = DEFAULT_MAX_ARITY) -> TruncatedDeformation | None:
+    """The order-r jet of d's terms below r plus the mu_r that makes the
+    order-r equation hold; None if obstructed.
 
     Requires the orders below r to hold for the given terms (mu_r and
     beyond are ignored); raises ExtensionUndefined, a ValueError, if not.
-    Returns the canonical solution of delta(mu_r) = -R'_r (free variables
-    zero); any solution differs by a 2-cocycle.
+    mu_r is the canonical solution of delta(mu_r) = -R'_r (free variables
+    zero; not stored if zero); any solution differs by a 2-cocycle.
 
     An AssertionError reports a mu_r that fails order r, found by two
     products with mu_0, not r + 1 (see _extended_residual).
@@ -266,8 +255,7 @@ def extend_deformation(d: TruncatedDeformation, r: int,
     if any(map(any, _extended_residual(base, residual, extended, r))):
         raise AssertionError("solver produced mu_r that fails order r; "
                              "sign conventions broken")
-    return Cochain.from_table(base.algebra, base.module, 2, 0, extended.den,
-                              extended.tables.get(r))
+    return extended
 
 
 def _intertwining_defect(mu: Series, nu: Series, psi: Series, r: int,

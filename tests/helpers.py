@@ -8,7 +8,8 @@ from fractions import Fraction
 from superleibniz.algebra import (AssociativeSuperalgebra, LeibnizSuperalgebra,
                                   SuperBimodule, SuperSpace, abelian,
                                   adjoint_module, free_truncated,
-                                  from_associative, nonlie_example, zero_module)
+                                  from_associative, koszul, nonlie_example,
+                                  zero_module)
 from superleibniz.cochain import Cochain, all_tuples
 from superleibniz.linalg import (F0, F1, RatMatrix, basis_vec, bilinear, lin_comb,
                                  solve, zeros)
@@ -70,6 +71,43 @@ def standard_fixtures() -> list[LeibnizSuperalgebra]:
         free_truncated(odd_gen, 3),
         corner_projection_algebra(),
     ]
+
+
+def lie_superalgebra(name: str, labels: tuple[str, ...], parities: tuple[int, ...],
+                     brackets: dict) -> LeibnizSuperalgebra:
+    """The Lie superalgebra whose brackets [a, b], given as {(a, b): {label:
+    coefficient}}, extend by graded antisymmetry [b, a] = -(-1)**(ab) [a, b]."""
+    index = {label: i for i, label in enumerate(labels)}
+    dim = len(labels)
+    table = [[zeros(dim) for _ in range(dim)] for _ in range(dim)]
+    for (a, b), value in brackets.items():
+        i, j = index[a], index[b]
+        for label, c in value.items():
+            table[i][j][index[label]] = Fraction(c)
+            table[j][i][index[label]] = -koszul(parities[i], parities[j]) * c
+    return LeibnizSuperalgebra(SuperSpace(name, labels, parities), table)
+
+
+_SL2 = {("h", "e"): {"e": 2}, ("h", "f"): {"f": -2}, ("e", "f"): {"h": 1}}
+
+
+def sl2() -> LeibnizSuperalgebra:
+    """sl(2) in its Chevalley basis h, e, f, all even."""
+    return lie_superalgebra("sl2", ("h", "e", "f"), (0, 0, 0), _SL2)
+
+
+def osp12() -> LeibnizSuperalgebra:
+    """osp(1|2), dim 3|2: sl(2) on h, e, f and its 2-dim module on the odd
+    x, y, with [x, x] = 2e, [y, y] = -2f and [x, y] = h."""
+    return lie_superalgebra("osp12", ("h", "e", "f", "x", "y"), (0, 0, 0, 1, 1), {
+        **_SL2, ("h", "x"): {"x": 1}, ("h", "y"): {"y": -1}, ("e", "y"): {"x": -1},
+        ("f", "x"): {"y": -1}, ("x", "x"): {"e": 2}, ("y", "y"): {"f": -2},
+        ("x", "y"): {"h": 1}})
+
+
+def trivial_module(alg: LeibnizSuperalgebra) -> SuperBimodule:
+    """The 1-dim even module k with both actions zero."""
+    return zero_module(alg, SuperSpace("k", ("1",), (0,)))
 
 
 def modules_for(alg: LeibnizSuperalgebra) -> list[SuperBimodule]:

@@ -6,7 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import modules_for, random_cochain, standard_fixtures, transport
+from helpers import (modules_for, osp12, random_cochain, sl2, standard_fixtures,
+                     transport, trivial_module)
 from oracles import (annihilator, basis_cochain, cochain_coords, cochain_eval,
                      dense_delta, enumerate_basis, fraction_delta_matrix,
                      fraction_extend_to_basis, fraction_rref, identity_map,
@@ -25,6 +26,54 @@ from superleibniz.linalg import (RatMatrix, basis_vec, bilinear, kernel_basis,
 F = Fraction
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("call", [
+    lambda L, M: cohomology_table(L, M, 2),
+    lambda L, M: delta_matrix(L, M, 1, 0),
+    lambda L, M: derivations(L, M, 0),
+    lambda L, M: inner_derivations(L, M),
+], ids=["cohomology_table", "delta_matrix", "derivations", "inner_derivations"])
+def test_a_module_over_another_algebra_is_refused(call):
+    # computing with mod.algebra instead would report abelian(2,1)'s
+    # answers under nonlie3's name
+    L = nonlie_example()
+    with pytest.raises(ValueError, match="module is not over the given algebra"):
+        call(L, adjoint_module(abelian(2, 1)))
+    assert call(L, adjoint_module(nonlie_example())) is not None   # equal, not identical
+
+
+def _h_dims(L, M, max_n):
+    table = cohomology_table(L, M, max_n)
+    return [[table.dim_h(n, p) for p in (0, 1)] for n in range(max_n + 1)]
+
+
+@pytest.mark.parametrize("L", [sl2(), osp12()], ids=["sl2", "osp12"])
+def test_known_lie_superalgebras_are_graded_lie_and_leibniz(L):
+    assert L.check_grading().ok and L.check_leibniz().ok and L.is_lie()
+
+
+def test_sl2_cohomology_known_answers():
+    """HL^n(sl2, sl2) = 0 and HL^n(sl2, k) = 1, 0, 0, 0 for n = 0..3, k
+    the 1-dim even trivial module; every odd component is empty.
+
+    n = 0 and 1 are classical: HL^0(L, M) is {m : [m, x] = 0} (sl2 has no
+    centre; k is all of it), HL^1(sl2, sl2) is the outer derivations (none,
+    sl2 being semisimple) and HL^1(sl2, k) is the dual of sl2/[sl2, sl2] = 0.
+    n = 2 and 3 are the values this library computes, pinned as regression
+    values.
+    """
+    L = sl2()
+    assert _h_dims(L, adjoint_module(L), 3) == [[0, 0]] * 4
+    assert _h_dims(L, trivial_module(L), 3) == [[1, 0]] + [[0, 0]] * 3
+
+
+def test_osp12_cohomology_regression_values():
+    # measured values, not theorems: zero for n = 1..3 in both parities,
+    # with adjoint and with trivial coefficients
+    L = osp12()
+    assert _h_dims(L, adjoint_module(L), 3) == [[0, 0]] * 4
+    assert _h_dims(L, trivial_module(L), 3) == [[1, 0]] + [[0, 0]] * 3
 
 
 def test_enumeration_is_lexicographic_and_homogeneous():

@@ -25,7 +25,7 @@ from superleibniz.deformation import (ExtensionUndefined, FormalIsomorphism,
                                       extend_deformation, infinitesimal_relation,
                                       transform)
 from superleibniz.fileio import (cochain_to_doc, deformation_from_doc, load_deformation,
-                                 save_algebra, save_deformation)
+                                 save_algebra, save_deformation, series_to_doc)
 from superleibniz.linalg import F0, F1, basis_vec, bilinear
 
 F = Fraction
@@ -323,12 +323,12 @@ def test_two_product_certificate_is_the_full_residual(L):
     for base in (zero, transform(zero, fractional_iso(L, M, 2, rng)),
                  fractional_deformation(L, M, 2, rng)):
         residual = deformation._residual_ints(base, 3)
-        terms = [fractional_cochain(L, M, 2, rng)]
+        jets = [TruncatedDeformation(L, [*dense_terms(base), fractional_cochain(L, M, 2, rng)],
+                                     M)]
         if check_deformation(base, mod_order=True).ok:
-            mu = extend_deformation(base, 3)
-            terms += [mu] if mu is not None else []
-        for mu in terms:
-            extended = base.appended(mu)
+            jet = extend_deformation(base, 3)
+            jets += [jet] if jet is not None else []
+        for extended in jets:
             full = deformation._residual_ints(extended, 3) or [[0] * L.dim] * L.dim ** 3
             assert deformation._extended_residual(base, residual, extended, 3) == full
 
@@ -348,7 +348,7 @@ def test_solves_build_the_coboundary_matrix_for_a_nonzero_right_hand_side_only(m
     mu1 = cohomology_table(L, M, 2, with_bases=True).entry(2, 0).basis_z[0]
     zero = TruncatedDeformation.zero(L, 3, M)
     d1 = transform(zero, random_iso(L, M, 3, random.Random(19)))
-    cases = [(lambda: extend_deformation(zero.truncated(2), 3).is_zero(), []),
+    cases = [(lambda: 3 not in extend_deformation(zero.truncated(2), 3).tables, []),
              (lambda: extend_deformation(TruncatedDeformation(L, [mu1], M), 2), [2]),
              (lambda: equivalent_deformations(zero, zero), []),
              (lambda: equivalent_deformations(zero, d1), [1])]
@@ -382,7 +382,7 @@ def test_extend_rejects_a_corrupted_solver_term(monkeypatch, tmp_path, corrupt):
     assert not delta(mu_zz_x(L, M)).is_zero()
     mu1 = cohomology_table(L, M, 2, with_bases=True).entry(2, 0).basis_z[0]
     d = TruncatedDeformation(L, [mu1], M)
-    assert not extend_deformation(d, 2).is_zero()
+    assert not dense_terms(extend_deformation(d, 2))[1].is_zero()
     solve = cohomology.Coboundary.preimage
 
     def corrupted(self, n, parity, den, rows):
@@ -449,9 +449,9 @@ def test_n_infinitesimal_of_valid_deformation_is_cocycle():
 def test_extend_from_zero_gives_valid_order1():
     L, M = nonlie_setup()
     d = TruncatedDeformation.zero(L, 0)
-    mu1 = extend_deformation(d, 1)
-    assert mu1 is not None
-    assert deformation_residual(d.appended(mu1), 1).is_zero()
+    jet = extend_deformation(d, 1)
+    assert jet is not None and jet.order == 1
+    assert deformation_residual(jet, 1).is_zero()
 
 
 def test_extend_coboundary_jet_to_higher_order():
@@ -460,13 +460,12 @@ def test_extend_coboundary_jet_to_higher_order():
     for _ in range(5):
         f = random_psi(L, M, rng)
         d = TruncatedDeformation(L, [delta(f)], M)
-        mu2 = extend_deformation(d, 2)
-        assert mu2 is not None
-        d2 = d.appended(mu2)
+        d2 = extend_deformation(d, 2)
+        assert d2 is not None and d2.truncated(1) == d
         assert check_deformation(d2, mod_order=True).ok
-        mu3 = extend_deformation(d2, 3)
-        assert mu3 is not None
-        assert check_deformation(d2.appended(mu3), mod_order=True).ok
+        d3 = extend_deformation(d2, 3)
+        assert d3 is not None and d3.truncated(2) == d2
+        assert check_deformation(d3, mod_order=True).ok
 
 
 def test_extend_matches_trivial_completion():
@@ -477,11 +476,11 @@ def test_extend_matches_trivial_completion():
     iso = FormalIsomorphism(L, [f, Cochain.zero(L, M, 1, 0)], M)
     t = transform(TruncatedDeformation.zero(L, 2), iso)
     d = TruncatedDeformation(L, [dense_terms(t)[0]], M)
-    mu2 = extend_deformation(d, 2)
-    assert mu2 is not None
+    jet = extend_deformation(d, 2)
+    assert jet is not None
     # both completions pass; they may differ by a 2-cocycle
-    assert check_deformation(d.appended(mu2), mod_order=True).ok
-    diff = mu2 - dense_terms(t)[1]
+    assert check_deformation(jet, mod_order=True).ok
+    diff = dense_terms(jet)[1] - dense_terms(t)[1]
     assert delta(diff).is_zero()
 
 
@@ -814,10 +813,16 @@ def test_series_rescales_only_when_the_denominator_grows():
     d = TruncatedDeformation(L, [third], M)
     stored = d.tables[1]
     assert d.den == 3 and stored == [[] for _ in range(8)] + [[(0, 1)]]
-    grown = d.appended(half)
+
+    def appended(mu):
+        out = d._copy(2, d.den, dict(d.tables))
+        out.append(2, mu.coeffs)
+        return out
+
+    grown = appended(half)
     assert grown.den == 6 and grown.tables[1] == [[] for _ in range(8)] + [[(0, 2)]]
     assert d.tables[1] is stored and d.den == 3   # the original is untouched
-    same = d.appended(scale(third, F(2)))
+    same = appended(scale(third, F(2)))
     assert same.den == 3 and same.tables[1] is stored   # D kept: no rescale
     assert same.truncated(1) == d and grown.truncated(1) == d
     assert grown.truncated(0) == TruncatedDeformation.zero(L, 0, M)
@@ -847,11 +852,11 @@ def test_extend_solutions_equal_the_dense_fraction_solve(L):
         if not check_deformation(base, mod_order=True).ok:
             continue
         x = dense_solve(mat, _component_coords(fraction_residual(base, r), 0))
-        mu = extend_deformation(d, r)
-        assert (mu is None) == (x is None)
+        jet = extend_deformation(d, r)
+        assert (jet is None) == (x is None)
         if x is not None:
             solved += 1
-            assert mu == cochain_from_coords(L, M, 2, 0, x, enum)
+            assert dense_terms(jet)[r - 1] == cochain_from_coords(L, M, 2, 0, x, enum)
     assert solved
 
 
@@ -869,14 +874,42 @@ def test_solves_over_a_structure_denominator():
     assert d.den > 1
     for r in (2, 3):
         base = d.truncated(r - 1)
-        mu = extend_deformation(d, r)
-        assert mu is not None and not mu.is_zero()
-        assert check_deformation(base.appended(mu), mod_order=True).ok
+        jet = extend_deformation(d, r)
+        assert jet is not None and jet.truncated(r - 1) == base and r in jet.tables
+        assert check_deformation(jet, mod_order=True).ok
         x = fraction_solve(mat, _component_coords(fraction_residual(base, r)))
-        assert mu == cochain_from_coords(L, M, 2, 0, x, enum)
+        assert dense_terms(jet)[r - 1] == cochain_from_coords(L, M, 2, 0, x, enum)
     d2 = transform(d, fractional_iso(L, M, 3, rng))
     iso = equivalent_deformations(d, d2)
     assert iso is not None and transform(d, iso) == d2
+
+
+def _extend_cases():
+    L, M = nonlie_setup()
+    mu1 = cohomology_table(L, M, 2, with_bases=True).entry(2, 0).basis_z[0]
+    D = _denominator_algebra()
+    zero = TruncatedDeformation.zero(D, 2, adjoint_module(D))
+    return [(TruncatedDeformation(L, [mu1], M), 2),
+            (transform(zero, fractional_iso(D, zero.module, 2, random.Random(24))), 2)]
+
+
+@pytest.mark.parametrize("case", _extend_cases(), ids=["nonlie3", "denominator"])
+def test_extend_out_writes_the_jet_extend_returns(tmp_path, case):
+    # the CLI saves the library's certified jet as it is, and its report's
+    # term is that jet's power-r entries
+    d, r = case
+    jet = extend_deformation(d, r)
+    assert r in jet.tables
+    alg, src, out, want = (tmp_path / name
+                           for name in ("alg.json", "d.json", "out.json", "want.json"))
+    save_algebra(d.algebra, str(alg))
+    save_deformation(d, str(src))
+    save_deformation(jet, str(want))
+    code, stdout, _ = run(["deform", "extend", str(alg), "--deformation", str(src),
+                           "--order", str(r), "--out", str(out), "--format", "json"])
+    assert code == 0
+    assert out.read_bytes() == want.read_bytes()
+    assert json.loads(stdout)["term"] == series_to_doc(jet)[str(r)]
 
 
 @pytest.mark.parametrize("L", standard_fixtures(), ids=lambda L: L.space.name)

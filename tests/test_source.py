@@ -1,8 +1,8 @@
 """Source hygiene: no library module imports a name it never uses, no
 module-level private function or class goes unreferenced, every public
 name of the library is reached by the library itself or by the
-benchmark, one elimination engine serves every matrix, and one
-Coboundary owns the cochain coordinates.
+benchmark, one elimination engine serves every matrix, one Coboundary
+owns the cochain coordinates, and the CLI builds no series of its own.
 
 A stdlib stand-in for a linter's unused-import and dead-code rules.  The
 package __init__ is skipped by the import check: its imports are the
@@ -322,3 +322,29 @@ def test_position_readers_and_cohomology_imports_are_reported():
     source = ("from .cohomology import DEFAULT_MAX_ARITY, delta_matrix\n"
               "from .linalg import solve\nfrom superleibniz.cohomology import Coboundary\n")
     assert cohomology_imports(source) == ["DEFAULT_MAX_ARITY", "delta_matrix"]
+
+
+# Series.truncated and .appended take one argument, Series.add three and
+# Series.append two; list.append and set.add take one
+_SERIES_BUILDERS = {"truncated": 0, "appended": 0, "add": 2, "append": 2}
+
+
+def series_builders(source: str) -> list[int]:
+    """The lines that call a method building a series: .truncated or
+    .appended, or .add or .append with a series' argument count."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and node.func.attr in _SERIES_BUILDERS
+                  and len(node.args) >= _SERIES_BUILDERS[node.func.attr])
+
+
+def test_the_cli_writes_the_series_the_library_returned():
+    # a verb saves and reports the deformation or isomorphism the library
+    # certified; rebuilding one in the CLI would be a second, unchecked path
+    assert series_builders((SRC / "cli.py").read_text(encoding="utf-8")) == []
+
+
+def test_series_builders_are_reported():
+    source = ("jet = d.truncated(2).appended(mu)\nlines.append(x)\n"
+              "s.add(1, den, table)\nseen.add(x)\ns.append(1, vectors)\n")
+    assert series_builders(source) == [1, 1, 3, 5]
