@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .linalg import (F0, F1, add_scaled, basis_vec, bilinear, lin_comb,
-                     scale_to_ints, zeros)
+                     ratio_str, scale_to_ints, zeros)
 
 EVEN = 0
 ODD = 1
@@ -73,13 +73,12 @@ class SuperSpace:
     def tuple_parity(self, indices: tuple[int, ...]) -> int:
         return sum(self.parities[i] for i in indices) & 1
 
-    def describe(self, v: list[Fraction]) -> str:
-        """Human-readable linear combination, canonical term order."""
-        terms = []
-        for i, c in enumerate(v):
-            if c:
-                terms.append(f"{c}*{self.labels[i]}")
-        return " + ".join(terms) if terms else "0"
+    def describe(self, v: list, den: int = 1) -> str:
+        """v/den as a human-readable linear combination, canonical term
+        order; over den > 1, v holds ints, each written as ratio_str does."""
+        labels = self.labels
+        return " + ".join(f"{ratio_str(c, den)}*{labels[i]}"
+                          for i, c in enumerate(v) if c) or "0"
 
 
 @dataclass
@@ -199,14 +198,13 @@ class LeibnizSuperalgebra:
         """[[a,b],c] - [a,[b,c]] + (-1)**(ab) [b,[a,c]] = 0 on basis triples."""
         sp = self.space
         d, (table,) = scale_to_ints([[v for row in self.table for v in row]])
-        dd = d * d
         bad = []
         for (i, j, k), defect in zip(itertools.product(range(self.dim), repeat=3),
                                      leibniz_defect([(table, table)], sp.parities)):
             if any(defect):
                 bad.append({
                     "triple": (sp.labels[i], sp.labels[j], sp.labels[k]),
-                    "defect": sp.describe([Fraction(y, dd) for y in defect]),
+                    "defect": sp.describe(defect, d * d),
                 })
         return CheckReport(not bad, bad)
 
@@ -287,7 +285,6 @@ class SuperBimodule:
         d, (table,) = scale_to_ints([[v for row in rows for v in row]])
         defects = leibniz_defect([(table, table)], asp.parities + msp.parities)
         labels = asp.labels + msp.labels
-        dd = d * d
         bad = []
         for i, j in itertools.product(range(da), repeat=2):
             for k in range(da, dim):
@@ -296,7 +293,7 @@ class SuperBimodule:
                     if any(v):
                         bad.append({"axiom": axiom,
                                     "triple": (labels[a], labels[b], labels[c]),
-                                    "defect": msp.describe([Fraction(y, dd) for y in v])})
+                                    "defect": msp.describe(v, d * d)})
         return CheckReport(not bad, bad)
 
     def __eq__(self, other) -> bool:

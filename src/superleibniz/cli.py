@@ -26,9 +26,9 @@ from .deformation import (ExtensionUndefined, check_deformation,
                           infinitesimal_relation)
 from .extension import build_extension, check_extension
 from .fileio import (DimensionCapError, ParseError, canonical_json,
-                     cochain_to_doc, load_algebra, load_cochain,
-                     load_deformation, load_module, parity_name, save_algebra,
-                     save_deformation, series_to_doc)
+                     cochain_to_doc, deformation_to_doc, load_algebra,
+                     load_cochain, load_deformation, load_module, parity_name,
+                     save_algebra, save_doc, series_to_doc)
 
 EXIT_OK = 0
 EXIT_MATH_FAIL = 1
@@ -345,14 +345,17 @@ def cmd_deform_extend(args) -> int:
                        "violations": _violations_doc(exc.report.violations)})
         emit(report, args.format)
         return EXIT_MATH_FAIL
+    # one document of the jet gives the term and the --out file
+    doc = deformation_to_doc(jet) if jet is not None else None
     report.update({
         "status": "pass" if jet is not None else "fail",
         "solvable": jet is not None,
-        "term": series_to_doc(jet).get(str(target), []) if jet is not None else None,
+        "term": (doc["terms"].get(str(target), {"entries": []})["entries"]
+                 if doc is not None else None),
         "output": None,
     })
-    if jet is not None and args.out:
-        save_deformation(jet, args.out)
+    if doc is not None and args.out:
+        save_doc(doc, args.out)
         report["output"] = args.out
     emit(report, args.format)
     return EXIT_OK if jet is not None else EXIT_MATH_FAIL

@@ -31,8 +31,9 @@ Both are a Series: sparse int tables over one running denominator D, a
 term scaled once as it is added.  The residual and the defect are summed
 in those ints, over D**2 and D_mu * D_nu * D_psi**2, and the solves of
 extend and equiv hand them as they are to Coboundary.preimage, whose term
-the series adds as it is, so a Fraction is built only for a reported
-defect or a returned cochain.
+the series adds as it is.  A reported defect is written from its ints
+(SuperSpace.describe over the denominator), as fileio writes a series, so
+no verb builds a Fraction for a coefficient of either.
 """
 
 from __future__ import annotations
@@ -178,15 +179,15 @@ def check_deformation(d: TruncatedDeformation, mod_order: bool = False) -> Check
     Strict mode requires residuals 1..2N to vanish (the unqualified
     reading of the defining equation); mod_order stops at N, treating the
     deformation as a jet mod t**(N+1).  The int residuals of the series
-    are zero-tested; Fractions are built only for the reported defects,
-    and an order whose products all have a zero factor costs no product.
+    are zero-tested and a reported defect is written from them, and an
+    order whose products all have a zero factor costs no product.
     """
     top = d.order if mod_order else 2 * d.order
     sp = d.algebra.space
     den = d.den ** 2
     for r in range(1, top + 1):
         bad = [{"order": r, "triple": tuple(sp.labels[i] for i in t),
-                "defect": sp.describe([Fraction(y, den) for y in v])}
+                "defect": sp.describe(v, den)}
                for t, v in zip(all_tuples(d.algebra.dim, 3), _residual_ints(d, r))
                if any(v)]
         if bad:
@@ -348,7 +349,10 @@ def infinitesimal_relation(d1: TruncatedDeformation, d2: TruncatedDeformation,
         raise ValueError("both deformations need at least order 1")
     dim, sp = d1.algebra.dim, d1.algebra.space
     den, diff = _intertwining_defect(d1, d2, iso, 1, dim)
-    values = Cochain.from_table(d1.algebra, d1.module, 2, 0, den, diff).coeffs
-    bad = [{"pair": tuple(sp.labels[i] for i in t), "defect": sp.describe(v)}
-           for t, v in zip(all_tuples(dim, 2), values) if any(v)]
+    bad = []
+    for t, row in zip(all_tuples(dim, 2), diff):
+        if row:
+            v = dict(row)
+            bad.append({"pair": tuple(sp.labels[i] for i in t),
+                        "defect": sp.describe([v.get(k, 0) for k in range(dim)], den)})
     return CheckReport(not bad, bad)

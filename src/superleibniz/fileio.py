@@ -17,7 +17,7 @@ from math import lcm
 from .algebra import (EVEN, ODD, LeibnizSuperalgebra, SuperBimodule, SuperSpace)
 from .cochain import Cochain, all_tuples
 from .deformation import Series, TruncatedDeformation
-from .linalg import zeros
+from .linalg import ratio_str, zeros
 
 
 class ParseError(ValueError):
@@ -32,31 +32,30 @@ class DimensionCapError(ParseError):
         self.dim = dim
 
 
-_RATIONAL_RE = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")   # ASCII digits only
-_INTEGER_RE = re.compile(r"[+-]?[0-9]+")
+_RATIONAL_RE = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")   # ASCII digits only
 
 
 def rational_parts(value) -> tuple[int, int]:
     """An exact rational from an integer or a 'p' / 'p/q' string, no floats,
-    as a numerator and a positive denominator, not reduced."""
-    if isinstance(value, bool):
-        raise ParseError(f"not a rational coefficient: {value!r}")
-    if isinstance(value, int):
-        return value, 1
-    if isinstance(value, float):
-        raise ParseError(f"floating-point coefficient {value!r} rejected; "
-                         "write an exact rational like \"-1/2\"")
+    as a numerator and a positive denominator, not reduced.  A string is
+    one fullmatch, whose groups are read with int."""
     if isinstance(value, str):
-        if not _RATIONAL_RE.fullmatch(value):
+        match = _RATIONAL_RE.fullmatch(value)
+        if match is None:
             raise ParseError(f"cannot parse {value!r} as an exact rational")
-        num, _, den = value.partition("/")
+        num, den = match.groups()
         try:
-            num, den = int(num), int(den or 1)
+            num, den = int(num), int(den) if den else 1
         except ValueError as exc:   # past the interpreter's integer digit limit
             raise ParseError(f"coefficient {value[:20]!r}...: {exc}") from exc
         if den == 0:
             raise ParseError(f"zero denominator in {value!r}")
         return num, den
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value, 1
+    if isinstance(value, float):
+        raise ParseError(f"floating-point coefficient {value!r} rejected; "
+                         "write an exact rational like \"-1/2\"")
     raise ParseError(f"not a rational coefficient: {value!r}")
 
 
@@ -138,6 +137,12 @@ def _write_json(value, pad: str, out: list[str]) -> None:
         raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
+def save_doc(doc, path: str) -> None:
+    """Write doc to path as canonical_json gives it."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(canonical_json(doc))
+
+
 def _unique_keys(pairs: list[tuple]) -> dict:
     """A JSON object as a dict; a key given twice is an error, not a last win."""
     doc = dict(pairs)
@@ -206,45 +211,38 @@ def _space_to_doc(space: SuperSpace) -> dict:
     }
 
 
-def _sparse_value(value, space: SuperSpace, where: str) -> list[tuple[int, int, int]]:
+def _sparse_value(value, space: SuperSpace) -> list[tuple[int, int, int]]:
     """The nonzero terms of a value list as (k, numerator, denominator), by
-    ascending basis index k; a label may not repeat."""
+    ascending basis index k; a label may not repeat.  The caller prefixes
+    an error with the entry it read, so no message is built otherwise."""
     if not isinstance(value, list):
-        raise ParseError(f"{where}: 'value' must be a list")
+        raise ParseError("'value' must be a list")
     out, seen = [], set()
     for term in value:
         if not isinstance(term, dict) or "label" not in term or "coeff" not in term:
-            raise ParseError(f"{where}: value terms need 'label' and 'coeff'")
+            raise ParseError("value terms need 'label' and 'coeff'")
+        label = term["label"]
         try:
-            k = space.index(term["label"])
+            k = space.index(label)
         except KeyError:
-            raise ParseError(f"{where}: unknown label {term['label']!r}")
+            raise ParseError(f"unknown label {label!r}")
         if k in seen:
-            raise ParseError(f"{where}: duplicate value term for label {term['label']!r}")
+            raise ParseError(f"duplicate value term for label {label!r}")
         seen.add(k)
-        num, den = _coefficient(term["coeff"], where, term["label"])
+        try:
+            num, den = rational_parts(term["coeff"])
+        except ParseError as exc:
+            raise ParseError(f"label {label!r}: {exc}") from None
         if num:
             out.append((k, num, den))
-    return sorted(out)
+    out.sort()
+    return out
 
 
-def _coefficient(value, where: str, label) -> tuple[int, int]:
-    """rational_parts(value), an error in it prefixed with where and the
-    label; an integer string within the digit limit is read directly."""
-    if type(value) is str and _INTEGER_RE.fullmatch(value):
-        try:
-            return int(value), 1
-        except ValueError:   # past the digit limit: rational_parts words it
-            pass
-    try:
-        return rational_parts(value)
-    except ParseError as exc:
-        raise ParseError(f"{where}: label {label!r}: {exc}") from None
-
-
-def _value_to_doc(row, space: SuperSpace) -> list[dict]:
-    """The value terms of the nonzero pairs (k, c) of row, c a Fraction."""
-    return [{"label": space.labels[k], "coeff": str(c)} for k, c in row if c]
+def _value_to_doc(row, space: SuperSpace, den: int = 1) -> list[dict]:
+    """The value terms of the nonzero pairs (k, c) of row, c/den written by
+    ratio_str (c a Fraction, or an int over den > 1)."""
+    return [{"label": space.labels[k], "coeff": ratio_str(c, den)} for k, c in row if c]
 
 
 def _table_from_doc(doc: dict, key: str, left_space: SuperSpace,
@@ -257,17 +255,20 @@ def _table_from_doc(doc: dict, key: str, left_space: SuperSpace,
              for _ in left_space.labels]
     seen = set()
     for ent in _entry_list(doc, key, ("left", "right", "value"), what):
-        pair = f"({ent['left']!r}, {ent['right']!r})"
         try:
             i = left_space.index(ent["left"])
             j = right_space.index(ent["right"])
         except KeyError as exc:
-            raise ParseError(f"{what} entry {pair}: {exc.args[0]}")
+            raise ParseError(f"{what} entry ({ent['left']!r}, {ent['right']!r}): "
+                             f"{exc.args[0]}")
         if (i, j) in seen:
-            raise ParseError(f"duplicate {what} entry {pair}")
+            raise ParseError(f"duplicate {what} entry ({ent['left']!r}, {ent['right']!r})")
         seen.add((i, j))
-        where = f"{what} ({ent['left']},{ent['right']})"
-        for k, num, den in _sparse_value(ent["value"], out_space, where):
+        try:
+            value = _sparse_value(ent["value"], out_space)
+        except ParseError as exc:
+            raise ParseError(f"{what} ({ent['left']},{ent['right']}): {exc}") from None
+        for k, num, den in value:
             table[i][j][k] = Fraction(num, den)
     return table
 
@@ -305,8 +306,7 @@ def load_algebra(path: str, max_dim: int | None = None) -> LeibnizSuperalgebra:
 
 
 def save_algebra(alg: LeibnizSuperalgebra, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(canonical_json(algebra_to_doc(alg)))
+    save_doc(algebra_to_doc(alg), path)
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +372,10 @@ def _cochain_table(doc, alg: LeibnizSuperalgebra, mod: SuperBimodule,
             raise ParseError(f"cochain entry: {exc.args[0]}")
         if idx in values:
             raise ParseError(f"duplicate cochain entry for args {args!r}")
-        value = _sparse_value(ent.get("value", []), mod.space, f"cochain entry {args}")
+        try:
+            value = _sparse_value(ent.get("value", []), mod.space)
+        except ParseError as exc:
+            raise ParseError(f"cochain entry {args}: {exc}") from None
         if any(mpar[k] != want for k, _, _ in value):
             raise ParseError("cochain entries violate homogeneity: some value has "
                              "a component whose parity differs from degree + "
@@ -391,12 +394,13 @@ def cochain_from_doc(doc, alg: LeibnizSuperalgebra, mod: SuperBimodule,
     return Cochain.from_table(alg, mod, *_cochain_table(doc, alg, mod, even2))
 
 
-def _entries_to_doc(rows, arity: int, asp: SuperSpace, msp: SuperSpace) -> list[dict]:
+def _entries_to_doc(rows, arity: int, asp: SuperSpace, msp: SuperSpace,
+                    den: int = 1) -> list[dict]:
     """The nonzero entries of a cochain whose values rows yields per tuple
-    as (k, c) pairs, c a Fraction."""
+    as (k, c) pairs, each value c/den (see _value_to_doc)."""
     return [{"args": [asp.labels[i] for i in t], "value": value}
             for t, row in zip(all_tuples(asp.dim, arity), rows)
-            if (value := _value_to_doc(row, msp))]
+            if (value := _value_to_doc(row, msp, den))]
 
 
 def cochain_to_doc(f: Cochain) -> dict:
@@ -411,8 +415,7 @@ def load_cochain(path: str, alg: LeibnizSuperalgebra, mod: SuperBimodule,
 
 
 def save_cochain(f: Cochain, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(canonical_json(cochain_to_doc(f)))
+    save_doc(cochain_to_doc(f), path)
 
 
 # ---------------------------------------------------------------------------
@@ -454,10 +457,10 @@ def deformation_from_doc(doc, alg: LeibnizSuperalgebra,
 
 def series_to_doc(s: Series) -> dict[str, list]:
     """{str(i): entries} for the nonzero terms i >= 1 of a deformation or a
-    formal isomorphism, the entries as cochain_to_doc writes them."""
+    formal isomorphism, the entries as cochain_to_doc writes them, each
+    coefficient written from its int over the series' denominator."""
     asp, msp = s.algebra.space, s.module.space
-    return {str(i): _entries_to_doc(([(k, Fraction(x, s.den)) for k, x in row]
-                                     for row in table), s.ARITY, asp, msp)
+    return {str(i): _entries_to_doc(table, s.ARITY, asp, msp, s.den)
             for i, table in s.tables.items() if i}
 
 
@@ -472,5 +475,4 @@ def load_deformation(path: str, alg: LeibnizSuperalgebra,
 
 
 def save_deformation(d: TruncatedDeformation, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(canonical_json(deformation_to_doc(d)))
+    save_doc(deformation_to_doc(d), path)

@@ -88,6 +88,15 @@ def scale_to_ints(tables) -> tuple[int, list[list[list[tuple[int, int]]]]]:
                for t in nonzeros]
 
 
+def ratio_str(x, den: int) -> str:
+    """str(Fraction(x, den)) for an int x over a positive int den, from one
+    gcd and without the Fraction; any x is written as str(x) over den 1."""
+    if den == 1:
+        return str(x)
+    g = gcd(x, den)
+    return str(x // g) if g == den else f"{x // g}/{den // g}"
+
+
 SparseRow = dict[int, Fraction]
 
 

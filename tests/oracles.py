@@ -74,6 +74,9 @@
   term straight into.
 - fraction_intertwining_defect: the order-r intertwining defect from the
   polynomial expansion, the reference right-hand side of equiv's solves.
+- fraction_describe: a defect v over an int denominator written through
+  one Fraction per entry, the reference for SuperSpace.describe, which
+  writes each nonzero from its int.
 """
 
 from __future__ import annotations
@@ -979,6 +982,13 @@ def extensions_equivalent(e1: Extension, e2: Extension) -> Cochain | None:
 # ---------------------------------------------------------------------------
 # dense cochains over the library's sparse routines
 # ---------------------------------------------------------------------------
+
+def fraction_describe(space: SuperSpace, v: list[int], den: int) -> str:
+    """The linear combination v/den as str(Fraction) writes each term."""
+    terms = [f"{c}*{space.labels[i]}" for i, c in enumerate([Fraction(x, den) for x in v])
+             if c]
+    return " + ".join(terms) if terms else "0"
+
 
 def parse_rational(value) -> Fraction:
     """The exact rational that fileio.rational_parts reads, as a Fraction."""

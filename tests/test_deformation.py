@@ -11,8 +11,8 @@ from helpers import random_cochain, standard_fixtures
 from oracles import (bruteforce_deformation_failures, cochain_coords, cochain_eval,
                      cochain_from_coords, cochain_preimage, dense_deformation_from_doc,
                      dense_mu_ints, dense_solve, dense_terms, enumerate_basis,
-                     fraction_delta_matrix, fraction_intertwining_defect,
-                     fraction_residual, fraction_solve,
+                     fraction_delta_matrix, fraction_describe,
+                     fraction_intertwining_defect, fraction_residual, fraction_solve,
                      fraction_transform, inverse, iso_matrix, scale, sparse)
 from test_cli import run
 from test_cohomology import _denominator_algebra
@@ -717,6 +717,21 @@ def test_infinitesimal_relation_defect_reported():
     rep = infinitesimal_relation(d1, d2, iso)
     assert not rep.ok
     assert rep.violations
+
+
+def test_infinitesimal_relation_writes_each_defect_as_its_fractions():
+    # over a structure denominator D > 1: every violation is the pair and
+    # (mu_1 - nu_1) - delta(psi_1) there, written as str(Fraction) writes it
+    L = _denominator_algebra()
+    M, sp, rng = adjoint_module(L), L.space, random.Random(17)
+    d1, d2 = (TruncatedDeformation(L, [random_cochain(L, M, 2, 0, rng)], M) for _ in "12")
+    iso = FormalIsomorphism(L, [random_cochain(L, M, 1, 0, rng)], M)
+    defect = dense_terms(d1)[0] - dense_terms(d2)[0] - delta(dense_terms(iso)[0])
+    want = [{"pair": tuple(sp.labels[i] for i in t), "defect": fraction_describe(sp, v, 1)}
+            for t, v in zip(all_tuples(L.dim, 2), defect.coeffs) if any(v)]
+    rep = infinitesimal_relation(d1, d2, iso)
+    assert want and not rep.ok and rep.violations == want
+    assert any("/" in v["defect"] for v in want)
 
 
 def test_equivalence_is_an_equivalence_relation():

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from helpers import standard_fixtures
 from oracles import parse_rational
+from test_cli import run
+from test_cohomology import _denominator_algebra
 from superleibniz.algebra import adjoint_module, nonlie_example, zero_module
 from superleibniz.cochain import Cochain, tuple_index
 from superleibniz.deformation import TruncatedDeformation
@@ -17,7 +19,7 @@ from superleibniz.fileio import (ParseError, algebra_from_doc, algebra_to_doc,
                                  deformation_from_doc, deformation_to_doc,
                                  load_algebra, load_cochain, load_deformation,
                                  load_module, module_from_doc, module_to_doc,
-                                 save_algebra)
+                                 save_algebra, series_to_doc)
 from superleibniz.linalg import basis_vec
 
 F = Fraction
@@ -33,13 +35,67 @@ def test_parse_rational_accepted_forms():
     assert parse_rational(7) == F(7)
 
 
-@pytest.mark.parametrize("bad", ["1.5", "1e3", ".5", "1/0", "a", "1/2/3", "",
-                                 1.5, True, None, [1],
-                                 # non-ASCII digits and a trailing newline
-                                 "\u0663", "\uff13", "\u0663/\u0664", "1\n", "1/2\n"])
+REJECTED_FORMS = ["1.5", "1e3", ".5", "1/0", "a", "1/2/3", "", 1.5, True, None, [1],
+                  # non-ASCII digits and a trailing newline
+                  "\u0663", "\uff13", "\u0663/\u0664", "1\n", "1/2\n"]
+
+
+@pytest.mark.parametrize("bad", REJECTED_FORMS)
 def test_parse_rational_rejected_forms(bad):
     with pytest.raises(ParseError):
         parse_rational(bad)
+
+
+def _refusal(bad) -> str:
+    """The message a coefficient bad is refused with, after the place that
+    names its entry and label; past the digit limit, its first part only."""
+    if isinstance(bad, str) and re.fullmatch(r"[+-]?[0-9]+/0+", bad):
+        return f"zero denominator in {bad!r}"
+    if isinstance(bad, str) and len(bad) > 4300:
+        return f"coefficient {bad[:20]!r}...: Exceeds the limit"
+    if isinstance(bad, str):
+        return f"cannot parse {bad!r} as an exact rational"
+    if isinstance(bad, float):
+        return f'floating-point coefficient {bad!r} rejected; write an exact rational like "-1/2"'
+    return f"not a rational coefficient: {bad!r}"
+
+
+def _coefficient_places(bad):
+    """(read, message prefix, CLI verb or None) for a coefficient bad as a
+    deformation term's, a cochain value's and a bracket's coefficient."""
+    L = nonlie_example()
+    M = adjoint_module(L)
+    entry = {"args": ["y", "x"], "value": [{"label": "x", "coeff": bad}]}
+    deformation = {"order": 1, "terms": {"1": {"entries": [entry]}}}
+    cochain = {"arity": 2, "degree": "even", "entries": [entry]}
+    algebra = {**algebra_to_doc(L),
+               "brackets": [{"left": "y", "right": "x",
+                             "value": [{"label": "x", "coeff": bad}]}]}
+    return [(lambda: deformation_from_doc(deformation, L, M),
+             "term 1: cochain entry ['y', 'x']: label 'x': ",
+             (deformation, ["deform", "check", str(GOLDEN / "nonlie3.json"), "--deformation"])),
+            (lambda: cochain_from_doc(cochain, L, M),
+             "cochain entry ['y', 'x']: label 'x': ", None),
+            (lambda: algebra_from_doc(algebra), "bracket (y,x): label 'x': ",
+             (algebra, ["validate"]))]
+
+
+@pytest.mark.parametrize("bad", REJECTED_FORMS + ["1/00", "+0/00", "1/-2", "1" * 5000,
+                                                  "1/" + "1" * 5000])
+def test_a_refused_coefficient_names_its_place_in_every_document(tmp_path, bad):
+    want_end = _refusal(bad)
+    for read, place, cli in _coefficient_places(bad):
+        with pytest.raises(ParseError) as exc:
+            read()
+        message = str(exc.value)
+        assert message.startswith(place + want_end)
+        assert message == place + want_end or want_end.endswith("Exceeds the limit")
+        if cli is not None:
+            doc, verb = cli
+            p = tmp_path / "doc.json"
+            p.write_text(json.dumps(doc))
+            code, out, err = run(verb + [str(p)])
+            assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 # -- algebra files --------------------------------------------------------------
@@ -211,6 +267,41 @@ def test_deformation_round_trip_with_gaps():
     assert list(doc["terms"]) == ["2"]     # zero terms omitted
     d2 = deformation_from_doc(json.loads(canonical_json(doc)), L, M)
     assert d2 == d
+
+
+COEFFS = st.one_of(st.integers(-30, 30).filter(bool), st.integers(2 ** 64, 2 ** 70),
+                   st.integers(-2 ** 70, -2 ** 64))
+
+
+@st.composite
+def int_series(draw):
+    """A series over _denominator_algebra() whose terms are random flat int
+    tables (negative ints and ints past 2**64) over random denominators."""
+    L = _denominator_algebra()
+    d = TruncatedDeformation.zero(L, 3)
+    dim = L.dim
+    for power in draw(st.sets(st.integers(1, 3))):
+        table = [[] for _ in range(dim * dim)]
+        for idx in draw(st.sets(st.integers(0, dim * dim - 1), min_size=1, max_size=6)):
+            ks = sorted(draw(st.sets(st.integers(0, dim - 1), min_size=1, max_size=3)))
+            table[idx] = [(k, draw(COEFFS)) for k in ks]
+        d.add(power, draw(st.sampled_from([1, 2, 12, 2 ** 70 + 1])), table)
+    return d
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(int_series())
+def test_series_coefficients_are_written_as_their_fractions(d):
+    # every coefficient is x/D written as str(Fraction(x, D)) writes it
+    assert d.den > 1   # the bracket's own denominator
+    asp = d.algebra.space
+    pairs = [(a, b) for a in asp.labels for b in asp.labels]
+    want = {str(i): [{"args": list(pairs[idx]),
+                      "value": [{"label": asp.labels[k], "coeff": str(Fraction(x, d.den))}
+                                for k, x in row]}
+                     for idx, row in enumerate(table) if row]
+            for i, table in d.tables.items() if i}
+    assert series_to_doc(d) == want
 
 
 def test_deformation_bad_keys_rejected():

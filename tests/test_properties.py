@@ -1,32 +1,36 @@
 """Property tests: basis independence of cohomology, delta(delta(f)) = 0 on
 random algebras, the coboundary walk, its preimage and the Leibniz-defect
-kernel against their oracles on random structure constants, rref's lazily
-reduced rows against the dense oracle, and the CLI's exit codes on random
-and mutated documents.
+kernel against their oracles on random structure constants, delta of a
+super-antisymmetric cochain on sl(2) and osp(1|2), defects written from
+their ints against the Fraction form, rref's lazily reduced rows against
+the dense oracle, and the CLI's exit codes on random and mutated
+documents.
 
 Hypothesis runs derandomized with a bounded number of examples and no
 example database, so every run checks the same cases.
 """
 
 import copy
+import itertools
 import json
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import (matrix_1_1_associative, random_cochain, standard_fixtures,
-                     transport, upper_triangular_associative)
+from helpers import (matrix_1_1_associative, osp12, random_cochain, sl2,
+                     standard_fixtures, transport, upper_triangular_associative)
 from oracles import (cochain_coords, cochain_from_coords, dense_delta, dense_rref,
-                     dense_solve, enumerate_basis, fraction_delta_matrix, sparse,
-                     triple_walk_leibniz_defect)
+                     dense_solve, enumerate_basis, fraction_delta_matrix,
+                     fraction_describe, sparse, triple_walk_leibniz_defect)
 from test_cli import ALG, GOLDEN, run
 from superleibniz.algebra import (AssociativeSuperalgebra, LeibnizSuperalgebra,
                                   SuperBimodule, SuperSpace, adjoint_module,
                                   free_truncated, from_associative, leibniz_defect,
                                   nonlie_example, zero_module)
-from superleibniz.cochain import Cochain, delta, scaled_structure
+from superleibniz.cochain import Cochain, all_tuples, delta, scaled_structure, tuple_index
 from superleibniz.cohomology import Coboundary, cohomology_table, delta_matrix
 from superleibniz.fileio import module_to_doc
 from superleibniz.linalg import (F0, RatMatrix, basis_vec, lin_comb, rank, rref,
@@ -216,6 +220,76 @@ def test_leibniz_defect_matches_the_triple_walk(data):
     if pairs and data.draw(st.booleans()):
         pairs.append((pairs[0][0], pairs[0][0]))   # one table on both sides
     assert leibniz_defect(pairs, parities) == triple_walk_leibniz_defect(pairs, parities)
+
+
+@PROPERTY
+@given(st.data())
+def test_describe_writes_each_int_as_its_fraction(data):
+    space = data.draw(st.sampled_from([L.space for L in FIXTURES]))
+    v = data.draw(st.lists(st.one_of(st.just(0), st.integers(-40, 40), INTS),
+                           min_size=space.dim, max_size=space.dim))
+    den = data.draw(st.one_of(st.just(1), st.integers(2, 60), st.integers(2 ** 64, 2 ** 70)))
+    assert space.describe(v, den) == fraction_describe(space, v, den)
+
+
+# -- the Chevalley-Eilenberg subcomplex -----------------------------------------
+
+def _swap_sign(parities, a: int, b: int) -> int:
+    """-(-1)**(ab): a super-antisymmetric cochain's sign when adjacent
+    arguments a and b trade places."""
+    return 1 if parities[a] & parities[b] else -1
+
+
+def super_antisymmetrized(f: Cochain) -> Cochain:
+    """sum over permutations s of eps(s) f(x_s(1), ..., x_s(n)), eps the
+    product of _swap_sign over the pairs of arguments s puts out of order."""
+    dim, par, n = f.algebra.dim, f.algebra.space.parities, f.arity
+    out = Cochain.zero(f.algebra, f.module, n, f.degree)
+    for t in all_tuples(dim, n):
+        acc = out.coeffs[tuple_index(t, dim)]
+        for perm in itertools.permutations(range(n)):
+            sign = 1
+            for i, j in itertools.combinations(range(n), 2):
+                if perm[i] > perm[j]:
+                    sign *= _swap_sign(par, t[perm[i]], t[perm[j]])
+            for k, c in enumerate(f.coeffs[tuple_index([t[p] for p in perm], dim)]):
+                acc[k] += sign * c
+    return out
+
+
+def super_antisymmetry_failures(f: Cochain) -> list[tuple]:
+    """The (tuple, slot) pairs where swapping the arguments at slot and
+    slot + 1 does not multiply f's value by their _swap_sign."""
+    dim, par = f.algebra.dim, f.algebra.space.parities
+    bad = []
+    for t in all_tuples(dim, f.arity):
+        value = f.coeffs[tuple_index(t, dim)]
+        for i in range(f.arity - 1):
+            s = t[:i] + (t[i + 1], t[i]) + t[i + 2:]
+            sign = _swap_sign(par, t[i], t[i + 1])
+            if f.coeffs[tuple_index(s, dim)] != [sign * c for c in value]:
+                bad.append((t, i))
+    return bad
+
+
+SUBCOMPLEX_ALGEBRAS = {"sl2": sl2(), "osp12": osp12()}
+
+
+@pytest.mark.parametrize("degree", [0, 1])
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("name", sorted(SUBCOMPLEX_ALGEBRAS))
+@settings(PROPERTY, max_examples=5)
+@given(seed=st.integers(0, 2 ** 32))
+def test_delta_keeps_super_antisymmetric_cochains_super_antisymmetric(name, n, degree, seed):
+    # on a Lie superalgebra with its adjoint module these cochains form the
+    # Chevalley-Eilenberg subcomplex of the Leibniz complex
+    alg = SUBCOMPLEX_ALGEBRAS[name]
+    f = super_antisymmetrized(random_cochain(alg, adjoint_module(alg), n, degree,
+                                             random.Random(seed)))
+    assert super_antisymmetry_failures(f) == []
+    assert super_antisymmetry_failures(delta(f)) == []
+    # odd cochains on the purely even sl(2) vanish
+    assert f.is_zero() == ((name, degree) == ("sl2", 1))
 
 
 # -- rref's rows, reduced on first read, against the dense oracle --------------

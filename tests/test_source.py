@@ -2,7 +2,8 @@
 module-level private function or class goes unreferenced, every public
 name of the library is reached by the library itself or by the
 benchmark, one elimination engine serves every matrix, one Coboundary
-owns the cochain coordinates, and the CLI builds no series of its own.
+owns the cochain coordinates, the CLI builds no series of its own, and
+the writers of defects and series build no Fraction.
 
 A stdlib stand-in for a linter's unused-import and dead-code rules.  The
 package __init__ is skipped by the import check: its imports are the
@@ -14,7 +15,7 @@ tests/oracles.py.
 import ast
 import pathlib
 import re
-from collections import Counter
+from collections import Counter, defaultdict
 
 import pytest
 
@@ -348,3 +349,57 @@ def test_series_builders_are_reported():
     source = ("jet = d.truncated(2).appended(mu)\nlines.append(x)\n"
               "s.add(1, den, table)\nseen.add(x)\ns.append(1, vectors)\n")
     assert series_builders(source) == [1, 1, 3, 5]
+
+
+def called_names(source: str) -> dict[str, Counter]:
+    """Per function (as Class.method or name, a nested one as outer.inner),
+    the names it calls: f(...) and obj.f(...) both count f."""
+    calls = defaultdict(Counter)
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                inner = f"{where}.{child.name}".lstrip(".")
+                calls[inner]   # a function that calls nothing is still listed
+                visit(child, inner)
+            else:
+                if isinstance(child, ast.Call):
+                    name = getattr(child.func, "id", getattr(child.func, "attr", None))
+                    if name is not None:
+                        calls[where][name] += 1
+                visit(child, where)
+
+    visit(ast.parse(source), "")
+    return calls
+
+
+# the functions that write a defect or a series coefficient from its int
+INT_WRITERS = {
+    "algebra.py": ("LeibnizSuperalgebra.check_leibniz", "SuperBimodule.check_axioms"),
+    "deformation.py": ("check_deformation", "infinitesimal_relation"),
+    "fileio.py": ("series_to_doc",),
+}
+# each of these turns a whole jet into its document
+JET_DOCUMENTS = ("deformation_to_doc", "series_to_doc", "save_deformation")
+
+
+def test_defects_and_series_are_written_from_their_ints():
+    # a Fraction per coefficient, most of them never printed, was the
+    # largest boundary cost of the deformation verbs
+    for name, functions in INT_WRITERS.items():
+        calls = called_names((SRC / name).read_text(encoding="utf-8"))
+        assert [f for f in functions if f not in calls or calls[f]["Fraction"]] == [], name
+    # deform extend's report and --out file come from one document
+    calls = called_names((SRC / "cli.py").read_text(encoding="utf-8"))["cmd_deform_extend"]
+    assert sum(calls[n] for n in JET_DOCUMENTS) == 1
+
+
+def test_fraction_calls_and_jet_documents_are_reported():
+    source = ("class A:\n    def check(self):\n        return Fraction(1, 2)\n\n"
+              "    def quiet(self):\n        pass\n\n"
+              "def extend(jet, out):\n    term = series_to_doc(jet)\n"
+              "    fileio.save_deformation(jet, out)\n")
+    calls = called_names(source)
+    assert sorted(calls) == ["A", "A.check", "A.quiet", "extend"]
+    assert calls["A.check"]["Fraction"] == 1 and not calls["A.quiet"]
+    assert sum(calls["extend"][n] for n in JET_DOCUMENTS) == 2
