@@ -1,12 +1,13 @@
 """Command-line interface.
 
 Verbs: validate, cohomology, derivations, extend, deform {check,extend,equiv}.
-Every verb emits one report, as aligned text or as canonical JSON; both
-renderings are produced from the same dictionary, so they carry identical
-data.  Exit codes: 0 success, 1 mathematical failure (a counterexample is
-in the report), 2 usage or parse error, 3 internal error (a broken
-invariant of the library, never a property of the input).  ``main`` may be
-called repeatedly in one process: its parser is built once, then reused.
+Every verb returns one report, which ``main`` emits as aligned text or as
+canonical JSON; both renderings are produced from the same dictionary, so
+they carry identical data.  Exit codes: 0 and 1 are the report's status,
+pass or fail (a failure's counterexample is in the report), 2 usage or
+parse error, 3 internal error (a broken invariant of the library, never a
+property of the input).  ``main`` may be called repeatedly in one process:
+its parser is built once, then reused.
 """
 
 from __future__ import annotations
@@ -194,7 +195,7 @@ def _single_deformation(args) -> str:
 # commands
 # ---------------------------------------------------------------------------
 
-def cmd_validate(args) -> int:
+def cmd_validate(args) -> dict:
     alg = _load_algebra(args)
     grading = alg.check_grading()
     leibniz = alg.check_leibniz()
@@ -212,11 +213,10 @@ def cmd_validate(args) -> int:
                     "violations": _violations_doc(leibniz.violations)},
         "is_lie": alg.is_lie() if ok else None,
     }
-    emit(report, args.format)
-    return EXIT_OK if ok else EXIT_MATH_FAIL
+    return report
 
 
-def cmd_cohomology(args) -> int:
+def cmd_cohomology(args) -> dict:
     if args.max_n < 0:
         raise ParseError(f"--max-n must be nonnegative, got {args.max_n}")
     alg = _load_algebra(args)
@@ -251,11 +251,10 @@ def cmd_cohomology(args) -> int:
                     "representatives": [cochain_to_doc(f)["entries"] for f in e.basis_h],
                 })
         report["bases"] = bases
-    emit(report, args.format)
-    return EXIT_OK
+    return report
 
 
-def cmd_derivations(args) -> int:
+def cmd_derivations(args) -> dict:
     alg = _load_algebra(args)
     mod, modname = _load_module_choice(args, alg)
     der0 = derivations(alg, mod, 0, max_arity=args.max_arity)
@@ -272,11 +271,10 @@ def cmd_derivations(args) -> int:
         "derivations_odd": [cochain_to_doc(f)["entries"] for f in der1],
         "inner_derivations": [cochain_to_doc(f)["entries"] for f in inner],
     }
-    emit(report, args.format)
-    return EXIT_OK
+    return report
 
 
-def cmd_extend(args) -> int:
+def cmd_extend(args) -> dict:
     alg = _load_algebra(args)
     mod, modname = _load_module_choice(args, alg)
     h = load_cochain(args.cocycle, alg, mod,
@@ -298,14 +296,12 @@ def cmd_extend(args) -> int:
     if rep.ok and args.out:
         save_algebra(ext.total, args.out)
         report["output"] = args.out
-    emit(report, args.format)
-    return EXIT_OK if rep.ok else EXIT_MATH_FAIL
+    return report
 
 
-def cmd_deform_check(args) -> int:
+def cmd_deform_check(args) -> dict:
     alg = _load_algebra(args)
-    mod = adjoint_module(alg)
-    d = load_deformation(_single_deformation(args), alg, mod)
+    d = load_deformation(_single_deformation(args), alg)
     rep = check_deformation(d, mod_order=args.mod_order)
     top = d.order if args.mod_order else 2 * d.order
     report = {
@@ -316,14 +312,12 @@ def cmd_deform_check(args) -> int:
         "status": "pass" if rep.ok else "fail",
         "violations": _violations_doc(rep.violations),
     }
-    emit(report, args.format)
-    return EXIT_OK if rep.ok else EXIT_MATH_FAIL
+    return report
 
 
-def cmd_deform_extend(args) -> int:
+def cmd_deform_extend(args) -> dict:
     alg = _load_algebra(args)
-    mod = adjoint_module(alg)
-    d = load_deformation(_single_deformation(args), alg, mod)
+    d = load_deformation(_single_deformation(args), alg)
     target = args.order if args.order is not None else d.order + 1
     if not 1 <= target <= d.order + 1:
         raise ParseError(f"--order {target} is outside 1..{d.order + 1}: the "
@@ -343,8 +337,7 @@ def cmd_deform_extend(args) -> int:
         report.update({"status": "fail", "solvable": None, "term": None,
                        "output": None,
                        "violations": _violations_doc(exc.report.violations)})
-        emit(report, args.format)
-        return EXIT_MATH_FAIL
+        return report
     # one document of the jet gives the term and the --out file
     doc = deformation_to_doc(jet) if jet is not None else None
     report.update({
@@ -357,17 +350,15 @@ def cmd_deform_extend(args) -> int:
     if doc is not None and args.out:
         save_doc(doc, args.out)
         report["output"] = args.out
-    emit(report, args.format)
-    return EXIT_OK if jet is not None else EXIT_MATH_FAIL
+    return report
 
 
-def cmd_deform_equiv(args) -> int:
+def cmd_deform_equiv(args) -> dict:
     if len(args.deformation) != 2:
         raise ParseError("deform equiv needs exactly two --deformation files")
     alg = _load_algebra(args)
-    mod = adjoint_module(alg)
-    d1 = load_deformation(args.deformation[0], alg, mod)
-    d2 = load_deformation(args.deformation[1], alg, mod)
+    d1 = load_deformation(args.deformation[0], alg)
+    d2 = load_deformation(args.deformation[1], alg)
     if d1.order != d2.order:
         raise ParseError(f"the deformations have orders {d1.order} and "
                          f"{d2.order}; deform equiv needs equal orders")
@@ -390,8 +381,7 @@ def cmd_deform_equiv(args) -> int:
         # an order-0 search says nothing about the order-1 terms
         rel = infinitesimal_relation(d1, d2, iso) if iso.order >= 1 else None
         report["infinitesimal_relation"] = rel.ok if rel is not None else None
-    emit(report, args.format)
-    return EXIT_OK if iso is not None else EXIT_MATH_FAIL
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -401,6 +391,7 @@ def cmd_deform_equiv(args) -> int:
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("algebra", help="algebra file (JSON)")
     common.add_argument("--format", choices=("text", "json"), default="text",
                         help="report rendering (default: text)")
     common.add_argument("--max-arity", type=int, default=DEFAULT_MAX_ARITY,
@@ -418,12 +409,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", parents=[common],
                        help="check grading and the Leibniz identity")
-    p.add_argument("algebra", help="algebra file (JSON)")
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("cohomology", parents=[common],
                        help="cohomology dimensions (and bases)")
-    p.add_argument("algebra")
     p.add_argument("--module", default="self",
                    help="'self', 'zero', or a module file (default: self)")
     p.add_argument("--max-n", type=int, default=2, dest="max_n",
@@ -434,13 +423,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("derivations", parents=[common],
                        help="derivations, inner derivations, dim H^1_even")
-    p.add_argument("algebra")
     p.add_argument("--module", default="self")
     p.set_defaults(func=cmd_derivations)
 
     p = sub.add_parser("extend", parents=[common],
                        help="build the extension defined by a 2-cocycle")
-    p.add_argument("algebra")
     p.add_argument("--cocycle", required=True, help="2-cochain file")
     p.add_argument("--module", default="self")
     p.add_argument("--out", help="write the total algebra here")
@@ -452,7 +439,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     q = dsub.add_parser("check", parents=[common],
                         help="verify the deformation equations")
-    q.add_argument("algebra")
     q.add_argument("--deformation", action="append", required=True)
     q.add_argument("--mod-order", action="store_true", dest="mod_order",
                    help="check orders 1..N only (jet reading) instead of 1..2N")
@@ -460,7 +446,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     q = dsub.add_parser("extend", parents=[common],
                         help="solve for the next deformation term")
-    q.add_argument("algebra")
     q.add_argument("--deformation", action="append", required=True)
     q.add_argument("--order", type=int, default=None,
                    help="target order (default: one past the file's order)")
@@ -470,7 +455,6 @@ def build_parser() -> argparse.ArgumentParser:
     q = dsub.add_parser("equiv", parents=[common],
                         help="search for a formal isomorphism between two "
                              "deformations")
-    q.add_argument("algebra")
     q.add_argument("--deformation", action="append", required=True,
                    help="give twice: from-deformation, to-deformation")
     q.add_argument("--order", type=int, default=None)
@@ -482,7 +466,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        report = args.func(args)
+        emit(report, args.format)
     except (OSError, ParseError, ArityCapError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -491,6 +476,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         traceback.print_exc()
         return EXIT_INTERNAL
+    return EXIT_OK if report["status"] == "pass" else EXIT_MATH_FAIL
 
 
 if __name__ == "__main__":

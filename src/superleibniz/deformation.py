@@ -27,25 +27,25 @@ equivalent_deformations and infinitesimal_relation.  None of them needs
 the inverse series Psi_t^(-1); the test suite's oracle builds it to check
 transform as Psi_t o mu_t o (Psi_t^(-1) x Psi_t^(-1)).
 
-Both are a Series: sparse int tables over one running denominator D, a
-term scaled once as it is added.  The residual and the defect are summed
-in those ints, over D**2 and D_mu * D_nu * D_psi**2, and the solves of
-extend and equiv hand them as they are to Coboundary.preimage, whose term
-the series adds as it is.  A reported defect is written from its ints
-(SuperSpace.describe over the denominator), as fileio writes a series, so
-no verb builds a Fraction for a coefficient of either.
+Both are a Series over the adjoint module of the algebra: sparse int
+tables over one running denominator D.  A series built from cochains
+scales its unit and terms together, once.  The residual and the defect
+are summed in those ints, over D**2 and D_mu * D_nu * D_psi**2, and the
+solves of extend and equiv hand them as they are to Coboundary.preimage,
+whose term the series adds as it is.  A reported defect is written from
+its ints (SuperSpace.describe over the denominator), as fileio writes a
+series, so no verb builds a Fraction for a coefficient of either.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
 
 from .algebra import (CheckReport, LeibnizSuperalgebra, SuperBimodule,
                       adjoint_module, leibniz_defect)
 from .cochain import Cochain, all_tuples
 from .cohomology import DEFAULT_MAX_ARITY, Coboundary
-from .linalg import scale_to_ints
+from .linalg import basis_vec, scale_to_ints
 
 
 def _scaled(table: list, mul: int, div: int = 1) -> list:
@@ -63,37 +63,42 @@ class Series:
     s_i at T by ascending k; den = D, the lcm of every denominator, so
     equal series have equal den and tables.  Tables are never changed in
     place; copies share them.  A subclass fixes ARITY, KIND (its name in
-    errors) and _unit, which adds s_0."""
+    errors) and _unit, the dense s_0."""
 
     def __init__(self, algebra: LeibnizSuperalgebra, terms: list[Cochain],
                  module: SuperBimodule | None = None, order: int | None = None):
         """The series of order `order` (default len(terms)) with the
-        cochains terms at t**1..t**len(terms)."""
-        module = module if module is not None else adjoint_module(algebra)
-        self._set(algebra, module, len(terms) if order is None else order, 1, {})
-        self._unit()
+        cochains terms at t**1..t**len(terms); module, if given, must be
+        the algebra's adjoint module."""
+        if module is None:
+            module = adjoint_module(algebra)
+        elif not (module.algebra == algebra and module.space == algebra.space
+                  and module.left == algebra.table == module.right):
+            raise ValueError(f"a {self.KIND} has coefficients in the adjoint "
+                             "module of its algebra")
+        order = len(terms) if order is None else order
+        if order < 0:
+            raise ValueError(f"order must be nonnegative, got {order}")
+        if len(terms) > order:
+            raise ValueError(f"a {self.KIND} of order {order} has no term "
+                             f"at t**{len(terms)}")
+        self.algebra, self.module, self.order = algebra, module, order
         for k, f in enumerate(terms, start=1):
             if f.arity != self.ARITY:
                 raise ValueError(f"{self.KIND} terms must have arity {self.ARITY}")
-            if f.algebra != self.algebra or f.module != self.module:
+            if f.algebra != algebra or f.module != module:
                 raise ValueError(f"term {k} must be a cochain on the algebra with "
                                  "adjoint coefficients")
             if f.degree != 0:
                 raise ValueError(f"term {k} must be homogeneous of degree 0")
-            self.append(k, f.coeffs)
-
-    def _set(self, algebra, module, order: int, den: int, tables: dict) -> "Series":
-        self.algebra, self.module, self.order = algebra, module, order
-        self.den, self.tables = den, tables
-        return self
+        # s_0 and every term over one lcm of denominators, in lowest terms
+        self.den, tables = scale_to_ints([self._unit()] + [f.coeffs for f in terms])
+        self.tables = {i: t for i, t in enumerate(tables) if any(t)}
 
     def _copy(self, order: int, den: int, tables: dict) -> "Series":
-        return object.__new__(type(self))._set(self.algebra, self.module, order, den, tables)
-
-    def append(self, power: int, vectors: list[list[Fraction]]) -> None:
-        """add() for a term given as dense Fraction vectors, one per tuple."""
-        den, (table,) = scale_to_ints([vectors])
-        self.add(power, den, table)
+        out = object.__new__(type(self))
+        out.__dict__.update(self.__dict__, order=order, den=den, tables=tables)
+        return out
 
     def add(self, power: int, den: int, table: list) -> None:
         """Set the absent term at power to the flat int table over den, in
@@ -128,8 +133,8 @@ class TruncatedDeformation(Series):
 
     ARITY, KIND = 2, "deformation"
 
-    def _unit(self) -> None:
-        self.append(0, [v for row in self.algebra.table for v in row])
+    def _unit(self) -> list:
+        return [v for row in self.algebra.table for v in row]
 
     @classmethod
     def zero(cls, alg: LeibnizSuperalgebra, order: int,
@@ -142,8 +147,8 @@ class FormalIsomorphism(Series):
 
     ARITY, KIND = 1, "isomorphism"
 
-    def _unit(self) -> None:
-        self.add(0, 1, [[(a, 1)] for a in range(self.algebra.dim)])
+    def _unit(self) -> list:
+        return [basis_vec(self.algebra.dim, a) for a in range(self.algebra.dim)]
 
     @classmethod
     def identity(cls, alg: LeibnizSuperalgebra, order: int,

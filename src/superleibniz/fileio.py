@@ -425,10 +425,9 @@ def save_cochain(f: Cochain, path: str) -> None:
 _TERM_KEY = re.compile(r"[1-9][0-9]*")   # ASCII digits, no leading zero
 
 
-def deformation_from_doc(doc, alg: LeibnizSuperalgebra,
-                         mod: SuperBimodule) -> TruncatedDeformation:
-    """The deformation in doc, each term parsed straight into its series;
-    an error inside a term names its power of t."""
+def deformation_from_doc(doc, alg: LeibnizSuperalgebra) -> TruncatedDeformation:
+    """The deformation of alg in doc, each term parsed straight into its
+    series; an error inside a term names its power of t."""
     if not isinstance(doc, dict):
         raise ParseError("deformation document must be a JSON object")
     _check_keys(doc, ("order", "terms"), "deformation")
@@ -441,13 +440,13 @@ def deformation_from_doc(doc, alg: LeibnizSuperalgebra,
     if unknown:
         raise ParseError(f"term key {unknown[0]!r} outside 1..{order}; term keys "
                          "are decimals without leading zeros")
-    d = TruncatedDeformation.zero(alg, order, mod)
+    d = TruncatedDeformation.zero(alg, order)
     for power, key in sorted((int(key), key) for key in terms_doc):
         try:
             if not isinstance(terms_doc[key], dict):
                 raise ParseError("must be an object with 'entries'")
             _, _, den, table = _cochain_table(
-                {"arity": 2, "degree": "even", **terms_doc[key]}, alg, mod,
+                {"arity": 2, "degree": "even", **terms_doc[key]}, alg, d.module,
                 "deformation terms must be even 2-cochains")
         except ParseError as exc:
             raise ParseError(f"term {key}: {exc}") from None
@@ -469,9 +468,8 @@ def deformation_to_doc(d: TruncatedDeformation) -> dict:
             "terms": {i: {"entries": e} for i, e in series_to_doc(d).items()}}
 
 
-def load_deformation(path: str, alg: LeibnizSuperalgebra,
-                     mod: SuperBimodule) -> TruncatedDeformation:
-    return deformation_from_doc(_load_json(path), alg, mod)
+def load_deformation(path: str, alg: LeibnizSuperalgebra) -> TruncatedDeformation:
+    return deformation_from_doc(_load_json(path), alg)
 
 
 def save_deformation(d: TruncatedDeformation, path: str) -> None:

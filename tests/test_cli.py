@@ -70,13 +70,18 @@ def test_validate_reports_is_lie():
     assert doc["status"] == "pass" and doc["is_lie"] is True
 
 
-def test_validate_counterexample_and_exit_code(tmp_path):
+def _ungraded_copy(tmp_path):
+    """The golden algebra with [z, z] = z, which breaks the grading."""
     doc = json.loads(pathlib.Path(ALG).read_text())
     doc["brackets"].append({"left": "z", "right": "z",
                             "value": [{"label": "z", "coeff": "1"}]})
     bad = tmp_path / "bad.json"
     bad.write_text(canonical_json(doc))
-    code, out, _ = run(["validate", str(bad), "--format", "json"])
+    return str(bad)
+
+
+def test_validate_counterexample_and_exit_code(tmp_path):
+    code, out, _ = run(["validate", _ungraded_copy(tmp_path), "--format", "json"])
     assert code == 1
     rep = json.loads(out)
     assert rep["status"] == "fail"
@@ -566,6 +571,32 @@ def test_deform_equiv_reports_the_order_it_searched(tmp_path):
     doc = json.loads(out)
     assert code == 0 and doc["equivalent"] is True
     assert doc["order"] == 2 and doc["searched_order"] == 0
+
+
+# the golden cases and the failing runs above, each as its argv made from
+# the test's tmp_path
+STATUS_RUNS = [(name, lambda tmp_path, args=args: args)
+               for name, args, _ in GOLDEN_CASES] + [
+    ("deform_extend_past_a_failing_order", lambda tmp_path: [
+        "deform", "extend", ALG, "--deformation", DEFORM_BAD, "--order", "2"]),
+    ("deform_equiv_false", lambda tmp_path: [
+        "deform", "equiv", ALG, "--deformation", DEFORM_ZERO,
+        "--deformation", _order_2_copy(tmp_path, DEFORM_BAD)]),
+    ("extend_non_cocycle", lambda tmp_path: ["extend", ALG, "--cocycle", NONCOCYCLE]),
+    ("validate_ungraded", lambda tmp_path: ["validate", _ungraded_copy(tmp_path)]),
+]
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("name,argv", STATUS_RUNS, ids=[c[0] for c in STATUS_RUNS])
+def test_exit_code_is_the_report_status(tmp_path, name, argv, fmt):
+    code, out, err = run(argv(tmp_path) + ["--format", fmt])
+    if fmt == "json":
+        status = json.loads(out)["status"]
+    else:
+        (status,) = [line[len("status: "):] for line in out.splitlines()
+                     if line.startswith("status: ")]
+    assert err == "" and code == {"pass": 0, "fail": 1}[status]
 
 
 def test_deform_equiv_order_beyond_the_files_is_a_usage_error(tmp_path):

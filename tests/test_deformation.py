@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -16,7 +17,7 @@ from oracles import (bruteforce_deformation_failures, cochain_coords, cochain_ev
                      fraction_transform, inverse, iso_matrix, scale, sparse)
 from test_cli import run
 from test_cohomology import _denominator_algebra
-from superleibniz.algebra import abelian, adjoint_module, nonlie_example
+from superleibniz.algebra import abelian, adjoint_module, nonlie_example, zero_module
 from superleibniz.cochain import Cochain, all_tuples, delta, tuple_index
 from superleibniz.cohomology import cohomology_table, delta_matrix
 from superleibniz.deformation import (ExtensionUndefined, FormalIsomorphism,
@@ -26,7 +27,7 @@ from superleibniz.deformation import (ExtensionUndefined, FormalIsomorphism,
                                       transform)
 from superleibniz.fileio import (cochain_to_doc, deformation_from_doc, load_deformation,
                                  save_algebra, save_deformation, series_to_doc)
-from superleibniz.linalg import F0, F1, basis_vec, bilinear
+from superleibniz.linalg import F0, F1, basis_vec, bilinear, scale_to_ints
 
 F = Fraction
 
@@ -236,9 +237,9 @@ def test_strict_checker_agrees_with_oracle_on_fractional_jets():
 
 
 def test_terms_are_scaled_once_when_the_series_is_built(monkeypatch):
-    # each term is scaled to ints once, as it enters the series; a check,
-    # whether it runs all 2N orders or stops at the first failing one,
-    # rescales nothing
+    # the unit and the terms are scaled to ints together, once, as the
+    # series is built; a check, whether it runs all 2N orders or stops at
+    # the first failing one, rescales nothing
     import superleibniz.deformation as deformation
     calls = []
     original = deformation.scale_to_ints
@@ -250,7 +251,7 @@ def test_terms_are_scaled_once_when_the_series_is_built(monkeypatch):
     monkeypatch.setattr(deformation, "scale_to_ints", counted)
     L, M = nonlie_setup()
     failing = TruncatedDeformation(L, [Cochain.zero(L, M, 2, 0), mu_zz_x(L, M)], M)
-    assert calls == [1, 1, 1]   # the bracket, then each term alone
+    assert calls == [3]   # one call holds the bracket and both terms
     for d, ok in ((TruncatedDeformation.zero(L, 3, M), True), (failing, False)):
         calls.clear()
         rep = check_deformation(d)
@@ -799,7 +800,7 @@ def test_series_parse_equals_the_dense_reference(case):
     # the series holds each term scaled by the lcm of all denominators, as
     # scaling the dense cochains together does, and writes the same bytes
     L, M, doc = case
-    d = deformation_from_doc(doc, L, M)
+    d = deformation_from_doc(doc, L)
     den, tables = dense_mu_ints(L, dense_deformation_from_doc(doc, L, M))
     assert (d.order, d.den, d.tables) == (doc["order"], den, tables)
     assert dense_terms(d) == dense_deformation_from_doc(doc, L, M)
@@ -818,8 +819,46 @@ def test_series_load_then_save_is_byte_identical(tmp_path_factory, case):
     text = json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
     src, dst = (tmp_path_factory.getbasetemp() / name for name in ("in.json", "out.json"))
     src.write_text(text, encoding="utf-8")
-    save_deformation(load_deformation(str(src), L, M), str(dst))
+    save_deformation(load_deformation(str(src), L), str(dst))
     assert dst.read_text(encoding="utf-8") == text
+
+
+def test_a_series_refuses_a_module_other_than_the_adjoint_one():
+    # extend and equiv solve against a Coboundary on the series' module;
+    # only the adjoint module makes those the deformation equations
+    L, M = nonlie_setup()
+    psi = Cochain.zero(L, M, 1, 0)
+    for module in (zero_module(L), adjoint_module(abelian(1, 1))):
+        for build in (lambda: TruncatedDeformation.zero(L, 2, module),
+                      lambda: TruncatedDeformation(L, [mu_zz_x(L, M)], module),
+                      lambda: FormalIsomorphism.identity(L, 2, module),
+                      lambda: FormalIsomorphism(L, [psi], module)):
+            with pytest.raises(ValueError, match="adjoint module of its algebra"):
+                build()
+    # any copy of the adjoint module is the adjoint module
+    assert TruncatedDeformation.zero(L, 2, adjoint_module(L)) == TruncatedDeformation.zero(L, 2)
+    assert TruncatedDeformation.zero(L, 2).module == M
+
+
+def test_a_series_holds_no_term_past_its_order(tmp_path):
+    # a file holds the terms at t**1..t**order only, so a series that saves
+    # must hold no other: every series that can be built loads back equal
+    L, M = nonlie_setup()
+    mu, psi = mu_zz_x(L, M), Cochain.zero(L, M, 1, 0)
+    path = str(tmp_path / "d.json")
+    for order in range(-1, 3):
+        for n in range(3):
+            try:
+                d = TruncatedDeformation(L, [mu] * n, M, order=order)
+            except ValueError as exc:
+                assert not 0 <= n <= order and re.search("nonnegative|has no term at",
+                                                         str(exc))
+                with pytest.raises(ValueError, match="nonnegative|has no term at"):
+                    FormalIsomorphism(L, [psi] * n, M, order=order)
+                continue
+            save_deformation(d, path)
+            assert load_deformation(path, L) == d
+            assert FormalIsomorphism(L, [psi] * n, M, order=order).order == order
 
 
 def test_series_rescales_only_when_the_denominator_grows():
@@ -831,7 +870,8 @@ def test_series_rescales_only_when_the_denominator_grows():
 
     def appended(mu):
         out = d._copy(2, d.den, dict(d.tables))
-        out.append(2, mu.coeffs)
+        den, (table,) = scale_to_ints([mu.coeffs])
+        out.add(2, den, table)
         return out
 
     grown = appended(half)

@@ -71,7 +71,7 @@ def _coefficient_places(bad):
     algebra = {**algebra_to_doc(L),
                "brackets": [{"left": "y", "right": "x",
                              "value": [{"label": "x", "coeff": bad}]}]}
-    return [(lambda: deformation_from_doc(deformation, L, M),
+    return [(lambda: deformation_from_doc(deformation, L),
              "term 1: cochain entry ['y', 'x']: label 'x': ",
              (deformation, ["deform", "check", str(GOLDEN / "nonlie3.json"), "--deformation"])),
             (lambda: cochain_from_doc(cochain, L, M),
@@ -265,7 +265,7 @@ def test_deformation_round_trip_with_gaps():
     d = TruncatedDeformation(L, [Cochain.zero(L, M, 2, 0), mu2], M)
     doc = deformation_to_doc(d)
     assert list(doc["terms"]) == ["2"]     # zero terms omitted
-    d2 = deformation_from_doc(json.loads(canonical_json(doc)), L, M)
+    d2 = deformation_from_doc(json.loads(canonical_json(doc)), L)
     assert d2 == d
 
 
@@ -308,9 +308,9 @@ def test_deformation_bad_keys_rejected():
     L = nonlie_example()
     M = adjoint_module(L)
     with pytest.raises(ParseError, match="outside"):
-        deformation_from_doc({"order": 1, "terms": {"5": {"entries": []}}}, L, M)
+        deformation_from_doc({"order": 1, "terms": {"5": {"entries": []}}}, L)
     with pytest.raises(ParseError, match="order"):
-        deformation_from_doc({"order": -1, "terms": {}}, L, M)
+        deformation_from_doc({"order": -1, "terms": {}}, L)
 
 
 @pytest.mark.parametrize("key", ["01", "+1", " 1", "1 ", "1.0", "\u0661", "0", ""])
@@ -320,17 +320,17 @@ def test_deformation_term_keys_must_be_canonical_decimals(key):
     L = nonlie_example()
     M = adjoint_module(L)
     term = json.loads((GOLDEN / "deform_zz_to_x.json").read_text())["terms"]["1"]
-    assert (deformation_from_doc({"order": 1, "terms": {"1": term}}, L, M)
+    assert (deformation_from_doc({"order": 1, "terms": {"1": term}}, L)
             != TruncatedDeformation.zero(L, 1, M))
     with pytest.raises(ParseError, match=re.escape(f"term key {key!r}")):
-        deformation_from_doc({"order": 1, "terms": {key: term}}, L, M)
+        deformation_from_doc({"order": 1, "terms": {key: term}}, L)
 
 
 def test_deformation_boolean_order_rejected():
     L = nonlie_example()
     M = adjoint_module(L)
     with pytest.raises(ParseError, match="order"):
-        deformation_from_doc({"order": True, "terms": {}}, L, M)
+        deformation_from_doc({"order": True, "terms": {}}, L)
 
 
 @pytest.mark.parametrize("kind", ["algebra", "module", "cochain", "deformation"])
@@ -343,7 +343,7 @@ def test_unknown_top_level_key_rejected(kind):
         "cochain": (cochain_to_doc(Cochain.zero(L, M, 2, 0)),
                     lambda doc: cochain_from_doc(doc, L, M)),
         "deformation": (deformation_to_doc(TruncatedDeformation.zero(L, 1, M)),
-                        lambda doc: deformation_from_doc(doc, L, M)),
+                        lambda doc: deformation_from_doc(doc, L)),
     }
     doc, parse = docs[kind]
     parse(doc)   # the canonical document loads
@@ -369,7 +369,7 @@ def test_duplicate_object_keys_rejected(tmp_path, kind):
                     "coeff", lambda path: load_cochain(path, L, M)),
         "deformation": ('{"order": 1, "terms": {"1": ' + dump(zz)
                         + ', "1": {"entries": []}}}',
-                        "1", lambda path: load_deformation(path, L, M)),
+                        "1", lambda path: load_deformation(path, L)),
     }
     text, key, load = texts[kind]
     p = tmp_path / "doc.json"

@@ -216,7 +216,7 @@ def test_series_terms_are_scaled_in_one_place():
     # enter the series; nothing rescans them per order or per check
     sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
     assert not any("mu_ints" in _names(ast.parse(s)) for s in sources.values())
-    assert scaling_sites(sources["deformation.py"]) in ([], ["Series.append"])
+    assert scaling_sites(sources["deformation.py"]) == ["Series.__init__"]
 
 
 def test_scaling_sites_are_reported():
@@ -403,3 +403,29 @@ def test_fraction_calls_and_jet_documents_are_reported():
     assert sorted(calls) == ["A", "A.check", "A.quiet", "extend"]
     assert calls["A.check"]["Fraction"] == 1 and not calls["A.quiet"]
     assert sum(calls["extend"][n] for n in JET_DOCUMENTS) == 2
+
+
+def verb_exits(source: str) -> list[str]:
+    """'cmd_x: name', sorted, for each emit or EXIT_* name (bare or as an
+    attribute) that a cmd_* function of source reads."""
+    return sorted(f"{node.name}: {name}" for node in ast.parse(source).body
+                  if isinstance(node, ast.FunctionDef) and node.name.startswith("cmd_")
+                  for n in ast.walk(node)
+                  for name in [getattr(n, "id", getattr(n, "attr", None))]
+                  if isinstance(n, (ast.Name, ast.Attribute))
+                  and (name == "emit" or name.startswith("EXIT_")))
+
+
+def test_main_alone_emits_a_report_and_sets_its_exit_code():
+    # a verb returns its report; main renders it and maps its status to 0
+    # or 1, so no verb can exit with a code its report's status disowns
+    assert verb_exits((SRC / "cli.py").read_text(encoding="utf-8")) == []
+
+
+def test_verb_exits_are_reported():
+    source = ("def cmd_a(args):\n    emit(r, args.format)\n"
+              "    return EXIT_OK if ok else EXIT_MATH_FAIL\n\n"
+              "def cmd_b(args):\n    cli.emit(r, 'json')\n    return r\n\n"
+              "def main(argv):\n    emit(r, 'text')\n    return EXIT_OK\n")
+    assert verb_exits(source) == ["cmd_a: EXIT_MATH_FAIL", "cmd_a: EXIT_OK",
+                                  "cmd_a: emit", "cmd_b: emit"]
