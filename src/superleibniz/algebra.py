@@ -271,18 +271,13 @@ class SuperBimodule:
         3. [[m,a],b] = [m,[a,b]] - (-1)**(ma) [a,[m,b]]
 
         They are the Leibniz identity of the semidirect product L x M
-        ([x,y] in L, [x,m] and [m,x] in M, [m,n] = 0) on the triples
-        (a,b,m), (a,m,b) and (m,a,b), so leibniz_defect evaluates them on
-        its flat table; each defect is the M part of the triple's.
+        (semidirect_table) on the triples (a,b,m), (a,m,b) and (m,a,b),
+        so leibniz_defect evaluates them on its flat table; each defect is
+        the M part of the triple's.
         """
         asp, msp = self.algebra.space, self.space
-        da, dm = self.algebra.dim, self.dim
-        dim = da + dm
-        rows = ([[v + zeros(dm) for v in self.algebra.table[i]]
-                 + [zeros(da) + v for v in self.left[i]] for i in range(da)]
-                + [[zeros(da) + v for v in self.right[k]] + [zeros(dim)] * dm
-                   for k in range(dm)])
-        d, (table,) = scale_to_ints([[v for row in rows for v in row]])
+        da, dim = self.algebra.dim, self.algebra.dim + self.dim
+        d, (table,) = scale_to_ints([[v for row in semidirect_table(self) for v in row]])
         defects = leibniz_defect([(table, table)], asp.parities + msp.parities)
         labels = asp.labels + msp.labels
         bad = []
@@ -303,6 +298,18 @@ class SuperBimodule:
 
     def __repr__(self) -> str:
         return f"SuperBimodule({self.space.name!r} over {self.algebra.space.name!r})"
+
+
+def semidirect_table(mod: SuperBimodule, twist: list | None = None) -> list:
+    """Structure constants of L + M, L first: [x,y] is [x,y] in L plus
+    twist[x * dim L + y] in M (zero without a twist), [x,m] and [m,x] are
+    the module actions in M, and [m,n] = 0.  Every vector is a new list."""
+    alg, dl, dm = mod.algebra, mod.algebra.dim, mod.dim
+    return ([[alg.table[i][j] + (zeros(dm) if twist is None else twist[i * dl + j])
+              for j in range(dl)] + [zeros(dl) + v for v in mod.left[i]]
+             for i in range(dl)]
+            + [[zeros(dl) + v for v in mod.right[k]] + [zeros(dl + dm) for _ in range(dm)]
+               for k in range(dm)])
 
 
 def check_module_over(alg: LeibnizSuperalgebra, mod: SuperBimodule) -> None:

@@ -1,13 +1,14 @@
 """Command-line interface.
 
 Verbs: validate, cohomology, derivations, extend, deform {check,extend,equiv}.
-Every verb returns one report, which ``main`` emits as aligned text or as
-canonical JSON; both renderings are produced from the same dictionary, so
-they carry identical data.  Exit codes: 0 and 1 are the report's status,
-pass or fail (a failure's counterexample is in the report), 2 usage or
-parse error, 3 internal error (a broken invariant of the library, never a
-property of the input).  ``main`` may be called repeatedly in one process:
-its parser is built once, then reused.
+``main`` loads the algebra file, hands it to the verb and adds the command
+and the algebra's name to the body the verb returns; it emits that one
+report as aligned text or as canonical JSON, both produced from the same
+dictionary, so they carry identical data.  Exit codes: 0 and 1 are the
+report's status, pass or fail (a failure's counterexample is in the
+report), 2 usage or parse error, 3 internal error (a broken invariant of
+the library, never a property of the input).  ``main`` may be called
+repeatedly in one process: its parser is built once, then reused.
 """
 
 from __future__ import annotations
@@ -195,14 +196,11 @@ def _single_deformation(args) -> str:
 # commands
 # ---------------------------------------------------------------------------
 
-def cmd_validate(args) -> dict:
-    alg = _load_algebra(args)
+def cmd_validate(args, alg: LeibnizSuperalgebra) -> dict:
     grading = alg.check_grading()
     leibniz = alg.check_leibniz()
     ok = grading.ok and leibniz.ok
-    report = {
-        "command": "validate",
-        "algebra": alg.space.name,
+    return {
         "dim": alg.dim,
         "dim_even": alg.space.even_dim,
         "dim_odd": alg.space.odd_dim,
@@ -213,56 +211,39 @@ def cmd_validate(args) -> dict:
                     "violations": _violations_doc(leibniz.violations)},
         "is_lie": alg.is_lie() if ok else None,
     }
-    return report
 
 
-def cmd_cohomology(args) -> dict:
+def cmd_cohomology(args, alg: LeibnizSuperalgebra) -> dict:
     if args.max_n < 0:
         raise ParseError(f"--max-n must be nonnegative, got {args.max_n}")
-    alg = _load_algebra(args)
     mod, modname = _load_module_choice(args, alg)
     table = cohomology_table(alg, mod, args.max_n, with_bases=args.bases,
                              max_arity=args.max_arity)
-    rows = []
-    for n in range(args.max_n + 1):
-        for parity in (0, 1):
-            e = table.entry(n, parity)
-            rows.append({"n": n, "parity": parity_name(parity),
-                         "dim_c": e.dim_c, "dim_z": e.dim_z,
-                         "dim_b": e.dim_b, "dim_h": e.dim_h})
-    report = {
-        "command": "cohomology",
-        "algebra": alg.space.name,
-        "module": modname,
-        "max_n": args.max_n,
-        "status": "pass",
-        "table": rows,
-    }
+    rows, bases = [], []
+    for (n, parity), e in sorted(table.entries.items()):
+        rows.append({"n": n, "parity": parity_name(parity),
+                     "dim_c": e.dim_c, "dim_z": e.dim_z,
+                     "dim_b": e.dim_b, "dim_h": e.dim_h})
+        if args.bases:
+            bases.append({
+                "n": n,
+                "parity": parity_name(parity),
+                "cocycles": [cochain_to_doc(f)["entries"] for f in e.basis_z],
+                "coboundaries": [cochain_to_doc(f)["entries"] for f in e.basis_b],
+                "representatives": [cochain_to_doc(f)["entries"] for f in e.basis_h],
+            })
+    report = {"module": modname, "max_n": args.max_n, "status": "pass", "table": rows}
     if args.bases:
-        bases = []
-        for n in range(args.max_n + 1):
-            for parity in (0, 1):
-                e = table.entry(n, parity)
-                bases.append({
-                    "n": n,
-                    "parity": parity_name(parity),
-                    "cocycles": [cochain_to_doc(f)["entries"] for f in e.basis_z],
-                    "coboundaries": [cochain_to_doc(f)["entries"] for f in e.basis_b],
-                    "representatives": [cochain_to_doc(f)["entries"] for f in e.basis_h],
-                })
         report["bases"] = bases
     return report
 
 
-def cmd_derivations(args) -> dict:
-    alg = _load_algebra(args)
+def cmd_derivations(args, alg: LeibnizSuperalgebra) -> dict:
     mod, modname = _load_module_choice(args, alg)
     der0 = derivations(alg, mod, 0, max_arity=args.max_arity)
     der1 = derivations(alg, mod, 1, max_arity=args.max_arity)
     inner = inner_derivations(alg, mod)
-    report = {
-        "command": "derivations",
-        "algebra": alg.space.name,
+    return {
         "module": modname,
         "status": "pass",
         "dims": {"der_even": len(der0), "der_odd": len(der1),
@@ -271,11 +252,9 @@ def cmd_derivations(args) -> dict:
         "derivations_odd": [cochain_to_doc(f)["entries"] for f in der1],
         "inner_derivations": [cochain_to_doc(f)["entries"] for f in inner],
     }
-    return report
 
 
-def cmd_extend(args) -> dict:
-    alg = _load_algebra(args)
+def cmd_extend(args, alg: LeibnizSuperalgebra) -> dict:
     mod, modname = _load_module_choice(args, alg)
     h = load_cochain(args.cocycle, alg, mod,
                      even2="the twisting cochain must be an even 2-cochain")
@@ -283,8 +262,6 @@ def cmd_extend(args) -> dict:
     rep = check_extension(ext)
     cocycle_ok = delta(h).is_zero()
     report = {
-        "command": "extend",
-        "algebra": alg.space.name,
         "module": modname,
         "status": "pass" if rep.ok else "fail",
         "cocycle": cocycle_ok,
@@ -299,36 +276,26 @@ def cmd_extend(args) -> dict:
     return report
 
 
-def cmd_deform_check(args) -> dict:
-    alg = _load_algebra(args)
+def cmd_deform_check(args, alg: LeibnizSuperalgebra) -> dict:
     d = load_deformation(_single_deformation(args), alg)
     rep = check_deformation(d, mod_order=args.mod_order)
     top = d.order if args.mod_order else 2 * d.order
-    report = {
-        "command": "deform check",
-        "algebra": alg.space.name,
+    return {
         "order": d.order,
         "checked_orders": f"1..{top}",
         "status": "pass" if rep.ok else "fail",
         "violations": _violations_doc(rep.violations),
     }
-    return report
 
 
-def cmd_deform_extend(args) -> dict:
-    alg = _load_algebra(args)
+def cmd_deform_extend(args, alg: LeibnizSuperalgebra) -> dict:
     d = load_deformation(_single_deformation(args), alg)
     target = args.order if args.order is not None else d.order + 1
     if not 1 <= target <= d.order + 1:
         raise ParseError(f"--order {target} is outside 1..{d.order + 1}: the "
                          f"deformation provides orders up to {d.order}, "
                          f"cannot target order {target}")
-    report = {
-        "command": "deform extend",
-        "algebra": alg.space.name,
-        "order": d.order,
-        "target_order": target,
-    }
+    report = {"order": d.order, "target_order": target}
     try:
         jet = extend_deformation(d, target, max_arity=args.max_arity)
     except ExtensionUndefined as exc:
@@ -353,10 +320,9 @@ def cmd_deform_extend(args) -> dict:
     return report
 
 
-def cmd_deform_equiv(args) -> dict:
+def cmd_deform_equiv(args, alg: LeibnizSuperalgebra) -> dict:
     if len(args.deformation) != 2:
         raise ParseError("deform equiv needs exactly two --deformation files")
-    alg = _load_algebra(args)
     d1 = load_deformation(args.deformation[0], alg)
     d2 = load_deformation(args.deformation[1], alg)
     if d1.order != d2.order:
@@ -368,8 +334,6 @@ def cmd_deform_equiv(args) -> dict:
     iso = equivalent_deformations(d1, d2, order=args.order,
                                   max_arity=args.max_arity)
     report = {
-        "command": "deform equiv",
-        "algebra": alg.space.name,
         "order": d1.order,
         "status": "pass" if iso is not None else "fail",
         "equivalent": iso is not None,
@@ -466,7 +430,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        report = args.func(args)
+        alg = _load_algebra(args)
+        verb = args.verb if args.verb != "deform" else f"deform {args.deform_verb}"
+        report = {"command": verb, "algebra": alg.space.name, **args.func(args, alg)}
         emit(report, args.format)
     except (OSError, ParseError, ArityCapError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -185,12 +185,14 @@ def check_deformation(d: TruncatedDeformation, mod_order: bool = False) -> Check
     reading of the defining equation); mod_order stops at N, treating the
     deformation as a jet mod t**(N+1).  The int residuals of the series
     are zero-tested and a reported defect is written from them, and an
-    order whose products all have a zero factor costs no product.
+    order whose products all have a zero factor costs no product.  Past
+    twice the highest stored power no product mu_i mu_(r-i) remains, so
+    the orders beyond it are not visited.
     """
     top = d.order if mod_order else 2 * d.order
     sp = d.algebra.space
     den = d.den ** 2
-    for r in range(1, top + 1):
+    for r in range(1, min(top, 2 * max(d.tables, default=0)) + 1):
         bad = [{"order": r, "triple": tuple(sp.labels[i] for i in t),
                 "defect": sp.describe(v, den)}
                for t, v in zip(all_tuples(d.algebra.dim, 3), _residual_ints(d, r))

@@ -5,10 +5,12 @@ product of lifted elements is
 
     [(x,m),(y,n)] = ([x,y], [x,n] + [m,y] + h(x,y))
 
-for a degree-0 2-cochain h.  The total is a Leibniz superalgebra exactly
-when h is a cocycle, and two cocycles give equivalent extensions exactly
-when their difference is a coboundary, via (x,m) -> (x, m + f(x)); the
-test suite's oracle checks that theorem.  So the classes are the H^2_0
+for a degree-0 2-cochain h: the table is algebra.semidirect_table twisted
+by h, the same L + M block table whose Leibniz identity is the module
+axioms when h = 0.  The total is a Leibniz superalgebra exactly when h is
+a cocycle, and two cocycles give equivalent extensions exactly when
+their difference is a coboundary, via (x,m) -> (x, m + f(x)); the test
+suite's oracle checks that theorem.  So the classes are the H^2_0
 representatives basis_h of cohomology_table(L, M, 2, with_bases=True).
 """
 
@@ -17,9 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import (CheckReport, LeibnizSuperalgebra, SuperBimodule,
-                      SuperSpace)
+                      SuperSpace, semidirect_table)
 from .cochain import Cochain
-from .linalg import zeros
 
 
 @dataclass
@@ -52,17 +53,7 @@ def build_extension(alg: LeibnizSuperalgebra, mod: SuperBimodule,
         raise ValueError("the twisting cochain must have arity 2 and degree 0")
     if h.algebra != alg or h.module != mod:
         raise ValueError("cochain is not an L-cochain with values in M")
-    dl, dm = alg.dim, mod.dim
-    dim = dl + dm
-    space = _total_space(alg, mod)
-    table = [[zeros(dim) for _ in range(dim)] for _ in range(dim)]
-    for i in range(dl):
-        for j in range(dl):
-            table[i][j] = alg.bracket(i, j) + h.value((i, j))
-        for k in range(dm):
-            table[i][dl + k] = zeros(dl) + mod.left[i][k]
-            table[dl + k][i] = zeros(dl) + mod.right[k][i]
-    total = LeibnizSuperalgebra(space, table)
+    total = LeibnizSuperalgebra(_total_space(alg, mod), semidirect_table(mod, h.coeffs))
     return Extension(alg, mod, h, total)
 
 

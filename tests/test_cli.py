@@ -385,6 +385,23 @@ def test_negative_max_n_is_a_usage_error():
     assert "--max-n" in err
 
 
+@pytest.mark.parametrize("args,message", [
+    (["cohomology", "{alg}", "--max-n", "-1"], "--max-n must be nonnegative, got -1"),
+    (["deform", "equiv", "{alg}", "--deformation", DEFORM_ZERO],
+     "deform equiv needs exactly two --deformation files"),
+], ids=["max-n", "equiv-one-file"])
+def test_the_algebra_file_is_read_before_the_verb_checks_its_options(tmp_path, args,
+                                                                     message):
+    # main loads the algebra before it calls the verb: a missing file is
+    # the error, and a valid one leaves the verb's own message
+    missing = str(tmp_path / "missing.json")
+    code, out, err = run([a.format(alg=missing) for a in args])
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "missing.json" in err and message not in err
+    code, out, err = run([a.format(alg=ALG) for a in args])
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_version_flag():
     with pytest.raises(SystemExit) as exc:
         main(["--version"])

@@ -276,6 +276,41 @@ def test_strict_check_skips_the_products_of_zero_terms(monkeypatch):
     assert pairs == []
 
 
+def test_check_and_extend_visit_no_order_past_twice_the_highest_term(monkeypatch,
+                                                                     tmp_path):
+    # no product mu_i mu_(r-i) remains past twice the highest stored power;
+    # visiting every order up to the declared one made a 35-byte file
+    # declaring order 10**9 run for hours
+    import superleibniz.deformation as deformation
+    visited = []
+    residual = deformation._residual_ints
+
+    def counted(d, r):
+        visited.append(r)
+        if len(visited) > 100:
+            raise AssertionError(f"visited order {r}")
+        return residual(d, r)
+
+    monkeypatch.setattr(deformation, "_residual_ints", counted)
+    L, M = nonlie_setup()
+    # mu_t = (1 + t) mu_0 satisfies every order
+    mu1 = Cochain(L, M, 2, 0, [list(v) for row in L.table for v in row])
+    d = TruncatedDeformation(L, [mu1], M, order=10 ** 6)
+    for mod_order in (False, True):
+        visited.clear()
+        assert check_deformation(d, mod_order=mod_order).ok and visited == [1, 2]
+    visited.clear()
+    assert extend_deformation(d, 10 ** 6 + 1) is not None
+    assert visited == [1, 2, 10 ** 6 + 1]
+    # the report still names every order the equations were checked at
+    alg, src = tmp_path / "alg.json", tmp_path / "d.json"
+    save_algebra(L, str(alg))
+    save_deformation(d, str(src))
+    code, out, _ = run(["deform", "check", str(alg), "--deformation", str(src),
+                        "--format", "json"])
+    assert code == 0 and json.loads(out)["checked_orders"] == "1..2000000"
+
+
 @pytest.mark.parametrize("L", standard_fixtures(), ids=lambda L: L.space.name)
 def test_reported_defects_match_fraction_reference_on_fractional_jets(L):
     # the strict check builds Fractions only for the defects it reports;

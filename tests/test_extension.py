@@ -53,6 +53,24 @@ def test_extension_brackets_follow_the_twisted_product():
             assert not any(ext.total.bracket(dl + k, i)[:dl])
 
 
+def test_extension_table_holds_a_distinct_list_per_entry():
+    # tampering edits a total's table in place: one shared vector would
+    # carry an edit of one bracket into others, or into L, M or h
+    L, M = setup_nonlie()
+    for h in (Cochain.zero(L, M, 2, 0), cocycle_basis(L, M)[0]):
+        def inputs():
+            return [list(v) for rows in (L.table, M.left, M.right, [h.coeffs])
+                    for row in rows for v in row]
+        before_inputs = inputs()
+        vectors = [v for row in build_extension(L, M, h).total.table for v in row]
+        before = [list(v) for v in vectors]
+        for v in vectors:
+            v[0] += 1
+        assert [v[0] - w[0] for v, w in zip(vectors, before)] == [1] * len(vectors)
+        assert [v[1:] for v in vectors] == [w[1:] for w in before]
+        assert inputs() == before_inputs
+
+
 def test_every_cocycle_gives_a_leibniz_total():
     L, M = setup_nonlie()
     for h in cocycle_basis(L, M):

@@ -2,8 +2,9 @@
 module-level private function or class goes unreferenced, every public
 name of the library is reached by the library itself or by the
 benchmark, one elimination engine serves every matrix, one Coboundary
-owns the cochain coordinates, the CLI builds no series of its own, and
-the writers of defects and series build no Fraction.
+owns the cochain coordinates, the CLI builds no series of its own, the
+writers of defects and series build no Fraction, and main alone loads
+the algebra and writes a report's header.
 
 A stdlib stand-in for a linter's unused-import and dead-code rules.  The
 package __init__ is skipped by the import check: its imports are the
@@ -429,3 +430,44 @@ def test_verb_exits_are_reported():
               "def main(argv):\n    emit(r, 'text')\n    return EXIT_OK\n")
     assert verb_exits(source) == ["cmd_a: EXIT_MATH_FAIL", "cmd_a: EXIT_OK",
                                   "cmd_a: emit", "cmd_b: emit"]
+
+
+HEADER_KEYS = ("command", "algebra")
+
+
+def verb_headers(source: str) -> list[str]:
+    """'cmd_x: name', sorted, for each call of _load_algebra and each
+    "command" or "algebra" key (of a dict display, a subscript or a
+    keyword argument) in a cmd_* function of source."""
+    found = []
+    for node in ast.parse(source).body:
+        if not (isinstance(node, ast.FunctionDef) and node.name.startswith("cmd_")):
+            continue
+        for n in ast.walk(node):
+            if isinstance(n, ast.Call) and getattr(
+                    n.func, "id", getattr(n.func, "attr", None)) == "_load_algebra":
+                found.append(f"{node.name}: _load_algebra")
+            keys = (n.keys if isinstance(n, ast.Dict) else
+                    [n.slice] if isinstance(n, ast.Subscript) else
+                    [ast.Constant(n.arg)] if isinstance(n, ast.keyword) else [])
+            found += [f"{node.name}: {k.value}" for k in keys
+                      if isinstance(k, ast.Constant) and k.value in HEADER_KEYS]
+    return sorted(found)
+
+
+def test_main_alone_loads_the_algebra_and_writes_the_header():
+    # every verb takes the algebra main loaded and returns its report's
+    # body; main adds the command and the algebra's name to every report
+    assert verb_headers((SRC / "cli.py").read_text(encoding="utf-8")) == []
+
+
+def test_verb_headers_are_reported():
+    source = ("def cmd_a(args):\n    alg = _load_algebra(args)\n"
+              "    return {'command': 'a', 'algebra': alg.space.name, 'dim': 3}\n\n"
+              "def cmd_b(args, alg):\n    r = dict(command='b')\n"
+              "    r['algebra'] = cli._load_algebra(args).space.name\n    return r\n\n"
+              "def main(argv):\n    alg = _load_algebra(args)\n"
+              "    return {'command': 'x', 'algebra': alg}\n")
+    assert verb_headers(source) == ["cmd_a: _load_algebra", "cmd_a: algebra",
+                                    "cmd_a: command", "cmd_b: _load_algebra",
+                                    "cmd_b: algebra", "cmd_b: command"]
