@@ -16,6 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from .linalg import (F0, F1, add_scaled, basis_vec, bilinear, lin_comb,
                      ratio_str, scale_to_ints, zeros)
@@ -168,6 +169,7 @@ class LeibnizSuperalgebra:
     """A super vector space with a bracket given by structure constants.
 
     table[i][j] is the coefficient vector of [e_i, e_j] over the basis.
+    Read-only once used: its integral form is kept, and adjoint_module shares the table.
     """
 
     def __init__(self, space: SuperSpace, table: list[list[list[Fraction]]]):
@@ -188,6 +190,12 @@ class LeibnizSuperalgebra:
     def bracket(self, i: int, j: int) -> list[Fraction]:
         return self.table[i][j]
 
+    @cached_property
+    def integral(self) -> tuple[int, list]:
+        """(D, flat table): the bracket as scale_to_ints gives it, made once."""
+        d, (table,) = scale_to_ints([[v for row in self.table for v in row]])
+        return d, table
+
     def check_grading(self) -> CheckReport:
         """All nonzero c_ijk must satisfy parity(k) = parity(i) + parity(j)."""
         sp = self.space
@@ -197,7 +205,7 @@ class LeibnizSuperalgebra:
     def check_leibniz(self) -> CheckReport:
         """[[a,b],c] - [a,[b,c]] + (-1)**(ab) [b,[a,c]] = 0 on basis triples."""
         sp = self.space
-        d, (table,) = scale_to_ints([[v for row in self.table for v in row]])
+        d, table = self.integral
         bad = []
         for (i, j, k), defect in zip(itertools.product(range(self.dim), repeat=3),
                                      leibniz_defect([(table, table)], sp.parities)):
@@ -231,7 +239,10 @@ class SuperBimodule:
 
     left[i][k]  = coefficients of [e_i, m_k]  (algebra x module),
     right[k][i] = coefficients of [m_k, e_i]  (module x algebra).
+    Read-only once used: cochain.scaled_structure keeps their integral form.
     """
+
+    _structure: tuple | None = None   # cochain.scaled_structure's result
 
     def __init__(self, algebra: LeibnizSuperalgebra, space: SuperSpace,
                  left: list[list[list[Fraction]]], right: list[list[list[Fraction]]]):
@@ -382,11 +393,9 @@ def nonlie_example() -> LeibnizSuperalgebra:
 
 
 def adjoint_module(alg: LeibnizSuperalgebra) -> SuperBimodule:
-    """The algebra acting on itself by its bracket on both sides."""
-    dim = alg.dim
-    left = [[list(alg.table[i][k]) for k in range(dim)] for i in range(dim)]
-    right = [[list(alg.table[k][i]) for i in range(dim)] for k in range(dim)]
-    return SuperBimodule(alg, alg.space, left, right)
+    """The algebra acting on itself by its bracket on both sides: both
+    actions are its table itself, which the module shares, not a copy."""
+    return SuperBimodule(alg, alg.space, alg.table, alg.table)
 
 
 def zero_module(alg: LeibnizSuperalgebra, space: SuperSpace | None = None) -> SuperBimodule:

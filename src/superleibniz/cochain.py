@@ -133,13 +133,21 @@ def scaled_structure(mod: SuperBimodule) -> tuple[int, list, list, list]:
     """(D, table, left, right): mod's algebra's bracket and mod's actions
     scaled to ints by one denominator D (linalg.scale_to_ints).  table[a*dim
     + b], left[x][m] and right[x][m] list the nonzeros (k, D*coefficient) of
-    [x_a, x_b], [x, m_m] and [m_m, x]; left[x] is [] if x acts as zero."""
-    da = mod.algebra.dim
-    right = [[mod.right[m][x] for m in range(mod.dim)] for x in range(da)]
-    d, (table, *actions) = scale_to_ints(
-        [[v for row in mod.algebra.table for v in row], *mod.left, *right])
-    actions = [act if any(act) else [] for act in actions]
-    return d, table, actions[:da], actions[da:]
+    [x_a, x_b], [x, m_m] and [m_m, x]; left[x] is [] if x acts as zero.
+    Kept on mod; an adjoint module's actions are slices of alg.integral."""
+    if mod._structure is None:
+        alg, da = mod.algebra, mod.algebra.dim
+        if mod.left is alg.table is mod.right:   # the adjoint_module
+            d, table = alg.integral
+            actions = [table[x * da:(x + 1) * da] for x in range(da)] + [
+                table[x::da] for x in range(da)]
+        else:
+            right = [[mod.right[m][x] for m in range(mod.dim)] for x in range(da)]
+            d, (table, *actions) = scale_to_ints(
+                [[v for row in alg.table for v in row], *mod.left, *right])
+        actions = [act if any(act) else [] for act in actions]
+        mod._structure = d, table, actions[:da], actions[da:]
+    return mod._structure
 
 
 def parity_tables(parities: tuple[int, ...], n: int) -> list[list[int]]:

@@ -28,13 +28,13 @@ the inverse series Psi_t^(-1); the test suite's oracle builds it to check
 transform as Psi_t o mu_t o (Psi_t^(-1) x Psi_t^(-1)).
 
 Both are a Series over the adjoint module of the algebra: sparse int
-tables over one running denominator D.  A series built from cochains
-scales its unit and terms together, once.  The residual and the defect
-are summed in those ints, over D**2 and D_mu * D_nu * D_psi**2, and the
-solves of extend and equiv hand them as they are to Coboundary.preimage,
-whose term the series adds as it is.  A reported defect is written from
-its ints (SuperSpace.describe over the denominator), as fileio writes a
-series, so no verb builds a Fraction for a coefficient of either.
+tables over one running denominator D.  The unit is the algebra's
+integral form; the terms, from cochains or from a file, are scaled once,
+together.  The residual and the defect are summed in those ints, over
+D**2 and D_mu * D_nu * D_psi**2, and the solves of extend and equiv hand
+them as they are to Coboundary.preimage, whose term the series adds as
+it is; equiv and transform stop at the last order that can be nonzero.
+Defects and series are written from their ints, with no Fraction.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from .algebra import (CheckReport, LeibnizSuperalgebra, SuperBimodule,
                       adjoint_module, leibniz_defect)
 from .cochain import Cochain, all_tuples
 from .cohomology import DEFAULT_MAX_ARITY, Coboundary
-from .linalg import basis_vec, scale_to_ints
+from .linalg import scale_to_ints
 
 
 def _scaled(table: list, mul: int, div: int = 1) -> list:
@@ -63,7 +63,7 @@ class Series:
     s_i at T by ascending k; den = D, the lcm of every denominator, so
     equal series have equal den and tables.  Tables are never changed in
     place; copies share them.  A subclass fixes ARITY, KIND (its name in
-    errors) and _unit, the dense s_0."""
+    errors) and _unit, s_0 as (its denominator, its flat int table)."""
 
     def __init__(self, algebra: LeibnizSuperalgebra, terms: list[Cochain],
                  module: SuperBimodule | None = None, order: int | None = None):
@@ -91,28 +91,29 @@ class Series:
                                  "adjoint coefficients")
             if f.degree != 0:
                 raise ValueError(f"term {k} must be homogeneous of degree 0")
-        # s_0 and every term over one lcm of denominators, in lowest terms
-        self.den, tables = scale_to_ints([self._unit()] + [f.coeffs for f in terms])
-        self.tables = {i: t for i, t in enumerate(tables) if any(t)}
+        self.den, unit = self._unit()
+        self.tables = {0: unit} if any(unit) else {}
+        if terms:   # the terms are scaled once, together
+            den, tables = scale_to_ints([f.coeffs for f in terms])
+            self.add([(k, den, t) for k, t in enumerate(tables, start=1)])
 
     def _copy(self, order: int, den: int, tables: dict) -> "Series":
         out = object.__new__(type(self))
         out.__dict__.update(self.__dict__, order=order, den=den, tables=tables)
         return out
 
-    def add(self, power: int, den: int, table: list) -> None:
-        """Set the absent term at power to the flat int table over den, in
-        lowest terms; the stored ints are rescaled only if D grows."""
-        xs = [x for row in table for _, x in row]
-        if not xs:
-            return
-        g = gcd(den, *xs)
-        den //= g
-        top = lcm(self.den, den)
+    def add(self, terms) -> None:
+        """Set the absent terms (power, den, table), each a flat int table
+        over den, in lowest terms; the stored ints are rescaled once, if D
+        grows to the lcm of D and the terms' lowest denominators."""
+        terms = [(power, den, table) for power, den, table in terms if any(table)]
+        top = lcm(self.den, *(den // gcd(den, *(x for row in t for _, x in row))
+                              for _, den, t in terms))
         if top != self.den:
             self.tables = {i: _scaled(t, top // self.den) for i, t in self.tables.items()}
             self.den = top
-        self.tables[power] = _scaled(table, top // den, g)
+        for power, den, table in terms:
+            self.tables[power] = _scaled(table, top, den)
 
     def truncated(self, order: int) -> "Series":
         """The series mod t**(order+1), over its own lcm of denominators."""
@@ -133,8 +134,8 @@ class TruncatedDeformation(Series):
 
     ARITY, KIND = 2, "deformation"
 
-    def _unit(self) -> list:
-        return [v for row in self.algebra.table for v in row]
+    def _unit(self) -> tuple[int, list]:
+        return self.algebra.integral
 
     @classmethod
     def zero(cls, alg: LeibnizSuperalgebra, order: int,
@@ -147,8 +148,8 @@ class FormalIsomorphism(Series):
 
     ARITY, KIND = 1, "isomorphism"
 
-    def _unit(self) -> list:
-        return [basis_vec(self.algebra.dim, a) for a in range(self.algebra.dim)]
+    def _unit(self) -> tuple[int, list]:
+        return 1, [[(a, 1)] for a in range(self.algebra.dim)]
 
     @classmethod
     def identity(cls, alg: LeibnizSuperalgebra, order: int,
@@ -259,7 +260,7 @@ def extend_deformation(d: TruncatedDeformation, r: int,
     if solution is None:
         return None
     extended = base._copy(r, base.den, dict(base.tables))
-    extended.add(r, *solution)
+    extended.add([(r, *solution)])
     if any(map(any, _extended_residual(base, residual, extended, r))):
         raise AssertionError("solver produced mu_r that fails order r; "
                              "sign conventions broken")
@@ -304,15 +305,19 @@ def transform(d: TruncatedDeformation, iso: FormalIsomorphism) -> TruncatedDefor
     mod t**(N+1), i.e. iso is a formal isomorphism from d to the result.
 
     As psi_0 = id, nu_r enters the order-r equation only as nu_r(a, b), so
-    nu_r is the intertwining defect against nu_1..nu_(r-1).
+    nu_r is the intertwining defect against nu_1..nu_(r-1).  It is zero past
+    P_mu + Q and P_nu + 2Q (the highest stored powers), where the loop stops.
     """
     if iso.algebra != d.algebra:
         raise ValueError("isomorphism is over a different algebra")
     if iso.order != d.order:
         raise ValueError("isomorphism and deformation must share the order")
     nu = TruncatedDeformation.zero(d.algebra, d.order, d.module)
+    q = max(iso.tables, default=0)
     for r in range(1, d.order + 1):
-        nu.add(r, *_intertwining_defect(d, nu, iso, r, d.algebra.dim))
+        if r > max(max(d.tables, default=0) + q, max(nu.tables, default=0) + 2 * q):
+            break
+        nu.add([(r, *_intertwining_defect(d, nu, iso, r, d.algebra.dim))])
     return nu
 
 
@@ -325,6 +330,7 @@ def equivalent_deformations(d1: TruncatedDeformation, d2: TruncatedDeformation,
     as -delta(psi_r), since delta(f)(a,b) = -f([a,b]) + [a,f(b)] + [f(a),b]
     for an even 1-cochain; so psi_r solves delta(psi_r) = the defect with
     psi_r = 0, against the degree-1 coboundary matrix.  None when obstructed.
+    Past P + 2Q (top powers of d1, d2 and of Psi_t) every psi_r is zero; it stops there.
     """
     if d1.algebra != d2.algebra:
         raise ValueError("deformations live on different algebras")
@@ -337,11 +343,14 @@ def equivalent_deformations(d1: TruncatedDeformation, d2: TruncatedDeformation,
     alg, mod = da.algebra, da.module
     cob = Coboundary(mod, 2, max_arity)
     iso = FormalIsomorphism.identity(alg, n, mod)
+    top = max([0, *da.tables, *db.tables])
     for r in range(1, n + 1):
+        if r > top + 2 * max(iso.tables, default=0):
+            break
         solution = cob.preimage(1, 0, *_intertwining_defect(da, db, iso, r, alg.dim))
         if solution is None:
             return None
-        iso.add(r, *solution)
+        iso.add([(r, *solution)])
     if transform(da, iso) != db:
         raise AssertionError("order-by-order solution failed to match; "
                              "sign conventions broken")

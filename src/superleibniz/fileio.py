@@ -426,8 +426,8 @@ _TERM_KEY = re.compile(r"[1-9][0-9]*")   # ASCII digits, no leading zero
 
 
 def deformation_from_doc(doc, alg: LeibnizSuperalgebra) -> TruncatedDeformation:
-    """The deformation of alg in doc, each term parsed straight into its
-    series; an error inside a term names its power of t."""
+    """The deformation of alg in doc: every term is parsed, then all are
+    added at once (Series.add); an error inside a term names its power."""
     if not isinstance(doc, dict):
         raise ParseError("deformation document must be a JSON object")
     _check_keys(doc, ("order", "terms"), "deformation")
@@ -441,6 +441,7 @@ def deformation_from_doc(doc, alg: LeibnizSuperalgebra) -> TruncatedDeformation:
         raise ParseError(f"term key {unknown[0]!r} outside 1..{order}; term keys "
                          "are decimals without leading zeros")
     d = TruncatedDeformation.zero(alg, order)
+    terms = []
     for power, key in sorted((int(key), key) for key in terms_doc):
         try:
             if not isinstance(terms_doc[key], dict):
@@ -450,7 +451,8 @@ def deformation_from_doc(doc, alg: LeibnizSuperalgebra) -> TruncatedDeformation:
                 "deformation terms must be even 2-cochains")
         except ParseError as exc:
             raise ParseError(f"term {key}: {exc}") from None
-        d.add(power, den, table)
+        terms.append((power, den, table))
+    d.add(terms)
     return d
 
 

@@ -1,9 +1,10 @@
 """Exact linear algebra over the rationals.
 
 The structure tables hold dense lists of `fractions.Fraction`;
-scale_to_ints turns families of them into sparse integer rows over one
-common denominator for the multiply-and-add loops of the coboundary
-walk, the Leibniz defect and the terms of a deformation series.
+scale_to_ints turns them into sparse int rows over one denominator,
+once per object (an algebra, the semidirect table of a module check, any
+other module, a series built from cochains), for the coboundary walk,
+the Leibniz defect and the terms of a series.
 Everything else here is sparse: a matrix stores one {column:
 coefficient} dict per row holding the nonzeros only (ints or
 Fractions), and kernel_basis, row_space_basis, extend_to_basis and solve

@@ -70,8 +70,11 @@
 - dense_deformation_from_doc and dense_mu_ints: the deformation file read
   into one dense Fraction cochain per power of t (a zero one per missing
   term), and those terms with the bracket scaled together to ints by
-  scale_to_ints; the reference for the series that fileio parses each
-  term straight into.
+  scale_to_ints; the reference for the series that fileio builds from
+  all of a file's terms at once.
+- dense_scaled_structure: cochain.scaled_structure as one scale_to_ints
+  scan of the bracket and both actions, for any module; the reference
+  for the adjoint module's slices of the algebra's integral table.
 - fraction_intertwining_defect: the order-r intertwining defect from the
   polynomial expansion, the reference right-hand side of equiv's solves.
 - fraction_describe: a defect v over an int denominator written through
@@ -450,6 +453,17 @@ def fraction_extend_to_basis(base_rows: list[dict], candidates: list[dict]) -> l
         _fraction_insert({j: Fraction(x) for j, x in r.items()}, pivots)
     return [cand for cand in candidates
             if _fraction_insert({j: Fraction(x) for j, x in cand.items()}, pivots)]
+
+
+def dense_scaled_structure(mod: SuperBimodule) -> tuple[int, list, list, list]:
+    """(D, table, left, right) as cochain.scaled_structure lays it out,
+    from one scan of the bracket and both action tables of mod."""
+    da = mod.algebra.dim
+    right = [[mod.right[m][x] for m in range(mod.dim)] for x in range(da)]
+    d, (table, *actions) = scale_to_ints(
+        [[v for row in mod.algebra.table for v in row], *mod.left, *right])
+    actions = [act if any(act) else [] for act in actions]
+    return d, table, actions[:da], actions[da:]
 
 
 def tuple_coboundary_terms(alg: LeibnizSuperalgebra, structure: tuple, degree: int,

@@ -7,13 +7,15 @@ import pytest
 from helpers import (modules_for, random_cochain, random_homogeneous_vector,
                      standard_fixtures)
 from oracles import (MixedParityError, act_left, act_right, cochain_eval,
-                     cochain_space_module, curry, d_op, dense_delta,
+                     cochain_space_module, curry, d_op, dense_delta, dense_scaled_structure,
                      bracket_vec, expanded_act_right, identity_map, is_homogeneous,
                      restrict, scale, uncurry_value, vector_parity)
-from superleibniz.algebra import (SuperSpace, abelian, adjoint_module,
+from test_cohomology import _denominator_algebra
+from superleibniz.algebra import (SuperBimodule, SuperSpace, abelian, adjoint_module,
                                   free_truncated, koszul, nonlie_example)
-from superleibniz.cochain import Cochain, all_tuples, delta, tuple_index
-from superleibniz.linalg import F0, F1, basis_vec, zeros
+from superleibniz.cochain import Cochain, all_tuples, delta, scaled_structure, tuple_index
+from superleibniz.deformation import FormalIsomorphism, TruncatedDeformation
+from superleibniz.linalg import F0, F1, basis_vec, scale_to_ints, zeros
 
 F = Fraction
 
@@ -459,3 +461,26 @@ def test_delta_is_linear():
     g = random_cochain(L, M, 1, 1, rng)
     c = F(3, 2)
     assert delta(f + scale(g, c)).coeffs == (delta(f) + scale(delta(g), c)).coeffs
+
+
+@pytest.mark.parametrize("L", standard_fixtures() + [_denominator_algebra()],
+                         ids=lambda L: L.space.name)
+def test_the_integral_form_equals_a_fresh_scan(L):
+    # the algebra scales its bracket once and keeps it; the adjoint module,
+    # which shares the algebra's table, slices its actions from that form,
+    # and the unit of every series reads it
+    M = adjoint_module(L)
+    assert M.left is L.table is M.right
+    d, (table,) = scale_to_ints([[v for row in L.table for v in row]])
+    assert L.integral == (d, table)
+    assert scaled_structure(M) == dense_scaled_structure(M)
+    # an equal module built apart takes the scan, with the same result
+    apart = SuperBimodule(L, L.space, [[list(v) for v in row] for row in L.table],
+                          [[list(v) for v in row] for row in L.table])
+    assert scaled_structure(apart) == dense_scaled_structure(M)
+    assert scaled_structure(apart) is scaled_structure(apart)   # kept on the module
+    zero = TruncatedDeformation.zero(L, 2)
+    assert (zero.den, zero.tables) == (d, {0: table} if any(table) else {})
+    e, (unit,) = scale_to_ints([[basis_vec(L.dim, a) for a in range(L.dim)]])
+    identity = FormalIsomorphism.identity(L, 2)
+    assert (identity.den, identity.tables) == (e, {0: unit})

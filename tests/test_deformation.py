@@ -1,5 +1,6 @@
 import itertools
 import json
+import pathlib
 import random
 import re
 from fractions import Fraction
@@ -30,6 +31,7 @@ from superleibniz.fileio import (cochain_to_doc, deformation_from_doc, load_defo
 from superleibniz.linalg import F0, F1, basis_vec, bilinear, scale_to_ints
 
 F = Fraction
+GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
 def nonlie_setup():
@@ -237,9 +239,9 @@ def test_strict_checker_agrees_with_oracle_on_fractional_jets():
 
 
 def test_terms_are_scaled_once_when_the_series_is_built(monkeypatch):
-    # the unit and the terms are scaled to ints together, once, as the
-    # series is built; a check, whether it runs all 2N orders or stops at
-    # the first failing one, rescales nothing
+    # the terms are scaled to ints together, once, as the series is built,
+    # and the unit is the algebra's integral form; a check, whether it runs
+    # all 2N orders or stops at the first failing one, rescales nothing
     import superleibniz.deformation as deformation
     calls = []
     original = deformation.scale_to_ints
@@ -251,7 +253,8 @@ def test_terms_are_scaled_once_when_the_series_is_built(monkeypatch):
     monkeypatch.setattr(deformation, "scale_to_ints", counted)
     L, M = nonlie_setup()
     failing = TruncatedDeformation(L, [Cochain.zero(L, M, 2, 0), mu_zz_x(L, M)], M)
-    assert calls == [3]   # one call holds the bracket and both terms
+    assert calls == [2]   # one call holds both terms
+    assert failing.tables[0] is L.integral[1]
     for d, ok in ((TruncatedDeformation.zero(L, 3, M), True), (failing, False)):
         calls.clear()
         rep = check_deformation(d)
@@ -309,6 +312,78 @@ def test_check_and_extend_visit_no_order_past_twice_the_highest_term(monkeypatch
     code, out, _ = run(["deform", "check", str(alg), "--deformation", str(src),
                         "--format", "json"])
     assert code == 0 and json.loads(out)["checked_orders"] == "1..2000000"
+
+
+def test_a_deformation_job_scales_the_structure_once(monkeypatch, tmp_path):
+    # the algebra keeps its integral bracket table: the loaded series, the
+    # zero and identity series, the transform's nu and the adjoint
+    # Coboundary all read it, so one job makes one scale_to_ints call
+    import sys
+    import superleibniz.linalg as linalg
+    calls = []
+    original = linalg.scale_to_ints
+
+    def counted(tables):
+        calls.append(len(tables))
+        return original(tables)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("superleibniz") and hasattr(module, "scale_to_ints"):
+            monkeypatch.setattr(module, "scale_to_ints", counted)
+    alg, zero, trivial = (str(GOLDEN / f) for f in (
+        "nonlie3.json", "deform_zero2.json", "deform_trivial2.json"))
+    jobs = [["deform", "equiv", alg, "--deformation", zero, "--deformation", trivial],
+            ["deform", "extend", alg, "--deformation", zero, "--out",
+             str(tmp_path / "jet.json")]]
+    for argv in jobs:
+        calls.clear()
+        code, _, err = run(argv)
+        assert code == 0 and calls == [1], (argv[1], err, calls)
+
+
+def test_equiv_and_transform_visit_no_order_past_the_last_nonzero_one(monkeypatch,
+                                                                      tmp_path):
+    # past P + 2Q no summand of the defect survives (P, Q the highest stored
+    # powers of the deformations and of Psi_t); visiting every declared
+    # order made two empty order-10**5 files take seconds
+    import superleibniz.deformation as deformation
+    visited = []
+    defect = deformation._intertwining_defect
+
+    def counted(mu, nu, psi, r, dim):
+        visited.append(r)
+        if len(visited) > 100:
+            raise AssertionError(f"visited order {r}")
+        return defect(mu, nu, psi, r, dim)
+
+    monkeypatch.setattr(deformation, "_intertwining_defect", counted)
+    L, M = nonlie_setup()
+    # mu_t = (1 + t) mu_0 satisfies every order
+    mu1 = Cochain(L, M, 2, 0, [list(v) for row in L.table for v in row])
+    alg, empty, one = tmp_path / "alg.json", tmp_path / "z.json", tmp_path / "d.json"
+    save_algebra(L, str(alg))
+    save_deformation(TruncatedDeformation.zero(L, 10 ** 6, M), str(empty))
+    save_deformation(TruncatedDeformation(L, [mu1], M, order=10 ** 6), str(one))
+    # equiv, the final transform and the order-1 relation
+    for path, orders in ((empty, [1]), (one, [1, 1, 1])):
+        visited.clear()
+        code, out, err = run(["deform", "equiv", str(alg), "--deformation", str(path),
+                              "--deformation", str(path), "--format", "json"])
+        assert code == 0, err
+        doc = json.loads(out)
+        assert doc["equivalent"] and doc["infinitesimal_relation"]
+        assert doc["isomorphism"] == {} and sorted(visited) == orders
+    # with psi_1 = (x -> x) the transform of zero stops past P_nu + 2Q = 3,
+    # and the search back from zero, which finds Q = 1 at order 1, visits
+    # the orders up to P + 2Q = 3 before its final transform
+    zero = TruncatedDeformation.zero(L, 10 ** 6, M)
+    psi = Cochain(L, M, 1, 0, [basis_vec(3, 0), [F0] * 3, [F0] * 3])
+    visited.clear()
+    nu = transform(zero, FormalIsomorphism(L, [psi], M, order=10 ** 6))
+    assert sorted(nu.tables) == [0, 1] and visited == [1, 2, 3]
+    visited.clear()
+    assert sorted(equivalent_deformations(zero, nu).tables) == [0, 1]
+    assert visited[:4] == [1, 2, 3, 1]
 
 
 @pytest.mark.parametrize("L", standard_fixtures(), ids=lambda L: L.space.name)
@@ -372,7 +447,8 @@ def test_two_product_certificate_is_the_full_residual(L):
 def test_solves_build_the_coboundary_matrix_for_a_nonzero_right_hand_side_only(monkeypatch):
     # extend and equiv make one Coboundary per call, lay out the parity-0
     # coordinates only, and build D_n on the first nonzero right-hand side,
-    # once; a zero one reads no row
+    # once; a zero one reads no row, and equiv of two zero deformations
+    # stops before its first order (no defect can be nonzero)
     import superleibniz.cohomology as cohomology
     built, made = [], []
     matrix, init = cohomology.delta_matrix, cohomology.Coboundary.__init__
@@ -384,15 +460,15 @@ def test_solves_build_the_coboundary_matrix_for_a_nonzero_right_hand_side_only(m
     mu1 = cohomology_table(L, M, 2, with_bases=True).entry(2, 0).basis_z[0]
     zero = TruncatedDeformation.zero(L, 3, M)
     d1 = transform(zero, random_iso(L, M, 3, random.Random(19)))
-    cases = [(lambda: 3 not in extend_deformation(zero.truncated(2), 3).tables, []),
-             (lambda: extend_deformation(TruncatedDeformation(L, [mu1], M), 2), [2]),
-             (lambda: equivalent_deformations(zero, zero), []),
-             (lambda: equivalent_deformations(zero, d1), [1])]
-    for call, matrices in cases:
+    cases = [(lambda: 3 not in extend_deformation(zero.truncated(2), 3).tables, [], [0]),
+             (lambda: extend_deformation(TruncatedDeformation(L, [mu1], M), 2), [2], [0]),
+             (lambda: equivalent_deformations(zero, zero), [], []),
+             (lambda: equivalent_deformations(zero, d1), [1], [0])]
+    for call, matrices, layouts in cases:
         built.clear()
         made.clear()
         assert call()
-        assert built == matrices and [list(cob._layouts) for cob in made] == [[0]]
+        assert built == matrices and [list(cob._layouts) for cob in made] == [layouts]
 
 
 def _negated(den, table):
@@ -906,7 +982,7 @@ def test_series_rescales_only_when_the_denominator_grows():
     def appended(mu):
         out = d._copy(2, d.den, dict(d.tables))
         den, (table,) = scale_to_ints([mu.coeffs])
-        out.add(2, den, table)
+        out.add([(2, den, table)])
         return out
 
     grown = appended(half)

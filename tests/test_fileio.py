@@ -274,18 +274,23 @@ COEFFS = st.one_of(st.integers(-30, 30).filter(bool), st.integers(2 ** 64, 2 ** 
 
 
 @st.composite
-def int_series(draw):
+def int_series(draw, even=False):
     """A series over _denominator_algebra() whose terms are random flat int
-    tables (negative ints and ints past 2**64) over random denominators."""
+    tables (negative ints and ints past 2**64) over random denominators,
+    added one by one; with even, each term is an even cochain, as a
+    deformation file holds it."""
     L = _denominator_algebra()
     d = TruncatedDeformation.zero(L, 3)
-    dim = L.dim
+    dim, par = L.dim, L.space.parities
     for power in draw(st.sets(st.integers(1, 3))):
         table = [[] for _ in range(dim * dim)]
         for idx in draw(st.sets(st.integers(0, dim * dim - 1), min_size=1, max_size=6)):
-            ks = sorted(draw(st.sets(st.integers(0, dim - 1), min_size=1, max_size=3)))
+            keys = (st.sampled_from([k for k in range(dim)
+                                     if par[k] == par[idx // dim] ^ par[idx % dim]])
+                    if even else st.integers(0, dim - 1))
+            ks = sorted(draw(st.sets(keys, min_size=1, max_size=3)))
             table[idx] = [(k, draw(COEFFS)) for k in ks]
-        d.add(power, draw(st.sampled_from([1, 2, 12, 2 ** 70 + 1])), table)
+        d.add([(power, draw(st.sampled_from([1, 2, 12, 2 ** 70 + 1])), table)])
     return d
 
 
@@ -302,6 +307,41 @@ def test_series_coefficients_are_written_as_their_fractions(d):
                      for idx, row in enumerate(table) if row]
             for i, table in d.tables.items() if i}
     assert series_to_doc(d) == want
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(int_series(even=True))
+def test_loading_builds_the_series_the_term_by_term_path_builds(d):
+    # the loader adds every term at once; the strategy adds them one by one
+    doc = json.loads(canonical_json(deformation_to_doc(d)))
+    loaded = deformation_from_doc(doc, d.algebra)
+    assert loaded == d and loaded.den == d.den and loaded.tables == d.tables
+
+
+def test_loading_rescales_each_stored_term_at_most_once(monkeypatch):
+    # N terms over pairwise coprime denominators raise D at every term; the
+    # loader rescales the unit once and scales each term once to the lcm
+    import superleibniz.deformation as deformation
+    scaled = []
+    original = deformation._scaled
+
+    def counted(table, mul, div=1):
+        scaled.append(table)
+        return original(table, mul, div)
+
+    monkeypatch.setattr(deformation, "_scaled", counted)
+    L = nonlie_example()
+    primes = [2, 3, 5, 7, 11, 13, 17, 19]
+    doc = {"order": len(primes), "terms": {
+        str(i): {"entries": [{"args": ["z", "z"],
+                              "value": [{"label": "x", "coeff": f"1/{p}"}]}]}
+        for i, p in enumerate(primes, start=1)}}
+    d = deformation_from_doc(doc, L)
+    assert len(scaled) <= len(primes) + 1
+    step = TruncatedDeformation.zero(L, len(primes))
+    for i, p in enumerate(primes, start=1):
+        step.add([(i, p, [[] for _ in range(8)] + [[(0, 1)]])])
+    assert d == step and d.den == 9699690
 
 
 def test_deformation_bad_keys_rejected():
