@@ -239,10 +239,8 @@ class SuperBimodule:
 
     left[i][k]  = coefficients of [e_i, m_k]  (algebra x module),
     right[k][i] = coefficients of [m_k, e_i]  (module x algebra).
-    Read-only once used: cochain.scaled_structure keeps their integral form.
+    Read-only once used: scaled keeps their integral form.
     """
-
-    _structure: tuple | None = None   # cochain.scaled_structure's result
 
     def __init__(self, algebra: LeibnizSuperalgebra, space: SuperSpace,
                  left: list[list[list[Fraction]]], right: list[list[list[Fraction]]]):
@@ -264,6 +262,26 @@ class SuperBimodule:
     @property
     def dim(self) -> int:
         return self.space.dim
+
+    @cached_property
+    def scaled(self) -> tuple[int, list, list, list]:
+        """(D, table, left, right): the algebra's bracket and the actions
+        scaled to ints by one denominator D (linalg.scale_to_ints).
+        table[a*dim + b], left[x][m] and right[x][m] list the nonzeros (k,
+        D*coefficient) of [x_a, x_b], [x, m_m] and [m_m, x]; left[x] is []
+        if x acts as zero.  The adjoint_module's actions are slices of
+        algebra.integral, so only another module is scanned."""
+        alg, da = self.algebra, self.algebra.dim
+        if self.left is alg.table is self.right:   # the adjoint_module
+            d, table = alg.integral
+            actions = [table[x * da:(x + 1) * da] for x in range(da)] + [
+                table[x::da] for x in range(da)]
+        else:
+            right = [[self.right[m][x] for m in range(self.dim)] for x in range(da)]
+            d, (table, *actions) = scale_to_ints(
+                [[v for row in alg.table for v in row], *self.left, *right])
+        actions = [act if any(act) else [] for act in actions]
+        return d, table, actions[:da], actions[da:]
 
     def check_grading(self) -> CheckReport:
         """Left violations first, then right ones; each tagged by its action."""

@@ -21,7 +21,8 @@ survives and delta(m)(x) = -[m, x].  Each term is one structure
 constant, so the one term walk behind delta and cohomology.delta_matrix
 visits only the nonzero brackets and actions, with the other slots free,
 and finds tuples by index arithmetic.  It reads the bracket and both
-actions scaled once to ints over one denominator D; delta sums ints and
+actions scaled once to ints over one denominator D (SuperBimodule.scaled);
+delta sums ints and
 divides by D once per entry.
 
 The paper's operator calculus (d_x, the restriction f_x, the bimodule
@@ -37,7 +38,7 @@ import itertools
 from fractions import Fraction
 
 from .algebra import LeibnizSuperalgebra, SuperBimodule, check_module_over
-from .linalg import scale_to_ints, vec_is_zero, zeros
+from .linalg import vec_is_zero, zeros
 
 
 def tuple_index(t: tuple[int, ...], dim: int) -> int:
@@ -129,27 +130,6 @@ class Cochain:
 _SIGN = (1, -1)   # (-1)**e, indexed by e & 1
 
 
-def scaled_structure(mod: SuperBimodule) -> tuple[int, list, list, list]:
-    """(D, table, left, right): mod's algebra's bracket and mod's actions
-    scaled to ints by one denominator D (linalg.scale_to_ints).  table[a*dim
-    + b], left[x][m] and right[x][m] list the nonzeros (k, D*coefficient) of
-    [x_a, x_b], [x, m_m] and [m_m, x]; left[x] is [] if x acts as zero.
-    Kept on mod; an adjoint module's actions are slices of alg.integral."""
-    if mod._structure is None:
-        alg, da = mod.algebra, mod.algebra.dim
-        if mod.left is alg.table is mod.right:   # the adjoint_module
-            d, table = alg.integral
-            actions = [table[x * da:(x + 1) * da] for x in range(da)] + [
-                table[x::da] for x in range(da)]
-        else:
-            right = [[mod.right[m][x] for m in range(mod.dim)] for x in range(da)]
-            d, (table, *actions) = scale_to_ints(
-                [[v for row in alg.table for v in row], *mod.left, *right])
-        actions = [act if any(act) else [] for act in actions]
-        mod._structure = d, table, actions[:da], actions[da:]
-    return mod._structure
-
-
 def parity_tables(parities: tuple[int, ...], n: int) -> list[list[int]]:
     """tables[L][i]: the parity of the length-L basis tuple of index i, L = 0..n."""
     tables = [[0]]
@@ -162,7 +142,7 @@ def coboundary_terms(alg: LeibnizSuperalgebra, structure: tuple[int, list, list,
                      degree: int, n: int, par: list[list[int]]):
     """The terms of D*delta on arity-n cochains of degree `degree`.
 
-    structure is scaled_structure of the cochains' module, or any
+    structure is the scaled form of the cochains' module, or any
     rescaling of it, and D its denominator; par is parity_tables to
     arity n or beyond.  Only nonzero structure
     constants are visited: each bracket [x_a, x_b] at slots i < j, each
@@ -216,7 +196,7 @@ def coboundary_terms(alg: LeibnizSuperalgebra, structure: tuple[int, list, list,
 
 def delta(f: Cochain) -> Cochain:
     """Coboundary: arity n+1, same degree."""
-    structure = scaled_structure(f.module)
+    structure = f.module.scaled
     support = [[(m, wm) for m, wm in enumerate(w) if wm] for w in f.coeffs]
     out = Cochain.zero(f.algebra, f.module, f.arity + 1, f.degree)
     acc = out.coeffs

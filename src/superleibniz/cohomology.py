@@ -21,7 +21,7 @@ from fractions import Fraction
 from math import lcm
 
 from .algebra import LeibnizSuperalgebra, SuperBimodule, check_module_over
-from .cochain import Cochain, coboundary_terms, parity_tables, scaled_structure
+from .cochain import Cochain, coboundary_terms, parity_tables
 from .linalg import (RatMatrix, extend_to_basis, kernel_basis, rank, row_space_basis,
                      solve)
 
@@ -114,7 +114,7 @@ class Coboundary:
                 f"has dimension dim M * (dim L)^n = {mod.dim} * {alg.dim}^{top}"
                 f"{value} (raise the cap to proceed)")
         self.module = mod
-        self.den, *tables = scaled_structure(mod)
+        self.den, *tables = mod.scaled
         self.structure = (1, *tables)
         self.par = parity_tables(alg.space.parities, top)
         self._layouts: dict[int, list] = {}

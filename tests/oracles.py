@@ -72,7 +72,7 @@
   term), and those terms with the bracket scaled together to ints by
   scale_to_ints; the reference for the series that fileio builds from
   all of a file's terms at once.
-- dense_scaled_structure: cochain.scaled_structure as one scale_to_ints
+- dense_scaled_structure: SuperBimodule.scaled as one scale_to_ints
   scan of the bracket and both actions, for any module; the reference
   for the adjoint module's slices of the algebra's integral table.
 - fraction_intertwining_defect: the order-r intertwining defect from the
@@ -456,7 +456,7 @@ def fraction_extend_to_basis(base_rows: list[dict], candidates: list[dict]) -> l
 
 
 def dense_scaled_structure(mod: SuperBimodule) -> tuple[int, list, list, list]:
-    """(D, table, left, right) as cochain.scaled_structure lays it out,
+    """(D, table, left, right) as SuperBimodule.scaled lays it out,
     from one scan of the bracket and both action tables of mod."""
     da = mod.algebra.dim
     right = [[mod.right[m][x] for m in range(mod.dim)] for x in range(da)]
@@ -471,7 +471,7 @@ def tuple_coboundary_terms(alg: LeibnizSuperalgebra, structure: tuple, degree: i
     """The terms of D*(delta f)(T), f of degree `degree` and arity len(T)-1,
     found by testing every slot pair and every action at the one tuple T.
 
-    structure is (D, table, left, right) as cochain.scaled_structure lays
+    structure is (D, table, left, right) as SuperBimodule.scaled lays
     it out.  Yields (S, scalar, action): with action None the term is
     scalar * f(S); otherwise action[m] lists the nonzeros (k, coefficient)
     of the image of m_m, and the term is scalar * sum_m f(S)[m] * action[m].
@@ -510,7 +510,7 @@ def fraction_delta_matrix(alg: LeibnizSuperalgebra, mod: SuperBimodule,
     """The coboundary matrix from arity n, summed in Fractions."""
     def nz(v):
         return [(k, c) for k, c in enumerate(v) if c]
-    # the structure tables unscaled, laid out as scaled_structure's with D = 1
+    # the structure tables unscaled, laid out as SuperBimodule.scaled's with D = 1
     structure = (1, [nz(v) for row in alg.table for v in row],
                  [[nz(v) for v in row] for row in mod.left],
                  [[nz(mod.right[m][x]) for m in range(mod.dim)] for x in range(alg.dim)])

@@ -13,7 +13,7 @@ from oracles import (MixedParityError, act_left, act_right, cochain_eval,
 from test_cohomology import _denominator_algebra
 from superleibniz.algebra import (SuperBimodule, SuperSpace, abelian, adjoint_module,
                                   free_truncated, koszul, nonlie_example)
-from superleibniz.cochain import Cochain, all_tuples, delta, scaled_structure, tuple_index
+from superleibniz.cochain import Cochain, all_tuples, delta, tuple_index
 from superleibniz.deformation import FormalIsomorphism, TruncatedDeformation
 from superleibniz.linalg import F0, F1, basis_vec, scale_to_ints, zeros
 
@@ -473,12 +473,12 @@ def test_the_integral_form_equals_a_fresh_scan(L):
     assert M.left is L.table is M.right
     d, (table,) = scale_to_ints([[v for row in L.table for v in row]])
     assert L.integral == (d, table)
-    assert scaled_structure(M) == dense_scaled_structure(M)
+    assert M.scaled == dense_scaled_structure(M)
     # an equal module built apart takes the scan, with the same result
     apart = SuperBimodule(L, L.space, [[list(v) for v in row] for row in L.table],
                           [[list(v) for v in row] for row in L.table])
-    assert scaled_structure(apart) == dense_scaled_structure(M)
-    assert scaled_structure(apart) is scaled_structure(apart)   # kept on the module
+    assert apart.scaled == dense_scaled_structure(M)
+    assert apart.scaled is apart.scaled   # kept on the module
     zero = TruncatedDeformation.zero(L, 2)
     assert (zero.den, zero.tables) == (d, {0: table} if any(table) else {})
     e, (unit,) = scale_to_ints([[basis_vec(L.dim, a) for a in range(L.dim)]])

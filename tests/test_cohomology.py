@@ -13,10 +13,10 @@ from oracles import (annihilator, basis_cochain, cochain_coords, cochain_eval,
                      fraction_extend_to_basis, fraction_rref, identity_map,
                      is_coboundary, mat_vec, matmul, sparse, sympy_rank)
 from superleibniz import cochain, cohomology, linalg
-from superleibniz.algebra import (LeibnizSuperalgebra, SuperSpace, abelian,
-                                  adjoint_module, free_truncated, nonlie_example,
-                                  zero_module)
-from superleibniz.cochain import Cochain, delta, scaled_structure
+from superleibniz.algebra import (LeibnizSuperalgebra, SuperBimodule, SuperSpace,
+                                  abelian, adjoint_module, free_truncated,
+                                  nonlie_example, zero_module)
+from superleibniz.cochain import Cochain, delta
 from superleibniz.cohomology import (ArityCapError, cohomology_table, delta_matrix,
                                      derivations, inner_derivations)
 from superleibniz.extension import build_extension, check_extension
@@ -189,13 +189,13 @@ def test_delta_matrix_matches_the_fraction_walk():
 
 def test_cohomology_table_scales_the_structure_once(monkeypatch):
     calls = []
+    scaled = SuperBimodule.scaled.func
 
     def spy(mod):
         calls.append(mod)
-        return scaled_structure(mod)
+        return scaled(mod)
 
-    monkeypatch.setattr(cohomology, "scaled_structure", spy)
-    monkeypatch.setattr(cochain, "scaled_structure", spy)
+    monkeypatch.setattr(SuperBimodule, "scaled", property(spy))
     L = nonlie_example()
     for M in modules_for(L):
         for with_bases in (False, True):
@@ -209,7 +209,7 @@ def _denominator_algebra() -> LeibnizSuperalgebra:
     seeded basis whose structure constants need a denominator D > 1."""
     L = _halved_basis(free_truncated(SuperSpace("V", ("a", "b"), (0, 1)), 2),
                       random.Random(5))
-    assert scaled_structure(adjoint_module(L))[0] > 1
+    assert adjoint_module(L).scaled[0] > 1
     return L
 
 

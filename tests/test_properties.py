@@ -30,7 +30,7 @@ from superleibniz.algebra import (AssociativeSuperalgebra, LeibnizSuperalgebra,
                                   SuperBimodule, SuperSpace, adjoint_module,
                                   free_truncated, from_associative, leibniz_defect,
                                   nonlie_example, zero_module)
-from superleibniz.cochain import Cochain, all_tuples, delta, scaled_structure, tuple_index
+from superleibniz.cochain import Cochain, all_tuples, delta, tuple_index
 from superleibniz.cohomology import Coboundary, cohomology_table, delta_matrix
 from superleibniz.fileio import module_to_doc
 from superleibniz.linalg import (F0, RatMatrix, basis_vec, lin_comb, rank, rref,
@@ -156,7 +156,7 @@ def rough_structures(draw):
 @given(st.data())
 def test_coboundary_walk_matches_its_oracles(data):
     alg, mod = data.draw(rough_structures())
-    assert scaled_structure(mod)[0] > 1
+    assert mod.scaled[0] > 1
     n = data.draw(st.integers(0, 3))
     parity = data.draw(st.integers(0, 1))
     assert delta_matrix(alg, mod, n, parity) == fraction_delta_matrix(alg, mod, n, parity)
