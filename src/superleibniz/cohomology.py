@@ -8,14 +8,17 @@ The basis of each parity component of a cochain space is enumerated
 deterministically: tuples of algebra basis indices in lexicographic
 order, then the admissible module basis indices in ascending order.
 This enumeration is part of the external contract (golden matrices and
-bases depend on it); _positions is its one encoding, which Coboundary
-holds: no other module reads cochain coordinates.  Coordinate rows cross
-to linalg and back as sparse {coordinate: coefficient} rows.
+bases depend on it); _offsets is its one encoding, per tuple: the
+coordinate of each tuple's first admissible module index, to which a
+module index adds its place among the indices of its parity.
+Coordinates holds it (Coboundary extends it), and no other module reads
+cochain coordinates.  Coordinate rows cross to linalg and back as sparse
+{coordinate: coefficient} rows.
 """
 
 from __future__ import annotations
 
-import itertools
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
@@ -38,18 +41,25 @@ def bounded_power(base: int, exp: int) -> int | None:
     return base ** exp if exp * base.bit_length() <= 256 else None
 
 
-def _positions(mod: SuperBimodule, par: list[list[int]],
-               parity: int) -> list[tuple[list[int | None], int]]:
-    """For each arity n of par (parity_tables), the flat position list of
-    the parity component and its dimension: entry tuple_index(t) * dim M + k
-    is the coordinate of (t, k), counted in the enumeration order, or None
-    when (t, k) is not in the component."""
-    out = []
+def _offsets(mod: SuperBimodule, par: list[list[int]], parity: int
+             ) -> tuple[list[list[int]], list[int], list[list[int]]]:
+    """The parity component's coordinates for each arity n of par
+    (parity_tables), as (adm, rank, bases).  adm[q] lists in ascending
+    order the module indices admissible beside a tuple of parity q, those
+    of parity `parity ^ q`, and rank[k] is k's place in its list;
+    bases[n][t] is the coordinate of the first of them beside the arity-n
+    tuple t, and bases[n][-1] the dimension.  So (t, k) sits at
+    bases[n][t] + rank[k] exactly when k is in adm[par[n][t]]."""
+    mpar = mod.space.parities
+    adm = [[k for k, p in enumerate(mpar) if p == parity ^ q] for q in (0, 1)]
+    rank = [mpar[:k].count(p) for k, p in enumerate(mpar)]
+    bases = []
     for pars in par:
-        inside = [p == parity ^ q for q in pars for p in mod.space.parities]
-        count = itertools.count()
-        out.append(([next(count) if x else None for x in inside], sum(inside)))
-    return out
+        base = [0]
+        for q in pars:
+            base.append(base[-1] + len(adm[q]))
+        bases.append(base)
+    return adm, rank, bases
 
 
 def delta_matrix(alg: LeibnizSuperalgebra, mod: SuperBimodule, n: int, parity: int,
@@ -60,49 +70,90 @@ def delta_matrix(alg: LeibnizSuperalgebra, mod: SuperBimodule, n: int, parity: i
     Columns follow the domain enumeration, rows the codomain enumeration;
     applying the matrix to a cochain's coordinates gives the coordinates
     of its coboundary.  Built in one pass over the terms of
-    coboundary_terms, as sparse int rows over the structure's denominator
-    D: the entries are ints when D is 1 and Fraction(x, D) otherwise.
-    Given coboundary (a Coboundary of mod to arity n+1 or beyond), it
-    reads that one's tables and layout and returns D times the coboundary
-    in ints, with the same rank, kernel and image.
+    coboundary_terms, visiting admissible coordinates only, as sparse int
+    rows over the structure's denominator D: the entries are ints when D
+    is 1 and Fraction(x, D) otherwise.  Given coboundary (a Coboundary of
+    mod to arity n+1 or beyond), it reads that one's tables and layout and
+    returns D times the coboundary in ints, with the same rank, kernel and
+    image.
     """
     if n < 0:
         raise ValueError("arity must be >= 0")
     check_module_over(alg, mod)
     cob = Coboundary(mod, n + 1, max_arity) if coboundary is None else coboundary
-    dm = mod.dim
-    (cols, ncols), (places, nrows) = cob.layout(parity)[n:n + 2]
-    rows = [{} for _ in range(nrows)]
+    adm, rank, bases = cob.layout(parity)
+    cols, places = bases[n:n + 2]
+    spar, tpar = cob.par[n:n + 2]
+    mpar = mod.space.parities
+    rows = [{} for _ in range(places[-1])]
+    # a coefficient that cancels is deleted at once, so no row holds a zero
     for t, s, c, action in coboundary_terms(alg, cob.structure, parity, n, cob.par):
-        t, s = t * dm, s * dm
+        q, i, j = spar[s], places[t], cols[s]
         if action is None:
-            for k in range(dm):
-                i, j = places[t + k], cols[s + k]
-                if i is not None and j is not None:
-                    row = rows[i]
-                    row[j] = row.get(j, 0) + c
+            # f(S)[k] lands in (delta f)(T)[k]: T and S admit the same k
+            # when they have one parity, and no k otherwise
+            if q == tpar[t]:
+                for row in rows[i:places[t + 1]]:
+                    v = row.get(j, 0) + c
+                    if v:
+                        row[j] = v
+                    else:
+                        del row[j]
+                    j += 1
             continue
-        for m, image in enumerate(action):
-            j = cols[s + m]
-            if j is not None:
-                for k, x in image:
-                    i = places[t + k]
-                    if i is not None:
-                        row = rows[i]
-                        row[j] = row.get(j, 0) + c * x
-    # terms can cancel: drop the coefficients that summed to zero
+        want = parity ^ tpar[t]
+        for m in adm[q]:
+            for k, x in action[m]:
+                if mpar[k] == want:
+                    row = rows[i + rank[k]]
+                    v = row.get(j, 0) + c * x
+                    if v:
+                        row[j] = v
+                    else:
+                        del row[j]
+            j += 1
     if coboundary is None and cob.den != 1:
-        rows = [{j: Fraction(x, cob.den) for j, x in row.items() if x} for row in rows]
-    else:
-        rows = [row if all(row.values()) else {j: x for j, x in row.items() if x} for row in rows]
-    return RatMatrix._of(ncols, rows)
+        rows = [{j: Fraction(x, cob.den) for j, x in row.items()} for row in rows]
+    return RatMatrix._of(cols[-1], rows)
 
 
-class Coboundary:
-    """delta on mod's cochains up to arity top (at most max_arity): the
-    structure scaled once to ints by its denominator den, the parity tables
-    built once, each parity's layout on first use; matrix keeps the last
-    matrix it built, so repeated solves against one D_n build it once."""
+class Coordinates:
+    """mod's cochain coordinates up to arity top: the parity tables built
+    once, each parity's layout (its _offsets encoding) on first use;
+    coordinate and pair read the layout, (t, k) -> coordinate and back."""
+
+    def __init__(self, mod: SuperBimodule, top: int):
+        self.module = mod
+        self.par = parity_tables(mod.algebra.space.parities, top)
+        self._layouts: dict[int, tuple] = {}
+
+    def layout(self, parity: int) -> tuple[list[list[int]], list[int], list[list[int]]]:
+        """_offsets of the parity component, for arities 0..top."""
+        if parity not in self._layouts:
+            self._layouts[parity] = _offsets(self.module, self.par, parity)
+        return self._layouts[parity]
+
+    def coordinate(self, n: int, parity: int, t: int, k: int) -> int | None:
+        """The coordinate of (t, k) in the arity-n parity component, or None
+        when module index k is not admissible beside tuple index t."""
+        if self.module.space.parities[k] != parity ^ self.par[n][t]:
+            return None
+        _, rank, bases = self.layout(parity)
+        return bases[n][t] + rank[k]
+
+    def pair(self, n: int, parity: int, j: int) -> tuple[int, int]:
+        """The (t, k) at coordinate j of the arity-n parity component."""
+        adm, _, bases = self.layout(parity)
+        base = bases[n]
+        t = bisect_right(base, j) - 1
+        return t, adm[self.par[n][t]][j - base[t]]
+
+
+class Coboundary(Coordinates):
+    """delta on mod's cochains up to arity top (at most max_arity), on their
+    Coordinates: the structure scaled once to ints by its denominator den.
+    matrix keeps the last matrix it built, so repeated solves against one
+    D_n build it once."""
 
     def __init__(self, mod: SuperBimodule, top: int, max_arity: int = DEFAULT_MAX_ARITY):
         alg = mod.algebra
@@ -113,18 +164,10 @@ class Coboundary:
                 f"arity {top} exceeds the cap {max_arity}; the cochain space "
                 f"has dimension dim M * (dim L)^n = {mod.dim} * {alg.dim}^{top}"
                 f"{value} (raise the cap to proceed)")
-        self.module = mod
+        super().__init__(mod, top)
         self.den, *tables = mod.scaled
         self.structure = (1, *tables)
-        self.par = parity_tables(alg.space.parities, top)
-        self._layouts: dict[int, list] = {}
         self._last: tuple[int, int, RatMatrix] | None = None
-
-    def layout(self, parity: int) -> list[tuple[list[int | None], int]]:
-        """_positions of the parity component, for arities 0..top."""
-        if parity not in self._layouts:
-            self._layouts[parity] = _positions(self.module, self.par, parity)
-        return self._layouts[parity]
 
     def matrix(self, n: int, parity: int) -> RatMatrix:
         """den * delta from arity n on the parity component, in ints."""
@@ -139,11 +182,9 @@ class Coboundary:
         rows lists per arity-(n+1) tuple index the nonzeros (k, den*c) of
         f; g comes back as (E, flat table of (k, E*coefficient)).  A zero f
         builds no matrix."""
-        dm = self.module.dim
-        (cols, _), (places, _) = self.layout(parity)[n:n + 2]
-        b = {places[t * dm + k]: c for t, row in enumerate(rows) for k, c in row
-             if places[t * dm + k] is not None}
-        table = [[] for _ in range(len(cols) // dm)]
+        b = {j: c for t, row in enumerate(rows) for k, c in row
+             if (j := self.coordinate(n + 1, parity, t, k)) is not None}
+        table = [[] for _ in self.par[n]]
         if not b:
             return 1, table
         x = solve(self.matrix(n, parity), b)
@@ -151,23 +192,20 @@ class Coboundary:
             return None
         # the matrix is self.den * delta and b is den * f: g = x * self.den / den
         e = lcm(*(v.denominator for v in x.values()))
-        for pos, j in enumerate(cols):
-            if j in x:
-                table[pos // dm].append(
-                    (pos % dm, x[j].numerator * (e // x[j].denominator) * self.den))
+        for j in sorted(x):
+            t, k = self.pair(n, parity, j)
+            table[t].append((k, x[j].numerator * (e // x[j].denominator) * self.den))
         return e * den, table
 
 
-def _cochains(rows: list[dict], alg: LeibnizSuperalgebra, mod: SuperBimodule,
-              n: int, parity: int, places: list[int | None]) -> list[Cochain]:
+def _cochains(rows: list[dict], coords: Coordinates, n: int, parity: int) -> list[Cochain]:
     """One cochain per sparse coordinate row, each coordinate placed by
-    places, the arity-n position list of _positions."""
-    flat = [p for p, j in enumerate(places) if j is not None]
+    coords.pair."""
     out = []
     for row in rows:
-        f = Cochain.zero(alg, mod, n, parity)
+        f = Cochain.zero(coords.module.algebra, coords.module, n, parity)
         for j, c in row.items():
-            t, k = divmod(flat[j], mod.dim)
+            t, k = coords.pair(n, parity, j)
             f.coeffs[t][k] = c
         out.append(f)
     return out
@@ -218,7 +256,7 @@ def cohomology_table(alg: LeibnizSuperalgebra, mod: SuperBimodule, max_n: int,
     Computing H^n needs the coboundary into arity n+1, so max_n+1 must be
     within the arity cap.  One Coboundary scales the structure once, and
     every matrix is D*delta in ints; the parity tables are built once, and
-    the position list of each arity once per parity.
+    the offset encoding once per parity.
     """
     check_module_over(alg, mod)
     cob = Coboundary(mod, max_n + 1, max_arity)
@@ -235,7 +273,7 @@ def cohomology_table(alg: LeibnizSuperalgebra, mod: SuperBimodule, max_n: int,
             if with_bases:
                 brows = _b_rows(prev_matrix)
                 e.basis_z, e.basis_b, e.basis_h = (
-                    _cochains(rows, alg, mod, n, parity, cob.layout(parity)[n][0])
+                    _cochains(rows, cob, n, parity)
                     for rows in (zrows, brows, extend_to_basis(brows, zrows)))
             table.entries[(n, parity)] = e
             prev_matrix = mat
@@ -249,19 +287,19 @@ def derivations(alg: LeibnizSuperalgebra, mod: SuperBimodule,
     """Canonical basis of the 1-cocycles of the given parity: Z^1."""
     check_module_over(alg, mod)
     cob = Coboundary(mod, 2, max_arity)
-    return _cochains(_z_rows(cob.matrix(1, parity)), alg, mod, 1, parity,
-                     cob.layout(parity)[1][0])
+    return _cochains(_z_rows(cob.matrix(1, parity)), cob, 1, parity)
 
 
 def inner_derivations(alg: LeibnizSuperalgebra, mod: SuperBimodule) -> list[Cochain]:
     """Canonical basis of {x -> [m, x] : m in M_0} as degree-0 1-cochains.
 
     This is B^1 of degree 0, delta(m)(x) = -[m, x], read off the right
-    action instead of building D_0.
+    action instead of building D_0, so the structure is not scaled.
     """
     check_module_over(alg, mod)
-    places, ncols = _positions(mod, parity_tables(alg.space.parities, 1), 0)[1]
-    rows = [{places[pos]: c for pos, c in enumerate(itertools.chain(*mod.right[m]))
-             if c and places[pos] is not None}
+    coords = Coordinates(mod, 1)
+    _, _, bases = coords.layout(0)
+    rows = [{j: c for x, image in enumerate(mod.right[m]) for k, c in enumerate(image)
+             if c and (j := coords.coordinate(1, 0, x, k)) is not None}
             for m, p in enumerate(mod.space.parities) if p == 0]
-    return _cochains(row_space_basis(RatMatrix(ncols, rows)), alg, mod, 1, 0, places)
+    return _cochains(row_space_basis(RatMatrix(bases[1][-1], rows)), coords, 1, 0)

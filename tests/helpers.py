@@ -114,6 +114,22 @@ def modules_for(alg: LeibnizSuperalgebra) -> list[SuperBimodule]:
     return [adjoint_module(alg), zero_module(alg)]
 
 
+def fraction_module(alg: LeibnizSuperalgebra, den: int = 6) -> SuperBimodule:
+    """A graded module-shaped table pair, not checked against the axioms,
+    of dimension dim L + 1 with parities 1, 0, 1, ...: every admissible
+    action constant is nonzero, and den is their lcm denominator."""
+    dm = alg.dim + 1
+    sp = SuperSpace("Mq", tuple(f"m{k}" for k in range(dm)), tuple((k + 1) & 1 for k in range(dm)))
+    apar, mpar = alg.space.parities, sp.parities
+
+    def value(x: int, m: int) -> list[Fraction]:
+        return [(Fraction(1, den) if (x + m) % 2 == 0 else Fraction(1 + k % 3))
+                if mpar[k] == apar[x] ^ mpar[m] else F0 for k in range(dm)]
+    left = [[value(x, m) for m in range(dm)] for x in range(alg.dim)]
+    right = [[value(x, m) for x in range(alg.dim)] for m in range(dm)]
+    return SuperBimodule(alg, sp, left, right)
+
+
 def random_coeff(rng: random.Random) -> Fraction:
     return Fraction(rng.randint(-4, 4), rng.choice((1, 1, 1, 2, 3)))
 

@@ -46,7 +46,7 @@
   at that tuple), with a (tuple, module index) column lookup; the
   reference for the library's walk over the nonzero structure constants
   scaled by one common denominator (cochain.coboundary_terms) and its
-  flat position lists.
+  per-tuple offset encoding.
 - mat_vec, matmul, zero_matrix and identity_matrix: matrix arithmetic on
   RatMatrix that only the tests need.
 - bracket_vec, scale and inverse: the bracket of two coefficient vectors,
@@ -59,8 +59,8 @@
 - enumerate_basis, cochain_from_coords and cochain_coords: the
   coordinate contract of cochain spaces (tuples in lexicographic order,
   then the admissible module indices), stated as a list of (tuple, module
-  index) pairs apart from the library's flat position lists
-  (cohomology.Coboundary.layout); fraction_delta_matrix and the golden bases
+  index) pairs apart from the library's per-tuple offset encoding
+  (cohomology.Coordinates.layout); fraction_delta_matrix and the golden bases
   are read in it.
 - is_coboundary, cochain_preimage, is_homogeneous, iso_matrix,
   dense_terms and parse_rational: the dense face of the library's sparse
@@ -1012,7 +1012,7 @@ def parse_rational(value) -> Fraction:
 def enumerate_basis(alg: LeibnizSuperalgebra, mod: SuperBimodule,
                     n: int, parity: int) -> list[tuple[tuple[int, ...], int]]:
     """Ordered basis of the parity component of the arity-n cochain space:
-    the coordinate contract, stated apart from the library's position lists."""
+    the coordinate contract, stated apart from the library's offset encoding."""
     asp, msp = alg.space, mod.space
     out = []
     for t in all_tuples(alg.dim, n):

@@ -4,15 +4,15 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import (modules_for, random_cochain, random_homogeneous_vector,
-                     standard_fixtures)
+from helpers import (fraction_module, modules_for, random_cochain,
+                     random_homogeneous_vector, standard_fixtures, trivial_module)
 from oracles import (MixedParityError, act_left, act_right, cochain_eval,
                      cochain_space_module, curry, d_op, dense_delta, dense_scaled_structure,
                      bracket_vec, expanded_act_right, identity_map, is_homogeneous,
                      restrict, scale, uncurry_value, vector_parity)
 from test_cohomology import _denominator_algebra
 from superleibniz.algebra import (SuperBimodule, SuperSpace, abelian, adjoint_module,
-                                  free_truncated, koszul, nonlie_example)
+                                  free_truncated, koszul, nonlie_example, zero_module)
 from superleibniz.cochain import Cochain, all_tuples, delta, tuple_index
 from superleibniz.deformation import FormalIsomorphism, TruncatedDeformation
 from superleibniz.linalg import F0, F1, basis_vec, scale_to_ints, zeros
@@ -484,3 +484,13 @@ def test_the_integral_form_equals_a_fresh_scan(L):
     e, (unit,) = scale_to_ints([[basis_vec(L.dim, a) for a in range(L.dim)]])
     identity = FormalIsomorphism.identity(L, 2)
     assert (identity.den, identity.tables) == (e, {0: unit})
+
+
+@pytest.mark.parametrize("L", standard_fixtures() + [_denominator_algebra()],
+                         ids=lambda L: L.space.name)
+def test_another_modules_scaled_form_equals_one_scan(L):
+    # a module other than the adjoint one, with no denominator, or with
+    # denominators of its own that do or do not raise the bracket's D
+    d, _ = L.integral
+    for M in [zero_module(L), trivial_module(L)] + [fraction_module(L, e) for e in (1, 2, 6, d)]:
+        assert M.scaled == dense_scaled_structure(M)

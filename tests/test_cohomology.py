@@ -6,8 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import (modules_for, osp12, random_cochain, sl2, standard_fixtures,
-                     transport, trivial_module)
+from helpers import (fraction_module, modules_for, osp12, random_cochain, sl2,
+                     standard_fixtures, transport, trivial_module)
 from oracles import (annihilator, basis_cochain, cochain_coords, cochain_eval,
                      dense_delta, enumerate_basis, fraction_delta_matrix,
                      fraction_extend_to_basis, fraction_rref, identity_map,
@@ -16,11 +16,11 @@ from superleibniz import cochain, cohomology, linalg
 from superleibniz.algebra import (LeibnizSuperalgebra, SuperBimodule, SuperSpace,
                                   abelian, adjoint_module, free_truncated,
                                   nonlie_example, zero_module)
-from superleibniz.cochain import Cochain, delta
+from superleibniz.cochain import Cochain, delta, tuple_index
 from superleibniz.cohomology import (ArityCapError, cohomology_table, delta_matrix,
                                      derivations, inner_derivations)
 from superleibniz.extension import build_extension, check_extension
-from superleibniz.linalg import (RatMatrix, basis_vec, bilinear, kernel_basis,
+from superleibniz.linalg import (F0, F1, RatMatrix, basis_vec, bilinear, kernel_basis,
                                  rank, row_space_basis)
 
 F = Fraction
@@ -204,6 +204,16 @@ def test_cohomology_table_scales_the_structure_once(monkeypatch):
             assert calls == [M]
 
 
+def test_inner_derivations_scale_no_structure(monkeypatch):
+    # inner_derivations read the right action and place coordinates only
+    calls = []
+    monkeypatch.setattr(SuperBimodule, "scaled", property(calls.append))
+    L = nonlie_example()
+    for M in modules_for(L):
+        inner_derivations(L, M)
+    assert calls == []
+
+
 def _denominator_algebra() -> LeibnizSuperalgebra:
     """free_truncated on one even and one odd generator at depth 2, in a
     seeded basis whose structure constants need a denominator D > 1."""
@@ -236,14 +246,53 @@ def _touched_cells(L, M, n: int, parity: int) -> set:
     """The (row, column) cells of D_n that some term of the coboundary walk
     reaches, whether or not the terms on a cell cancel."""
     cob = cohomology.Coboundary(M, n + 1)
-    (cols, _), (places, _) = cob.layout(parity)[n:n + 2]
-    dm, cells = M.dim, set()
+    cells = set()
     for t, s, _, action in cochain.coboundary_terms(L, cob.structure, parity, n, cob.par):
-        pairs = ([(k, k) for k in range(dm)] if action is None else
+        pairs = ([(k, k) for k in range(M.dim)] if action is None else
                  [(k, m) for m, image in enumerate(action) for k, _ in image])
-        cells.update((places[t * dm + k], cols[s * dm + m]) for k, m in pairs
-                     if places[t * dm + k] is not None and cols[s * dm + m] is not None)
+        cells.update((i, j) for k, m in pairs
+                     if (i := cob.coordinate(n + 1, parity, t, k)) is not None
+                     and (j := cob.coordinate(n, parity, s, m)) is not None)
     return cells
+
+
+@pytest.mark.parametrize(
+    "L", standard_fixtures() + [free_truncated(SuperSpace("V", ("a", "b"), (0, 1)), 2),
+                                _denominator_algebra()], ids=lambda L: L.space.name)
+def test_the_offset_encoding_is_the_coordinate_contract(L):
+    # Coordinates.coordinate places each admissible (t, k) at its index in
+    # the enumeration and every other pair nowhere, and pair inverts it,
+    # for module dimensions equal to and apart from dim L
+    for M in (adjoint_module(L), zero_module(L), fraction_module(L)):
+        coords = cohomology.Coordinates(M, 4)
+        for parity in (0, 1):
+            for n in range(5):
+                index = {(tuple_index(t, L.dim), k): j
+                         for j, (t, k) in enumerate(enumerate_basis(L, M, n, parity))}
+                _, _, bases = coords.layout(parity)
+                assert bases[n][-1] == len(index)
+                assert all(coords.coordinate(n, parity, t, k) == index.get((t, k))
+                           for t in range(L.dim ** n) for k in range(M.dim))
+                assert [coords.pair(n, parity, j) for j in range(len(index))] == list(index)
+
+
+def test_delta_matrix_of_an_ungraded_structure_equals_the_fraction_sum():
+    # [y, x] = x + z/2 and [y, m] = m + n each hold one constant of the
+    # wrong parity: a bracket term whose two tuples differ in parity, and
+    # an action constant landing outside the component, add nothing
+    L = nonlie_example()
+    L.table[1][0] = [F1, F0, F(1, 2)]
+    sp = SuperSpace("M", ("m", "n"), (0, 1))
+    left = [[[F0, F0] for _ in range(2)] for _ in range(3)]
+    right = [[[F0, F0] for _ in range(3)] for _ in range(2)]
+    left[1][0] = [F1, F1]
+    right[1][2] = [F1, F0]   # [n, z] = m
+    M = SuperBimodule(L, sp, left, right)
+    assert not L.check_grading().ok and not M.check_grading().ok
+    for mod in (adjoint_module(L), M):
+        for n in range(4):
+            for parity in (0, 1):
+                assert delta_matrix(L, mod, n, parity) == fraction_delta_matrix(L, mod, n, parity)
 
 
 def test_delta_matrix_holds_no_zero_and_no_column_out_of_range():

@@ -447,8 +447,9 @@ def test_two_product_certificate_is_the_full_residual(L):
 def test_solves_build_the_coboundary_matrix_for_a_nonzero_right_hand_side_only(monkeypatch):
     # extend and equiv make one Coboundary per call, lay out the parity-0
     # coordinates only, and build D_n on the first nonzero right-hand side,
-    # once; a zero one reads no row, and equiv of two zero deformations
-    # stops before its first order (no defect can be nonzero)
+    # once; a zero one reads no row and lays out no coordinate, and equiv
+    # of two zero deformations stops before its first order (no defect can
+    # be nonzero)
     import superleibniz.cohomology as cohomology
     built, made = [], []
     matrix, init = cohomology.delta_matrix, cohomology.Coboundary.__init__
@@ -460,7 +461,7 @@ def test_solves_build_the_coboundary_matrix_for_a_nonzero_right_hand_side_only(m
     mu1 = cohomology_table(L, M, 2, with_bases=True).entry(2, 0).basis_z[0]
     zero = TruncatedDeformation.zero(L, 3, M)
     d1 = transform(zero, random_iso(L, M, 3, random.Random(19)))
-    cases = [(lambda: 3 not in extend_deformation(zero.truncated(2), 3).tables, [], [0]),
+    cases = [(lambda: 3 not in extend_deformation(zero.truncated(2), 3).tables, [], []),
              (lambda: extend_deformation(TruncatedDeformation(L, [mu1], M), 2), [2], [0]),
              (lambda: equivalent_deformations(zero, zero), [], []),
              (lambda: equivalent_deformations(zero, d1), [1], [0])]

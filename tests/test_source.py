@@ -1,8 +1,9 @@
 """Source hygiene: no library module imports a name it never uses, no
 module-level private function or class goes unreferenced, every public
 name of the library is reached by the library itself or by the
-benchmark, one elimination engine serves every matrix, one Coboundary
-owns the cochain coordinates, the CLI builds no series of its own, the
+benchmark, one elimination engine serves every matrix, one Coordinates
+class owns the cochain coordinates and only delta_matrix walks the
+coboundary terms in cohomology, the CLI builds no series of its own, the
 writers of defects and series build no Fraction, and main alone loads
 the algebra and writes a report's header.
 
@@ -300,13 +301,13 @@ def test_elimination_sites_are_reported():
 
 
 def position_readers(sources: dict[str, str]) -> list[str]:
-    """The files, other than cohomology.py, that name _positions (as a
-    bare name, an attribute or an imported name): the cochain coordinate
-    layout has one owner, cohomology.Coboundary."""
+    """The files, other than cohomology.py, that name _offsets (as a bare
+    name, an attribute or an imported name): the cochain coordinate
+    encoding has one owner, cohomology.Coordinates."""
     return [name for name, source in sources.items() if name != "cohomology.py" and any(
-        (isinstance(n, ast.Name) and n.id == "_positions")
-        or (isinstance(n, ast.Attribute) and n.attr == "_positions")
-        or (isinstance(n, ast.alias) and n.name == "_positions")
+        (isinstance(n, ast.Name) and n.id == "_offsets")
+        or (isinstance(n, ast.Attribute) and n.attr == "_offsets")
+        or (isinstance(n, ast.alias) and n.name == "_offsets")
         for n in ast.walk(ast.parse(source)))]
 
 
@@ -317,11 +318,34 @@ def cohomology_imports(source: str) -> list[str]:
                   and node.level == 1 for alias in node.names)
 
 
+def term_walkers(source: str) -> list[str]:
+    """The definitions of a module that name coboundary_terms outside its
+    import: a module-level function by its name, a method as
+    'Class.method', any other module-level statement as '<module>';
+    nested functions count as the definition that holds them."""
+    sites = []
+    for node in ast.parse(source).body:
+        members = ([(f"{node.name}.{getattr(m, 'name', '<class>')}", m) for m in node.body]
+                   if isinstance(node, ast.ClassDef) else
+                   [(getattr(node, "name", "<module>"), node)])
+        sites += [label for label, member in members if any(
+            (isinstance(n, ast.Name) and n.id == "coboundary_terms")
+            or (isinstance(n, ast.Attribute) and n.attr == "coboundary_terms")
+            for n in ast.walk(member))]
+    return sites
+
+
 def test_one_owner_of_the_cochain_coordinates():
     # the library and the tests reach delta's coordinates through
-    # Coboundary.layout
+    # Coordinates.layout, coordinate and pair
     paths = sorted(SRC.glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
     assert position_readers({p.name: p.read_text(encoding="utf-8") for p in paths}) == []
+
+
+def test_only_delta_matrix_walks_the_coboundary_terms_in_cohomology():
+    # the benchmark's delta_matrix span then covers the whole walk
+    source = (SRC / "cohomology.py").read_text(encoding="utf-8")
+    assert term_walkers(source) == ["delta_matrix"]
 
 
 def test_deformation_takes_only_the_coboundary_from_cohomology():
@@ -332,14 +356,26 @@ def test_deformation_takes_only_the_coboundary_from_cohomology():
 
 
 def test_position_readers_and_cohomology_imports_are_reported():
-    sources = {"cohomology.py": "def _positions():\n    pass\n",
-               "a.py": "from .cohomology import _positions\n",
-               "b.py": "import cohomology\nx = cohomology._positions\n",
-               "c.py": "x = '_positions'\n"}
+    sources = {"cohomology.py": "def _offsets():\n    pass\n",
+               "a.py": "from .cohomology import _offsets\n",
+               "b.py": "import cohomology\nx = cohomology._offsets\n",
+               "c.py": "x = '_offsets'\n"}
     assert position_readers(sources) == ["a.py", "b.py"]
     source = ("from .cohomology import DEFAULT_MAX_ARITY, delta_matrix\n"
               "from .linalg import solve\nfrom superleibniz.cohomology import Coboundary\n")
     assert cohomology_imports(source) == ["DEFAULT_MAX_ARITY", "delta_matrix"]
+
+
+def test_term_walkers_are_reported():
+    source = ("from .cochain import coboundary_terms\n\n"
+              "def delta_matrix():\n    return list(coboundary_terms())\n\n"
+              "class Coboundary:\n    walk = cochain.coboundary_terms\n\n"
+              "    def matrix(self):\n        return coboundary_terms()\n\n"
+              "    def pair(self):\n        return 'coboundary_terms'\n\n"
+              "def helper():\n    def inner():\n        return coboundary_terms\n"
+              "    return inner\n\nterms = coboundary_terms\n")
+    assert term_walkers(source) == ["delta_matrix", "Coboundary.<class>", "Coboundary.matrix",
+                                    "helper", "<module>"]
 
 
 # Series.truncated, .appended and .add take one argument and Series.append
