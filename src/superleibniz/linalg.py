@@ -12,7 +12,10 @@ take and return such rows ({index: nonzero}); .entries builds a dense
 view on request.  One elimination routine serves rank, kernel, solve and
 bases.  It reduces primitive int rows fraction-free (int rows, such as a
 coboundary matrix built on the integral structure and an int right-hand
-side, go in as they are); rank reads its forward pass only.  The rows
+side, go in as they are); rank reads its forward pass only.  Single-entry
+rows cost no arithmetic: the forward pass visits rows sparsest first, so
+it takes each one as the unit pivot e_c or drops it, and clearing a
+column against a unit pivot only removes that entry.  The rows
 it returns are reduced, and written as Fractions, on first read: the
 canonical reduced row echelon form, which depends only on the row space,
 never on the order in which rows are reduced, so golden tests reproduce
@@ -178,7 +181,9 @@ def _insert(row: dict[int, int], pivots: dict[int, dict[int, int]]) -> bool:
     pivots maps each pivot column c to such a row, leftmost entry a at c.
     Clearing c sets row := (a/g)*row - (f/g)*pivot, f the row's entry at c
     and g = gcd(a, f), so only columns right of c change: the pivot
-    columns are cleared in ascending order, each at most once.
+    columns are cleared in ascending order, each at most once.  A pivot
+    row of length 1 is the unit row e_c (primitive, leading entry
+    positive), and clearing c against it is only the removal of f.
     """
     todo = [c for c in row if c in pivots]
     heapify(todo)
@@ -188,6 +193,8 @@ def _insert(row: dict[int, int], pivots: dict[int, dict[int, int]]) -> bool:
         if f is None:   # cancelled since it was queued
             continue
         piv = pivots[c]
+        if len(piv) == 1:   # the unit row e_c: popping f cleared c
+            continue
         g = gcd(piv[c], f)
         a, f = piv[c] // g, f // g
         if a != 1:
@@ -221,13 +228,23 @@ def rref(m: RatMatrix) -> tuple[RatMatrix, list[int]]:
     The result is the canonical basis of the row space, so two matrices
     have equal row spaces iff their rrefs agree up to trailing zero rows.
     Int rows are reduced fraction-free against the pivot rows so far,
-    sparsest first (less fill-in), which fixes the pivot columns.  The
+    sparsest first (less fill-in), which fixes the pivot columns.  While
+    single-entry rows {c: x} are visited, every pivot so far is a unit
+    row, so such a row spans e_c: it becomes the pivot of c if c has none
+    and is dropped otherwise, without _int_row or _insert.  Only that
+    order makes this right; against a non-unit pivot row (as
+    extend_to_basis can meet) a row {c: x} may enlarge the span.  The
     returned matrix is lazy: on first read, back-substitution makes the
     form reduced, and each pivot row is divided by its leading entry.
     """
     pivots: dict[int, dict[int, int]] = {}
     for row in sorted(filter(None, m.sparse_rows), key=len):
-        _insert(_int_row(row), pivots)
+        if len(row) > 1:
+            _insert(_int_row(row), pivots)
+        else:   # sparsest first: every pivot so far is a unit row
+            c, = row
+            if c not in pivots:
+                pivots[c] = {c: 1}
     order = sorted(pivots)
 
     def reduce() -> list[SparseRow]:

@@ -1,18 +1,22 @@
-"""Shared fixtures and random generators for the test suite."""
+"""Shared fixtures, random generators and the Chevalley-Eilenberg
+subcomplex of the coboundary matrices, for the test suite."""
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
+from oracles import matmul
 from superleibniz.algebra import (AssociativeSuperalgebra, LeibnizSuperalgebra,
                                   SuperBimodule, SuperSpace, abelian,
                                   adjoint_module, free_truncated,
                                   from_associative, koszul, nonlie_example,
                                   zero_module)
-from superleibniz.cochain import Cochain, all_tuples
+from superleibniz.cochain import Cochain, all_tuples, tuple_index
+from superleibniz.cohomology import Coboundary
 from superleibniz.linalg import (F0, F1, RatMatrix, basis_vec, bilinear, lin_comb,
-                                 solve, zeros)
+                                 rank, row_space_basis, solve, zeros)
 
 
 def matrix_1_1_associative() -> AssociativeSuperalgebra:
@@ -108,6 +112,64 @@ def osp12() -> LeibnizSuperalgebra:
 def trivial_module(alg: LeibnizSuperalgebra) -> SuperBimodule:
     """The 1-dim even module k with both actions zero."""
     return zero_module(alg, SuperSpace("k", ("1",), (0,)))
+
+
+def swap_sign(parities, a: int, b: int) -> int:
+    """-(-1)**(ab): a super-antisymmetric cochain's sign when adjacent
+    arguments a and b trade places."""
+    return 1 if parities[a] & parities[b] else -1
+
+
+def super_antisymmetrized(f: Cochain) -> Cochain:
+    """sum over permutations s of eps(s) f(x_s(1), ..., x_s(n)), eps the
+    product of swap_sign over the pairs of arguments s puts out of order."""
+    dim, par, n = f.algebra.dim, f.algebra.space.parities, f.arity
+    out = Cochain.zero(f.algebra, f.module, n, f.degree)
+    for t in all_tuples(dim, n):
+        acc = out.coeffs[tuple_index(t, dim)]
+        for perm in itertools.permutations(range(n)):
+            sign = 1
+            for i, j in itertools.combinations(range(n), 2):
+                if perm[i] > perm[j]:
+                    sign *= swap_sign(par, t[perm[i]], t[perm[j]])
+            for k, c in enumerate(f.coeffs[tuple_index([t[p] for p in perm], dim)]):
+                acc[k] += sign * c
+    return out
+
+
+def chevalley_eilenberg_dims(mod: SuperBimodule, max_n: int) -> list[list[int]]:
+    """[dim H^n_CE even, odd] for n = 0..max_n: the cohomology of each
+    Coboundary.matrix(n, parity) restricted to the super-antisymmetric
+    cochains, which on a Lie superalgebra form the Chevalley-Eilenberg
+    subcomplex.  Their basis is the canonical rows spanned by the
+    super_antisymmetrized basis cochains e_(t,k), t nondecreasing (one
+    per orbit of the argument permutations)."""
+    alg = mod.algebra
+    cob = Coboundary(mod, max_n + 1)
+    dims = []
+    for parity in (0, 1):
+        ranks = [0]   # rank of the restricted D_(n-1), D_(-1) = 0
+        for n in range(max_n + 1):
+            rows = []
+            for t, args in enumerate(all_tuples(alg.dim, n)):
+                if list(args) != sorted(args):
+                    continue
+                for k in range(mod.dim):
+                    if cob.coordinate(n, parity, t, k) is None:
+                        continue
+                    e = Cochain.zero(alg, mod, n, parity)
+                    e.coeffs[t][k] = F1
+                    f = super_antisymmetrized(e)
+                    rows.append({j: c for s, value in enumerate(f.coeffs)
+                                 for m, c in enumerate(value)
+                                 if c and (j := cob.coordinate(n, parity, s, m)) is not None})
+            d = cob.matrix(n, parity)
+            basis = RatMatrix(d.cols, row_space_basis(RatMatrix(d.cols, rows)))
+            # row i of basis * D_n^T is D_n of basis row i
+            ranks.append(rank(matmul(basis, d.transpose())))
+            # dim H^n = dim CE^n - rank D_n - rank D_(n-1), restricted
+            dims.append(basis.rows - ranks[-1] - ranks[-2])
+    return [[dims[n], dims[max_n + 1 + n]] for n in range(max_n + 1)]
 
 
 def modules_for(alg: LeibnizSuperalgebra) -> list[SuperBimodule]:

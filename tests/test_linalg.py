@@ -53,6 +53,32 @@ def test_rank_runs_the_forward_pass_only():
         assert len(calls) == 11
 
 
+def test_singleton_rows_skip_insert_in_the_forward_pass():
+    # rows go sparsest first, so while the single-entry rows are visited
+    # every pivot is a unit row: each becomes the pivot e_c or is dropped,
+    # and _insert sees only the rows of length >= 2 (duplicate, Fraction
+    # and negative singletons alike)
+    m = RatMatrix(5, [{0: 1, 1: 2, 3: 1}, {2: -5}, {0: F(2, 3)}, {2: 7}, {},
+                      {1: F(-1, 2), 2: 4}, {2: 7}, {4: F(-3)}])
+    lengths = []
+    insert = linalg._insert
+    with mock.patch.object(linalg, "_insert",
+                           lambda row, pivots: lengths.append(len(row)) or insert(row, pivots)):
+        assert rank(m) == 5 and lengths == [2, 3]
+        red, pivots = rref(m)
+        assert pivots == [0, 1, 2, 3, 4] and lengths == [2, 3] * 2
+        # back-substitution: one _insert per pivot, unit rows included
+        assert red.sparse_rows == [{j: 1} for j in range(5)] + [{}] * 3
+        assert len(lengths) == 9
+    assert (red, pivots) == dense_rref(m)
+
+
+def test_a_singleton_can_enlarge_the_span_of_a_non_unit_pivot():
+    # {0: 1} meets the pivot row 2 e_0 + 3 e_1, not e_0: it is independent
+    assert extend_to_basis([{0: 2, 1: 3}], [{0: 1}]) == [{0: 1}]
+    assert extend_to_basis([{0: 2, 1: 3}, {1: 1}], [{0: 1}]) == []
+
+
 def test_kernel_identity_empty():
     assert kernel_basis(identity_matrix(2)) == []
 
@@ -185,6 +211,17 @@ def _random_matrix(rng: random.Random, r: int, c: int) -> RatMatrix:
     return mat(rows, c)
 
 
+def _singleton_heavy_matrix(rng: random.Random, r: int, c: int) -> RatMatrix:
+    """About half the rows single entries, in repeated columns, with
+    negative and Fraction values; the rest as _random_matrix makes them."""
+    rows = _random_matrix(rng, r, c).sparse_rows
+    for i in range(r):
+        if rng.random() < 0.5:
+            rows[i] = {rng.randrange(min(c, 3)): F(rng.choice((-2, -1, 1, 3)),
+                                                   rng.choice((1, 1, 2, 3)))}
+    return RatMatrix(c, rows)
+
+
 def _assert_engine_matches_dense_oracle(m: RatMatrix, rng: random.Random) -> None:
     assert rref(m) == dense_rref(m)
     assert kernel_basis(m) == dense_kernel_basis(m)
@@ -207,6 +244,8 @@ def test_engine_matches_dense_oracle_on_random_matrices():
     shapes += [(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(150)]
     for r, c in shapes:
         _assert_engine_matches_dense_oracle(_random_matrix(rng, r, c), rng)
+    for r, c in shapes[3:]:
+        _assert_engine_matches_dense_oracle(_singleton_heavy_matrix(rng, r, c), rng)
 
 
 def test_engine_matches_dense_oracle_with_non_unit_pivots():

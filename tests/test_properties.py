@@ -11,7 +11,6 @@ example database, so every run checks the same cases.
 """
 
 import copy
-import itertools
 import json
 import random
 from fractions import Fraction
@@ -21,7 +20,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import (matrix_1_1_associative, osp12, random_cochain, sl2,
-                     standard_fixtures, transport, upper_triangular_associative)
+                     standard_fixtures, super_antisymmetrized, swap_sign, transport,
+                     upper_triangular_associative)
 from oracles import (cochain_coords, cochain_from_coords, dense_delta, dense_rref,
                      dense_solve, enumerate_basis, fraction_delta_matrix,
                      fraction_describe, sparse, triple_walk_leibniz_defect)
@@ -234,39 +234,16 @@ def test_describe_writes_each_int_as_its_fraction(data):
 
 # -- the Chevalley-Eilenberg subcomplex -----------------------------------------
 
-def _swap_sign(parities, a: int, b: int) -> int:
-    """-(-1)**(ab): a super-antisymmetric cochain's sign when adjacent
-    arguments a and b trade places."""
-    return 1 if parities[a] & parities[b] else -1
-
-
-def super_antisymmetrized(f: Cochain) -> Cochain:
-    """sum over permutations s of eps(s) f(x_s(1), ..., x_s(n)), eps the
-    product of _swap_sign over the pairs of arguments s puts out of order."""
-    dim, par, n = f.algebra.dim, f.algebra.space.parities, f.arity
-    out = Cochain.zero(f.algebra, f.module, n, f.degree)
-    for t in all_tuples(dim, n):
-        acc = out.coeffs[tuple_index(t, dim)]
-        for perm in itertools.permutations(range(n)):
-            sign = 1
-            for i, j in itertools.combinations(range(n), 2):
-                if perm[i] > perm[j]:
-                    sign *= _swap_sign(par, t[perm[i]], t[perm[j]])
-            for k, c in enumerate(f.coeffs[tuple_index([t[p] for p in perm], dim)]):
-                acc[k] += sign * c
-    return out
-
-
 def super_antisymmetry_failures(f: Cochain) -> list[tuple]:
     """The (tuple, slot) pairs where swapping the arguments at slot and
-    slot + 1 does not multiply f's value by their _swap_sign."""
+    slot + 1 does not multiply f's value by their swap_sign."""
     dim, par = f.algebra.dim, f.algebra.space.parities
     bad = []
     for t in all_tuples(dim, f.arity):
         value = f.coeffs[tuple_index(t, dim)]
         for i in range(f.arity - 1):
             s = t[:i] + (t[i + 1], t[i]) + t[i + 2:]
-            sign = _swap_sign(par, t[i], t[i + 1])
+            sign = swap_sign(par, t[i], t[i + 1])
             if f.coeffs[tuple_index(s, dim)] != [sign * c for c in value]:
                 bad.append((t, i))
     return bad
