@@ -6,8 +6,9 @@ and the algebra's name to the body the verb returns; it emits that one
 report as aligned text or as canonical JSON, both produced from the same
 dictionary, so they carry identical data.  Exit codes: 0 and 1 are the
 report's status, pass or fail (a failure's counterexample is in the
-report), 2 usage or parse error, 3 internal error (a broken invariant of
-the library, never a property of the input).  ``main`` may be called
+report), 2 usage or parse error, or an input that violates its axioms
+(an algebra outside validate, a module file), 3 internal error (a broken
+invariant of the library, never a property of the input).  ``main`` may be called
 repeatedly in one process: its parser is built once, then reused.
 """
 
@@ -165,6 +166,15 @@ def _violations_doc(violations: list[dict], limit: int = 10) -> list[dict]:
 # shared loading
 # ---------------------------------------------------------------------------
 
+def _refuse_violations(what: str, *checks) -> None:
+    """Run the (property, check) pairs in order and refuse what at the first
+    violation of the first check that fails."""
+    for prop, check in checks:
+        rep = check()
+        if not rep.ok:
+            raise ParseError(f"{what} violates {prop}: {rep.violations[0]}")
+
+
 def _load_module_choice(args, alg: LeibnizSuperalgebra) -> tuple[SuperBimodule, str]:
     if args.module == "self":
         return adjoint_module(alg), "self"
@@ -175,14 +185,8 @@ def _load_module_choice(args, alg: LeibnizSuperalgebra) -> tuple[SuperBimodule, 
     except DimensionCapError as exc:
         raise ParseError(f"module file {args.module!r}: {exc}; "
                          f"pass --max-dim {exc.dim} to proceed") from None
-    rep = mod.check_grading()
-    if not rep.ok:
-        raise ParseError(f"module file {args.module!r} violates grading: "
-                         f"{rep.violations[0]}")
-    rep = mod.check_axioms()
-    if not rep.ok:
-        raise ParseError(f"module file {args.module!r} violates the module "
-                         f"axioms: {rep.violations[0]}")
+    _refuse_violations(f"module file {args.module!r}", ("grading", mod.check_grading),
+                       ("the module axioms", mod.check_axioms))
     return mod, mod.space.name
 
 
@@ -431,6 +435,11 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         alg = _load_algebra(args)
+        if args.verb != "validate":
+            # validate reports the violations; every other verb assumes none
+            _refuse_violations(f"algebra file {args.algebra!r}",
+                               ("grading", alg.check_grading),
+                               ("the Leibniz identity", alg.check_leibniz))
         verb = args.verb if args.verb != "deform" else f"deform {args.deform_verb}"
         report = {"command": verb, "algebra": alg.space.name, **args.func(args, alg)}
         emit(report, args.format)

@@ -1,8 +1,11 @@
 """Coboundary matrices, built as sparse int rows over one denominator, and
 cohomology dimensions/bases from linalg's one engine, which reduces ints
-and returns canonical Fractions.  A Coboundary scales the structure once
-and hands the engine D times each coboundary, which has the same rank,
-kernel and image, so the engine receives ints only, and solves delta.
+and returns canonical Fractions.  A Coboundary reads the module's
+structure scaled once to ints (SuperBimodule.scaled) and hands the engine
+D times each coboundary, which has the same rank, kernel and image, so
+the engine receives ints only, and solves delta.  Every Z basis is the
+kernel of some D_n and every B basis, B^1_0 of inner_derivations
+included, the image of D_(n-1).
 
 The basis of each parity component of a cochain space is enumerated
 deterministically: tuples of algebra basis indices in lexicographic
@@ -11,9 +14,9 @@ This enumeration is part of the external contract (golden matrices and
 bases depend on it); _offsets is its one encoding, per tuple: the
 coordinate of each tuple's first admissible module index, to which a
 module index adds its place among the indices of its parity.
-Coordinates holds it (Coboundary extends it), and no other module reads
-cochain coordinates.  Coordinate rows cross to linalg and back as sparse
-{coordinate: coefficient} rows.
+Coboundary holds it, and no other module reads cochain coordinates.
+Coordinate rows cross to linalg and back as sparse {coordinate:
+coefficient} rows.
 """
 
 from __future__ import annotations
@@ -117,15 +120,29 @@ def delta_matrix(alg: LeibnizSuperalgebra, mod: SuperBimodule, n: int, parity: i
     return RatMatrix._of(cols[-1], rows)
 
 
-class Coordinates:
-    """mod's cochain coordinates up to arity top: the parity tables built
-    once, each parity's layout (its _offsets encoding) on first use;
-    coordinate and pair read the layout, (t, k) -> coordinate and back."""
+class Coboundary:
+    """delta on mod's cochains up to arity top (at most max_arity).  The
+    parity tables are built once and each parity's layout (its _offsets
+    encoding) on first use; coordinate and pair read the layout, (t, k) ->
+    coordinate and back.  structure is mod.scaled, the bracket and actions
+    scaled once to ints by their denominator den.  matrix keeps the last
+    matrix it built, so repeated solves against one D_n build it once."""
 
-    def __init__(self, mod: SuperBimodule, top: int):
+    def __init__(self, mod: SuperBimodule, top: int, max_arity: int = DEFAULT_MAX_ARITY):
+        alg = mod.algebra
+        if top > max_arity:
+            size = bounded_power(alg.dim, top)
+            value = "" if size is None else f" = {mod.dim * size}"
+            raise ArityCapError(
+                f"arity {top} exceeds the cap {max_arity}; the cochain space "
+                f"has dimension dim M * (dim L)^n = {mod.dim} * {alg.dim}^{top}"
+                f"{value} (raise the cap to proceed)")
         self.module = mod
-        self.par = parity_tables(mod.algebra.space.parities, top)
+        self.par = parity_tables(alg.space.parities, top)
         self._layouts: dict[int, tuple] = {}
+        self.structure = mod.scaled
+        self.den = self.structure[0]
+        self._last: tuple[int, int, RatMatrix] | None = None
 
     def layout(self, parity: int) -> tuple[list[list[int]], list[int], list[list[int]]]:
         """_offsets of the parity component, for arities 0..top."""
@@ -147,27 +164,6 @@ class Coordinates:
         base = bases[n]
         t = bisect_right(base, j) - 1
         return t, adm[self.par[n][t]][j - base[t]]
-
-
-class Coboundary(Coordinates):
-    """delta on mod's cochains up to arity top (at most max_arity), on their
-    Coordinates: the structure scaled once to ints by its denominator den.
-    matrix keeps the last matrix it built, so repeated solves against one
-    D_n build it once."""
-
-    def __init__(self, mod: SuperBimodule, top: int, max_arity: int = DEFAULT_MAX_ARITY):
-        alg = mod.algebra
-        if top > max_arity:
-            size = bounded_power(alg.dim, top)
-            value = "" if size is None else f" = {mod.dim * size}"
-            raise ArityCapError(
-                f"arity {top} exceeds the cap {max_arity}; the cochain space "
-                f"has dimension dim M * (dim L)^n = {mod.dim} * {alg.dim}^{top}"
-                f"{value} (raise the cap to proceed)")
-        super().__init__(mod, top)
-        self.den, *tables = mod.scaled
-        self.structure = (1, *tables)
-        self._last: tuple[int, int, RatMatrix] | None = None
 
     def matrix(self, n: int, parity: int) -> RatMatrix:
         """den * delta from arity n on the parity component, in ints."""
@@ -198,14 +194,14 @@ class Coboundary(Coordinates):
         return e * den, table
 
 
-def _cochains(rows: list[dict], coords: Coordinates, n: int, parity: int) -> list[Cochain]:
+def _cochains(rows: list[dict], cob: Coboundary, n: int, parity: int) -> list[Cochain]:
     """One cochain per sparse coordinate row, each coordinate placed by
-    coords.pair."""
+    cob.pair."""
     out = []
     for row in rows:
-        f = Cochain.zero(coords.module.algebra, coords.module, n, parity)
+        f = Cochain.zero(cob.module.algebra, cob.module, n, parity)
         for j, c in row.items():
-            t, k = coords.pair(n, parity, j)
+            t, k = cob.pair(n, parity, j)
             f.coeffs[t][k] = c
         out.append(f)
     return out
@@ -291,15 +287,9 @@ def derivations(alg: LeibnizSuperalgebra, mod: SuperBimodule,
 
 
 def inner_derivations(alg: LeibnizSuperalgebra, mod: SuperBimodule) -> list[Cochain]:
-    """Canonical basis of {x -> [m, x] : m in M_0} as degree-0 1-cochains.
-
-    This is B^1 of degree 0, delta(m)(x) = -[m, x], read off the right
-    action instead of building D_0, so the structure is not scaled.
-    """
+    """Canonical basis of {x -> [m, x] : m in M_0} as degree-0 1-cochains:
+    B^1 of degree 0, the image of D_0 (delta(m)(x) = -[m, x]), so it is the
+    table's basis_b."""
     check_module_over(alg, mod)
-    coords = Coordinates(mod, 1)
-    _, _, bases = coords.layout(0)
-    rows = [{j: c for x, image in enumerate(mod.right[m]) for k, c in enumerate(image)
-             if c and (j := coords.coordinate(1, 0, x, k)) is not None}
-            for m, p in enumerate(mod.space.parities) if p == 0]
-    return _cochains(row_space_basis(RatMatrix(bases[1][-1], rows)), coords, 1, 0)
+    cob = Coboundary(mod, 1)
+    return _cochains(_b_rows(cob.matrix(0, 0)), cob, 1, 0)

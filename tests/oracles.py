@@ -60,7 +60,7 @@
   coordinate contract of cochain spaces (tuples in lexicographic order,
   then the admissible module indices), stated as a list of (tuple, module
   index) pairs apart from the library's per-tuple offset encoding
-  (cohomology.Coordinates.layout); fraction_delta_matrix and the golden bases
+  (cohomology.Coboundary.layout); fraction_delta_matrix and the golden bases
   are read in it.
 - is_coboundary, cochain_preimage, is_homogeneous, iso_matrix,
   dense_terms and parse_rational: the dense face of the library's sparse

@@ -88,6 +88,60 @@ def test_validate_counterexample_and_exit_code(tmp_path):
     assert rep["grading"]["violations"][0]["pair"] == ["z", "z"]
 
 
+# name -> (basis, brackets, the first violation): x, y even with [x,x] = y
+# and [y,x] = x breaks the Leibniz identity on (x, x, x); x even, z odd
+# with [x,x] = z breaks the grading
+INVALID_ALGEBRAS = {
+    "nonleibniz": ([("x", "even"), ("y", "even")], [("x", "x", "y"), ("y", "x", "x")],
+                   "the Leibniz identity: {'triple': ('x', 'x', 'x'), 'defect': '1*x'}"),
+    "ungraded": ([("x", "even"), ("z", "odd")], [("x", "x", "z")],
+                 "grading: {'pair': ('x', 'x'), 'component': 'z', 'coeff': Fraction(1, 1)}"),
+}
+
+REFUSING_VERBS = {
+    "cohomology": ["cohomology", "{alg}"],
+    "derivations": ["derivations", "{alg}"],
+    "extend": ["extend", "{alg}", "--cocycle", "{d}/h.json"],
+    "deform_check": ["deform", "check", "{alg}", "--deformation", "{d}/zero.json"],
+    "deform_extend": ["deform", "extend", "{alg}", "--deformation", "{d}/zero.json"],
+    "deform_equiv": ["deform", "equiv", "{alg}", "--deformation", "{d}/zero.json",
+                     "--deformation", "{d}/zero.json"],
+}
+
+
+def _invalid_algebra(tmp_path, name: str) -> str:
+    basis, brackets, _ = INVALID_ALGEBRAS[name]
+    doc = {"name": name,
+           "basis": [{"label": label, "parity": p} for label, p in basis],
+           "brackets": [{"left": a, "right": b, "value": [{"label": c, "coeff": "1"}]}
+                        for a, b, c in brackets]}
+    p = tmp_path / f"{name}.json"
+    p.write_text(canonical_json(doc))
+    (tmp_path / "h.json").write_text('{"arity": 2, "degree": "even", "entries": []}')
+    (tmp_path / "zero.json").write_text('{"order": 1, "terms": {}}')
+    return str(p)
+
+
+@pytest.mark.parametrize("verb", REFUSING_VERBS)
+@pytest.mark.parametrize("name", INVALID_ALGEBRAS)
+def test_every_verb_but_validate_refuses_an_invalid_algebra(tmp_path, name, verb):
+    # the non-Leibniz algebra gave negative dim_h and a passing zero
+    # deformation; the ungraded one gave delta = 0 on its cross-parity bracket
+    alg = _invalid_algebra(tmp_path, name)
+    code, out, err = run([a.format(alg=alg, d=tmp_path) for a in REFUSING_VERBS[verb]])
+    assert code == 2 and out == ""
+    assert err == f"error: algebra file {alg!r} violates {INVALID_ALGEBRAS[name][2]}\n"
+
+
+@pytest.mark.parametrize("name", INVALID_ALGEBRAS)
+def test_validate_reports_an_invalid_algebra(tmp_path, name):
+    code, out, err = run(["validate", _invalid_algebra(tmp_path, name), "--format", "json"])
+    rep = json.loads(out)
+    assert code == 1 and err == "" and rep["status"] == "fail"
+    assert rep["grading"]["ok"] is (name != "ungraded")
+    assert rep["leibniz"]["ok"] is (name != "nonleibniz")
+
+
 def test_parse_error_exit_2(tmp_path):
     p = tmp_path / "broken.json"
     p.write_text("{")

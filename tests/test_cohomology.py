@@ -1,3 +1,4 @@
+import functools
 import itertools
 import json
 import pathlib
@@ -228,14 +229,26 @@ def test_cohomology_table_scales_the_structure_once(monkeypatch):
             assert calls == [M]
 
 
-def test_inner_derivations_scale_no_structure(monkeypatch):
-    # inner_derivations read the right action and place coordinates only
+def test_a_derivations_job_scales_each_module_once(monkeypatch):
+    # derivations scales the structure and inner_derivations, which builds
+    # D_0, reads the module's cached scaled form
     calls = []
-    monkeypatch.setattr(SuperBimodule, "scaled", property(calls.append))
+    scaled = SuperBimodule.scaled.func
+
+    def spy(mod):
+        calls.append(mod)
+        return scaled(mod)
+
+    cached = functools.cached_property(spy)
+    cached.__set_name__(SuperBimodule, "scaled")
+    monkeypatch.setattr(SuperBimodule, "scaled", cached)
     L = nonlie_example()
     for M in modules_for(L):
+        calls.clear()
+        derivations(L, M, 0)
+        derivations(L, M, 1)
         inner_derivations(L, M)
-    assert calls == []
+        assert calls == [M]
 
 
 def _denominator_algebra() -> LeibnizSuperalgebra:
@@ -284,20 +297,20 @@ def _touched_cells(L, M, n: int, parity: int) -> set:
     "L", standard_fixtures() + [free_truncated(SuperSpace("V", ("a", "b"), (0, 1)), 2),
                                 _denominator_algebra()], ids=lambda L: L.space.name)
 def test_the_offset_encoding_is_the_coordinate_contract(L):
-    # Coordinates.coordinate places each admissible (t, k) at its index in
+    # Coboundary.coordinate places each admissible (t, k) at its index in
     # the enumeration and every other pair nowhere, and pair inverts it,
     # for module dimensions equal to and apart from dim L
     for M in (adjoint_module(L), zero_module(L), fraction_module(L)):
-        coords = cohomology.Coordinates(M, 4)
+        cob = cohomology.Coboundary(M, 4)
         for parity in (0, 1):
             for n in range(5):
                 index = {(tuple_index(t, L.dim), k): j
                          for j, (t, k) in enumerate(enumerate_basis(L, M, n, parity))}
-                _, _, bases = coords.layout(parity)
+                _, _, bases = cob.layout(parity)
                 assert bases[n][-1] == len(index)
-                assert all(coords.coordinate(n, parity, t, k) == index.get((t, k))
+                assert all(cob.coordinate(n, parity, t, k) == index.get((t, k))
                            for t in range(L.dim ** n) for k in range(M.dim))
-                assert [coords.pair(n, parity, j) for j in range(len(index))] == list(index)
+                assert [cob.pair(n, parity, j) for j in range(len(index))] == list(index)
 
 
 def test_delta_matrix_of_an_ungraded_structure_equals_the_fraction_sum():

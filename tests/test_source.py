@@ -1,9 +1,10 @@
 """Source hygiene: no library module imports a name it never uses, no
 module-level private function or class goes unreferenced, every public
 name of the library is reached by the library itself or by the
-benchmark, one elimination engine serves every matrix, one Coordinates
-class owns the cochain coordinates and only delta_matrix walks the
-coboundary terms in cohomology, the CLI builds no series of its own, the
+benchmark, one elimination engine serves every matrix, one Coboundary
+class owns the cochain coordinates, only delta_matrix walks the
+coboundary terms in cohomology and only _z_rows and _b_rows take a row
+space there, the CLI builds no series of its own, the
 writers of defects and series build no Fraction, and main alone loads
 the algebra and writes a report's header.
 
@@ -303,7 +304,7 @@ def test_elimination_sites_are_reported():
 def position_readers(sources: dict[str, str]) -> list[str]:
     """The files, other than cohomology.py, that name _offsets (as a bare
     name, an attribute or an imported name): the cochain coordinate
-    encoding has one owner, cohomology.Coordinates."""
+    encoding has one owner, cohomology.Coboundary."""
     return [name for name, source in sources.items() if name != "cohomology.py" and any(
         (isinstance(n, ast.Name) and n.id == "_offsets")
         or (isinstance(n, ast.Attribute) and n.attr == "_offsets")
@@ -337,7 +338,7 @@ def term_walkers(source: str) -> list[str]:
 
 def test_one_owner_of_the_cochain_coordinates():
     # the library and the tests reach delta's coordinates through
-    # Coordinates.layout, coordinate and pair
+    # Coboundary.layout, coordinate and pair
     paths = sorted(SRC.glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
     assert position_readers({p.name: p.read_text(encoding="utf-8") for p in paths}) == []
 
@@ -447,6 +448,28 @@ def test_defects_and_series_are_written_from_their_ints():
     # deform extend's report and --out file come from one document
     calls = called_names((SRC / "cli.py").read_text(encoding="utf-8"))["cmd_deform_extend"]
     assert sum(calls[n] for n in JET_DOCUMENTS) == 1
+
+
+def row_space_callers(source: str) -> list[str]:
+    """The functions of source (as Class.method or name, in the order they
+    are defined) that call row_space_basis."""
+    return [f for f, names in called_names(source).items() if names["row_space_basis"]]
+
+
+def test_every_cocycle_and_coboundary_basis_comes_from_one_routine():
+    # Z^n from the kernel of D_n, B^n (B^1_0 of inner_derivations
+    # included) from the image of D_(n-1); a row space built elsewhere
+    # would be a second route to a basis the table reports
+    source = (SRC / "cohomology.py").read_text(encoding="utf-8")
+    assert row_space_callers(source) == ["_z_rows", "_b_rows"]
+
+
+def test_row_space_callers_are_reported():
+    source = ("def _z_rows(m):\n    return row_space_basis(m)\n\n"
+              "class Coboundary:\n    def inner(self):\n"
+              "        return linalg.row_space_basis(self.rows)\n\n"
+              "def rank_of(m):\n    return rank(m)\n")
+    assert row_space_callers(source) == ["_z_rows", "Coboundary.inner"]
 
 
 def test_fraction_calls_and_jet_documents_are_reported():
