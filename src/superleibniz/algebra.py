@@ -84,31 +84,30 @@ class SuperSpace:
 
 @dataclass
 class CheckReport:
-    """Outcome of an axiom check: ok, or a list of structured violations."""
+    """Outcome of an axiom check: its structured violations, ok iff none."""
 
-    ok: bool
     violations: list[dict] = field(default_factory=list)
 
     def __bool__(self) -> bool:
-        return self.ok
+        return not self.violations
+
+    ok = property(__bool__)
 
 
-def grading_violations(table, left_space: SuperSpace, right_space: SuperSpace,
+def grading_violations(den: int, table, left_space: SuperSpace, right_space: SuperSpace,
                        out_space: SuperSpace) -> list[dict]:
-    """Nonzero table[i][j][k] with parity(k) != parity(i) + parity(j).
-
-    i indexes left_space, j right_space and k out_space; the table may be
-    a bracket, a multiplication or one action of a module.
-    """
+    """The nonzeros c at k of the value on (i, j) with parity(k) !=
+    parity(i) + parity(j), c written as str(c) would be.  The table is flat
+    over den, as scale_to_ints gives it: entry i*right_space.dim + j lists
+    the (k, den*c) of a bracket, a multiplication or one module action."""
     lp, rp, op = left_space.parities, right_space.parities, out_space.parities
     bad = []
-    for i, row in enumerate(table):
-        for j, v in enumerate(row):
-            want = (lp[i] + rp[j]) & 1
-            for k, c in enumerate(v):
-                if c and op[k] != want:
-                    bad.append({"pair": (left_space.labels[i], right_space.labels[j]),
-                                "component": out_space.labels[k], "coeff": c})
+    for e, value in enumerate(table):
+        if value:
+            i, j = divmod(e, right_space.dim)
+            bad += [{"pair": (left_space.labels[i], right_space.labels[j]),
+                     "component": out_space.labels[k], "coeff": ratio_str(x, den)}
+                    for k, x in value if op[k] != (lp[i] + rp[j]) & 1]
     return bad
 
 
@@ -199,8 +198,7 @@ class LeibnizSuperalgebra:
     def check_grading(self) -> CheckReport:
         """All nonzero c_ijk must satisfy parity(k) = parity(i) + parity(j)."""
         sp = self.space
-        bad = grading_violations(self.table, sp, sp, sp)
-        return CheckReport(not bad, bad)
+        return CheckReport(grading_violations(*self.integral, sp, sp, sp))
 
     def check_leibniz(self) -> CheckReport:
         """[[a,b],c] - [a,[b,c]] + (-1)**(ab) [b,[a,c]] = 0 on basis triples."""
@@ -214,17 +212,15 @@ class LeibnizSuperalgebra:
                     "triple": (sp.labels[i], sp.labels[j], sp.labels[k]),
                     "defect": sp.describe(defect, d * d),
                 })
-        return CheckReport(not bad, bad)
+        return CheckReport(bad)
 
     def is_lie(self) -> bool:
-        """Graded antisymmetry [a,b] = -(-1)**(ab) [b,a] on all basis pairs."""
-        sp = self.space
-        for i in range(self.dim):
-            for j in range(self.dim):
-                sgn = -koszul(sp.parities[i], sp.parities[j])
-                if self.table[i][j] != [sgn * c for c in self.table[j][i]]:
-                    return False
-        return True
+        """Graded antisymmetry [a,b] = -(-1)**(ab) [b,a], a symmetric relation
+        checked on the basis pairs a <= b."""
+        par, dim, table = self.space.parities, self.dim, self.integral[1]
+        return all(table[i * dim + j] == [(k, x if par[i] & par[j] else -x)
+                                          for k, x in table[j * dim + i]]
+                   for i in range(dim) for j in range(i, dim))
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, LeibnizSuperalgebra)
@@ -284,13 +280,15 @@ class SuperBimodule:
         return d, table, actions[:da], actions[da:]
 
     def check_grading(self) -> CheckReport:
-        """Left violations first, then right ones; each tagged by its action."""
+        """Left violations (x-major), then right ones (m-major), by action."""
         asp, msp = self.algebra.space, self.space
-        bad = ([{"action": "left", **v}
-                for v in grading_violations(self.left, asp, msp, msp)]
-               + [{"action": "right", **v}
-                  for v in grading_violations(self.right, msp, asp, msp)])
-        return CheckReport(not bad, bad)
+        d, _, left, right = self.scaled
+        zero = [[]] * msp.dim   # the row of an element that acts as zero
+        left = [v for row in left for v in (row or zero)]
+        right = [(right[x] or zero)[m] for m in range(msp.dim) for x in range(asp.dim)]
+        return CheckReport(
+            [{"action": "left", **v} for v in grading_violations(d, left, asp, msp, msp)]
+            + [{"action": "right", **v} for v in grading_violations(d, right, msp, asp, msp)])
 
     def check_axioms(self) -> CheckReport:
         """The three compatibility axioms, exhaustively on basis triples.
@@ -318,7 +316,7 @@ class SuperBimodule:
                         bad.append({"axiom": axiom,
                                     "triple": (labels[a], labels[b], labels[c]),
                                     "defect": msp.describe(v, d * d)})
-        return CheckReport(not bad, bad)
+        return CheckReport(bad)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, SuperBimodule)
@@ -365,9 +363,7 @@ class AssociativeSuperalgebra:
         return bilinear(self.table, u, v, self.dim)
 
     def check_grading(self) -> CheckReport:
-        sp = self.space
-        bad = grading_violations(self.table, sp, sp, sp)
-        return CheckReport(not bad, bad)
+        return LeibnizSuperalgebra(self.space, self.table).check_grading()
 
     def check_associative(self) -> CheckReport:
         sp = self.space
@@ -379,7 +375,7 @@ class AssociativeSuperalgebra:
             if lhs != rhs:
                 bad.append({"triple": (sp.labels[i], sp.labels[j], sp.labels[k]),
                             "defect": sp.describe([x - y for x, y in zip(lhs, rhs)])})
-        return CheckReport(not bad, bad)
+        return CheckReport(bad)
 
 
 # ---------------------------------------------------------------------------

@@ -150,16 +150,10 @@ def emit(report: dict, fmt: str) -> None:
 
 
 def _violations_doc(violations: list[dict], limit: int = 10) -> list[dict]:
-    out = []
-    for v in violations[:limit]:
-        doc = {}
-        for k, val in v.items():
-            if isinstance(val, tuple):
-                doc[k] = list(val)
-            else:
-                doc[k] = val if isinstance(val, (str, int, bool)) else str(val)
-        out.append(doc)
-    return out
+    """The first limit violations as documents; every value is a str, an int
+    or a tuple, which becomes a list."""
+    return [{k: list(val) if isinstance(val, tuple) else val for k, val in v.items()}
+            for v in violations[:limit]]
 
 
 # ---------------------------------------------------------------------------

@@ -22,8 +22,8 @@ constant, so the one term walk behind delta and cohomology.delta_matrix
 visits only the nonzero brackets and actions, with the other slots free,
 and finds tuples by index arithmetic.  It reads the bracket and both
 actions scaled once to ints over one denominator D (SuperBimodule.scaled);
-delta sums ints and
-divides by D once per entry.
+delta sums the cochain's Fraction coefficients times those ints and
+divides each nonzero entry of the sum by D once.
 
 The paper's operator calculus (d_x, the restriction f_x, the bimodule
 structure on cochain spaces and currying) is proof machinery for
@@ -213,5 +213,5 @@ def delta(f: Cochain) -> Cochain:
                     for k, x in action[m]:
                         row[k] += cw * x
     if structure[0] != 1:
-        out.coeffs = [[x / structure[0] for x in v] for v in acc]
+        out.coeffs = [[x and x / structure[0] for x in v] for v in acc]
     return out

@@ -199,8 +199,8 @@ def check_deformation(d: TruncatedDeformation, mod_order: bool = False) -> Check
                for t, v in zip(all_tuples(d.algebra.dim, 3), _residual_ints(d, r))
                if any(v)]
         if bad:
-            return CheckReport(False, bad)  # the first failing order only
-    return CheckReport(True, [])
+            return CheckReport(bad)  # the first failing order only
+    return CheckReport()
 
 
 class ExtensionUndefined(ValueError):
@@ -371,4 +371,4 @@ def infinitesimal_relation(d1: TruncatedDeformation, d2: TruncatedDeformation,
             v = dict(row)
             bad.append({"pair": tuple(sp.labels[i] for i in t),
                         "defect": sp.describe([v.get(k, 0) for k in range(dim)], den)})
-    return CheckReport(not bad, bad)
+    return CheckReport(bad)

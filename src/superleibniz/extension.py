@@ -97,4 +97,4 @@ def check_extension(ext: Extension) -> CheckReport:
     rep = total.check_leibniz()
     for v in rep.violations:
         bad.append({"kind": "leibniz", **v})
-    return CheckReport(not bad, bad)
+    return CheckReport(bad)

@@ -28,6 +28,11 @@
 - dense_check_axioms: the module axioms evaluated side by side with the
   dense bilinear helper, the reference for SuperBimodule.check_axioms
   (the Leibniz defect of the semidirect product).
+- dense_grading_violations and dense_is_lie: the grading and graded
+  antisymmetry read off the dense Fraction tables, the references for
+  algebra.grading_violations and LeibnizSuperalgebra.is_lie, which read
+  the structure's int form (LeibnizSuperalgebra.integral,
+  SuperBimodule.scaled) and write each coefficient as text.
 - sympy_rank: dense rank over the rationals through sympy.
 - dense_rref and the dense_* consumers built on it: column-by-column
   Gauss-Jordan elimination over every cell of a dense table, the
@@ -918,7 +923,32 @@ def dense_check_axioms(mod: SuperBimodule) -> CheckReport:
             rhs = act_right_vec(mk, br)
             add_scaled(rhs, -koszul(pk, pi), act_left_vec(ei, act_right_vec(mk, ej)))
             compare(3, (msp.labels[k], asp.labels[i], asp.labels[j]), lhs, rhs)
-    return CheckReport(not bad, bad)
+    return CheckReport(bad)
+
+
+def dense_grading_violations(table, left_space: SuperSpace, right_space: SuperSpace,
+                             out_space: SuperSpace) -> list[dict]:
+    """Nonzero table[i][j][k] with parity(k) != parity(i) + parity(j), in
+    (i, j, k) order, each coefficient the table's own Fraction; i indexes
+    left_space, j right_space and k out_space."""
+    lp, rp, op = left_space.parities, right_space.parities, out_space.parities
+    bad = []
+    for i, row in enumerate(table):
+        for j, v in enumerate(row):
+            want = (lp[i] + rp[j]) & 1
+            for k, c in enumerate(v):
+                if c and op[k] != want:
+                    bad.append({"pair": (left_space.labels[i], right_space.labels[j]),
+                                "component": out_space.labels[k], "coeff": c})
+    return bad
+
+
+def dense_is_lie(alg: LeibnizSuperalgebra) -> bool:
+    """Graded antisymmetry [a,b] = -(-1)**(ab) [b,a] on every basis pair,
+    compared in Fractions on the dense table."""
+    par = alg.space.parities
+    return all(alg.table[i][j] == [-koszul(par[i], par[j]) * c for c in alg.table[j][i]]
+               for i in range(alg.dim) for j in range(alg.dim))
 
 
 # ---------------------------------------------------------------------------

@@ -1,17 +1,20 @@
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from helpers import (corner_projection_algebra, matrix_1_1_associative,
-                     modules_for, standard_fixtures,
-                     upper_triangular_associative)
+from helpers import (corner_projection_algebra, fraction_module, lie_superalgebra,
+                     matrix_1_1_associative, modules_for, osp12, sl2,
+                     standard_fixtures, upper_triangular_associative)
 from oracles import (bracket_vec, cochain_space_module, dense_check_axioms,
+                     dense_grading_violations, dense_is_lie,
                      fraction_leibniz_defect, vector_parity)
-from superleibniz.algebra import (LeibnizSuperalgebra, SuperBimodule, SuperSpace,
-                                  abelian, adjoint_module, free_truncated,
-                                  from_associative, nonlie_example, zero_module)
+from superleibniz.algebra import (AssociativeSuperalgebra, LeibnizSuperalgebra,
+                                  SuperBimodule, SuperSpace, abelian, adjoint_module,
+                                  free_truncated, from_associative, nonlie_example,
+                                  zero_module)
 from superleibniz.linalg import F0, F1, basis_vec, bilinear, zeros
 
 F = Fraction
@@ -143,14 +146,94 @@ def test_grading_violation_contents():
     M.left[0][0] = [F0, F0, F(2)]                   # [x, x] = 2z, z odd
     M.right[1][2] = [F(-1, 2), F0, F0]              # [y, z] = -x/2, x even
     assert M.check_grading().violations == [
-        {"action": "left", "pair": ("x", "x"), "component": "z", "coeff": F(2)},
-        {"action": "right", "pair": ("y", "z"), "component": "x",
-         "coeff": F(-1, 2)},
+        {"action": "left", "pair": ("x", "x"), "component": "z", "coeff": "2"},
+        {"action": "right", "pair": ("y", "z"), "component": "x", "coeff": "-1/2"},
     ]
     A = matrix_1_1_associative()
     A.table[0][0] = [F1, F0, F(3), F0]              # e11 e11 = e11 + 3 e12
     assert A.check_grading().violations == [
-        {"pair": ("e11", "e11"), "component": "e12", "coeff": F(3)}]
+        {"pair": ("e11", "e11"), "component": "e12", "coeff": "3"}]
+
+
+def _random_values(rng, rows: int, cols: int, out: SuperSpace, want, ungraded: float):
+    """rows x cols vectors over out: each coefficient nonzero with
+    probability 1/3, over denominators up to 6; a component of the wrong
+    parity (want(i, j) is the right one) only with probability ungraded."""
+    return [[[F(rng.choice((-3, -2, -1, 1, 2, 5)), rng.choice((1, 1, 2, 3, 6)))
+              if rng.random() < 1 / 3
+              and (out.parities[k] == want(i, j) or rng.random() < ungraded) else F0
+              for k in range(out.dim)] for j in range(cols)] for i in range(rows)]
+
+
+def _as_text(violations: list[dict]) -> list[dict]:
+    return [{**v, "coeff": str(v["coeff"])} for v in violations]
+
+
+def _dense_module_grading(M: SuperBimodule) -> list[dict]:
+    asp, msp = M.algebra.space, M.space
+    return ([{"action": "left", **v} for v in dense_grading_violations(M.left, asp, msp, msp)]
+            + [{"action": "right", **v}
+               for v in dense_grading_violations(M.right, msp, asp, msp)])
+
+
+def test_grading_and_is_lie_match_their_dense_oracles():
+    # the checks read the int form; each coefficient is written as text,
+    # which must equal str() of the dense table's Fraction
+    rng = random.Random(29)
+    spaces = [SuperSpace("s", tuple(f"e{i}" for i in range(len(p))), p)
+              for p in ((0,), (1, 1), (0, 0, 1), (0, 1, 1, 0), (1, 0, 1, 0, 1))]
+    found = Counter()
+    for sp in spaces * 4:
+        par, dim = sp.parities, sp.dim
+        table = _random_values(rng, dim, dim, sp, lambda i, j: (par[i] + par[j]) & 1,
+                               rng.choice((0, 0.3)))
+        for got, want in ((LeibnizSuperalgebra(sp, table).check_grading(),
+                           dense_grading_violations(table, sp, sp, sp)),
+                          (AssociativeSuperalgebra(sp, table).check_grading(),
+                           dense_grading_violations(table, sp, sp, sp))):
+            assert got.violations == _as_text(want) and got.ok == (not want)
+            found["algebra violations"] += len(want)
+        # a module on another space: an element x of the algebra acts as
+        # zero on both sides, so scaled holds [] for it, and [m, -] = 0
+        L = LeibnizSuperalgebra(sp, table)
+        msp = spaces[rng.randrange(len(spaces))]
+        left = _random_values(rng, dim, msp.dim, msp,
+                              lambda x, m: (par[x] + msp.parities[m]) & 1, 0.2)
+        right = _random_values(rng, msp.dim, dim, msp,
+                               lambda m, x: (par[x] + msp.parities[m]) & 1, 0.2)
+        x, m = rng.randrange(dim), rng.randrange(msp.dim)
+        left[x] = [zeros(msp.dim) for _ in range(msp.dim)]
+        right[m] = [zeros(msp.dim) for _ in range(dim)]
+        for n in range(msp.dim):
+            right[n][x] = zeros(msp.dim)
+        M = SuperBimodule(L, msp, left, right)
+        assert [] in M.scaled[2] and [] in M.scaled[3]
+        found["module denominator > 1"] += M.scaled[0] > 1
+        for mod in (M, adjoint_module(L), fraction_module(L), zero_module(L, msp)):
+            want = _dense_module_grading(mod)
+            assert mod.check_grading().violations == _as_text(want)
+            found["module violations"] += len(want)
+    assert found["algebra violations"] and found["module violations"]
+    assert found["module denominator > 1"]
+    # is_lie on graded antisymmetric tables (an even [a, a] is 0), on the
+    # same tables with one coefficient moved, and on the fixtures
+    algebras = standard_fixtures() + [sl2(), osp12(), free_truncated(spaces[2], 2)]
+    for sp in spaces:
+        par = sp.parities
+        brackets = {(sp.labels[i], sp.labels[j]): {
+            sp.labels[k]: F(rng.randint(-3, 3), rng.choice((1, 2, 3)))
+            for k in range(sp.dim) if par[k] == (par[i] + par[j]) & 1}
+            for i in range(sp.dim) for j in range(i, sp.dim) if i < j or par[i]}
+        lie = lie_superalgebra("rand", sp.labels, sp.parities, brackets)
+        broken = LeibnizSuperalgebra(sp, [[list(v) for v in row] for row in lie.table])
+        i, j = rng.randrange(sp.dim), rng.randrange(sp.dim)
+        broken.table[i][j][rng.randrange(sp.dim)] += F(1, 2)
+        algebras += [lie, broken]
+    answers = Counter()
+    for L in algebras:
+        assert L.is_lie() is dense_is_lie(L)
+        answers[L.is_lie()] += 1
+    assert answers == {True: 9, False: 10}
 
 
 def test_zero_module_trivially_valid():

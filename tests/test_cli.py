@@ -95,7 +95,7 @@ INVALID_ALGEBRAS = {
     "nonleibniz": ([("x", "even"), ("y", "even")], [("x", "x", "y"), ("y", "x", "x")],
                    "the Leibniz identity: {'triple': ('x', 'x', 'x'), 'defect': '1*x'}"),
     "ungraded": ([("x", "even"), ("z", "odd")], [("x", "x", "z")],
-                 "grading: {'pair': ('x', 'x'), 'component': 'z', 'coeff': Fraction(1, 1)}"),
+                 "grading: {'pair': ('x', 'x'), 'component': 'z', 'coeff': '1'}"),
 }
 
 REFUSING_VERBS = {
@@ -549,6 +549,22 @@ def test_module_axiom_message_is_the_first_violation(tmp_path):
     first = dense_check_axioms(mod).violations[0]
     assert code == 2
     assert err == f"error: module file {str(p)!r} violates the module axioms: {first}\n"
+
+
+def test_module_grading_message_writes_its_coefficient_as_text(tmp_path):
+    # [z, x] = x/2 in the module, z odd and x even: the refusal writes the
+    # coefficient as validate would, not as a Fraction's repr
+    from fractions import Fraction
+    from superleibniz.algebra import zero_module
+    from superleibniz.fileio import module_to_doc
+    mod = zero_module(load_algebra(ALG))
+    mod.left[2][0][0] = Fraction(1, 2)
+    p = tmp_path / "ungraded_module.json"
+    p.write_text(canonical_json(module_to_doc(mod)))
+    code, out, err = run(["cohomology", ALG, "--module", str(p)])
+    assert code == 2 and out == ""
+    assert err == (f"error: module file {str(p)!r} violates grading: {{'action': 'left', "
+                   f"'pair': ('z', 'x'), 'component': 'x', 'coeff': '1/2'}}\n")
 
 
 def test_extend_refuses_a_wide_cocycle_before_building_its_table(tmp_path, monkeypatch):

@@ -1,12 +1,13 @@
 """Source hygiene: no library module imports a name it never uses, no
 module-level private function or class goes unreferenced, every public
 name of the library is reached by the library itself or by the
-benchmark, one elimination engine serves every matrix, one Coboundary
+benchmark, one elimination engine serves every matrix, only the pinned
+functions of algebra.py read the dense structure tables, one Coboundary
 class owns the cochain coordinates, only delta_matrix walks the
 coboundary terms in cohomology and only _z_rows and _b_rows take a row
 space there, the CLI builds no series of its own, the
-writers of defects and series build no Fraction, and main alone loads
-the algebra and writes a report's header.
+writers of defects, grading violations and series build no Fraction, and
+main alone loads the algebra and writes a report's header.
 
 A stdlib stand-in for a linter's unused-import and dead-code rules.  The
 package __init__ is skipped by the import check: its imports are the
@@ -196,22 +197,28 @@ def test_unreferenced_public_name_is_reported():
         == ["a.py: left_behind", "a.py: Kept", "a.py: Kept.named", "a.py: Kept._helper"]
 
 
-def scaling_sites(source: str) -> list[str]:
-    """The functions (as Class.method or name) that call scale_to_ints."""
-    sites = []
-
+def nodes_by_function(source: str):
+    """(where, node) for each node of source in walk order, where the
+    function that holds it (as Class.method or name, a nested one as
+    outer.inner; '' at module level); def and class statements are not
+    yielded themselves."""
     def visit(node, where):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
-                visit(child, f"{where}.{child.name}".lstrip("."))
+                yield from visit(child, f"{where}.{child.name}".lstrip("."))
             else:
-                if (isinstance(child, ast.Call) and isinstance(child.func, ast.Name)
-                        and child.func.id == "scale_to_ints"):
-                    sites.append(where)
-                visit(child, where)
+                yield where, child
+                yield from visit(child, where)
 
-    visit(ast.parse(source), "")
-    return sites
+    return visit(ast.parse(source), "")
+
+
+def scaling_sites(source: str) -> list[str]:
+    """The functions (as Class.method or name) that call scale_to_ints,
+    once per call."""
+    return [where for where, n in nodes_by_function(source)
+            if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+            and n.func.id == "scale_to_ints"]
 
 
 def test_series_terms_are_scaled_in_one_place():
@@ -242,6 +249,43 @@ def test_scaling_sites_are_reported():
     source = ("def f(x):\n    return scale_to_ints(x)\n\n"
               "class A:\n    def g(self):\n        return [scale_to_ints(y) for y in z]\n")
     assert scaling_sites(source) == ["f", "A.g"]
+
+
+def dense_readers(source: str) -> list[str]:
+    """The functions (as Class.method or name, in the order they are
+    defined) that read an attribute named table, left or right: the dense
+    Fraction structure tables."""
+    return list(dict.fromkeys(
+        where for where, n in nodes_by_function(source)
+        if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
+        and n.attr in ("table", "left", "right")))
+
+
+# the readers of the dense tables in algebra.py: the accessors and
+# equality, the two scans into the int form, the semidirect table and the
+# adjoint module that share them, the associative product, and the
+# associative grading check, which hands its table to LeibnizSuperalgebra;
+# every other check (grading, Leibniz, is_lie, the module axioms) reads
+# the int form
+DENSE_READERS = ["LeibnizSuperalgebra.bracket", "LeibnizSuperalgebra.integral",
+                 "LeibnizSuperalgebra.__eq__", "SuperBimodule.scaled",
+                 "SuperBimodule.__eq__", "semidirect_table",
+                 "AssociativeSuperalgebra.mul_vec", "AssociativeSuperalgebra.check_grading",
+                 "adjoint_module"]
+
+
+def test_every_reader_of_the_dense_tables_is_pinned():
+    # a check that goes back to scanning the Fraction tables fails here first
+    assert dense_readers((SRC / "algebra.py").read_text(encoding="utf-8")) == DENSE_READERS
+
+
+def test_dense_readers_are_reported():
+    source = ("class A:\n    def __init__(self, t):\n        self.table = t\n\n"
+              "    def check(self):\n        return [v for row in self.table for v in row]\n\n"
+              "def f(mod):\n    def inner():\n        return mod.left, mod.right\n"
+              "    return inner\n\n"
+              "def g(x):\n    return x.integral, x.scaled, 'table', table\n")
+    assert dense_readers(source) == ["A.check", "f.inner"]
 
 
 def label_scans(source: str) -> list[int]:
@@ -431,7 +475,9 @@ def called_names(source: str) -> dict[str, Counter]:
 
 # the functions that write a defect or a series coefficient from its int
 INT_WRITERS = {
-    "algebra.py": ("LeibnizSuperalgebra.check_leibniz", "SuperBimodule.check_axioms"),
+    "algebra.py": ("grading_violations", "LeibnizSuperalgebra.check_grading",
+                   "LeibnizSuperalgebra.check_leibniz", "SuperBimodule.check_grading",
+                   "SuperBimodule.check_axioms"),
     "deformation.py": ("check_deformation", "infinitesimal_relation"),
     "fileio.py": ("series_to_doc",),
 }
