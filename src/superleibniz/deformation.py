@@ -157,13 +157,21 @@ class FormalIsomorphism(Series):
         return cls(alg, [], module, order)
 
 
-def _residual_ints(d: TruncatedDeformation, r: int) -> list[list[int]]:
-    """The order-r residual of d as leibniz_defect gives it: one int vector
-    per basis triple, the residual times D**2; empty when each product
-    mu_i mu_(r-i) has a zero factor."""
+def _residual_ints(d: TruncatedDeformation, r: int) -> dict[int, list[int]]:
+    """The order-r residual of d as leibniz_defect gives it: per triple
+    index where it is nonzero, the int vector of the residual times D**2;
+    each product mu_i mu_(r-i) with a zero factor is skipped."""
     t = d.tables
     pairs = [(t[i], t[r - i]) for i in t if r - i in t]
-    return leibniz_defect(pairs, d.algebra.space.parities) if pairs else []
+    return leibniz_defect(pairs, d.algebra.space.parities) if pairs else {}
+
+
+def _triple_rows(residual: dict, dim: int) -> list:
+    """residual as one sparse row (k, x) per basis triple, in triple order."""
+    rows = [()] * dim ** 3
+    for t, v in residual.items():
+        rows[t] = [(k, y) for k, y in enumerate(v) if y]
+    return rows
 
 
 def deformation_residual(d: TruncatedDeformation, r: int) -> Cochain:
@@ -175,8 +183,7 @@ def deformation_residual(d: TruncatedDeformation, r: int) -> Cochain:
     if r < 1 or r > 2 * max(d.order, 1):
         raise ValueError(f"order {r} out of range 1..{2 * max(d.order, 1)}")
     return Cochain.from_table(d.algebra, d.module, 3, 0, d.den ** 2,
-                              [[(k, y) for k, y in enumerate(v) if y]
-                               for v in _residual_ints(d, r)])
+                              _triple_rows(_residual_ints(d, r), d.algebra.dim))
 
 
 def check_deformation(d: TruncatedDeformation, mod_order: bool = False) -> CheckReport:
@@ -184,9 +191,10 @@ def check_deformation(d: TruncatedDeformation, mod_order: bool = False) -> Check
 
     Strict mode requires residuals 1..2N to vanish (the unqualified
     reading of the defining equation); mod_order stops at N, treating the
-    deformation as a jet mod t**(N+1).  The int residuals of the series
-    are zero-tested and a reported defect is written from them, and an
-    order whose products all have a zero factor costs no product.  Past
+    deformation as a jet mod t**(N+1).  An order's int residual holds
+    its nonzero triples only, so it holds iff that is empty, and a reported
+    defect is written from its ints; an order whose products all have a
+    zero factor costs no product.  Past
     twice the highest stored power no product mu_i mu_(r-i) remains, so
     the orders beyond it are not visited.
     """
@@ -194,12 +202,11 @@ def check_deformation(d: TruncatedDeformation, mod_order: bool = False) -> Check
     sp = d.algebra.space
     den = d.den ** 2
     for r in range(1, min(top, 2 * max(d.tables, default=0)) + 1):
-        bad = [{"order": r, "triple": tuple(sp.labels[i] for i in t),
-                "defect": sp.describe(v, den)}
-               for t, v in zip(all_tuples(d.algebra.dim, 3), _residual_ints(d, r))
-               if any(v)]
-        if bad:
-            return CheckReport(bad)  # the first failing order only
+        residual = _residual_ints(d, r)
+        if residual:   # the first failing order only, in triple order
+            return CheckReport([{"order": r, "triple": sp.triple_labels(t),
+                                 "defect": sp.describe(residual[t], den)}
+                                for t in sorted(residual)])
     return CheckReport()
 
 
@@ -216,18 +223,19 @@ class ExtensionUndefined(ValueError):
         self.report = report
 
 
-def _extended_residual(base: TruncatedDeformation, residual: list,
-                       extended: TruncatedDeformation, r: int) -> list[list[int]]:
+def _extended_residual(base: TruncatedDeformation, residual: dict,
+                       extended: TruncatedDeformation, r: int) -> dict[int, list[int]]:
     """_residual_ints(extended, r) from residual = _residual_ints(base, r):
     R_r is bilinear and extended is base plus mu_r, so it is residual *
     (D'/D)**2 plus the products (mu_0, mu_r) and (mu_r, mu_0); D | D'."""
     t, grown = extended.tables, (extended.den // base.den) ** 2
     total = leibniz_defect([(t[0], t[r]), (t[r], t[0])] if 0 in t and r in t else [],
                            base.algebra.space.parities)
-    for v, w in zip(residual, total):
+    for i, v in residual.items():
+        w = total.setdefault(i, [0] * len(v))
         for j, y in enumerate(v):
             w[j] += y * grown
-    return total
+    return {i: w for i, w in total.items() if any(w)}
 
 
 def extend_deformation(d: TruncatedDeformation, r: int,
@@ -255,13 +263,12 @@ def extend_deformation(d: TruncatedDeformation, r: int,
     # the residual without mu_r is -R'_r, held as D**2 times it
     cob = Coboundary(base.module, 3, max_arity)
     residual = _residual_ints(base, r)
-    rhs = [[(k, y) for k, y in enumerate(v) if y] for v in residual]
-    solution = cob.preimage(2, 0, base.den ** 2, rhs)
+    solution = cob.preimage(2, 0, base.den ** 2, _triple_rows(residual, base.algebra.dim))
     if solution is None:
         return None
     extended = base._copy(r, base.den, dict(base.tables))
     extended.add([(r, *solution)])
-    if any(map(any, _extended_residual(base, residual, extended, r))):
+    if _extended_residual(base, residual, extended, r):
         raise AssertionError("solver produced mu_r that fails order r; "
                              "sign conventions broken")
     return extended

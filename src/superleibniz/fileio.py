@@ -155,11 +155,20 @@ def _unique_keys(pairs: list[tuple]) -> dict:
     return doc
 
 
+_DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)
+
+
 def _load_json(path: str):
-    """The JSON document in the file at path; malformed text is a ParseError."""
+    """The JSON document in the file at path, read in one unbuffered binary
+    read and decoded once; malformed text is a ParseError.  A leading
+    UTF-8 BOM is refused as json.loads refuses it; CR is JSON whitespace."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.loads(fh.read(), object_pairs_hook=_unique_keys)
+        with open(path, "rb", buffering=0) as fh:
+            text = fh.read().decode("utf-8")
+        if text.startswith("\ufeff"):
+            raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)",
+                                       text, 0)
+        return _DECODER.decode(text)
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text ({exc.reason} at byte "
                          f"{exc.start})") from exc

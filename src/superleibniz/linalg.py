@@ -84,9 +84,12 @@ def scale_to_ints(tables) -> tuple[int, list[list[list[tuple[int, int]]]]]:
 
     A sum of products of one entry from each of several scaled families
     is then an exact integer over the product of their D's, so loops that
-    only multiply and add run in ints and divide once at the end.
+    only multiply and add run in ints and divide once at the end.  The
+    shared zero F0, which zeros() fills tables with, costs one identity
+    test, not a truth test.
     """
-    nonzeros = [[[(k, x) for k, x in enumerate(v) if x] for v in t] for t in tables]
+    nonzeros = [[[(k, x) for k, x in enumerate(v) if x is not F0 and x] for v in t]
+                for t in tables]
     d = lcm(*(x.denominator for t in nonzeros for v in t for _, x in v))
     return d, [[[(k, x.numerator * (d // x.denominator)) for k, x in v] for v in t]
                for t in nonzeros]

@@ -34,6 +34,9 @@
   the structure's int form (LeibnizSuperalgebra.integral,
   SuperBimodule.scaled) and write each coefficient as text.
 - sympy_rank: dense rank over the rationals through sympy.
+- truth_scale_to_ints: linalg.scale_to_ints with a truth test of every
+  entry and a Fraction product per nonzero, the reference for its
+  identity skip of the shared zero F0.
 - dense_rref and the dense_* consumers built on it: column-by-column
   Gauss-Jordan elimination over every cell of a dense table, the
   reference for the library's sparse row-by-row elimination
@@ -92,6 +95,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from math import lcm
 
 import sympy
 
@@ -278,6 +282,12 @@ def intertwining_defects(d_from, d_to, iso, cap: int) -> list[tuple[int, tuple[i
                 if lhs[r] != rhs:
                     out.append((r, (a, b)))
     return out
+
+
+def truth_scale_to_ints(tables) -> tuple[int, list]:
+    """linalg.scale_to_ints by the plain truthiness scan of every entry."""
+    d = lcm(*(Fraction(x).denominator for t in tables for v in t for x in v if x))
+    return d, [[[(k, int(x * d)) for k, x in enumerate(v) if x] for v in t] for t in tables]
 
 
 def sparse(v: list[Fraction]) -> dict:
@@ -567,7 +577,8 @@ def triple_walk_leibniz_defect(pairs, parities) -> list[list[int]]:
     """algebra.leibniz_defect as a walk over every basis triple (a, b, c),
     with the three terms' inner loops set up at each, empty entries
     included: the reference for the library's walk over the nonzeros.
-    Same flat int tables in, same int vector per triple out."""
+    Same flat int tables in; one int vector per triple out, of which the
+    library keeps the nonzero ones."""
     dim = len(parities)
     out = [[0] * dim for _ in range(dim ** 3)]
     for outer, inner in pairs:

@@ -13,8 +13,8 @@ from oracles import (bracket_vec, cochain_space_module, dense_check_axioms,
                      fraction_leibniz_defect, vector_parity)
 from superleibniz.algebra import (AssociativeSuperalgebra, LeibnizSuperalgebra,
                                   SuperBimodule, SuperSpace, abelian, adjoint_module,
-                                  free_truncated, from_associative, nonlie_example,
-                                  zero_module)
+                                  free_truncated, from_associative, leibniz_defect,
+                                  nonlie_example, zero_module)
 from superleibniz.linalg import F0, F1, basis_vec, bilinear, zeros
 
 F = Fraction
@@ -112,6 +112,19 @@ def test_leibniz_defects_with_fractional_constants_match_fraction_reference():
     rep = L.check_leibniz()
     assert expected and not rep.ok
     assert [(v["triple"], v["defect"]) for v in rep.violations] == expected
+
+
+LEIBNIZ_BRACKETS = [*standard_fixtures(),
+                    free_truncated(SuperSpace("V", ("u", "v"), (0, 1)), 2),   # F6
+                    sl2(), osp12()]
+
+
+@pytest.mark.parametrize("L", LEIBNIZ_BRACKETS, ids=lambda L: L.space.name)
+def test_leibniz_defect_of_a_leibniz_bracket_is_empty(L):
+    # the kernel keeps the nonzero triples only, so a bracket that
+    # satisfies the identity gives no triple at all
+    _, table = L.integral
+    assert leibniz_defect([(table, table)], L.space.parities) == {}
 
 
 def test_is_lie_negative_and_positive():

@@ -440,7 +440,7 @@ def test_two_product_certificate_is_the_full_residual(L):
             jet = extend_deformation(base, 3)
             jets += [jet] if jet is not None else []
         for extended in jets:
-            full = deformation._residual_ints(extended, 3) or [[0] * L.dim] * L.dim ** 3
+            full = deformation._residual_ints(extended, 3)
             assert deformation._extended_residual(base, residual, extended, 3) == full
 
 

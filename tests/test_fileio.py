@@ -418,11 +418,42 @@ def test_duplicate_object_keys_rejected(tmp_path, kind):
         load(str(p))
 
 
+# -- the bytes of a file ------------------------------------------------------
+
+def load_error(path) -> str:
+    with pytest.raises(ParseError) as info:
+        load_algebra(str(path))
+    return str(info.value)
+
+
 def test_non_utf8_file_is_a_parse_error_naming_the_file(tmp_path):
+    # and the offset of its first bad byte
     p = tmp_path / "latin1.json"
     p.write_bytes('{"name": "caf\u00e9", "basis": []}'.encode("latin-1"))
-    with pytest.raises(ParseError, match="latin1.json: not UTF-8"):
-        load_algebra(str(p))
+    assert load_error(p) == f"{p}: not UTF-8 text (invalid continuation byte at byte 13)"
+
+
+def test_a_utf8_byte_order_mark_is_refused(tmp_path):
+    # as json.loads refuses a str that starts with one
+    p = tmp_path / "bom.json"
+    p.write_bytes(b"\xef\xbb\xbf" + (GOLDEN / "nonlie3.json").read_bytes())
+    assert load_error(p) == ("invalid JSON at line 1, column 1: "
+                             "Unexpected UTF-8 BOM (decode using utf-8-sig)")
+
+
+def test_a_crlf_file_reads_as_its_lf_twin(tmp_path):
+    # the file is read as bytes, with no newline translation; JSON reads
+    # CR as whitespace, and an error's line and column stay the LF file's
+    lf = (GOLDEN / "nonlie3.json").read_bytes()
+    assert b"\r" not in lf
+    p = tmp_path / "crlf.json"
+    p.write_bytes(lf.replace(b"\n", b"\r\n"))
+    assert load_algebra(str(p)) == load_algebra(str(GOLDEN / "nonlie3.json"))
+    broken = b'{\n  "basis": [,]\n}'
+    (tmp_path / "lf.json").write_bytes(broken)
+    p.write_bytes(broken.replace(b"\n", b"\r\n"))
+    assert load_error(p) == load_error(tmp_path / "lf.json") \
+        == "invalid JSON at line 2, column 13: Expecting value"
 
 
 def test_integers_past_the_digit_limit_are_parse_errors(tmp_path):

@@ -9,11 +9,11 @@ from hypothesis import strategies as st
 from helpers import modules_for, standard_fixtures
 from oracles import (dense_extend_to_basis, dense_kernel_basis, dense_row_space_basis,
                      dense_rref, dense_solve, fraction_extend_to_basis, fraction_rref,
-                     identity_matrix, mat_vec, sparse, zero_matrix)
+                     identity_matrix, mat_vec, sparse, truth_scale_to_ints, zero_matrix)
 from superleibniz import linalg
 from superleibniz.cohomology import delta_matrix
-from superleibniz.linalg import (RatMatrix, extend_to_basis, kernel_basis, rank,
-                                 row_space_basis, rref, solve)
+from superleibniz.linalg import (F0, F1, RatMatrix, extend_to_basis, kernel_basis, rank,
+                                 row_space_basis, rref, scale_to_ints, solve, zeros)
 
 F = Fraction
 
@@ -274,6 +274,26 @@ def test_engine_matches_dense_oracle_on_coboundary_matrices():
                     m = delta_matrix(L, M, n, parity)
                     _assert_engine_matches_dense_oracle(m, rng)
                     _assert_engine_matches_dense_oracle(m.transpose(), rng)
+
+
+# -- scaling to ints -----------------------------------------------------------
+
+def test_scaling_skips_the_shared_zero_as_the_truth_test_would():
+    # zeros() fills tables with the one object F0, which scale_to_ints
+    # skips by identity; every other zero still goes through a truth test
+    others = [F(0, 5), F1 - F1, 0, -F0]
+    assert all(z is not F0 and not z for z in others)
+    rng = random.Random(30)
+    values = [F0] * 6 + others + [F(rng.choice([-7, -1, 2, 5]), rng.choice([1, 3, 4, 9]))
+                                  for _ in range(6)] + [3, -2]
+    tables = [[[rng.choice(values) for _ in range(5)] for _ in range(4)] for _ in range(3)]
+    tables.append([zeros(5), [F0, 0, F(0, 5), F1 - F1, F(2, 7)]])
+    assert scale_to_ints(tables) == truth_scale_to_ints(tables)
+    assert scale_to_ints(tables)[0] > 1
+    for L in standard_fixtures():
+        flat = [[v for row in L.table for v in row]]
+        assert scale_to_ints(flat) == truth_scale_to_ints(flat)
+    assert scale_to_ints([[zeros(3), [0, F(0, 2)]]]) == (1, [[[], []]])
 
 
 # -- the int engine against the Fraction engine ------------------------------

@@ -6,8 +6,9 @@ functions of algebra.py read the dense structure tables, one Coboundary
 class owns the cochain coordinates, only delta_matrix walks the
 coboundary terms in cohomology and only _z_rows and _b_rows take a row
 space there, the CLI builds no series of its own, the
-writers of defects, grading violations and series build no Fraction, and
-main alone loads the algebra and writes a report's header.
+writers of defects, grading violations and series build no Fraction,
+main alone loads the algebra and writes a report's header, and one
+function of fileio reads files and one writes them.
 
 A stdlib stand-in for a linter's unused-import and dead-code rules.  The
 package __init__ is skipped by the import check: its imports are the
@@ -594,3 +595,50 @@ def test_verb_headers_are_reported():
     assert verb_headers(source) == ["cmd_a: _load_algebra", "cmd_a: algebra",
                                     "cmd_a: command", "cmd_b: _load_algebra",
                                     "cmd_b: algebra", "cmd_b: command"]
+
+
+# the calls that open a file: open (builtin, io.open, os.open, Path.open),
+# os.fdopen and io.FileIO by their mode; Path's whole-file shortcuts by name
+_OPENERS = {"open", "fdopen", "FileIO"}
+_SHORTCUTS = {"read_text": "read", "read_bytes": "read",
+              "write_text": "write", "write_bytes": "write"}
+
+
+def file_openers(source: str) -> list[str]:
+    """'where: read' or 'where: write' for each call in source that opens
+    a file, where the function that holds it (as nodes_by_function names
+    it).  An opener reads unless its mode (the second positional argument
+    or mode=) is a string with w, a, x or +, or is not a string at all."""
+    found = []
+    for where, n in nodes_by_function(source):
+        if not isinstance(n, ast.Call):
+            continue
+        name = getattr(n.func, "id", getattr(n.func, "attr", None))
+        if name in _SHORTCUTS:
+            found.append(f"{where}: {_SHORTCUTS[name]}")
+        elif name in _OPENERS:
+            modes = n.args[1:2] + [k.value for k in n.keywords if k.arg == "mode"]
+            mode = modes[0] if modes else ast.Constant("r")
+            writes = not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)
+                          and not any(c in mode.value for c in "wax+"))
+            found.append(f"{where}: {'write' if writes else 'read'}")
+    return found
+
+
+def test_one_reader_and_one_writer_of_files():
+    # every document is read by _load_json (one binary read, one decoder)
+    # and written by save_doc; a second read path would bypass its checks
+    assert [f"{p.name}: {site}" for p in MODULES
+            for site in file_openers(p.read_text(encoding="utf-8"))] \
+        == ["fileio.py: save_doc: write", "fileio.py: _load_json: read"]
+
+
+def test_file_openers_are_reported():
+    source = ("def a(p):\n    with open(p) as fh:\n        return fh.read()\n\n"
+              "def b(p):\n    return io.open(p, 'rb', buffering=0)\n\n"
+              "class C:\n    def d(self):\n        return self.path.read_text()\n\n"
+              "    def e(self, t):\n        open(self.path, mode='a').write(t)\n\n"
+              "def f(p, t):\n    pathlib.Path(p).write_bytes(t)\n    os.open(p, os.O_RDWR)\n"
+              "    return io.FileIO(p, 'r+'), os.fdopen(3), opener(p)\n")
+    assert file_openers(source) == ["a: read", "b: read", "C.d: read", "C.e: write",
+                                    "f: write", "f: write", "f: write", "f: read"]
